@@ -328,3 +328,70 @@ func TestChaosDuplicatedCompletionRPC(t *testing.T) {
 		t.Fatalf("key has %d records, want 1", n)
 	}
 }
+
+// TestChaosDuplicatedCompletionWithLeaseRequest: the same retransmit fault,
+// on a completion that carries the worker's next lease request. Both copies
+// reach the lease policy, so the first copy's grant is orphaned — nobody
+// ever saw it — and the holder of the visible grant dies too. Both leases
+// must come back by expiry and the sweep must still converge on the record
+// set a solo Runner.Run produces: nothing lost, nothing doubled, nothing
+// stranded.
+func TestChaosDuplicatedCompletionWithLeaseRequest(t *testing.T) {
+	cfgs := tinyCfgs(3)
+	soloStore := results.NewMemStore()
+	if _, err := (&grid.Runner{Store: soloStore}).Run(cfgs, 1); err != nil {
+		t.Fatal(err)
+	}
+	store := results.NewMemStore()
+	coord, err := NewCoordinator(cfgs, 1, CoordinatorConfig{Store: store, LeaseTTL: 200 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startFleet(t, coord)
+
+	l, err := coord.Lease(LeaseRequest{Worker: "dup"})
+	if err != nil || l.Status != StatusLease {
+		t.Fatalf("lease: %+v, %v", l, err)
+	}
+	ft := NewFaultTransport(srv.Client().Transport, 11)
+	ft.DupP = 1.0
+	cl := &Client{Base: srv.URL, HTTP: &http.Client{Transport: ft},
+		Timeout: 5 * time.Second, Retries: 0, Seed: 11}
+	resp, err := cl.Complete(context.Background(), CompleteRequest{
+		LeaseID: l.LeaseID, Worker: "dup", Key: l.Key,
+		Record: results.NewRecord(l.Config, fakeTrial(l.Config)),
+		Next:   &LeaseRequest{Worker: "dup"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The visible answer is the second copy's: a duplicate, with a grant of
+	// its own — a different trial from the one the first copy was granted.
+	if !resp.Accepted || !resp.Duplicate || resp.Next == nil || resp.Next.Status != StatusLease {
+		t.Fatalf("second copy should dedupe and still be granted a lease: %+v", resp)
+	}
+	if st := coord.Status(); st.Executed != 1 || st.Duplicates != 1 || st.Leased != 2 {
+		t.Fatalf("after the duplicated completion: %+v, want 1 executed, 1 duplicate, 2 leases (one orphaned)", st)
+	}
+
+	// "dup" never runs either grant. A healthy worker drains the rest once
+	// the two leases expire.
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	stats, err := newWorker(t, srv.URL, "healthy", 5).Run(ctx)
+	if err != nil {
+		t.Fatalf("healthy worker: %v (stats %+v, status %+v)", err, stats, coord.Status())
+	}
+	st := coord.Status()
+	if !st.Complete || st.Reissued != 2 || st.Leased != 0 || stats.Executed != 2 {
+		t.Fatalf("orphaned grants were not both re-issued and finished: %+v, worker %+v", st, stats)
+	}
+	if got, want := sortedKeys(store), sortedKeys(soloStore); !reflect.DeepEqual(got, want) {
+		t.Fatalf("store diverged from single-process result set:\n got %v\nwant %v", got, want)
+	}
+	for _, k := range store.Keys() {
+		if n := len(store.Get(k)); n != 1 {
+			t.Fatalf("key %s has %d records, want exactly 1", k, n)
+		}
+	}
+}

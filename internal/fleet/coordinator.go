@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -23,7 +25,7 @@ const (
 )
 
 // fleetTask is one expanded trial: its content address, effective config,
-// and position in the summary layout.
+// and position in the summary layout. cfgIdx is also its cfgGroup.
 type fleetTask struct {
 	key              string
 	cfg              bench.WorkloadConfig
@@ -32,11 +34,56 @@ type fleetTask struct {
 	leaseID          string
 }
 
+// cfgGroup is one input configuration as the scheduler sees it. Its seeds
+// share a GroupKey, a StaticCost and a thread demand, so those are computed
+// once here and a grant decision never hashes a config; the group's pending
+// trials wait in a queue of their own.
+type cfgGroup struct {
+	key     string  // results.GroupOf: the cost model's index
+	static  float64 // grid.StaticCost
+	threads int
+	label   string // results.Label, for log lines
+	// pending holds the task indices of the group's pending trials in
+	// ascending order. Costly-first grants pop the head and cheap batch
+	// extras the tail, which is where a stable sort of the whole backlog by
+	// descending estimate would find them: the estimate is per group, so
+	// ties within a group fall in task order.
+	pending []int
+}
+
+func (g *cfgGroup) head() int { return g.pending[0] }
+func (g *cfgGroup) tail() int { return g.pending[len(g.pending)-1] }
+
+func (g *cfgGroup) popHead() int {
+	i := g.pending[0]
+	g.pending = g.pending[1:]
+	return i
+}
+
+func (g *cfgGroup) popTail() int {
+	i := g.tail()
+	g.pending = g.pending[:len(g.pending)-1]
+	return i
+}
+
+// requeue returns an expired lease's task to its place in the order.
+func (g *cfgGroup) requeue(i int) {
+	at, _ := slices.BinarySearch(g.pending, i)
+	g.pending = slices.Insert(g.pending, at, i)
+}
+
+// drop removes a pending task that finished without being granted.
+func (g *cfgGroup) drop(i int) {
+	at, _ := slices.BinarySearch(g.pending, i)
+	g.pending = slices.Delete(g.pending, at, at+1)
+}
+
 // lease is one outstanding grant.
 type lease struct {
 	id      string
 	taskIdx int
 	worker  string
+	granted time.Time
 	expires time.Time
 }
 
@@ -77,13 +124,15 @@ type Coordinator struct {
 	store *results.Store
 	ttl   time.Duration
 	now   func() time.Time
-	logf  func(string, ...any)
+	logFn func(string, ...any) // nil: logging off
 	model *grid.CostModel
 
 	mu     sync.Mutex
 	eff    []bench.WorkloadConfig
 	trials int
 	tasks  []*fleetTask
+	groups []cfgGroup // indexed by cfgIdx
+	est    []float64  // per-group estimates of the request being served
 	byKey  map[string][]int
 	leases map[string]*lease
 	seq    int
@@ -131,10 +180,6 @@ func NewCoordinator(cfgs []bench.WorkloadConfig, trials int, cc CoordinatorConfi
 	if now == nil {
 		now = time.Now
 	}
-	logf := cc.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	model := cc.Cost
 	if model == nil {
 		model = grid.NewCostModel(cc.Store)
@@ -144,15 +189,25 @@ func NewCoordinator(cfgs []bench.WorkloadConfig, trials int, cc CoordinatorConfi
 		store:     cc.Store,
 		ttl:       ttl,
 		now:       now,
-		logf:      logf,
+		logFn:     cc.Logf,
 		model:     model,
 		eff:       eff,
 		trials:    trials,
+		groups:    make([]cfgGroup, len(eff)),
+		est:       make([]float64, len(eff)),
 		byKey:     map[string][]int{},
 		leases:    map[string]*lease{},
 		doneCh:    make(chan struct{}),
 		startedAt: now(),
 		workers:   map[string]*workerStats{},
+	}
+	for i, cfg := range eff {
+		c.groups[i] = cfgGroup{
+			key:     results.GroupOf(cfg),
+			static:  grid.StaticCost(cfg),
+			threads: cfg.Threads,
+			label:   results.Label(cfg),
+		}
 	}
 	for _, t := range expanded {
 		ft := &fleetTask{
@@ -171,12 +226,24 @@ func NewCoordinator(cfgs []bench.WorkloadConfig, trials int, cc CoordinatorConfi
 			} else {
 				c.cached++
 			}
+			continue
 		}
+		g := &c.groups[ft.cfgIdx]
+		g.pending = append(g.pending, idx)
 	}
 	if c.doneCount == len(c.tasks) {
 		close(c.doneCh)
 	}
 	return c, nil
+}
+
+// logf forwards one event line to the configured logger. The per-trial
+// paths (grant, completion) test logFn themselves so that a quiet
+// coordinator does not even box the arguments.
+func (c *Coordinator) logf(format string, args ...any) {
+	if c.logFn != nil {
+		c.logFn(format, args...)
+	}
 }
 
 // reclaimExpiredLocked returns every expired lease's trial to the pending
@@ -193,38 +260,44 @@ func (c *Coordinator) reclaimExpiredLocked() {
 		if t.state == taskLeased && t.leaseID == id {
 			t.state = taskPending
 			t.leaseID = ""
+			g := &c.groups[t.cfgIdx]
+			g.requeue(l.taskIdx)
 			c.reissued++
 			c.logf("fleet: lease %s (%s) from %s expired; re-issuing %s",
-				id, short(t.key), l.worker, results.Label(t.cfg))
+				id, short(t.key), l.worker, g.label)
 		}
 	}
 }
 
 // grantLocked journals the claim for task i and attaches a fresh lease to
-// worker; caller holds mu and guarantees the task is pending.
+// worker; caller holds mu and has taken the task off its group's queue.
 func (c *Coordinator) grantLocked(i int, worker string) (Grant, error) {
 	t := c.tasks[i]
 	c.seq++
-	id := fmt.Sprintf("L%d", c.seq)
-	expires := c.now().Add(c.ttl)
+	id := "L" + strconv.Itoa(c.seq)
+	now := c.now()
+	expires := now.Add(c.ttl)
 	// Journal the claim before answering: if the append fails the
 	// store is broken and granting would strand the trial's result.
 	if err := c.store.Append(results.NewClaim(t.key, worker, expires)); err != nil {
+		c.groups[t.cfgIdx].requeue(i)
 		return Grant{}, fmt.Errorf("fleet: journaling claim: %w", err)
 	}
 	t.state = taskLeased
 	t.leaseID = id
-	c.leases[id] = &lease{id: id, taskIdx: i, worker: worker, expires: expires}
+	c.leases[id] = &lease{id: id, taskIdx: i, worker: worker, granted: now, expires: expires}
 	c.granted++
-	c.logf("fleet: leased %s (%s) to %s until %s",
-		results.Label(t.cfg), short(t.key), worker, expires.Format(time.RFC3339))
+	if c.logFn != nil {
+		c.logFn("fleet: leased %s (%s) to %s until %s",
+			c.groups[t.cfgIdx].label, short(t.key), worker, expires.Format(time.RFC3339))
+	}
 	return Grant{LeaseID: id, Key: t.key, Config: t.cfg, ExpiresUnixNano: expires.UnixNano()}, nil
 }
 
-// fits reports whether a trial's thread demand fits an advertised capacity
+// fits reports whether a group's thread demand fits an advertised capacity
 // (<= 0 means unlimited).
-func fits(cfg bench.WorkloadConfig, capacity int) bool {
-	return capacity <= 0 || cfg.Threads <= capacity
+func (g *cfgGroup) fits(capacity int) bool {
+	return capacity <= 0 || g.threads <= capacity
 }
 
 // Lease grants pending trials to the requesting worker, journaling each
@@ -239,9 +312,18 @@ func fits(cfg bench.WorkloadConfig, capacity int) bool {
 // trials whose RPC cost rivals their runtime. When everything is
 // leased-but-unfinished it answers StatusWait; when the sweep is complete,
 // StatusDone.
+//
+// The order is that of a stable sort of every pending trial by descending
+// estimate — ties in expansion order, deterministic given the same model
+// state — but no such sort is made: a request costs one estimate per
+// configuration group and no hashing, whatever the backlog.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.leaseLocked(req)
+}
+
+func (c *Coordinator) leaseLocked(req LeaseRequest) (LeaseResponse, error) {
 	c.reclaimExpiredLocked()
 	if ws := c.workers[req.Worker]; ws == nil {
 		c.workers[req.Worker] = &workerStats{firstSeen: c.now()}
@@ -249,51 +331,44 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if c.doneCount == len(c.tasks) {
 		return LeaseResponse{Status: StatusDone}, nil
 	}
-	// Estimate every pending trial once per request: the model shifts as
-	// completions feed it, so ordering is computed live rather than pinned
-	// at expansion. Pending counts are small (a sweep, not a job queue).
-	type pendingTask struct {
-		idx int
-		est float64
-	}
-	var pending []pendingTask
-	for i, t := range c.tasks {
-		if t.state == taskPending {
-			pending = append(pending, pendingTask{idx: i, est: c.model.Estimate(t.cfg)})
+	// Estimate every group with pending trials once per request: the model
+	// shifts as completions feed it, so ordering is computed live rather
+	// than pinned at expansion. The head of the descending order among the
+	// groups that fit is the costliest, ties to the lowest task index.
+	primary, backlog := -1, false
+	for gi := range c.groups {
+		g := &c.groups[gi]
+		if len(g.pending) == 0 {
+			continue
+		}
+		backlog = true
+		e, _ := c.estimate(g)
+		c.est[gi] = e
+		if !g.fits(req.Capacity) {
+			continue
+		}
+		if p := primary; p < 0 || e > c.est[p] || (e == c.est[p] && g.head() < c.groups[p].head()) {
+			primary = gi
 		}
 	}
-	if len(pending) == 0 {
-		retry := c.ttl / 8
-		if retry > 250*time.Millisecond {
-			retry = 250 * time.Millisecond
-		}
-		if retry < 10*time.Millisecond {
-			retry = 10 * time.Millisecond
-		}
-		return LeaseResponse{Status: StatusWait, RetryMs: int(retry.Milliseconds())}, nil
-	}
-	// Descending cost, ties in expansion order — deterministic given the
-	// same model state.
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].est > pending[j].est })
-	primary := -1
-	for i, p := range pending {
-		if fits(c.tasks[p.idx].cfg, req.Capacity) {
-			primary = i
-			break
-		}
+	if !backlog {
+		return LeaseResponse{Status: StatusWait, RetryMs: c.retryMsLocked()}, nil
 	}
 	fallback := primary < 0
+	var first int
 	if fallback {
 		// Nothing fits the advertised capacity: grant the cheapest pending
 		// trial (last in descending order) so an undersized worker makes
 		// slow progress instead of the sweep waiting for a big worker that
 		// may never come.
-		primary = len(pending) - 1
+		first = c.groups[c.cheapestLocked(-1)].popTail()
 		c.logf("fleet: no pending trial fits capacity %d from %s; granting cheapest",
 			req.Capacity, req.Worker)
+	} else {
+		first = c.groups[primary].popHead()
 	}
 	resp := LeaseResponse{Status: StatusLease}
-	g, err := c.grantLocked(pending[primary].idx, req.Worker)
+	g, err := c.grantLocked(first, req.Worker)
 	if err != nil {
 		return LeaseResponse{}, err
 	}
@@ -307,19 +382,67 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		// order): batching exists to amortize round-trips over cheap
 		// trials, while expensive ones keep getting dedicated leases that
 		// renew independently.
-		for i := len(pending) - 1; i > primary && extra > 0; i-- {
-			if !fits(c.tasks[pending[i].idx].cfg, req.Capacity) {
-				continue
+		for ; extra > 0; extra-- {
+			cheapest := c.cheapestLocked(req.Capacity)
+			if cheapest < 0 {
+				break
 			}
-			g, err := c.grantLocked(pending[i].idx, req.Worker)
+			g, err := c.grantLocked(c.groups[cheapest].popTail(), req.Worker)
 			if err != nil {
 				return LeaseResponse{}, err
 			}
 			resp.Extra = append(resp.Extra, g)
-			extra--
 		}
 	}
 	return resp, nil
+}
+
+// estimate is the cost model's current estimate of one trial of the group,
+// and whether it is the group's measured mean in nanoseconds.
+func (c *Coordinator) estimate(g *cfgGroup) (float64, bool) {
+	return c.model.EstimateGroup(g.key, g.static)
+}
+
+// cheapestLocked returns the group holding the last trial of the descending
+// order among the groups that fit capacity — the lowest estimate (c.est,
+// filled by the request being served), ties to the highest task index — or
+// -1 when none has a pending trial.
+func (c *Coordinator) cheapestLocked(capacity int) int {
+	best := -1
+	for gi := range c.groups {
+		g := &c.groups[gi]
+		if len(g.pending) == 0 || !g.fits(capacity) {
+			continue
+		}
+		if best < 0 || c.est[gi] < c.est[best] || (c.est[gi] == c.est[best] && g.tail() > c.groups[best].tail()) {
+			best = gi
+		}
+	}
+	return best
+}
+
+// retryMsLocked is the poll delay for a worker that finds every remaining
+// trial leased. What it waits for is a completion (then the sweep is done)
+// or an expiry (then a trial is pending again), so the answer is the time
+// until the soonest outstanding lease should finish: its group's measured
+// mean less the lease's age. A lease that is overdue counts for as long as
+// it has been overdue, so polls on a stuck or dead worker's lease back off
+// geometrically instead of spinning at the floor. The result is clamped to
+// [1 ms, min(ttl/8, 250 ms)], and it is that upper bound — all a
+// coordinator without measurements can say — while no outstanding lease
+// belongs to a measured group.
+func (c *Coordinator) retryMsLocked() int {
+	retry := min(max(c.ttl/8, 10*time.Millisecond), 250*time.Millisecond).Truncate(time.Millisecond)
+	now := c.now()
+	for _, l := range c.leases {
+		mean, measured := c.estimate(&c.groups[c.tasks[l.taskIdx].cfgIdx])
+		if !measured {
+			continue
+		}
+		retry = min(retry, (time.Duration(mean) - now.Sub(l.granted)).Abs())
+	}
+	// Round up: a poll a fraction of a millisecond early costs a second one.
+	return int(max(retry+time.Millisecond-1, time.Millisecond) / time.Millisecond)
 }
 
 // Renew extends a held lease. A false OK means the lease already expired
@@ -344,15 +467,35 @@ func (c *Coordinator) Renew(req RenewRequest) RenewResponse {
 // through AppendIfAbsent before the trial is marked done — a crash between
 // the two at worst re-issues an already-stored trial, whose completion then
 // dedupes; the store never ends up with two records for one key.
+//
+// An accepted request carrying Next is then served that lease request under
+// the same lock hold, duplicates included: the worker needs its next trial
+// either way.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	resp, err := c.completeLocked(req)
+	if err != nil || !resp.Accepted || req.Next == nil {
+		return resp, err
+	}
+	next, err := c.leaseLocked(*req.Next)
+	if err != nil {
+		// The completion is stored; failing the RPC would only have it
+		// retried into a duplicate. Leave the grant out and let the worker
+		// meet the journal error on /v1/lease.
+		c.logf("fleet: lease riding on completion from %s failed: %v", req.Worker, err)
+		return resp, nil
+	}
+	resp.Next = &next
+	return resp, nil
+}
+
+func (c *Coordinator) completeLocked(req CompleteRequest) (CompleteResponse, error) {
 	idxs, ok := c.byKey[req.Key]
 	if !ok {
 		c.logf("fleet: rejecting completion of unknown key %s from %s", req.Key, req.Worker)
 		return CompleteResponse{Accepted: false}, nil
 	}
-	delete(c.leases, req.LeaseID)
 	allDone := true
 	for _, i := range idxs {
 		if c.tasks[i].state != taskDone {
@@ -372,15 +515,16 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	}
 	// Feed the completion into the cost model and the throughput ledger
 	// before marking done, so the ETA's remaining-cost sum and completed-
-	// cost accumulator never both count the same trial.
-	c.completedCost += c.model.Estimate(rec.Config)
+	// cost accumulator never both count the same trial. Tasks sharing a key
+	// share a normalized config, hence a group.
+	g := &c.groups[c.tasks[idxs[0]].cfgIdx]
+	est, _ := c.estimate(g)
+	c.completedCost += est
 	elapsed := rec.ElapsedNanos
 	if elapsed == 0 {
 		elapsed = rec.Trial.ElapsedNanos
 	}
-	if elapsed > 0 {
-		c.model.Observe(rec.Config, elapsed)
-	}
+	c.model.ObserveGroup(g.key, g.static, elapsed)
 	ws := c.workers[req.Worker]
 	if ws == nil {
 		ws = &workerStats{firstSeen: c.now()}
@@ -390,8 +534,19 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	ws.lastDone = c.now()
 	for _, i := range idxs {
 		t := c.tasks[i]
-		if t.state == taskDone {
+		switch t.state {
+		case taskDone:
 			continue
+		case taskPending:
+			// Finished without a live lease (spool replay after expiry, or a
+			// twin task under the same key): it is no longer grantable.
+			c.groups[t.cfgIdx].drop(i)
+		case taskLeased:
+			// Whatever lease the task is under now — the completing worker's
+			// own, or a re-issue's while this completion arrived by spool
+			// replay or under a superseded lease — ends with the task, so
+			// Status.Leased, Renew and the wait estimate stop counting it.
+			delete(c.leases, t.leaseID)
 		}
 		t.state = taskDone
 		t.leaseID = ""
@@ -408,8 +563,10 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	default:
 		c.executed++
 	}
-	c.logf("fleet: completed %s (%s) from %s [%d/%d]",
-		results.Label(rec.Config), short(req.Key), req.Worker, c.doneCount, len(c.tasks))
+	if c.logFn != nil {
+		c.logFn("fleet: completed %s (%s) from %s [%d/%d]",
+			g.label, short(req.Key), req.Worker, c.doneCount, len(c.tasks))
+	}
 	done := c.doneCount == len(c.tasks)
 	if done {
 		select {
@@ -451,10 +608,13 @@ func (c *Coordinator) Status() StatusResponse {
 	if !resp.Complete && c.completedCost > 0 {
 		wall := c.now().Sub(c.startedAt)
 		if wall > 0 {
+			for gi := range c.groups {
+				c.est[gi], _ = c.estimate(&c.groups[gi])
+			}
 			var remaining float64
 			for _, t := range c.tasks {
 				if t.state != taskDone {
-					remaining += c.model.Estimate(t.cfg)
+					remaining += c.est[t.cfgIdx]
 				}
 			}
 			throughput := c.completedCost / wall.Seconds() // cost units per wall second
@@ -510,7 +670,7 @@ func (c *Coordinator) Summaries() []bench.Summary {
 //
 //	POST /v1/lease    LeaseRequest    -> LeaseResponse
 //	POST /v1/renew    RenewRequest    -> RenewResponse
-//	POST /v1/complete CompleteRequest -> CompleteResponse
+//	POST /v1/complete CompleteRequest -> CompleteResponse (and, with Next set, the worker's next lease)
 //	GET  /v1/status                   -> StatusResponse
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()

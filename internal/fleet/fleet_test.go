@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
@@ -431,5 +432,159 @@ func TestFaultTransportDeterminism(t *testing.T) {
 	}
 	if reflect.DeepEqual(draw(99), draw(100)) {
 		t.Fatal("different seeds should diverge")
+	}
+}
+
+// TestCompletionEndsTheTasksLease: a trial finished by a completion that
+// does not name the task's live lease — a spool replay carries no lease id,
+// a slow worker names its superseded one — still ends that lease. Otherwise
+// it sits in the table until TTL: counted by Status.Leased, renewable, and
+// taken for outstanding work by the wait estimate.
+func TestCompletionEndsTheTasksLease(t *testing.T) {
+	now := time.Unix(1000, 0)
+	clock := func() time.Time { return now }
+	coord, err := NewCoordinator(tinyCfgs(2), 1, CoordinatorConfig{Store: results.NewMemStore(), LeaseTTL: time.Second, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	complete := func(leaseID string, l LeaseResponse) {
+		t.Helper()
+		rec := results.NewRecord(l.Config, fakeTrial(l.Config))
+		if resp, err := coord.Complete(CompleteRequest{LeaseID: leaseID, Worker: "w", Key: l.Key, Record: rec}); err != nil || !resp.Accepted || resp.Duplicate {
+			t.Fatalf("completion: %+v, %v", resp, err)
+		}
+	}
+
+	// Spool replay: the record arrives without a lease id.
+	l1, _ := coord.Lease(LeaseRequest{Worker: "w"})
+	complete("", l1)
+	if st := coord.Status(); st.Leased != 0 {
+		t.Fatalf("replayed completion left %d leases outstanding", st.Leased)
+	}
+	if r := coord.Renew(RenewRequest{LeaseID: l1.LeaseID, Worker: "w"}); r.OK {
+		t.Fatal("lease of a finished trial still renews")
+	}
+
+	// Superseded lease: the trial was re-issued, then the first holder
+	// finishes under its old lease id.
+	l2, _ := coord.Lease(LeaseRequest{Worker: "slow"})
+	now = now.Add(2 * time.Second)
+	l3, _ := coord.Lease(LeaseRequest{Worker: "other"})
+	if l3.Key != l2.Key || l3.LeaseID == l2.LeaseID {
+		t.Fatalf("expected a re-issue of %s, got %+v", short(l2.Key), l3)
+	}
+	complete(l2.LeaseID, l2)
+	if st := coord.Status(); st.Leased != 0 || !st.Complete {
+		t.Fatalf("late completion left the re-issued lease behind: %+v", st)
+	}
+	if r := coord.Renew(RenewRequest{LeaseID: l3.LeaseID, Worker: "other"}); r.OK {
+		t.Fatal("re-issued lease of a finished trial still renews")
+	}
+}
+
+// quickCfgs builds n one-thread configurations whose trials take about a
+// millisecond, the regime where what a trial costs outside the trial shows.
+func quickCfgs(n int) []bench.WorkloadConfig {
+	cfgs := make([]bench.WorkloadConfig, n)
+	for i := range cfgs {
+		c := bench.DefaultWorkload(1)
+		c.KeyRange = 512
+		c.Duration = 0
+		c.FixedOps = 2000 + 500*i
+		c.Seed = uint64(100 + i)
+		cfgs[i] = c
+	}
+	return cfgs
+}
+
+// countingTransport counts RPCs by path.
+type countingTransport struct {
+	next http.RoundTripper
+	mu   sync.Mutex
+	n    map[string]int
+}
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.n[req.URL.Path]++
+	c.mu.Unlock()
+	return c.next.RoundTrip(req)
+}
+
+// runQuickFleet drains cfgs×trials with two workers over HTTP, counting
+// their RPCs, and returns how long after the sweep's last completion the
+// last worker returned.
+func runQuickFleet(t *testing.T, cfgs []bench.WorkloadConfig, trials int) (rpcs map[string]int, tail time.Duration) {
+	t.Helper()
+	coord, err := NewCoordinator(cfgs, trials, CoordinatorConfig{Store: results.NewMemStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startFleet(t, coord)
+	counter := &countingTransport{next: srv.Client().Transport, n: map[string]int{}}
+	var doneAt time.Time
+	sweepDone := make(chan struct{})
+	go func() {
+		<-coord.Done()
+		doneAt = time.Now()
+		close(sweepDone)
+	}()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		w := newWorker(t, srv.URL, []string{"w1", "w2"}[i], uint64(i+1))
+		w.Client.HTTP = &http.Client{Transport: counter}
+		w.Capacity = 1
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = w.Run(t.Context())
+		}()
+	}
+	wg.Wait()
+	returned := time.Now()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	<-sweepDone
+	if st := coord.Status(); !st.Complete || st.Executed != st.Total || st.Duplicates != 0 || st.Reissued != 0 || st.Leased != 0 {
+		t.Fatalf("quick fleet did not converge cleanly: %+v", st)
+	}
+	return counter.n, returned.Sub(doneAt)
+}
+
+// TestWorkersReturnPromptlyAtSweepEnd: the worker left without a trial at
+// the tail is told to wait about as long as the outstanding trial should
+// still take, not a flat quarter second, so it learns the sweep is over
+// within milliseconds of the last completion.
+func TestWorkersReturnPromptlyAtSweepEnd(t *testing.T) {
+	_, tail := runQuickFleet(t, quickCfgs(4), 8)
+	t.Logf("last worker returned %v after the last completion", tail)
+	if tail > 50*time.Millisecond {
+		t.Fatalf("last worker returned %v after the last completion, want < 50ms", tail)
+	}
+}
+
+// TestOneRoundTripPerTrial: the next lease rides on each completion, so a
+// sweep of N trials costs N completion RPCs, one first lease per worker, no
+// renewals, and the few polls of whichever worker waits out the tail.
+func TestOneRoundTripPerTrial(t *testing.T) {
+	const n = 64
+	rpcs, _ := runQuickFleet(t, quickCfgs(4), n/4)
+	total := 0
+	for _, c := range rpcs {
+		total += c
+	}
+	t.Logf("%d trials: %v = %.3f RPCs per trial", n, rpcs, float64(total)/n)
+	if rpcs["/v1/complete"] != n || rpcs["/v1/renew"] != 0 {
+		t.Fatalf("want exactly %d completions and no renewals, got %v", n, rpcs)
+	}
+	// Two first leases; the rest are tail polls, a handful at most (they
+	// back off). That keeps the whole sweep within 1 + 2/N per trial plus
+	// those polls.
+	if polls := rpcs["/v1/lease"] - 2; polls < 0 || polls > 8 {
+		t.Fatalf("want 2 first leases plus at most 8 tail polls, got %d lease RPCs", rpcs["/v1/lease"])
 	}
 }

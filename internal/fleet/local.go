@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/grid"
@@ -26,8 +25,8 @@ type localSource struct {
 	c    *Coordinator
 	name string
 
-	lease LeaseResponse // current grant (state between Next and Complete)
-	stop  chan struct{} // closes to end the renewal loop
+	lease   LeaseResponse // current grant (state between Next and Complete)
+	renewal renewal
 }
 
 // Next leases the next pending trial from the in-process coordinator,
@@ -46,21 +45,18 @@ func (s *localSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, err
 		case StatusDone:
 			return bench.WorkloadConfig{}, false, nil
 		case StatusWait:
-			retry := time.Duration(resp.RetryMs) * time.Millisecond
-			if retry <= 0 {
-				retry = 100 * time.Millisecond
-			}
-			t := time.NewTimer(retry)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return bench.WorkloadConfig{}, false, ctx.Err()
+			if err := sleepRetry(ctx, resp.RetryMs); err != nil {
+				return bench.WorkloadConfig{}, false, err
 			}
 			continue
 		default: // StatusLease
 			s.lease = resp
-			s.startRenewal(ctx)
+			// Without renewal a trial longer than the TTL would be re-issued
+			// to a remote worker and run twice (harmless via dedupe, but
+			// wasteful).
+			s.renewal.start(ctx, s.c.ttl/3, func() {
+				s.c.Renew(RenewRequest{LeaseID: resp.LeaseID, Worker: s.name})
+			})
 			return resp.Config, true, nil
 		}
 	}
@@ -70,7 +66,7 @@ func (s *localSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, err
 // the remote path: identity is the key, so a duplicate (the trial expired
 // and a late worker also ran it) is acknowledged, not an error.
 func (s *localSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, rec results.Record) error {
-	s.stopRenewal()
+	s.renewal.halt()
 	lease := s.lease
 	s.lease = LeaseResponse{}
 	if err := ctx.Err(); err != nil {
@@ -80,38 +76,4 @@ func (s *localSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, re
 		LeaseID: lease.LeaseID, Worker: s.name, Key: lease.Key, Record: rec,
 	})
 	return err
-}
-
-// startRenewal keeps the current lease alive while the local trial runs —
-// without it, a trial longer than the TTL would be re-issued to a remote
-// worker and run twice (harmless via dedupe, but wasteful).
-func (s *localSource) startRenewal(ctx context.Context) {
-	stop := make(chan struct{})
-	s.stop = stop
-	leaseID := s.lease.LeaseID
-	every := s.c.ttl / 3
-	if every <= 0 {
-		every = 5 * time.Second
-	}
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				s.c.Renew(RenewRequest{LeaseID: leaseID, Worker: s.name})
-			}
-		}
-	}()
-}
-
-func (s *localSource) stopRenewal() {
-	if s.stop != nil {
-		close(s.stop)
-		s.stop = nil
-	}
 }

@@ -43,7 +43,7 @@ const (
 	// lease expires (or Renew along the way).
 	StatusLease = "lease"
 	// StatusWait: every remaining trial is currently leased to someone
-	// else; poll again after RetryMs.
+	// else; poll /v1/lease again after RetryMs.
 	StatusWait = "wait"
 	// StatusDone: the sweep is complete; the worker should exit.
 	StatusDone = "done"
@@ -98,7 +98,11 @@ type LeaseResponse struct {
 	// the TTL, and treat a missed renewal as survivable — a late
 	// completion still lands via key dedupe.
 	ExpiresUnixNano int64 `json:"expires_unix_ns,omitempty"`
-	// RetryMs is the suggested poll delay for StatusWait.
+	// RetryMs is the suggested poll delay for StatusWait: the time until the
+	// soonest outstanding lease is expected to finish by its configuration's
+	// measured mean (or, once overdue, the time it has been overdue, so polls
+	// on a stuck lease back off), within [1 ms, min(LeaseTTL/8, 250 ms)]; the
+	// upper bound itself while no outstanding lease has a measured mean.
 	RetryMs int `json:"retry_ms,omitempty"`
 	// Extra carries batch grants beyond the primary lease (at most
 	// MaxTrials-1, and never more than the coordinator's batch cap). The
@@ -128,6 +132,11 @@ type CompleteRequest struct {
 	Worker  string         `json:"worker"`
 	Key     string         `json:"key"`
 	Record  results.Record `json:"record"`
+	// Next, when set, is the worker's next lease request, served by the same
+	// policy under the same lock hold as the completion and answered in
+	// CompleteResponse.Next — one round trip per trial instead of two. Spool
+	// replays leave it unset.
+	Next *LeaseRequest `json:"next,omitempty"`
 }
 
 // CompleteResponse acknowledges a completion.
@@ -142,6 +151,11 @@ type CompleteResponse struct {
 	// Done hints that the sweep is now complete, so the worker can exit
 	// without another lease round-trip.
 	Done bool `json:"done,omitempty"`
+	// Next answers CompleteRequest.Next; nil when none was asked, the
+	// completion was rejected, or the grant could not be journaled (the
+	// worker then asks /v1/lease). A grant lost with this response is
+	// recovered by lease expiry, like a lost /v1/lease response.
+	Next *LeaseResponse `json:"next,omitempty"`
 }
 
 // StatusResponse is the coordinator's observable state (GET /v1/status).

@@ -1,6 +1,11 @@
 package fleet
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -233,6 +238,422 @@ func TestBatchedWorkerDrains(t *testing.T) {
 	for _, k := range store.Keys() {
 		if n := len(store.Get(k)); n != 1 {
 			t.Fatalf("key %s has %d records, want 1", k, n)
+		}
+	}
+}
+
+// mixedCfgs is the parity sweep: thread demands 1/2/4/8, two groups whose
+// static costs tie, and a twin of the first config (same keys, so one
+// completion finishes two tasks).
+func mixedCfgs() []bench.WorkloadConfig {
+	var cfgs []bench.WorkloadConfig
+	for i, shape := range []struct{ threads, ops, keyRange int }{
+		{1, 500, 1 << 10}, {2, 1000, 1 << 10}, {4, 2000, 1 << 10}, {8, 4000, 1 << 10},
+		{2, 1000, 1 << 11}, {1, 3000, 1 << 10},
+	} {
+		c := bench.DefaultWorkload(shape.threads)
+		c.FixedOps = shape.ops
+		c.Duration = 0
+		c.KeyRange = int64(shape.keyRange)
+		c.Seed = uint64(100 + i)
+		cfgs = append(cfgs, c)
+	}
+	return append(cfgs, cfgs[0])
+}
+
+// seededStore returns a store that already holds one measured record (of a
+// seed outside the sweep) for the 2- and the 8-thread group of mixedCfgs, so
+// those groups estimate by their mean and the rest by the calibrated prior.
+func seededStore(t *testing.T, cfgs []bench.WorkloadConfig) *results.Store {
+	t.Helper()
+	store := results.NewMemStore()
+	for _, m := range []struct {
+		cfg     int
+		elapsed time.Duration
+	}{{1, 3 * time.Millisecond}, {3, time.Millisecond}} {
+		c := cfgs[m.cfg]
+		c.Seed = 7777
+		tr := fakeTrial(c)
+		tr.ElapsedNanos = int64(m.elapsed)
+		if err := store.Append(results.NewRecord(c, tr)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return store
+}
+
+// sortLeaser is the reference scheduler of the parity test: the lease policy
+// as it was before the group index — estimate every pending trial by
+// hashing its config, stable-sort the backlog by descending estimate, walk
+// it — over its own store, model and lease table.
+type sortLeaser struct {
+	store  *results.Store
+	model  *grid.CostModel
+	ttl    time.Duration
+	now    func() time.Time
+	tasks  []*fleetTask
+	leases map[string]*lease
+	seq    int
+	done   int
+}
+
+func newSortLeaser(cfgs []bench.WorkloadConfig, trials int, store *results.Store, ttl time.Duration, now func() time.Time) *sortLeaser {
+	r := &sortLeaser{store: store, model: grid.NewCostModel(store), ttl: ttl, now: now, leases: map[string]*lease{}}
+	_, expanded := grid.ExpandTasks(cfgs, trials, nil, 0)
+	for _, t := range expanded {
+		r.tasks = append(r.tasks, &fleetTask{key: results.KeyOf(t.Cfg), cfg: t.Cfg})
+	}
+	return r
+}
+
+func (r *sortLeaser) grant(i int, worker string) Grant {
+	t := r.tasks[i]
+	r.seq++
+	id := fmt.Sprintf("L%d", r.seq)
+	expires := r.now().Add(r.ttl)
+	r.store.Append(results.NewClaim(t.key, worker, expires))
+	t.state, t.leaseID = taskLeased, id
+	r.leases[id] = &lease{id: id, taskIdx: i, expires: expires}
+	return Grant{LeaseID: id, Key: t.key, Config: t.cfg, ExpiresUnixNano: expires.UnixNano()}
+}
+
+func (r *sortLeaser) lease(req LeaseRequest) LeaseResponse {
+	for id, l := range r.leases {
+		if l.expires.After(r.now()) {
+			continue
+		}
+		delete(r.leases, id)
+		if t := r.tasks[l.taskIdx]; t.state == taskLeased && t.leaseID == id {
+			t.state, t.leaseID = taskPending, ""
+		}
+	}
+	if r.done == len(r.tasks) {
+		return LeaseResponse{Status: StatusDone}
+	}
+	type pendingTask struct {
+		idx int
+		est float64
+	}
+	var pending []pendingTask
+	for i, t := range r.tasks {
+		if t.state == taskPending {
+			pending = append(pending, pendingTask{i, r.model.Estimate(t.cfg)})
+		}
+	}
+	if len(pending) == 0 {
+		return LeaseResponse{Status: StatusWait}
+	}
+	sort.SliceStable(pending, func(i, j int) bool { return pending[i].est > pending[j].est })
+	fits := func(p pendingTask) bool {
+		return req.Capacity <= 0 || r.tasks[p.idx].cfg.Threads <= req.Capacity
+	}
+	primary := slices.IndexFunc(pending, fits)
+	fallback := primary < 0
+	if fallback {
+		primary = len(pending) - 1
+	}
+	g := r.grant(pending[primary].idx, req.Worker)
+	resp := LeaseResponse{Status: StatusLease, LeaseID: g.LeaseID, Key: g.Key, Config: g.Config, ExpiresUnixNano: g.ExpiresUnixNano}
+	if req.MaxTrials > 1 && !fallback {
+		extra := min(req.MaxTrials-1, maxBatchGrants)
+		for i := len(pending) - 1; i > primary && extra > 0; i-- {
+			if fits(pending[i]) {
+				resp.Extra = append(resp.Extra, r.grant(pending[i].idx, req.Worker))
+				extra--
+			}
+		}
+	}
+	return resp
+}
+
+func (r *sortLeaser) complete(req CompleteRequest) CompleteResponse {
+	allDone, known := true, false
+	for _, t := range r.tasks {
+		if t.key == req.Key {
+			known = true
+			allDone = allDone && t.state == taskDone
+		}
+	}
+	if !known {
+		return CompleteResponse{}
+	}
+	if allDone {
+		return CompleteResponse{Accepted: true, Duplicate: true, Done: r.done == len(r.tasks)}
+	}
+	rec := req.Record
+	rec.Worker = req.Worker
+	r.store.AppendIfAbsent(rec)
+	r.model.Observe(rec.Config, rec.ElapsedNanos)
+	for _, t := range r.tasks {
+		if t.key == req.Key && t.state != taskDone {
+			t.state, t.leaseID = taskDone, ""
+			r.done++
+		}
+	}
+	return CompleteResponse{Accepted: true, Done: r.done == len(r.tasks)}
+}
+
+// TestLeaseGrantOrderMatchesFullSort drives the coordinator and the
+// reference full-sort scheduler with one seeded script — mixed capacities,
+// batch leases, completions feeding the model mid-sweep (some riding a lease
+// request, some late, some without a lease id), small and lease-expiring
+// clock steps — and requires every answer, the claim journal and the final
+// store to be identical.
+func TestLeaseGrantOrderMatchesFullSort(t *testing.T) {
+	const ttl = time.Second
+	now := time.Unix(9000, 0)
+	clock := func() time.Time { return now }
+	cfgs := mixedCfgs()
+	coordStore, refStore := seededStore(t, cfgs), seededStore(t, cfgs)
+	coord, err := NewCoordinator(cfgs, 6, CoordinatorConfig{Store: coordStore, LeaseTTL: ttl, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newSortLeaser(cfgs, 6, refStore, ttl, clock)
+
+	rng := rand.New(rand.NewSource(12))
+	var held []Grant // every grant ever made and not yet completed by the script, expired ones included
+	sameLease := func(step int, got, want LeaseResponse) {
+		t.Helper()
+		got.RetryMs = 0 // the reference predates the cost-timed wait
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: lease answers differ:\n got %+v\nwant %+v", step, got, want)
+		}
+		if got.Status == StatusLease {
+			held = append(held, Grant{LeaseID: got.LeaseID, Key: got.Key, Config: got.Config})
+			held = append(held, got.Extra...)
+		}
+	}
+	randomLease := func() LeaseRequest {
+		return LeaseRequest{
+			Worker:    []string{"wa", "wb", "wc"}[rng.Intn(3)],
+			Capacity:  []int{1, 2, 4, 8, -1}[rng.Intn(5)],
+			MaxTrials: []int{0, 1, 3, 12}[rng.Intn(4)],
+		}
+	}
+	var grants, batched, expiries int
+	for step := 0; !coord.Status().Complete; step++ {
+		if step > 5000 {
+			t.Fatalf("script did not finish the sweep: %+v", coord.Status())
+		}
+		switch r := rng.Intn(12); {
+		case r < 5:
+			req := randomLease()
+			got, err := coord.Lease(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameLease(step, got, ref.lease(req))
+			if got.Status == StatusLease {
+				grants++
+				batched += len(got.Extra)
+			}
+		case r < 10 && len(held) > 0:
+			i := rng.Intn(len(held))
+			g := held[i]
+			held = slices.Delete(held, i, i+1)
+			tr := fakeTrial(g.Config)
+			tr.ElapsedNanos = int64(time.Duration(1+rng.Intn(5000)) * time.Microsecond)
+			req := CompleteRequest{LeaseID: g.LeaseID, Worker: "wa", Key: g.Key, Record: results.NewRecord(g.Config, tr)}
+			if rng.Intn(6) == 0 {
+				req.LeaseID = "" // as a spool replay sends it
+			}
+			if rng.Intn(3) == 0 {
+				next := randomLease()
+				req.Next = &next
+			}
+			got, err := coord.Complete(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.complete(req)
+			next := got.Next
+			got.Next = nil
+			if got != want {
+				t.Fatalf("step %d: completion answers differ: got %+v want %+v", step, got, want)
+			}
+			if req.Next != nil {
+				if next == nil {
+					t.Fatalf("step %d: accepted completion dropped its lease request", step)
+				}
+				sameLease(step, *next, ref.lease(*req.Next))
+			}
+		case r < 11:
+			now = now.Add(ttl / 10)
+		default:
+			now = now.Add(2 * ttl)
+			expiries++
+		}
+	}
+	if grants < 20 || batched < 10 || expiries < 3 || coord.Status().Reissued == 0 {
+		t.Fatalf("script too tame to prove anything: %d grants, %d batched, %d expiries, status %+v",
+			grants, batched, expiries, coord.Status())
+	}
+	if got, want := coordStore.Journal(), refStore.Journal(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("claim journals differ: %d vs %d claims", len(got), len(want))
+	}
+	if got, want := coordStore.Records(), refStore.Records(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("final stores differ: %d vs %d records", len(got), len(want))
+	}
+}
+
+// backlogCoordinator builds a 24-group coordinator with the given number of
+// pending trials, returning a clock handle so callers can expire leases.
+func backlogCoordinator(tb testing.TB, pending int, now *time.Time) *Coordinator {
+	tb.Helper()
+	var cfgs []bench.WorkloadConfig
+	for i := 0; i < 24; i++ {
+		c := bench.DefaultWorkload(1)
+		c.FixedOps = 500 + 100*i
+		c.Duration = 0
+		c.KeyRange = 1 << 10
+		c.Seed = uint64(100 + i)
+		cfgs = append(cfgs, c)
+	}
+	coord, err := NewCoordinator(cfgs, pending/len(cfgs), CoordinatorConfig{
+		Store: results.NewMemStore(), LeaseTTL: time.Second,
+		Clock: func() time.Time { return *now },
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return coord
+}
+
+// TestLeaseCostIndependentOfBacklog pins the scaling claim without timing
+// anything: a grant allocates the same at 96 and at 6144 pending trials, and
+// after construction neither Lease, Complete nor Status hashes a config.
+func TestLeaseCostIndependentOfBacklog(t *testing.T) {
+	allocs := func(pending int) float64 {
+		now := time.Unix(100, 0)
+		coord := backlogCoordinator(t, pending, &now)
+		return testing.AllocsPerRun(60, func() {
+			if l, err := coord.Lease(LeaseRequest{Worker: "w", Capacity: 1}); err != nil || l.Status != StatusLease {
+				t.Fatalf("lease: %+v, %v", l, err)
+			}
+		})
+	}
+	if small, large := allocs(96), allocs(6144); small != large {
+		t.Fatalf("Lease allocates %v times at 96 pending but %v at 6144", small, large)
+	}
+
+	now := time.Unix(100, 0)
+	coord := backlogCoordinator(t, 96, &now)
+	records := map[string]results.Record{}
+	for _, task := range coord.tasks {
+		tr := fakeTrial(task.cfg)
+		tr.ElapsedNanos = int64(time.Millisecond)
+		records[task.key] = results.NewRecord(task.cfg, tr)
+	}
+	before := results.ConfigHashes()
+	for i := 0; i < 96; i++ {
+		l, err := coord.Lease(LeaseRequest{Worker: "w", Capacity: 1, MaxTrials: 1 + i%3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Status != StatusLease {
+			break
+		}
+		next := LeaseRequest{Worker: "w"}
+		if _, err := coord.Complete(CompleteRequest{LeaseID: l.LeaseID, Worker: "w", Key: l.Key, Record: records[l.Key], Next: &next}); err != nil {
+			t.Fatal(err)
+		}
+		coord.Status()
+		now = now.Add(300 * time.Millisecond) // some leases expire and re-issue along the way
+	}
+	if st := coord.Status(); st.Executed < 48 || st.Reissued == 0 {
+		t.Fatalf("hash-count drive did too little: %+v", st)
+	}
+	if n := results.ConfigHashes() - before; n != 0 {
+		t.Fatalf("Lease/Complete/Status hashed %d configs after construction, want 0", n)
+	}
+}
+
+// BenchmarkCoordinatorLease times one grant against a standing backlog: each
+// iteration's lease has expired by the next, so the pending count holds and
+// the reclaim-and-requeue a real expiry costs is inside the figure. The
+// store is swapped for an empty one every 1024 grants: an in-memory claim
+// journal growing with b.N would otherwise charge the figure for its
+// reallocation, by an amount that depends on the iteration count.
+func BenchmarkCoordinatorLease(b *testing.B) {
+	for _, pending := range []int{768, 6144} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			now := time.Unix(100, 0)
+			coord := backlogCoordinator(b, pending, &now)
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				if i%1024 == 0 {
+					coord.store = results.NewMemStore()
+				}
+				if l, err := coord.Lease(LeaseRequest{Worker: "w", Capacity: 1}); err != nil || l.Status != StatusLease {
+					b.Fatalf("lease: %+v, %v", l, err)
+				}
+				now = now.Add(2 * time.Second)
+			}
+		})
+	}
+}
+
+// TestWaitRetryTracksOutstandingLease pins the cost-timed tail wait under an
+// injected clock: with the only group measured at 40 ms, a fully leased
+// sweep tells a waiting worker to come back when the younger lease should
+// finish; just overdue it answers the 1 ms floor, further overdue it backs
+// off by the overdue time, and it never exceeds the unmeasured answer.
+func TestWaitRetryTracksOutstandingLease(t *testing.T) {
+	now := time.Unix(7000, 0)
+	clock := func() time.Time { return now }
+	cfg := costedCfgs()[0]
+	store := results.NewMemStore()
+	prior := cfg
+	prior.Seed = 7777
+	tr := fakeTrial(prior)
+	tr.ElapsedNanos = int64(40 * time.Millisecond)
+	if err := store.Append(results.NewRecord(prior, tr)); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator([]bench.WorkloadConfig{cfg}, 2, CoordinatorConfig{Store: store, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retry := func() int {
+		t.Helper()
+		l, err := coord.Lease(LeaseRequest{Worker: "idle"})
+		if err != nil || l.Status != StatusWait {
+			t.Fatalf("want wait, got %+v, %v", l, err)
+		}
+		return l.RetryMs
+	}
+	coord.Lease(LeaseRequest{Worker: "wa"})
+	now = now.Add(15 * time.Millisecond)
+	coord.Lease(LeaseRequest{Worker: "wb"}) // wa's lease is 15 ms old, wb's new
+	for _, step := range []struct {
+		advance time.Duration
+		want    int
+		why     string
+	}{
+		{10 * time.Millisecond, 15, "wa's lease is 25 ms into a 40 ms trial"},
+		{14500 * time.Microsecond, 1, "wa has 0.5 ms left: rounded up to the floor"},
+		{700 * time.Microsecond, 1, "wa is 0.2 ms overdue: the floor, not zero"},
+		{4800 * time.Microsecond, 5, "wa is 5 ms overdue: wait as long again"},
+		{5 * time.Millisecond, 5, "wb has 5 ms left and is now the soonest"},
+		{10 * time.Second, 250, "both far overdue: today's bound"},
+	} {
+		now = now.Add(step.advance)
+		if got := retry(); got != step.want {
+			t.Fatalf("RetryMs = %d, want %d (%s)", got, step.want, step.why)
+		}
+	}
+
+	// No measurement, no estimate: the bound alone, as before.
+	for ttl, want := range map[time.Duration]int{0: 250, 300 * time.Millisecond: 37, 40 * time.Millisecond: 10} {
+		coord, err := NewCoordinator([]bench.WorkloadConfig{cfg}, 1,
+			CoordinatorConfig{Store: results.NewMemStore(), Clock: clock, LeaseTTL: ttl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord.Lease(LeaseRequest{Worker: "wa"})
+		if l, _ := coord.Lease(LeaseRequest{Worker: "idle"}); l.Status != StatusWait || l.RetryMs != want {
+			t.Fatalf("unmeasured wait at ttl %v = %+v, want RetryMs %d", ttl, l, want)
 		}
 	}
 }

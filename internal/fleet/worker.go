@@ -77,10 +77,11 @@ type Worker struct {
 	stats    WorkerStats
 	degraded bool
 
-	lease    LeaseResponse // current lease (source state between Next and Complete)
-	queued   []Grant       // batch grants not yet started, run FIFO before the next lease RPC
-	renewCh  chan struct{} // closes to stop the renewal loop
-	doneHint bool          // a completion response said the sweep is over
+	lease    LeaseResponse  // current lease (source state between Next and Complete)
+	queued   []Grant        // batch grants not yet started, run FIFO before the next lease RPC
+	next     *LeaseResponse // lease answer that rode on the last completion, not yet consumed
+	renewal  renewal
+	doneHint bool // a completion response said the sweep is over
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -124,9 +125,10 @@ func (w *Worker) Stats() WorkerStats {
 // readers.
 type workerSource Worker
 
-// Next leases the next trial: replay any spool first (the reconnect
-// contract), then poll the coordinator through wait states and outages until
-// a lease, done, or cancellation.
+// Next leases the next trial: a grant already in hand first (queued from a
+// batch, or the lease answer that rode on the last completion); otherwise
+// replay any spool (the reconnect contract), then poll the coordinator
+// through wait states and outages until a lease, done, or cancellation.
 func (s *workerSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, error) {
 	w := (*Worker)(s)
 	reconnect := grid.NewBackoff(250*time.Millisecond, w.Client.Seed^0xf1eed)
@@ -139,71 +141,61 @@ func (s *workerSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, er
 			// without another round trip (the coordinator may be gone by now).
 			return bench.WorkloadConfig{}, false, nil
 		}
-		if len(w.queued) > 0 {
+		var resp LeaseResponse
+		switch {
+		case len(w.queued) > 0:
 			// Run down the local batch queue before another lease RPC. A
 			// queued grant's lease may be old; that is survivable — renewal
 			// keeps it alive from here, and even a server-side expiry only
 			// costs a duplicate the dedupe absorbs.
 			g := w.queued[0]
 			w.queued = w.queued[1:]
-			w.lease = LeaseResponse{
+			resp = LeaseResponse{
 				Status: StatusLease, LeaseID: g.LeaseID, Key: g.Key,
 				Config: g.Config, ExpiresUnixNano: g.ExpiresUnixNano,
 			}
-			w.startRenewal(ctx)
-			w.logf("fleet-worker %s: dequeued batched %s (%s)", w.name(),
-				results.Label(g.Config), short(g.Key))
-			return g.Config, true, nil
-		}
-		if w.replaySpool(ctx) {
-			// Spool fully drained (or empty): the link is healthy.
+		case w.next != nil:
+			resp, w.next = *w.next, nil
+		default:
+			if w.replaySpool(ctx) {
+				// Spool fully drained (or empty): the link is healthy.
+				w.healed(reconnect)
+			}
+			var err error
+			resp, err = w.Client.Lease(ctx, *w.leaseRequest())
+			if err != nil {
+				if ctx.Err() != nil {
+					return bench.WorkloadConfig{}, false, ctx.Err()
+				}
+				if !IsRPCError(err) {
+					return bench.WorkloadConfig{}, false, err
+				}
+				// Coordinator unreachable: degraded mode. Keep trying — it
+				// journals its state and is built to come back.
+				w.degrade(err)
+				if err := reconnect.Sleep(ctx); err != nil {
+					return bench.WorkloadConfig{}, false, err
+				}
+				continue
+			}
 			w.healed(reconnect)
 		}
-		capacity := w.Capacity
-		if capacity == 0 {
-			capacity = runtime.GOMAXPROCS(0)
-		}
-		resp, err := w.Client.Lease(ctx, LeaseRequest{
-			Worker: w.name(), Capacity: capacity, MaxTrials: w.LeaseBatch,
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return bench.WorkloadConfig{}, false, ctx.Err()
-			}
-			if !IsRPCError(err) {
-				return bench.WorkloadConfig{}, false, err
-			}
-			// Coordinator unreachable: degraded mode. Keep trying — it
-			// journals its state and is built to come back.
-			w.degrade(err)
-			if err := reconnect.Sleep(ctx); err != nil {
-				return bench.WorkloadConfig{}, false, err
-			}
-			continue
-		}
-		w.healed(reconnect)
 		switch resp.Status {
 		case StatusDone:
 			return bench.WorkloadConfig{}, false, nil
 		case StatusWait:
-			retry := time.Duration(resp.RetryMs) * time.Millisecond
-			if retry <= 0 {
-				retry = 100 * time.Millisecond
-			}
-			t := time.NewTimer(retry)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return bench.WorkloadConfig{}, false, ctx.Err()
+			if err := sleepRetry(ctx, resp.RetryMs); err != nil {
+				return bench.WorkloadConfig{}, false, err
 			}
 			continue
 		case StatusLease:
 			w.lease = resp
 			w.queued = append(w.queued, resp.Extra...)
 			w.startRenewal(ctx)
-			w.logf("fleet-worker %s: leased %s (%s), %d batched", w.name(),
-				results.Label(resp.Config), short(resp.Key), len(resp.Extra))
+			if w.Logf != nil { // per trial: skip building the label when quiet
+				w.Logf("fleet-worker %s: leased %s (%s), %d queued", w.name(),
+					results.Label(resp.Config), short(resp.Key), len(w.queued))
+			}
 			return resp.Config, true, nil
 		default:
 			return bench.WorkloadConfig{}, false, fmt.Errorf("fleet: unknown lease status %q", resp.Status)
@@ -211,10 +203,36 @@ func (s *workerSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, er
 	}
 }
 
+// leaseRequest is what this worker asks of the lease policy, on /v1/lease
+// and riding on a completion alike.
+func (w *Worker) leaseRequest() *LeaseRequest {
+	capacity := w.Capacity
+	if capacity == 0 {
+		capacity = runtime.GOMAXPROCS(0)
+	}
+	return &LeaseRequest{Worker: w.name(), Capacity: capacity, MaxTrials: w.LeaseBatch}
+}
+
+// sleepRetry waits out a StatusWait answer (ms <= 0 means 100 ms) or ctx.
+func sleepRetry(ctx context.Context, ms int) error {
+	retry := time.Duration(ms) * time.Millisecond
+	if retry <= 0 {
+		retry = 100 * time.Millisecond
+	}
+	t := time.NewTimer(retry)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // Complete reports the finished trial, spooling on coordinator loss.
 func (s *workerSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, rec results.Record) error {
 	w := (*Worker)(s)
-	w.stopRenewal()
+	w.renewal.halt()
 	lease := w.lease
 	w.lease = LeaseResponse{}
 	if err := ctx.Err(); err != nil {
@@ -229,9 +247,13 @@ func (s *workerSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, r
 		w.stats.Executed++
 	}
 	w.mu.Unlock()
-	resp, err := w.Client.Complete(ctx, CompleteRequest{
-		LeaseID: lease.LeaseID, Worker: w.name(), Key: lease.Key, Record: rec,
-	})
+	req := CompleteRequest{LeaseID: lease.LeaseID, Worker: w.name(), Key: lease.Key, Record: rec}
+	if len(w.queued) == 0 {
+		// Nothing queued locally, so the next thing this worker does is ask
+		// for a lease: let the ask ride on the completion.
+		req.Next = w.leaseRequest()
+	}
+	resp, err := w.Client.Complete(ctx, req)
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -247,11 +269,13 @@ func (s *workerSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, r
 	return nil
 }
 
-// acknowledge folds a completion response into the stats.
+// acknowledge folds a completion response into the stats and keeps the
+// lease answer it may carry for Next.
 func (w *Worker) acknowledge(resp CompleteResponse) {
 	if resp.Done {
 		w.doneHint = true
 	}
+	w.next = resp.Next // nil from a spool replay, which runs only once next is consumed
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !resp.Accepted {
@@ -293,16 +317,30 @@ func (w *Worker) healed(reconnect *grid.Backoff) {
 func (w *Worker) startRenewal(ctx context.Context) {
 	every := w.RenewEvery
 	if every <= 0 {
-		if exp := time.Until(time.Unix(0, w.lease.ExpiresUnixNano)); exp > 0 {
-			every = exp / 3
+		every = time.Until(time.Unix(0, w.lease.ExpiresUnixNano)) / 3
+	}
+	leaseID := w.lease.LeaseID
+	w.renewal.start(ctx, every, func() {
+		resp, err := w.Client.Renew(ctx, RenewRequest{LeaseID: leaseID, Worker: w.name()})
+		if err != nil {
+			w.logf("fleet-worker %s: renew %s failed: %v", w.name(), leaseID, err)
+		} else if !resp.OK {
+			w.logf("fleet-worker %s: lease %s expired server-side; finishing anyway (dedupe)", w.name(), leaseID)
 		}
-		if every <= 0 {
-			every = 5 * time.Second
-		}
+	})
+}
+
+// renewal is the background loop that keeps one lease alive while its trial
+// runs, shared by the remote worker and the coordinator's local source.
+type renewal struct{ stop chan struct{} }
+
+// start calls renew every period (<= 0 means 5s) until halt or ctx ends.
+func (r *renewal) start(ctx context.Context, every time.Duration, renew func()) {
+	if every <= 0 {
+		every = 5 * time.Second
 	}
 	stop := make(chan struct{})
-	w.renewCh = stop
-	leaseID := w.lease.LeaseID
+	r.stop = stop
 	go func() {
 		t := time.NewTicker(every)
 		defer t.Stop()
@@ -313,21 +351,16 @@ func (w *Worker) startRenewal(ctx context.Context) {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				resp, err := w.Client.Renew(ctx, RenewRequest{LeaseID: leaseID, Worker: w.name()})
-				if err != nil {
-					w.logf("fleet-worker %s: renew %s failed: %v", w.name(), leaseID, err)
-				} else if !resp.OK {
-					w.logf("fleet-worker %s: lease %s expired server-side; finishing anyway (dedupe)", w.name(), leaseID)
-				}
+				renew()
 			}
 		}
 	}()
 }
 
-func (w *Worker) stopRenewal() {
-	if w.renewCh != nil {
-		close(w.renewCh)
-		w.renewCh = nil
+func (r *renewal) halt() {
+	if r.stop != nil {
+		close(r.stop)
+		r.stop = nil
 	}
 }
 

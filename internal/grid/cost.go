@@ -143,10 +143,7 @@ func NewCostModel(store *results.Store) *CostModel {
 		if elapsed == 0 {
 			elapsed = rec.Trial.ElapsedNanos
 		}
-		if elapsed <= 0 {
-			continue
-		}
-		m.observe(rec.Group, StaticCost(rec.Config), float64(elapsed))
+		m.ObserveGroup(rec.Group, StaticCost(rec.Config), elapsed)
 	}
 	return m
 }
@@ -155,13 +152,18 @@ func NewCostModel(store *results.Store) *CostModel {
 // model, sharpening estimates for the rest of the sweep (and, through the
 // calibration ratio, for configurations that have never run).
 func (m *CostModel) Observe(cfg bench.WorkloadConfig, elapsedNanos int64) {
+	m.ObserveGroup(results.GroupOf(cfg), StaticCost(cfg), elapsedNanos)
+}
+
+// ObserveGroup is Observe for a caller that already holds the trial's
+// GroupKey and StaticCost. Both are functions of the configuration with the
+// seed zeroed, so a dispatcher computes them once per configuration instead
+// of hashing the config on every completion.
+func (m *CostModel) ObserveGroup(group string, static float64, elapsedNanos int64) {
 	if elapsedNanos <= 0 {
 		return
 	}
-	m.observe(results.GroupOf(cfg), StaticCost(cfg), float64(elapsedNanos))
-}
-
-func (m *CostModel) observe(group string, static, elapsed float64) {
+	elapsed := float64(elapsedNanos)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	acc := m.byGroup[group]
@@ -180,10 +182,8 @@ func (m *CostModel) observe(group string, static, elapsed float64) {
 // Measured returns the group's mean measured elapsed nanoseconds and
 // whether any measurement exists.
 func (m *CostModel) Measured(cfg bench.WorkloadConfig) (float64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if acc := m.byGroup[results.GroupOf(cfg)]; acc != nil && acc.n > 0 {
-		return acc.sum / float64(acc.n), true
+	if est, measured := m.EstimateGroup(results.GroupOf(cfg), 0); measured {
+		return est, true
 	}
 	return 0, false
 }
@@ -194,15 +194,23 @@ func (m *CostModel) Measured(cfg bench.WorkloadConfig) (float64, bool) {
 // (1.0 before any measurement — then everything is static and the ordering
 // is still coherent).
 func (m *CostModel) Estimate(cfg bench.WorkloadConfig) float64 {
-	group := results.GroupOf(cfg)
-	static := StaticCost(cfg)
+	est, _ := m.EstimateGroup(results.GroupOf(cfg), StaticCost(cfg))
+	return est
+}
+
+// EstimateGroup is Estimate keyed by a precomputed GroupKey and StaticCost;
+// measured reports whether the estimate is the group's own mean elapsed
+// nanoseconds rather than the calibrated static prior. It does no hashing,
+// so a dispatcher that caches both per configuration can re-estimate its
+// whole backlog on every grant for a map lookup each.
+func (m *CostModel) EstimateGroup(group string, static float64) (est float64, measured bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if acc := m.byGroup[group]; acc != nil && acc.n > 0 {
-		return acc.sum / float64(acc.n)
+		return acc.sum / float64(acc.n), true
 	}
 	if m.ratioN > 0 {
-		return static * (m.ratioSum / float64(m.ratioN))
+		return static * (m.ratioSum / float64(m.ratioN)), false
 	}
-	return static
+	return static, false
 }

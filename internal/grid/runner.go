@@ -638,7 +638,7 @@ func (r *Runner) Drain(ctx context.Context, src Source) error {
 			}
 			r.OnProgress(Progress{
 				Done: done, Executed: executed, Failed: failed,
-				Key: results.KeyOf(cfg), Config: cfg,
+				Key: rec.Key, Config: cfg,
 				Err: terr, Attempts: attempts,
 			})
 		}

@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/arrival"
 	"repro/internal/bench"
@@ -144,6 +145,7 @@ func Normalize(cfg bench.WorkloadConfig) bench.WorkloadConfig {
 // marshal in declaration order, so the encoding — and therefore the key —
 // is stable as long as WorkloadConfig's field order is.
 func hashConfig(cfg bench.WorkloadConfig) string {
+	configHashes.Add(1)
 	b, err := json.Marshal(struct {
 		Schema int
 		Config bench.WorkloadConfig
@@ -155,6 +157,16 @@ func hashConfig(cfg bench.WorkloadConfig) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:16])
 }
+
+// configHashes counts hashConfig calls.
+var configHashes atomic.Int64
+
+// ConfigHashes reports how many configurations this process has hashed so
+// far (KeyOf and GroupOf each count one). A hash is a JSON encoding plus a
+// SHA-256, roughly what a dispatcher otherwise spends on a whole trial's
+// bookkeeping, so dispatch paths pin "no hashing per grant" as a zero delta
+// of this counter.
+func ConfigHashes() int64 { return configHashes.Load() }
 
 // KeyOf returns the TrialKey: the content address of one exact trial
 // (normalized configuration including the seed). Trials are deterministic

@@ -58,6 +58,13 @@ for path in sorted(glob.glob("BENCH_*.json"),
     mk = d.get("makespan") or {}
     mk_ratio = (mk.get("parallel4") or {}).get("ratio")
 
+    # Fleet grant cost at two backlog sizes: equal figures are the point.
+    lease = {}
+    for b in d.get("benchmarks", []):
+        m = re.match(r"BenchmarkCoordinatorLease/pending=(\d+)", b.get("name", ""))
+        if m:
+            lease[int(m.group(1))] = b.get("metrics", {}).get("ns/op")
+
     host = d.get("host") or {}
     hostinfo = "—"
     if host:
@@ -72,6 +79,7 @@ for path in sorted(glob.glob("BENCH_*.json"),
         "p999_debra": f"{p999_debra:.2f}" if p999_debra is not None else "—",
         "p999_hp": f"{p999_hp:.2f}" if p999_hp is not None else "—",
         "makespan": f"{mk_ratio:.2f}x" if mk_ratio is not None else "—",
+        "lease": " / ".join(f"{lease[k]:.0f}" for k in sorted(lease)) or "—",
         "host": hostinfo,
     })
 
@@ -87,12 +95,12 @@ with open(out, "w") as f:
             "machines — compare trends and ratios, not absolute ops/s, and "
             "check the host column before blaming a delta on code. \"—\" "
             "means the artifact predates that metric.\n\n")
-    f.write("| PR | grid paper/debra ops/s | recorded simops/s | rec pct_host | rec ratio | stalled p999 debra (ms) | stalled p999 hp (ms) | makespan gain | host |\n")
-    f.write("|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n")
+    f.write("| PR | grid paper/debra ops/s | recorded simops/s | rec pct_host | rec ratio | stalled p999 debra (ms) | stalled p999 hp (ms) | makespan gain | fleet lease ns/op | host |\n")
+    f.write("|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n")
     for r in rows:
         f.write(f"| {r['pr']} | {r['paper_ops']} | {r['recorded_ops']} | "
                 f"{r['pct_host']} | {r['ratio']} | {r['p999_debra']} | "
-                f"{r['p999_hp']} | {r['makespan']} | {r['host']} |\n")
+                f"{r['p999_hp']} | {r['makespan']} | {r['lease']} | {r['host']} |\n")
     f.write("\nColumn notes:\n\n")
     f.write("- **grid paper/debra ops/s** — mean throughput of the paper "
             "scenario under the debra reclaimer in the grid smoke sweep; the "
@@ -107,6 +115,10 @@ with open(out, "w") as f:
     f.write("- **makespan gain** — cost-ordered (LPT) dispatch vs "
             "expansion-order dispatch on the heterogeneous synthetic sweep "
             "at parallel=4 (gate: >= 1.25x).\n")
+    f.write("- **fleet lease ns/op** — `BenchmarkCoordinatorLease`: one "
+            "coordinator grant against a standing backlog of 768 / 6144 "
+            "pending trials; the two should read the same, since a grant "
+            "costs one estimate per configuration, not per pending trial.\n")
 
 print(f"wrote {out} ({len(rows)} artifacts)")
 EOF
