@@ -1,6 +1,7 @@
 // Package repro's root benchmarks regenerate every table and figure of
 // "Are Your Epochs Too Epic? Batch Free Can Be Harmful" (PPoPP '24), plus
-// ablations for the design choices called out in DESIGN.md.
+// ablations of the model's knobs (README.md, "Performance model" →
+// "Ablations").
 //
 // Each benchmark reports paper-comparable metrics via b.ReportMetric:
 // ops/s (throughput), peakMiB (peak mapped memory), and where relevant the
@@ -243,7 +244,7 @@ func BenchmarkAppG_MIMallocDebra96(b *testing.B) {
 	runWorkload(b, cfg)
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (README.md, "Performance model" → "Ablations") ---
 
 // Ablation 1: jemalloc's flush fraction (~3/4 in the real allocator).
 func BenchmarkAblationFlushFraction25(b *testing.B) { benchFlushFraction(b, 0.25) }

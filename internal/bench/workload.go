@@ -61,7 +61,8 @@ type WorkloadConfig struct {
 	ArenasPerThread int
 	// PoolCapacity, when non-zero, wraps the allocator in smr.PoolAllocator
 	// with per-thread per-class pools of this capacity — the object-pooling
-	// ablation of DESIGN.md §5.7 (the optimization the paper declines).
+	// ablation (README.md, "Performance model" → "Ablations", row 7; the
+	// optimization the paper declines).
 	PoolCapacity int
 	// LegacyDispatch routes every per-node protection through the
 	// smr.Reclaimer interface (the pre-Guard dispatch path) instead of the

@@ -1,7 +1,9 @@
 package ds
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -37,6 +39,86 @@ func TestNewUnknown(t *testing.T) {
 	_, alloc, rec := newTestSet(t, "abtree", "none", 1)
 	if _, err := New("bogus", alloc, rec); err == nil {
 		t.Fatal("expected error for unknown ds name")
+	}
+}
+
+// checkABTree walks a quiescent ABtree and checks its host layout: leaf keys
+// strictly ascending with 1 <= n <= abLeafCap (only a root leaf may be
+// empty), internal nodes with len(keys)+1 children and strictly ascending
+// separators, every key inside the range its ancestors' separators route to
+// it, every reachable node unretired and backed by a live simulated object,
+// and the leaf counts summing to Size(). Other sets pass through.
+func checkABTree(t *testing.T, set Set) {
+	t.Helper()
+	tree, ok := set.(*ABTree)
+	if !ok {
+		return
+	}
+	root := tree.root.Load()
+	var total int64
+	// lo/hi bound the subtree's keys (lo <= k < hi) where the flags are set.
+	var walk func(n *abNode, lo, hi int64, hasLo, hasHi bool) error
+	walk = func(n *abNode, lo, hi int64, hasLo, hasHi bool) error {
+		if n == nil {
+			return fmt.Errorf("nil child under range [%d,%d)", lo, hi)
+		}
+		if n.obj == nil || n.obj.State() != simalloc.StateAllocated {
+			return fmt.Errorf("reachable node %v has no live simulated object", n.keys[:n.n])
+		}
+		inRange := func(k int64) bool { return (!hasLo || k >= lo) && (!hasHi || k < hi) }
+		if n.in == nil {
+			keys := n.keys[:n.n]
+			if n.n > abLeafCap || (n.n < 1 && n != root) {
+				return fmt.Errorf("leaf holds %d keys", n.n)
+			}
+			for i, k := range keys {
+				if i > 0 && keys[i-1] >= k {
+					return fmt.Errorf("leaf keys not strictly ascending: %v", keys)
+				}
+				if !inRange(k) {
+					return fmt.Errorf("leaf key %d outside its routed range [%d,%d) (%v,%v)", k, lo, hi, hasLo, hasHi)
+				}
+			}
+			total += int64(n.n)
+			return nil
+		}
+		in := n.in
+		if n.n != 0 {
+			return fmt.Errorf("internal node carries %d leaf keys", n.n)
+		}
+		if in.retired.Load() {
+			return fmt.Errorf("reachable internal node %v is retired", in.keys)
+		}
+		if len(in.children) != len(in.keys)+1 || len(in.children) < 2 || len(in.children) > abInternalCap {
+			return fmt.Errorf("internal node has %d keys and %d children", len(in.keys), len(in.children))
+		}
+		for i, k := range in.keys {
+			if i > 0 && in.keys[i-1] >= k {
+				return fmt.Errorf("separators not strictly ascending: %v", in.keys)
+			}
+			if !inRange(k) {
+				return fmt.Errorf("separator %d outside its routed range [%d,%d) (%v,%v)", k, lo, hi, hasLo, hasHi)
+			}
+		}
+		for i := range in.children {
+			clo, chi, cHasLo, cHasHi := lo, hi, hasLo, hasHi
+			if i > 0 {
+				clo, cHasLo = in.keys[i-1], true
+			}
+			if i < len(in.keys) {
+				chi, cHasHi = in.keys[i], true
+			}
+			if err := walk(in.children[i].Load(), clo, chi, cHasLo, cHasHi); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(root, 0, 0, false, false); err != nil {
+		t.Fatalf("abtree invariant: %v", err)
+	}
+	if got := tree.Size(); got != total {
+		t.Fatalf("abtree invariant: leaves hold %d keys, Size() = %d", total, got)
 	}
 }
 
@@ -81,6 +163,7 @@ func TestSequentialAgainstModel(t *testing.T) {
 						t.Fatalf("final: key %d missing", k)
 					}
 				}
+				checkABTree(t, set)
 			})
 		}
 	}
@@ -177,6 +260,7 @@ func TestConcurrentStress(t *testing.T) {
 					t.Errorf("limbo = %d after drain", st.Limbo)
 				}
 				_ = alloc
+				checkABTree(t, set)
 			})
 		}
 	}
@@ -218,6 +302,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 			if got := set.Size(); got != present {
 				t.Fatalf("Size = %d but %d keys are present", got, present)
 			}
+			checkABTree(t, set)
 		})
 	}
 }
@@ -240,6 +325,7 @@ func TestABTreeSplitAndCollapse(t *testing.T) {
 			t.Fatalf("key %d missing after splits", k)
 		}
 	}
+	checkABTree(t, set)
 	// Delete everything to force empty-leaf removals and collapses.
 	for k := int64(0); k < n; k++ {
 		if !set.Delete(0, k) {
@@ -254,6 +340,7 @@ func TestABTreeSplitAndCollapse(t *testing.T) {
 			t.Fatalf("key %d still present", k)
 		}
 	}
+	checkABTree(t, set)
 }
 
 // TestABTreeAllocationProfile pins the paper's claim: the ABtree allocates
@@ -406,25 +493,64 @@ func TestSizeCtr(t *testing.T) {
 	}
 }
 
-// TestInsertRemoveSortedHelpers covers the ABtree key-array helpers.
+// TestInsertRemoveSortedHelpers covers the ABtree copy-on-write leaf
+// builders at the first, a middle and the last position, and removal down
+// to the empty leaf.
 func TestInsertRemoveSortedHelpers(t *testing.T) {
-	keys := []int64{10, 20, 30}
-	got := insertSorted(keys, 25)
-	want := []int64{10, 20, 25, 30}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("insertSorted = %v", got)
+	set, _, _ := newTestSet(t, "abtree", "none", 1)
+	tree := set.(*ABTree)
+	keysOf := func(n *abNode) []int64 { return n.keys[:n.n] }
+	with := func(n *abNode, key int64) *abNode {
+		t.Helper()
+		i, found := leafFind(n, key)
+		if found {
+			t.Fatalf("leafFind(%v, %d) found a key that is not there", keysOf(n), key)
+		}
+		return tree.leafWith(0, n, i, key)
+	}
+	without := func(n *abNode, key int64) *abNode {
+		t.Helper()
+		i, found := leafFind(n, key)
+		if !found {
+			t.Fatalf("leafFind(%v, %d) missed a key that is there", keysOf(n), key)
+		}
+		return tree.leafWithout(0, n, i)
+	}
+	expect := func(what string, n *abNode, want ...int64) {
+		t.Helper()
+		if got := keysOf(n); !slices.Equal(got, want) {
+			t.Fatalf("%s = %v, want %v", what, got, want)
+		}
+		if n.in != nil || n.obj == nil {
+			t.Fatalf("%s: not a leaf backed by a simulated object", what)
 		}
 	}
-	got = removeSorted(got, 25)
-	for i := range keys {
-		if got[i] != keys[i] {
-			t.Fatalf("removeSorted = %v", got)
-		}
+
+	base := tree.newLeaf(0, []int64{10, 20, 30})
+	expect("newLeaf", base, 10, 20, 30)
+	expect("leafWith first", with(base, 5), 5, 10, 20, 30)
+	expect("leafWith middle", with(base, 25), 10, 20, 25, 30)
+	expect("leafWith last", with(base, 35), 10, 20, 30, 35)
+	expect("leafWith into empty", with(tree.newLeaf(0, nil), 7), 7)
+	expect("leafWithout first", without(base, 10), 20, 30)
+	expect("leafWithout middle", without(base, 20), 10, 30)
+	expect("leafWithout last", without(base, 30), 10, 20)
+	expect("source leaf after copies", base, 10, 20, 30)
+	n := base
+	for _, k := range []int64{20, 10, 30} {
+		n = without(n, k)
 	}
-	if len(insertSorted(nil, 5)) != 1 {
-		t.Fatal("insertSorted(nil) wrong")
+	expect("leafWithout to empty", n)
+
+	// A full leaf: the last free position fills, and the last key leaves.
+	full := tree.newLeaf(0, nil)
+	var want []int64
+	for k := int64(0); k < abLeafCap; k++ {
+		full = with(full, 2*k)
+		want = append(want, 2*k)
 	}
+	expect("leafWith to capacity", full, want...)
+	expect("leafWithout from full", without(full, 2*(abLeafCap-1)), want[:abLeafCap-1]...)
 }
 
 // TestRetiredNodesEventuallyFreed runs churn through DEBRA and verifies the

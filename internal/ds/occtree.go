@@ -18,10 +18,11 @@ import (
 // same key); nodes with at most one child are physically unlinked and
 // retired.
 //
-// The substitution from the AVL original is documented in DESIGN.md: we
-// drop rotations (uniform random keys keep expected depth logarithmic) but
-// keep the optimistic read-only traversal with lock-and-validate updates,
-// which is the concurrency scheme Fig. 1 contrasts against the ABtree.
+// The substitution from the AVL original is recorded in README.md ("Layer
+// architecture", "The three sets"): we drop rotations (uniform random keys
+// keep expected depth logarithmic) but keep the optimistic read-only
+// traversal with lock-and-validate updates, which is the concurrency scheme
+// Fig. 1 contrasts against the ABtree.
 type OCCTree struct {
 	alloc simalloc.Allocator
 	rec   smr.Reclaimer

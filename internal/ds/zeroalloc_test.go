@@ -1,6 +1,8 @@
 package ds
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/simalloc"
@@ -25,7 +27,7 @@ import (
 //	token  → token_af (ring token + amortized freer pump in EndOp)
 func zeroAllocFamilies() []string { return []string{"debra", "hp", "he", "token_af"} }
 
-func buildSet(t *testing.T, dsName, recName string) (Set, simalloc.Allocator) {
+func buildSet(t testing.TB, dsName, recName string) (Set, simalloc.Allocator) {
 	t.Helper()
 	acfg := simalloc.DefaultConfig(1)
 	acfg.Cost = simalloc.Uniform()
@@ -105,5 +107,63 @@ func assertReadPathZeroAllocs(t *testing.T, set Set, keyRange int64) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state read path allocates %.2f objects/op", avg)
+	}
+}
+
+// TestABTreeUpdatePathAllocs pins the update path's host cost on the paper's
+// stack (abtree × debra): a successful non-splitting insert or delete makes
+// exactly one Go allocation — the copied leaf, keys inline — of at most 160
+// bytes. Anything more (a separate key slice, a closure that escapes, a path
+// buffer) is host work charged to the run that the experiment is not about.
+// With one thread DEBRA's epoch turns every few operations, so retired
+// objects come back through the tcache and the simulated allocator maps no
+// fresh run (a slab allocation) after the warm-up.
+func TestABTreeUpdatePathAllocs(t *testing.T) {
+	const keyRange = 1 << 10
+	set, alloc := buildSet(t, "abtree", "debra")
+	// Ascending even keys leave every leaf about half full, so an odd key
+	// goes in and out without a split or an emptied leaf.
+	for k := int64(0); k < keyRange; k += 2 {
+		set.Insert(0, k)
+	}
+	const key = keyRange/2 + 1
+	pair := func() {
+		if !set.Insert(0, key) || !set.Delete(0, key) {
+			t.Fatal("insert+delete pair of an absent key did not both succeed")
+		}
+	}
+	for i := 0; i < 512; i++ {
+		pair()
+	}
+	before := alloc.Stats()
+
+	if avg := testing.AllocsPerRun(500, pair); avg != 2 {
+		t.Fatalf("insert+delete pair makes %.0f host allocations, want 2 (one copied leaf each)", avg)
+	}
+
+	// TotalAlloc is process-wide, so the runtime's own rare allocations can
+	// land in a round; they only ever add, which makes the quietest round
+	// the measurement.
+	const rounds, pairs = 5, 200
+	perUpdate := math.Inf(1)
+	for r := 0; r < rounds; r++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < pairs; i++ {
+			pair()
+		}
+		runtime.ReadMemStats(&m1)
+		perUpdate = min(perUpdate, float64(m1.TotalAlloc-m0.TotalAlloc)/(2*pairs))
+	}
+	if perUpdate > 160 {
+		t.Fatalf("a non-splitting update allocates %.1f host bytes, want <= 160", perUpdate)
+	}
+
+	after := alloc.Stats()
+	if after.FreshPages != before.FreshPages {
+		t.Fatalf("simulated objects did not recycle: %d fresh page runs during the measurement", after.FreshPages-before.FreshPages)
+	}
+	if got := after.Allocs - before.Allocs; got != 2*(501+rounds*pairs) {
+		t.Fatalf("simulated allocations = %d, want one per update (%d)", got, 2*(501+rounds*pairs))
 	}
 }

@@ -2,9 +2,12 @@ package simalloc
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // smallConfig returns a config sized for fast tests.
@@ -181,6 +184,106 @@ func TestConcurrentChurn(t *testing.T) {
 				t.Fatalf("LiveBytes = %d after balanced churn", a.LiveBytes())
 			}
 		})
+	}
+}
+
+// TestCarveRun pins what a fresh page run looks like after the carve:
+// slabs of 64-byte objects with consecutive IDs continuing the allocator's
+// sequence, pushed in ascending order, every object free and carrying the
+// class, rounded size and owner it was carved for, and the page, mapped
+// bytes and fresh-page accounting charged once per run. Then each model's
+// first allocation is checked to come out of such a run, and a default
+// 64-object run to cost the host exactly its objects' bytes.
+func TestCarveRun(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got != 64 {
+		t.Fatalf("Object is %d bytes; slabObjects is sized for 64", got)
+	}
+	cfg := smallConfig(2)
+	stats := newStatsArena(cfg.Threads)
+	var nextID atomic.Uint64
+	nextID.Store(100)
+	class := SizeToClass(240)
+	page := &Page{}
+	var dst objList
+	carveRun(&cfg, stats, &nextID, 1, class, 5, page, &dst)
+	carveRun(&cfg, stats, &nextID, 1, class, 5, page, &dst)
+
+	n := cfg.PageRunObjects
+	if dst.len() != 2*n || nextID.Load() != 100+uint64(2*n) {
+		t.Fatalf("two runs carved %d objects, nextID %d; want %d and %d", dst.len(), nextID.Load(), 2*n, 100+2*n)
+	}
+	var prev *Object
+	for want := 100 + uint64(2*n); dst.len() > 0; want-- {
+		o := dst.pop() // LIFO: descending IDs
+		if o.ID != want || o.State() != StateFree || o.Class != class || o.Size != 240 ||
+			o.Arena != 5 || o.Page != page || o.OwnerTID != 0 || o.BirthEra != 0 || o.RetireEra != 0 {
+			t.Fatalf("carved object %+v, want free id %d class %d size 240 arena 5", o, want, class)
+		}
+		if prev != nil && (o.ID-101)/slabObjects == (prev.ID-101)/slabObjects &&
+			uintptr(unsafe.Pointer(prev))-uintptr(unsafe.Pointer(o)) != 64 {
+			t.Fatalf("objects %d and %d are not adjacent in one slab", o.ID, prev.ID)
+		}
+		prev = o
+	}
+	st := stats.snapshot()
+	if st.FreshPages != 2 || st.MappedBytes != int64(2*n*240) || stats.perThread[1].freshPages != 2 {
+		t.Fatalf("accounting after two runs: %+v", st)
+	}
+
+	for _, a := range allAllocators(t, 2) {
+		t.Run(a.Name(), func(t *testing.T) {
+			var got []*Object
+			for i := 0; i < n; i++ {
+				got = append(got, a.Alloc(1, 240))
+			}
+			for i, o := range got {
+				if o.ID != uint64(n-i) || o.Class != class || o.Size != 240 || o.State() != StateAllocated {
+					t.Fatalf("alloc %d returned %+v, want id %d from the first run", i, o, n-i)
+				}
+				switch m := a.(type) {
+				case *JEMalloc:
+					if o.Arena != m.homeArena(1) || o.Page != nil {
+						t.Fatalf("jemalloc object owner: arena %d page %v", o.Arena, o.Page)
+					}
+				case *TCMalloc:
+					if o.Arena != 0 || o.Page != nil {
+						t.Fatalf("tcmalloc object owner: arena %d page %v", o.Arena, o.Page)
+					}
+				case *MIMalloc:
+					if o.Page == nil || o.Page != got[0].Page || o.Page.owner != 1 || o.Page.class != class {
+						t.Fatalf("mimalloc object page: %+v", o.Page)
+					}
+				}
+			}
+			if st := a.Stats(); st.FreshPages != 1 || st.MappedBytes != int64(n*240) {
+				t.Fatalf("stats after draining one run: %+v", st)
+			}
+		})
+	}
+
+	// Host cost of a default run: the objects' own bytes, no size-class or
+	// malloc-header rounding on top, in 1/slabObjects of the allocations.
+	// TotalAlloc is process-wide and other allocations only add, so the
+	// quietest of a few rounds is the measurement.
+	cfg = DefaultConfig(1)
+	cfg.Cost = Uniform()
+	stats = newStatsArena(1)
+	const runs = 32
+	perRun, mallocs := uint64(1<<62), uint64(1<<62)
+	for round := 0; round < 5; round++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			dst = objList{}
+			carveRun(&cfg, stats, &nextID, 0, class, 0, nil, &dst)
+		}
+		runtime.ReadMemStats(&m1)
+		perRun = min(perRun, (m1.TotalAlloc-m0.TotalAlloc)/runs)
+		mallocs = min(mallocs, (m1.Mallocs-m0.Mallocs)/runs)
+	}
+	if want := uint64(cfg.PageRunObjects) * 64; perRun != want || mallocs != want/64/slabObjects {
+		t.Fatalf("a %d-object run costs the host %d bytes in %d allocations, want %d in %d",
+			cfg.PageRunObjects, perRun, mallocs, want, want/64/slabObjects)
 	}
 }
 

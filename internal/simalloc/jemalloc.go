@@ -66,7 +66,7 @@ type jeTCache struct {
 	arenaSlot []int32
 	arenaSeen []uint32
 	flushSeq  uint32
-	_         [8]int64
+	_         [6]int64
 }
 
 // jeFlushGroup is one destination arena's share of a flushed batch: a FIFO
@@ -167,21 +167,7 @@ func (a *JEMalloc) refill(tid int, class uint8, tc *jeTCacheBin) {
 	}
 
 	// Bin empty: map a fresh page run and carve it into objects.
-	spinWork(tid, a.cfg.Cost.FreshPage)
-	ts.freshPages++
-	size := ClassToSize(class)
-	a.stats.addMapped(int64(size) * int64(a.cfg.PageRunObjects))
-	for i := 0; i < a.cfg.PageRunObjects; i++ {
-		// First touch of cold memory: page-fault and cache-miss work a
-		// recycled object would not pay.
-		spinWork(tid, a.cfg.Cost.FreshObject)
-		tc.list.push(&Object{
-			ID:    a.nextID.Add(1),
-			Class: class,
-			Size:  size,
-			Arena: arenaIdx,
-		})
-	}
+	carveRun(&a.cfg, a.stats, &a.nextID, tid, class, arenaIdx, nil, &tc.list)
 }
 
 // Free pushes o into tid's tcache and flushes ~FlushFraction of the cache

@@ -120,25 +120,12 @@ func (a *MIMalloc) popFromPages(tid int, h *miHeap, class uint8) *Object {
 }
 
 func (a *MIMalloc) freshPage(tid int, class uint8, h *miHeap) *Object {
-	ts := &a.stats.perThread[tid]
-	spinWork(tid, a.cfg.Cost.FreshPage)
-	ts.freshPages++
-	size := ClassToSize(class)
-	a.stats.addMapped(int64(size) * int64(a.cfg.PageRunObjects))
 	p := &Page{
 		owner:      int32(tid),
 		class:      class,
 		homeSocket: a.cfg.Cost.Socket(tid),
 	}
-	for i := 0; i < a.cfg.PageRunObjects; i++ {
-		spinWork(tid, a.cfg.Cost.FreshObject)
-		p.allocList.push(&Object{
-			ID:    a.nextID.Add(1),
-			Class: class,
-			Size:  size,
-			Page:  p,
-		})
-	}
+	carveRun(&a.cfg, a.stats, &a.nextID, tid, class, 0, p, &p.allocList)
 	h.pages[class] = append(h.pages[class], p)
 	h.cursor[class] = len(h.pages[class]) - 1
 	return p.allocList.pop()

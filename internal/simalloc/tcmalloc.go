@@ -30,7 +30,7 @@ type tcCentral struct {
 	clock      binClock
 	list       objList
 	homeSocket int
-	_          [4]int64
+	_          [3]int64
 }
 
 type tcThreadCache struct {
@@ -118,18 +118,7 @@ func (a *TCMalloc) refill(tid int, class uint8, tc *objList) {
 		return
 	}
 
-	spinWork(tid, a.cfg.Cost.FreshPage)
-	ts.freshPages++
-	size := ClassToSize(class)
-	a.stats.addMapped(int64(size) * int64(a.cfg.PageRunObjects))
-	for i := 0; i < a.cfg.PageRunObjects; i++ {
-		spinWork(tid, a.cfg.Cost.FreshObject)
-		tc.push(&Object{
-			ID:    a.nextID.Add(1),
-			Class: class,
-			Size:  size,
-		})
-	}
+	carveRun(&a.cfg, a.stats, &a.nextID, tid, class, 0, nil, tc)
 }
 
 // Free pushes into the thread cache; on overflow a batch moves to the

@@ -30,7 +30,7 @@ type heThread struct {
 	// allocate nothing.
 	freeable []*simalloc.Object
 	eras     []int64
-	_        [4]int64
+	_        [7]int64
 }
 
 // NewHE constructs hazard eras; af selects the amortized-free variant.

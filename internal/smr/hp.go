@@ -25,7 +25,7 @@ type hpThread struct {
 	// freeable is the scan's output batch, reused across scans so the
 	// steady state allocates nothing.
 	freeable []*simalloc.Object
-	_        [4]int64
+	_        [1]int64
 }
 
 // NewHP constructs hazard pointers; af selects the amortized-free variant.

@@ -26,7 +26,7 @@ type ibrThread struct {
 	// allocate nothing.
 	freeable []*simalloc.Object
 	ivs      []ibrInterval
-	_        [4]int64
+	_        [7]int64
 }
 
 // ibrInterval is one thread's reservation snapshot taken during a scan.

@@ -39,7 +39,7 @@ type rcuThread struct {
 	// it out, would never escape).
 	syncing pad64
 	bag     []*simalloc.Object
-	_       [4]int64
+	_       [5]int64
 }
 
 // NewRCU constructs RCU; af selects the amortized-free variant.

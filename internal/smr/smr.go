@@ -330,5 +330,5 @@ type pad64 struct {
 // padPtr is a cache-line padded atomic object pointer for hazard slots.
 type padPtr struct {
 	p atomic.Pointer[simalloc.Object]
-	_ [5]int64
+	_ [7]int64
 }

@@ -62,7 +62,7 @@ type Token struct {
 type tokenThread struct {
 	cur, prev []*simalloc.Object
 	receipts  int64
-	_         [4]int64
+	_         [1]int64
 }
 
 // NewToken constructs the given Token-EBR variant.

@@ -2,9 +2,10 @@
 # bench-history.sh — render the repo's perf trajectory across PRs into
 # BENCH_HISTORY.md: one row per BENCH_<n>.json artifact, tracking the numbers
 # the gates care about — grid throughput (the paper scenario's mean ops/s),
-# recording overhead (pct_host, paired ratio), and the open-system stalled
-# p999 tail. Artifacts predate some metrics (recording landed in PR 6,
-# latency in PR 8); missing cells render as "—" rather than faking history.
+# recording overhead (pct_host, paired ratio), the open-system stalled p999
+# tail, and the per-layer budgets (fleet lease, ds update). Artifacts predate
+# some metrics (recording landed in PR 6, latency in PR 8); missing cells
+# render as "—" rather than faking history.
 #
 # Host metadata rides along per row because a throughput delta between PRs
 # means nothing if the toolchain or core count moved underneath it.
@@ -65,6 +66,13 @@ for path in sorted(glob.glob("BENCH_*.json"),
         if m:
             lease[int(m.group(1))] = b.get("metrics", {}).get("ns/op")
 
+    # The ds layer's budget: host time and host bytes of one ABtree update.
+    ds_update = "—"
+    for b in d.get("benchmarks", []):
+        if re.match(r"BenchmarkABTreeUpdate(-\d+)?$", b.get("name", "")):
+            m = b.get("metrics", {})
+            ds_update = f"{m.get('ns/op', 0):.0f} · {m.get('B/op', 0):.0f}"
+
     host = d.get("host") or {}
     hostinfo = "—"
     if host:
@@ -80,6 +88,7 @@ for path in sorted(glob.glob("BENCH_*.json"),
         "p999_hp": f"{p999_hp:.2f}" if p999_hp is not None else "—",
         "makespan": f"{mk_ratio:.2f}x" if mk_ratio is not None else "—",
         "lease": " / ".join(f"{lease[k]:.0f}" for k in sorted(lease)) or "—",
+        "ds_update": ds_update,
         "host": hostinfo,
     })
 
@@ -95,12 +104,13 @@ with open(out, "w") as f:
             "machines — compare trends and ratios, not absolute ops/s, and "
             "check the host column before blaming a delta on code. \"—\" "
             "means the artifact predates that metric.\n\n")
-    f.write("| PR | grid paper/debra ops/s | recorded simops/s | rec pct_host | rec ratio | stalled p999 debra (ms) | stalled p999 hp (ms) | makespan gain | fleet lease ns/op | host |\n")
-    f.write("|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n")
+    f.write("| PR | grid paper/debra ops/s | recorded simops/s | rec pct_host | rec ratio | stalled p999 debra (ms) | stalled p999 hp (ms) | makespan gain | fleet lease ns/op | ds update ns/op · B/op | host |\n")
+    f.write("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n")
     for r in rows:
         f.write(f"| {r['pr']} | {r['paper_ops']} | {r['recorded_ops']} | "
                 f"{r['pct_host']} | {r['ratio']} | {r['p999_debra']} | "
-                f"{r['p999_hp']} | {r['makespan']} | {r['lease']} | {r['host']} |\n")
+                f"{r['p999_hp']} | {r['makespan']} | {r['lease']} | "
+                f"{r['ds_update']} | {r['host']} |\n")
     f.write("\nColumn notes:\n\n")
     f.write("- **grid paper/debra ops/s** — mean throughput of the paper "
             "scenario under the debra reclaimer in the grid smoke sweep; the "
@@ -119,6 +129,11 @@ with open(out, "w") as f:
             "coordinator grant against a standing backlog of 768 / 6144 "
             "pending trials; the two should read the same, since a grant "
             "costs one estimate per configuration, not per pending trial.\n")
+    f.write("- **ds update ns/op · B/op** — `BenchmarkABTreeUpdate` "
+            "(`internal/ds`): host time and Go heap bytes of one ABtree "
+            "insert or delete on jemalloc × debra, one thread, 2^15 keys. "
+            "About half the operations succeed and each success copies one "
+            "160-byte leaf, so ~80 B/op is the floor of this layout.\n")
 
 print(f"wrote {out} ({len(rows)} artifacts)")
 EOF
