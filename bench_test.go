@@ -13,6 +13,9 @@
 package repro
 
 import (
+	"fmt"
+	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -325,4 +328,49 @@ func BenchmarkAblationAFPoolingOn(b *testing.B) {
 	cfg := cfgFor("debra_af", benchThreads)
 	cfg.PoolCapacity = 1 << 14
 	runWorkload(b, cfg)
+}
+
+// --- Scaling: the update workload on one P and on two ---
+
+// BenchmarkUpdateScaling runs the repo benchmark's update_batchfree trial
+// (abtree × debra on jemalloc, 8 simulated threads, a fixed op count) with
+// GOMAXPROCS 1 and 2. cpu-ns/op is process CPU time, set-up included, per
+// simulated op. A second P should raise simops/s and leave cpu-ns/op about
+// where it was; cpu-ns/op growing with the P count is cache-line traffic
+// between cores inside the harness (README.md, "Cross-core traffic").
+func BenchmarkUpdateScaling(b *testing.B) {
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			if runtime.NumCPU() < procs {
+				b.Skipf("%d cpus", runtime.NumCPU())
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			cfg := bench.DefaultWorkload(8)
+			cfg.FixedOps = 100000
+			var ops int64
+			var wall time.Duration
+			cpu0 := processCPU(b)
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = uint64(i + 1)
+				tr, err := bench.RunTrial(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ops += tr.Ops
+				wall += tr.Wall
+			}
+			cpu := processCPU(b) - cpu0
+			b.ReportMetric(float64(ops)/wall.Seconds(), "simops/s")
+			b.ReportMetric(float64(cpu.Nanoseconds())/float64(ops), "cpu-ns/op")
+		})
+	}
+}
+
+// processCPU is the process's user+system CPU time so far.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -17,12 +17,11 @@ const (
 	abInternalCap = 64
 )
 
-// abNode is one ABtree node on the host. A leaf is this struct alone: its
-// keys live inline, so the copy-on-write replacement an update publishes is
-// one Go allocation (152 bytes, the 160-byte size class), immutable from
-// then on. An internal node also owns an abInternal; leaves leave in nil. A
-// node's slot in its parent is guarded by the parent's mu (or the tree's
-// rootMu for the root).
+// abNode is the head of every ABtree node on the host, and what a parent's
+// child slot points at. A leaf is an abLeaf (keys points at its inline
+// array, in is nil); an internal node is an abInternal (in points back at
+// it, keys is nil). A node's slot in its parent is guarded by the parent's
+// lock (or the tree's rootMu for the root).
 //
 // Host nodes belong to the Go collector and are never recycled by hand: what
 // the experiment models is obj's lifecycle in the simulated allocator, and
@@ -31,23 +30,67 @@ const (
 type abNode struct {
 	obj  *simalloc.Object
 	in   *abInternal
-	n    int              // leaf: keys in use
-	keys [abLeafCap]int64 // leaf: keys[:n], strictly ascending
+	n    int               // leaf: keys in use; internal: children in use
+	keys *[abLeafCap]int64 // leaf: keys[:n], strictly ascending
 }
 
-// abInternal is the routing part of an internal node: an immutable key array
-// and mutable (atomic) child slots, child i covering keys[i-1] <= k < keys[i].
+// abLeaf is a leaf: its keys live inline, so the copy-on-write replacement
+// an update publishes is one Go allocation (160 bytes), immutable from then
+// on.
+type abLeaf struct {
+	abNode
+	arr [abLeafCap]int64
+}
+
+// abInternal is the routing part of an internal node: n-1 routing keys and n
+// child slots, child i covering route[i-1] <= k < route[i]. The slices and
+// lock point into the abTier this struct starts, so a node is one Go
+// allocation.
 type abInternal struct {
-	keys     []int64
-	children []atomic.Pointer[abNode] // len(keys)+1 slots
-	mu       sync.Mutex               // guards child slots and retirement
-	retired  atomic.Bool
+	abNode
+	route    []int64                  // route[:n-1], strictly ascending, immutable
+	children []atomic.Pointer[abNode] // children[:n]; the rest are nil
+	lock     *abLock
 }
 
-// abSlot names the slot a node hangs from: children[idx] of n, or the tree's
-// root slot when n is nil.
+// abLock guards an internal node's child slots and its retirement.
+type abLock struct {
+	mu      sync.Mutex
+	retired atomic.Bool
+}
+
+// abTier is an internal node with its storage: R is [c-1]int64 and C is
+// [c]atomic.Pointer[abNode] for a capacity c. A node is built at the
+// smallest of three capacities that holds its children, so a small tree's
+// root does not cost what a full node does.
+//
+// The order of the fields is the point. A traversal reads the abInternal
+// and the routing keys, all written before the node is published and never
+// again, then one child slot. Every update below the node takes the lock
+// and stores a child slot, so those are kept a full cache line away from the
+// read-only part whatever the allocation's alignment, and readers passing
+// through keep their copy of it. The lock comes last, where it shares a line
+// with the highest slots only, which a node uses just before it outgrows
+// the tier.
+type abTier[R, C any] struct {
+	abInternal
+	routeArr R
+	_        [56]byte
+	slotArr  C
+	lockHere abLock
+}
+
+// bind points the abInternal at its storage.
+func (x *abTier[R, C]) bind(route []int64, slots []atomic.Pointer[abNode]) *abInternal {
+	x.route, x.children, x.lock = route, slots, &x.lockHere
+	x.in = &x.abInternal
+	return &x.abInternal
+}
+
+// abSlot names the slot a node hangs from: children[idx] of in, or the tree's
+// root slot when in is nil.
 type abSlot struct {
-	n   *abNode
+	in  *abInternal
 	idx int
 }
 
@@ -81,9 +124,11 @@ func (t *ABTree) Size() int64 { return t.size.total() }
 // newNode allocates a node's simulated object and its host struct; as
 // returned it is an empty leaf.
 func (t *ABTree) newNode(tid int) *abNode {
-	obj := t.alloc.Alloc(tid, ABTreeNodeBytes)
-	t.rec.OnAlloc(tid, obj)
-	return &abNode{obj: obj}
+	l := &abLeaf{}
+	l.keys = &l.arr
+	l.obj = t.alloc.Alloc(tid, ABTreeNodeBytes)
+	t.rec.OnAlloc(tid, l.obj)
+	return &l.abNode
 }
 
 // newLeaf builds a leaf holding keys (ascending, at most abLeafCap).
@@ -118,26 +163,81 @@ func (t *ABTree) leafWithout(tid int, old *abNode, i int) *abNode {
 	return n
 }
 
-// newInternal builds an internal node from keys and children. children must
-// have len(keys)+1 entries.
-func (t *ABTree) newInternal(tid int, keys []int64, children []*abNode) *abNode {
-	n := t.newNode(tid)
-	n.in = &abInternal{keys: keys, children: make([]atomic.Pointer[abNode], len(children))}
-	for i, c := range children {
-		n.in.children[i].Store(c)
+// newInternal allocates an internal node with room for the given number of
+// children and none yet; the caller fills it with push before publishing it.
+func (t *ABTree) newInternal(tid, children int) *abInternal {
+	var in *abInternal
+	switch {
+	case children <= 16:
+		x := new(abTier[[15]int64, [16]atomic.Pointer[abNode]])
+		in = x.bind(x.routeArr[:], x.slotArr[:])
+	case children <= 32:
+		x := new(abTier[[31]int64, [32]atomic.Pointer[abNode]])
+		in = x.bind(x.routeArr[:], x.slotArr[:])
+	default:
+		x := new(abTier[[abInternalCap - 1]int64, [abInternalCap]atomic.Pointer[abNode]])
+		in = x.bind(x.routeArr[:], x.slotArr[:])
 	}
-	return n
+	in.obj = t.alloc.Alloc(tid, ABTreeNodeBytes)
+	t.rec.OnAlloc(tid, in.obj)
+	return in
+}
+
+// push appends child c to an unpublished node, with the routing key k to c's
+// left. The first child has nothing to its left and drops k.
+func (in *abInternal) push(k int64, c *abNode) {
+	if in.n > 0 {
+		in.route[in.n-1] = k
+	}
+	in.children[in.n].Store(c)
+	in.n++
+}
+
+// leftKey returns the routing key to the left of child i (0 for the first).
+func (in *abInternal) leftKey(i int) int64 {
+	if i == 0 {
+		return 0
+	}
+	return in.route[i-1]
+}
+
+// abFill builds a replacement for an internal node in place: children go to
+// lo until it holds cut of them, the rest to hi, and the routing key that
+// falls between the two is kept in spine. hi is nil when everything fits lo.
+type abFill struct {
+	lo, hi *abInternal
+	cut    int
+	spine  int64
+}
+
+func (f *abFill) push(k int64, c *abNode) {
+	if f.lo.n < f.cut {
+		f.lo.push(k, c)
+		return
+	}
+	if f.hi.n == 0 {
+		f.spine = k
+	}
+	f.hi.push(k, c)
+}
+
+// pushFrom appends children [from, to) of src, each under the routing key it
+// has in src. src's lock must be held, so the slots are stable.
+func (f *abFill) pushFrom(src *abInternal, from, to int) {
+	for i := from; i < to; i++ {
+		f.push(src.leftKey(i), src.children[i].Load())
+	}
 }
 
 func (t *ABTree) retire(tid int, n *abNode) { t.rec.Retire(tid, n.obj) }
 
 // childIndex returns the child slot covering key: the first i with
-// key < keys[i], else len(keys).
+// key < route[i], else the last slot.
 func childIndex(in *abInternal, key int64) int {
-	lo, hi := 0, len(in.keys)
+	lo, hi := 0, in.n-1
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if key < in.keys[mid] {
+		if key < in.route[mid] {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -174,8 +274,8 @@ func (t *ABTree) descend(tid int, key int64) (leaf *abNode, at, above abSlot) {
 	}
 	for depth := 1; cur.in != nil; depth++ {
 		above = at
-		at = abSlot{cur, childIndex(cur.in, key)}
-		cur = cur.in.children[at.idx].Load()
+		at = abSlot{cur.in, childIndex(cur.in, key)}
+		cur = at.in.children[at.idx].Load()
 		if g != nil {
 			g.Protect(depth%3, cur.obj)
 		} else if legacy != nil {
@@ -194,12 +294,12 @@ func (t *ABTree) Contains(tid int, key int64) bool {
 	return found
 }
 
-// lockSlot locks the owner of slot s (the parent's mu, or rootMu for the
+// lockSlot locks the owner of slot s (the parent's lock, or rootMu for the
 // root slot) and validates that s still points at n. It returns the slot and
 // the mutex it now holds, or false when validation fails and the caller
 // must retry.
 func (t *ABTree) lockSlot(s abSlot, n *abNode) (*atomic.Pointer[abNode], *sync.Mutex, bool) {
-	if s.n == nil {
+	if s.in == nil {
 		t.rootMu.Lock()
 		if t.root.Load() != n {
 			t.rootMu.Unlock()
@@ -207,14 +307,14 @@ func (t *ABTree) lockSlot(s abSlot, n *abNode) (*atomic.Pointer[abNode], *sync.M
 		}
 		return &t.root, &t.rootMu, true
 	}
-	p := s.n.in
-	p.mu.Lock()
+	p := s.in
+	p.lock.mu.Lock()
 	slot := &p.children[s.idx]
-	if p.retired.Load() || slot.Load() != n {
-		p.mu.Unlock()
+	if p.lock.retired.Load() || slot.Load() != n {
+		p.lock.mu.Unlock()
 		return nil, nil, false
 	}
-	return slot, &p.mu, true
+	return slot, &p.lock.mu, true
 }
 
 // Insert adds key, reporting whether it was absent.
@@ -263,7 +363,7 @@ func (t *ABTree) splitLeaf(tid int, at, above abSlot, leaf *abNode, i int, key i
 	const mid = len(merged) / 2
 	sep := merged[mid]
 
-	if at.n == nil {
+	if at.in == nil {
 		t.rootMu.Lock()
 		if t.root.Load() != leaf {
 			t.rootMu.Unlock()
@@ -271,22 +371,24 @@ func (t *ABTree) splitLeaf(tid int, at, above abSlot, leaf *abNode, i int, key i
 		}
 		left := t.newLeaf(tid, merged[:mid])
 		right := t.newLeaf(tid, merged[mid:])
-		t.root.Store(t.newInternal(tid, []int64{sep}, []*abNode{left, right}))
+		root := t.newInternal(tid, 2)
+		root.push(0, left)
+		root.push(sep, right)
+		t.root.Store(&root.abNode)
 		t.rootMu.Unlock()
 		t.retire(tid, leaf)
 		return true
 	}
 
 	// Lock the parent's slot owner first (top-down), then the parent.
-	pn, idx := at.n, at.idx
-	p := pn.in
-	slot, mu, ok := t.lockSlot(above, pn)
+	p, idx := at.in, at.idx
+	slot, mu, ok := t.lockSlot(above, &p.abNode)
 	if !ok {
 		return false
 	}
-	p.mu.Lock()
-	if p.retired.Load() || p.children[idx].Load() != leaf {
-		p.mu.Unlock()
+	p.lock.mu.Lock()
+	if p.lock.retired.Load() || p.children[idx].Load() != leaf {
+		p.lock.mu.Unlock()
 		mu.Unlock()
 		return false
 	}
@@ -295,38 +397,36 @@ func (t *ABTree) splitLeaf(tid int, at, above abSlot, leaf *abNode, i int, key i
 	right := t.newLeaf(tid, merged[mid:])
 
 	// Copy-on-write parent with the split child. Child slots are stable
-	// while p.mu is held.
-	pk := make([]int64, 0, len(p.keys)+1)
-	pk = append(pk, p.keys[:idx]...)
-	pk = append(pk, sep)
-	pk = append(pk, p.keys[idx:]...)
-	pc := make([]*abNode, 0, len(p.children)+1)
-	for i := range p.children {
-		if i == idx {
-			pc = append(pc, left, right)
-			continue
-		}
-		pc = append(pc, p.children[i].Load())
-	}
-
-	var replacement *abNode
-	if len(pc) <= abInternalCap {
-		replacement = t.newInternal(tid, pk, pc)
-	} else {
+	// while p's lock is held.
+	m := p.n + 1
+	f := abFill{cut: m}
+	if m > abInternalCap {
 		// The parent would overflow: split it locally into two internal
 		// nodes under a new two-child spine (relaxed rebalancing; the
 		// spine collapses later if it goes single-child).
-		m := len(pc) / 2
-		lo := t.newInternal(tid, pk[:m-1:m-1], pc[:m:m])
-		hi := t.newInternal(tid, pk[m:], pc[m:])
-		replacement = t.newInternal(tid, []int64{pk[m-1]}, []*abNode{lo, hi})
+		f.cut = m / 2
 	}
-	p.retired.Store(true)
-	slot.Store(replacement)
-	p.mu.Unlock()
+	f.lo = t.newInternal(tid, f.cut)
+	if f.cut < m {
+		f.hi = t.newInternal(tid, m-f.cut)
+	}
+	f.pushFrom(p, 0, idx)
+	f.push(p.leftKey(idx), left)
+	f.push(sep, right)
+	f.pushFrom(p, idx+1, p.n)
+
+	replacement := f.lo
+	if f.hi != nil {
+		replacement = t.newInternal(tid, 2)
+		replacement.push(0, &f.lo.abNode)
+		replacement.push(f.spine, &f.hi.abNode)
+	}
+	p.lock.retired.Store(true)
+	slot.Store(&replacement.abNode)
+	p.lock.mu.Unlock()
 	mu.Unlock()
 	t.retire(tid, leaf)
-	t.retire(tid, pn)
+	t.retire(tid, &p.abNode)
 	return true
 }
 
@@ -348,7 +448,7 @@ func (t *ABTree) tryDelete(tid int, key int64) (deleted, done bool) {
 		return false, true
 	}
 
-	if leaf.n > 1 || at.n == nil {
+	if leaf.n > 1 || at.in == nil {
 		// Replace the leaf (an empty root leaf is fine).
 		slot, mu, ok := t.lockSlot(at, leaf)
 		if !ok {
@@ -373,45 +473,39 @@ func (t *ABTree) tryDelete(tid int, key int64) (deleted, done bool) {
 // child. A parent reduced to a single child collapses: the surviving child
 // takes the parent's slot directly.
 func (t *ABTree) removeEmptyLeaf(tid int, at, above abSlot, leaf *abNode) bool {
-	pn, idx := at.n, at.idx
-	p := pn.in
-	slot, mu, ok := t.lockSlot(above, pn)
+	p, idx := at.in, at.idx
+	slot, mu, ok := t.lockSlot(above, &p.abNode)
 	if !ok {
 		return false
 	}
-	p.mu.Lock()
-	if p.retired.Load() || p.children[idx].Load() != leaf {
-		p.mu.Unlock()
+	p.lock.mu.Lock()
+	if p.lock.retired.Load() || p.children[idx].Load() != leaf {
+		p.lock.mu.Unlock()
 		mu.Unlock()
 		return false
 	}
 
 	var replacement *abNode
-	if len(p.children) == 2 {
+	if p.n == 2 {
 		// Collapse: the sibling takes p's place.
 		replacement = p.children[1-idx].Load()
 	} else {
-		pk := make([]int64, 0, len(p.keys)-1)
-		ki := idx
-		if ki == len(p.keys) {
-			ki = len(p.keys) - 1
+		// The routing key to the leaf's right goes with it, so the right
+		// neighbour takes over its range; the last child has none, and the
+		// key to its left goes.
+		f := abFill{lo: t.newInternal(tid, p.n-1), cut: p.n - 1}
+		f.pushFrom(p, 0, idx)
+		if idx+1 < p.n {
+			f.push(p.leftKey(idx), p.children[idx+1].Load())
+			f.pushFrom(p, idx+2, p.n)
 		}
-		pk = append(pk, p.keys[:ki]...)
-		pk = append(pk, p.keys[ki+1:]...)
-		pc := make([]*abNode, 0, len(p.children)-1)
-		for i := range p.children {
-			if i == idx {
-				continue
-			}
-			pc = append(pc, p.children[i].Load())
-		}
-		replacement = t.newInternal(tid, pk, pc)
+		replacement = &f.lo.abNode
 	}
-	p.retired.Store(true)
+	p.lock.retired.Store(true)
 	slot.Store(replacement)
-	p.mu.Unlock()
+	p.lock.mu.Unlock()
 	mu.Unlock()
 	t.retire(tid, leaf)
-	t.retire(tid, pn)
+	t.retire(tid, &p.abNode)
 	return true
 }

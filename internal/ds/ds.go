@@ -106,19 +106,17 @@ func (d *protectDispatch) handles(tid int) (*smr.Guard, smr.Reclaimer) {
 // sizeCtr tracks the set's cardinality with per-thread padded deltas so hot
 // paths never share a counter cache line.
 type sizeCtr struct {
-	deltas []struct {
-		v int64
-		_ [7]int64
-	}
+	deltas []sizeDelta
+}
+
+// sizeDelta is one thread's share of the count, alone on its cache line.
+type sizeDelta struct {
+	v int64
+	_ [7]int64
 }
 
 func newSizeCtr(threads int) *sizeCtr {
-	c := &sizeCtr{}
-	c.deltas = make([]struct {
-		v int64
-		_ [7]int64
-	}, threads)
-	return c
+	return &sizeCtr{deltas: make([]sizeDelta, threads)}
 }
 
 func (c *sizeCtr) add(tid int, d int64) {

@@ -44,10 +44,11 @@ func TestNewUnknown(t *testing.T) {
 
 // checkABTree walks a quiescent ABtree and checks its host layout: leaf keys
 // strictly ascending with 1 <= n <= abLeafCap (only a root leaf may be
-// empty), internal nodes with len(keys)+1 children and strictly ascending
-// separators, every key inside the range its ancestors' separators route to
-// it, every reachable node unretired and backed by a live simulated object,
-// and the leaf counts summing to Size(). Other sets pass through.
+// empty), internal nodes whose header points back at them, with 2 <= n <=
+// abInternalCap children in storage of one of the three capacities, nil
+// slots from n on and strictly ascending routing keys within n-1, every key inside the range its ancestors' routing keys
+// send to it, every reachable node unretired and backed by a live simulated
+// object, and the leaf counts summing to Size(). Other sets pass through.
 func checkABTree(t *testing.T, set Set) {
 	t.Helper()
 	tree, ok := set.(*ABTree)
@@ -83,30 +84,39 @@ func checkABTree(t *testing.T, set Set) {
 			return nil
 		}
 		in := n.in
-		if n.n != 0 {
-			return fmt.Errorf("internal node carries %d leaf keys", n.n)
+		if &in.abNode != n {
+			return fmt.Errorf("internal node's header does not point back at it")
 		}
-		if in.retired.Load() {
-			return fmt.Errorf("reachable internal node %v is retired", in.keys)
+		if c := len(in.children); (c != 16 && c != 32 && c != abInternalCap) || len(in.route) != c-1 {
+			return fmt.Errorf("internal node has room for %d children and %d routing keys", c, len(in.route))
 		}
-		if len(in.children) != len(in.keys)+1 || len(in.children) < 2 || len(in.children) > abInternalCap {
-			return fmt.Errorf("internal node has %d keys and %d children", len(in.keys), len(in.children))
+		if in.n < 2 || in.n > len(in.children) {
+			return fmt.Errorf("internal node has %d children in room for %d", in.n, len(in.children))
 		}
-		for i, k := range in.keys {
-			if i > 0 && in.keys[i-1] >= k {
-				return fmt.Errorf("separators not strictly ascending: %v", in.keys)
+		route := in.route[:in.n-1]
+		if in.lock.retired.Load() {
+			return fmt.Errorf("reachable internal node %v is retired", route)
+		}
+		for i := in.n; i < len(in.children); i++ {
+			if in.children[i].Load() != nil {
+				return fmt.Errorf("internal node with %d children has slot %d set", in.n, i)
+			}
+		}
+		for i, k := range route {
+			if i > 0 && route[i-1] >= k {
+				return fmt.Errorf("routing keys not strictly ascending: %v", route)
 			}
 			if !inRange(k) {
-				return fmt.Errorf("separator %d outside its routed range [%d,%d) (%v,%v)", k, lo, hi, hasLo, hasHi)
+				return fmt.Errorf("routing key %d outside its routed range [%d,%d) (%v,%v)", k, lo, hi, hasLo, hasHi)
 			}
 		}
-		for i := range in.children {
+		for i := 0; i < in.n; i++ {
 			clo, chi, cHasLo, cHasHi := lo, hi, hasLo, hasHi
 			if i > 0 {
-				clo, cHasLo = in.keys[i-1], true
+				clo, cHasLo = route[i-1], true
 			}
-			if i < len(in.keys) {
-				chi, cHasHi = in.keys[i], true
+			if i < len(route) {
+				chi, cHasHi = route[i], true
 			}
 			if err := walk(in.children[i].Load(), clo, chi, cHasLo, cHasHi); err != nil {
 				return err

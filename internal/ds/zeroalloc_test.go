@@ -167,3 +167,92 @@ func TestABTreeUpdatePathAllocs(t *testing.T) {
 		t.Fatalf("simulated allocations = %d, want one per update (%d)", got, 2*(501+rounds*pairs))
 	}
 }
+
+// TestABTreeSplitPathAllocs pins the host cost of the two paths that rebuild
+// an internal node. A leaf split under a parent with room makes three Go
+// allocations (two leaves and the parent's copy); one under a full parent
+// makes five (two leaves, the parent's two halves and the spine above them).
+// The new nodes are filled in place, so a temporary key or child slice on
+// either path shows here.
+func TestABTreeSplitPathAllocs(t *testing.T) {
+	// fillLeaf brings the 8-key leaf that ascending inserts of multiples of
+	// 4 left at [base, base+32) to capacity, so that base+2 splits it.
+	fillLeaf := func(set Set, base int64) {
+		for k := base + 1; k < base+32; k += 4 {
+			if !set.Insert(0, k) {
+				t.Fatalf("Insert(%d) found the key present", k)
+			}
+		}
+	}
+	// measure runs two splits, testing.AllocsPerRun's warm-up call and the
+	// one it counts, and checks that the simulated allocators of the trees
+	// they ran on saw the same nodes.
+	measure := func(what string, want int, split func(), allocs ...simalloc.Allocator) {
+		t.Helper()
+		simulated := func() (n int64) {
+			for _, a := range allocs {
+				n += a.Stats().Allocs
+			}
+			return n
+		}
+		before := simulated()
+		if got := testing.AllocsPerRun(1, split); got != float64(want) {
+			t.Errorf("%s makes %.0f host allocations, want %d", what, got, want)
+		}
+		if got := simulated() - before; got != int64(2*want) {
+			t.Errorf("%s: %d simulated allocations over two splits, want %d", what, got, 2*want)
+		}
+	}
+
+	t.Run("parent with room", func(t *testing.T) {
+		set, alloc := buildSet(t, "abtree", "debra")
+		for k := int64(0); k < 32*16; k += 4 {
+			set.Insert(0, k)
+		}
+		const rounds = 3
+		for i := int64(0); i < 2*rounds; i++ {
+			fillLeaf(set, 32*i)
+		}
+		next := int64(0)
+		for r := 0; r < rounds; r++ {
+			measure("a leaf split", 3, func() {
+				if !set.Insert(0, 32*next+2) {
+					t.Fatal("the splitting insert found its key present")
+				}
+				next++
+			}, alloc)
+		}
+		checkABTree(t, set)
+	})
+
+	t.Run("full parent", func(t *testing.T) {
+		// Two trees whose root is an internal node at capacity (a leaf's n
+		// never reaches abInternalCap).
+		var sets [2]Set
+		var allocs [2]simalloc.Allocator
+		for i := range sets {
+			sets[i], allocs[i] = buildSet(t, "abtree", "debra")
+			tree := sets[i].(*ABTree)
+			for k := int64(0); tree.root.Load().n < abInternalCap; k += 4 {
+				sets[i].Insert(0, k)
+			}
+			fillLeaf(sets[i], 0)
+		}
+		next := 0
+		measure("a leaf split under a full parent", 5, func() {
+			if !sets[next].Insert(0, 2) {
+				t.Fatal("the splitting insert found its key present")
+			}
+			next++
+		}, allocs[:]...)
+		for _, set := range sets {
+			root := set.(*ABTree).root.Load()
+			lo, hi := root.in.children[0].Load(), root.in.children[1].Load()
+			if root.n != 2 || lo.n != (abInternalCap+1)/2 || hi.n != abInternalCap+1-lo.n {
+				t.Errorf("after the overflow the root has %d children holding %d and %d, want 2 holding %d and %d",
+					root.n, lo.n, hi.n, (abInternalCap+1)/2, abInternalCap+1-(abInternalCap+1)/2)
+			}
+			checkABTree(t, set)
+		}
+	})
+}

@@ -14,7 +14,6 @@ func TestPaddedTypesFillCacheLines(t *testing.T) {
 		size uintptr
 	}{
 		{"threadStats", unsafe.Sizeof(threadStats{})},
-		{"sinkSlot", unsafe.Sizeof(sinkSlot{})},
 		{"jeBin", unsafe.Sizeof(jeBin{})},
 		{"jeTCache", unsafe.Sizeof(jeTCache{})},
 		{"tcCentral", unsafe.Sizeof(tcCentral{})},

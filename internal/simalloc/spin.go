@@ -8,22 +8,17 @@ import "sync/atomic"
 // and (b) the Go scheduler sees genuinely busy goroutines, reproducing the
 // convoy effects the paper observes.
 
-// sinkSlot is padded to a cache line so per-thread sink writes never share
-// lines (false sharing would couple unrelated threads' spin loops).
-type sinkSlot struct {
-	v uint64
-	_ [7]uint64
-}
-
-// spinSinks gives every simulated thread a slot to publish spin results to,
-// preventing the compiler from eliding the loops. Indexed by tid modulo len.
-var spinSinks [1024]sinkSlot
+// spinSink is where spinWork would publish a result of zero. It never does
+// (see below), so no two threads, and no two trials running in one process,
+// ever meet on it.
+var spinSink atomic.Uint64
 
 // spinWork performs n units of ALU work attributable to simulated thread
-// tid. The mixing keeps the loop non-collapsible by the compiler. The sink
-// store is atomic because concurrent trials in one process (the grid
-// runner) share slots: trial A's thread 0 and trial B's thread 0 both land
-// on slot 0. The value is write-only noise, but the race would be real.
+// tid. The mixing keeps the loop non-collapsible by the compiler, and the
+// result has to be computed because the store depends on it. A xorshift
+// step maps nonzero to nonzero and the seed is nonzero for every tid a trial
+// can use, so the store never runs: the burn ends without a write that
+// another core could be waiting on.
 func spinWork(tid, n int) {
 	var x uint64 = uint64(tid)*0x9e3779b97f4a7c15 + 1
 	for i := 0; i < n; i++ {
@@ -31,5 +26,7 @@ func spinWork(tid, n int) {
 		x ^= x >> 7
 		x ^= x << 17
 	}
-	atomic.StoreUint64(&spinSinks[tid&1023].v, x)
+	if x == 0 {
+		spinSink.Store(x)
+	}
 }

@@ -135,7 +135,7 @@ func (d *DEBRA) Leave(tid int) {
 		me.bags[i] = nil
 	}
 	d.f.orphanAll(d.e.reg, tid)
-	d.e.reg.leave(tid)
+	d.e.leave(tid)
 }
 
 // Drain frees all bags, pending orphans, and the freeable list

@@ -70,8 +70,8 @@ func (e *env) diag(scheme string) Diag {
 	d := Diag{
 		Scheme:        scheme,
 		Epochs:        e.epochs.Load(),
-		Limbo:         e.limboNow.v.Load(),
-		PeakLimbo:     e.limboPeak.v.Load(),
+		Limbo:         e.totalLimbo(),
+		PeakLimbo:     e.peakLimbo(),
 		StallNanos:    e.stallNanos.Load(),
 		StallWaits:    e.stallWaits.Load(),
 		OrphanObjects: e.reg.orphanCount.Load(),

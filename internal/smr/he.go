@@ -181,7 +181,7 @@ func (h *HE) Leave(tid int) {
 	h.e.reg.orphan(me.retired)
 	me.retired = nil
 	h.f.orphanAll(h.e.reg, tid)
-	h.e.reg.leave(tid)
+	h.e.leave(tid)
 }
 
 // Drain frees everything pending — including orphans — unconditionally.

@@ -160,7 +160,7 @@ func (i *IBR) Leave(tid int) {
 	i.e.reg.orphan(me.retired)
 	me.retired = nil
 	i.f.orphanAll(i.e.reg, tid)
-	i.e.reg.leave(tid)
+	i.e.leave(tid)
 }
 
 // Drain frees everything pending — including orphans — unconditionally.

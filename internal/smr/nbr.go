@@ -176,7 +176,7 @@ func (n *NBR) Leave(tid int) {
 	n.e.reg.orphan(me.bag)
 	me.bag = nil
 	n.f.orphanAll(n.e.reg, tid)
-	n.e.reg.leave(tid)
+	n.e.leave(tid)
 }
 
 // Drain frees everything pending — including orphans — unconditionally.

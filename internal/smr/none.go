@@ -45,7 +45,7 @@ func (n *None) Join() (int, error) { return n.e.reg.join() }
 
 // Leave vacates the slot. There is no limbo to orphan — retired objects
 // were already leaked at Retire.
-func (n *None) Leave(tid int) { n.e.reg.leave(tid) }
+func (n *None) Leave(tid int) { n.e.leave(tid) }
 
 // Drain is a no-op: the point of the baseline is that nothing is freed.
 func (n *None) Drain(int) {}

@@ -122,7 +122,7 @@ func (q *QSBR) Leave(tid int) {
 		me.bags[i] = nil
 	}
 	q.f.orphanAll(q.e.reg, tid)
-	q.e.reg.leave(tid)
+	q.e.leave(tid)
 }
 
 // Drain frees all bags, pending orphans, and the freeable list

@@ -157,7 +157,7 @@ func (r *RCU) Leave(tid int) {
 	r.e.reg.orphan(me.bag)
 	me.bag = nil
 	r.f.orphanAll(r.e.reg, tid)
-	r.e.reg.leave(tid)
+	r.e.leave(tid)
 }
 
 // Drain frees the bag, pending orphans, and the freeable list

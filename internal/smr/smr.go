@@ -96,6 +96,14 @@ type Stats struct {
 	// bounded-garbage dichotomy as a single number — a stalled or crashed
 	// thread holds it near BatchSize for hazard-family schemes but lets it
 	// grow with trial length for epoch-based ones.
+	//
+	// A thread adds its retires to the shared count limboPublishEvery (32)
+	// at a time, and always before it takes a free off, so the mark never
+	// reads high. With Threads == 1 it is exact (a peak is the level just
+	// before a free); otherwise it reads low by less than
+	// (Threads-1) × limboPublishEvery, the retires the other threads had
+	// not yet added when the peak passed. Stats adds what is still pending,
+	// so the figure read after the threads stop includes every retire.
 	PeakLimbo int64
 	// StallNanos is host wall time spent inside blocking grace-period waits
 	// (RCU synchronize, NBR neutralization rounds), and StallWaits counts
@@ -200,8 +208,14 @@ type threadCtr struct {
 	retired int64
 	freed   int64
 	limbo   int64
-	_       [5]int64
+	// published is how many of retired the owner has added to env.limboNow.
+	published int64
+	_         [4]int64
 }
+
+// limboPublishEvery is how many retires a thread lets pile up before it adds
+// them to the shared limbo count. It bounds how low Stats.PeakLimbo can read.
+const limboPublishEvery = 32
 
 // env is the shared plumbing embedded by every reclaimer: allocator, freeing
 // policy hooks, per-thread counters, participant registry, epoch counter and
@@ -214,12 +228,12 @@ type env struct {
 	reg    *participants
 	epochs atomic.Int64
 
-	// limboNow mirrors the per-thread limbo sum on one shared counter so
-	// noteRetire can maintain limboPeak, the global unreclaimed-object
-	// high-water (Stats.PeakLimbo). Both are padded: every retire touches
-	// them from every thread.
-	limboNow  pad64
-	limboPeak pad64
+	// limboNow follows the per-thread limbo sum on one shared counter, behind
+	// by each thread's unpublished retires, and limboPeak is its high-water
+	// (Stats.PeakLimbo). Every thread writes limboNow, so both keep off the
+	// lines of the fields above, which every operation reads.
+	limboNow  isolated64
+	limboPeak isolated64
 
 	// Blocking grace-period wait accounting (slow paths only).
 	stallNanos atomic.Int64
@@ -247,14 +261,34 @@ func (e *env) stopped() bool {
 }
 
 func (e *env) noteRetire(tid int) {
-	atomic.AddInt64(&e.ctr[tid].retired, 1)
-	atomic.AddInt64(&e.ctr[tid].limbo, 1)
-	if n := e.limboNow.v.Add(1); n > e.limboPeak.v.Load() {
+	c := &e.ctr[tid]
+	r := atomic.AddInt64(&c.retired, 1)
+	atomic.AddInt64(&c.limbo, 1)
+	if r-atomic.LoadInt64(&c.published) >= limboPublishEvery {
+		e.publishLimbo(c, 0)
+	}
+}
+
+func (e *env) noteFree(tid int, n int64) {
+	c := &e.ctr[tid]
+	atomic.AddInt64(&c.freed, n)
+	atomic.AddInt64(&c.limbo, -n)
+	e.publishLimbo(c, n)
+}
+
+// publishLimbo adds the retires c's owner has not yet published to limboNow,
+// raises limboPeak to the level that gives, and then takes freed off — one
+// shared read-modify-write for all three. Only c's owner may call it.
+func (e *env) publishLimbo(c *threadCtr, freed int64) {
+	r := atomic.LoadInt64(&c.retired)
+	pending := r - atomic.LoadInt64(&c.published)
+	atomic.StoreInt64(&c.published, r)
+	if n := e.limboNow.v.Add(pending-freed) + freed; n > e.limboPeak.v.Load() {
 		e.raisePeak(n)
 	}
 }
 
-// raisePeak lifts the limbo high-water to n. Out of line so noteRetire's
+// raisePeak lifts the limbo high-water to n. Out of line so publishLimbo's
 // common case (not at a new high-water) stays a load + compare.
 func (e *env) raisePeak(n int64) {
 	for {
@@ -265,10 +299,24 @@ func (e *env) raisePeak(n int64) {
 	}
 }
 
-func (e *env) noteFree(tid int, n int64) {
-	atomic.AddInt64(&e.ctr[tid].freed, n)
-	atomic.AddInt64(&e.ctr[tid].limbo, -n)
-	e.limboNow.v.Add(-n)
+// peakLimbo is limboPeak, or the current level counting the retires no thread
+// has published yet when that is higher. limboNow is read before the pending
+// counts so that a publication in between is missed, not counted twice.
+func (e *env) peakLimbo() int64 {
+	now := e.limboNow.v.Load()
+	for i := range e.ctr {
+		c := &e.ctr[i]
+		published := atomic.LoadInt64(&c.published)
+		now += atomic.LoadInt64(&c.retired) - published
+	}
+	return max(now, e.limboPeak.v.Load())
+}
+
+// leave vacates tid's slot, publishing its pending retires first: whoever
+// adopts and frees the objects subtracts them from limboNow.
+func (e *env) leave(tid int) {
+	e.publishLimbo(&e.ctr[tid], 0)
+	e.reg.leave(tid)
 }
 
 // noteStallWait accounts one blocking grace-period wait that began at the
@@ -314,15 +362,26 @@ func (e *env) stats() Stats {
 	s.Joins = e.reg.joins.Load()
 	s.Leaves = e.reg.leaves.Load()
 	s.Adopted = e.reg.adopted.Load()
-	s.PeakLimbo = e.limboPeak.v.Load()
+	s.PeakLimbo = e.peakLimbo()
 	s.StallNanos = e.stallNanos.Load()
 	s.StallWaits = e.stallWaits.Load()
 	s.ClockReads = e.clockReads.Load()
 	return s
 }
 
-// pad64 is a cache-line padded atomic int64 used for announcement arrays.
+// pad64 is an atomic int64 padded to a cache line after the value only. In a
+// slice (announcement arrays) that keeps element i off element i+1's line; as
+// a struct field v still shares a line with the field before it.
 type pad64 struct {
+	v atomic.Int64
+	_ [7]int64
+}
+
+// isolated64 is an atomic int64 padded on both sides, for a word many threads
+// write that sits among fields many threads read: wherever it is declared,
+// and however the struct is aligned, v shares its line with no neighbour.
+type isolated64 struct {
+	_ [7]int64
 	v atomic.Int64
 	_ [7]int64
 }

@@ -55,7 +55,9 @@ type Token struct {
 	f       freer
 	variant TokenVariant
 
-	holder pad64
+	// holder is written at every token pass and read by every BeginOp; f,
+	// variant and th are read by every operation and stay off its line.
+	holder isolated64
 	th     []tokenThread
 }
 
@@ -260,7 +262,7 @@ func (t *Token) Leave(tid int) {
 	t.e.reg.orphan(me.prev)
 	me.prev = nil
 	t.f.orphanAll(t.e.reg, tid)
-	t.e.reg.leave(tid)
+	t.e.leave(tid)
 	// After the live flag is down: if the token is (or just arrived) here,
 	// move it along. See pass for why this closes the handoff race.
 	if t.holder.v.Load() == int64(tid) {

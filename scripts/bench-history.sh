@@ -3,9 +3,10 @@
 # BENCH_HISTORY.md: one row per BENCH_<n>.json artifact, tracking the numbers
 # the gates care about — grid throughput (the paper scenario's mean ops/s),
 # recording overhead (pct_host, paired ratio), the open-system stalled p999
-# tail, and the per-layer budgets (fleet lease, ds update). Artifacts predate
-# some metrics (recording landed in PR 6, latency in PR 8); missing cells
-# render as "—" rather than faking history.
+# tail, the per-layer budgets (fleet lease, ds update) and what a second P
+# buys the update trial. Artifacts predate some metrics (recording landed in
+# PR 6, latency in PR 8); missing cells render as "—" rather than faking
+# history.
 #
 # Host metadata rides along per row because a throughput delta between PRs
 # means nothing if the toolchain or core count moved underneath it.
@@ -73,6 +74,17 @@ for path in sorted(glob.glob("BENCH_*.json"),
             m = b.get("metrics", {})
             ds_update = f"{m.get('ns/op', 0):.0f} · {m.get('B/op', 0):.0f}"
 
+    # The update trial on two Ps against one: throughput and CPU per op.
+    scale = {}
+    for b in d.get("benchmarks", []):
+        m = re.match(r"BenchmarkUpdateScaling/procs=(\d+)(-\d+)?$", b.get("name", ""))
+        if m:
+            scale[int(m.group(1))] = b.get("metrics", {})
+    scaling = "—"
+    if 1 in scale and 2 in scale:
+        scaling = (f"{scale[2]['simops/s'] / scale[1]['simops/s']:.2f}× · "
+                   f"{scale[1]['cpu-ns/op']:.0f} → {scale[2]['cpu-ns/op']:.0f}")
+
     host = d.get("host") or {}
     hostinfo = "—"
     if host:
@@ -89,6 +101,7 @@ for path in sorted(glob.glob("BENCH_*.json"),
         "makespan": f"{mk_ratio:.2f}x" if mk_ratio is not None else "—",
         "lease": " / ".join(f"{lease[k]:.0f}" for k in sorted(lease)) or "—",
         "ds_update": ds_update,
+        "scaling": scaling,
         "host": hostinfo,
     })
 
@@ -104,13 +117,13 @@ with open(out, "w") as f:
             "machines — compare trends and ratios, not absolute ops/s, and "
             "check the host column before blaming a delta on code. \"—\" "
             "means the artifact predates that metric.\n\n")
-    f.write("| PR | grid paper/debra ops/s | recorded simops/s | rec pct_host | rec ratio | stalled p999 debra (ms) | stalled p999 hp (ms) | makespan gain | fleet lease ns/op | ds update ns/op · B/op | host |\n")
-    f.write("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n")
+    f.write("| PR | grid paper/debra ops/s | recorded simops/s | rec pct_host | rec ratio | stalled p999 debra (ms) | stalled p999 hp (ms) | makespan gain | fleet lease ns/op | ds update ns/op · B/op | 2P/1P throughput · cpu-ns/op | host |\n")
+    f.write("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n")
     for r in rows:
         f.write(f"| {r['pr']} | {r['paper_ops']} | {r['recorded_ops']} | "
                 f"{r['pct_host']} | {r['ratio']} | {r['p999_debra']} | "
                 f"{r['p999_hp']} | {r['makespan']} | {r['lease']} | "
-                f"{r['ds_update']} | {r['host']} |\n")
+                f"{r['ds_update']} | {r['scaling']} | {r['host']} |\n")
     f.write("\nColumn notes:\n\n")
     f.write("- **grid paper/debra ops/s** — mean throughput of the paper "
             "scenario under the debra reclaimer in the grid smoke sweep; the "
@@ -134,6 +147,13 @@ with open(out, "w") as f:
             "insert or delete on jemalloc × debra, one thread, 2^15 keys. "
             "About half the operations succeed and each success copies one "
             "160-byte leaf, so ~80 B/op is the floor of this layout.\n")
+    f.write("- **2P/1P throughput · cpu-ns/op** — `BenchmarkUpdateScaling` "
+            "(root package): the update trial (abtree × debra, 8 simulated "
+            "threads, fixed op count) at GOMAXPROCS 2 against 1: the ratio of "
+            "simops/s, then process CPU per simulated op at 1 P → 2 P. A "
+            "ratio above 1 with CPU per op about level is the aim; CPU per "
+            "op doubling is cross-core cache-line traffic. \"—\" on 1-cpu "
+            "hosts, where the 2 P run is skipped.\n")
 
 print(f"wrote {out} ({len(rows)} artifacts)")
 EOF

@@ -41,6 +41,14 @@ lat_dur="${LAT_DUR:-600ms}"
 raw="$(go test -run=NONE -bench=. -benchtime="$benchtime" ./internal/...)"
 printf '%s\n' "$raw"
 
+# Scaling: the update trial on one P and on two (root package; on a 1-cpu
+# host procs=2 is skipped, prints nothing and is absent from the artifact).
+# Five trials a side: one is ~0.25 s, and a single one is too noisy to read.
+scale_raw="$(go test -run=NONE -bench='^BenchmarkUpdateScaling$' -benchtime=5x .)"
+printf '%s\n' "$scale_raw"
+raw="$raw
+$scale_raw"
+
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
