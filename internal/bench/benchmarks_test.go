@@ -94,3 +94,36 @@ func BenchmarkTrialPaired(b *testing.B) {
 	b.ReportMetric(float64(opsR)/float64(opsU)*100, "rec_ratio_pct")
 	b.ReportMetric(host/float64(b.N), "rec_pct_host")
 }
+
+// BenchmarkTrialSetup measures what a trial costs outside its window:
+// construction, prefill and teardown, exactly as runTrialInner performs them
+// (cost table suspended), with no window in between. The three shapes are
+// the repository benchmark's: a sweep trial (one thread, 512 keys), the
+// update trials (8 threads, 2^15 keys, abtree × debra) and the read-mostly
+// one (occtree × hp, one fresh node per prefilled key).
+func BenchmarkTrialSetup(b *testing.B) {
+	shapes := []struct {
+		name, set, reclaimer string
+		threads              int
+		keyRange             int64
+	}{
+		{"sweep1t", "abtree", "debra", 1, 512},
+		{"update8t", "abtree", "debra", 8, 1 << 15},
+		{"readhazard8t", "occtree", "hp", 8, 1 << 15},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			cfg := DefaultWorkload(sh.threads)
+			cfg.DataStructure, cfg.Reclaimer, cfg.KeyRange = sh.set, sh.reclaimer, sh.keyRange
+			for i := 0; i < b.N; i++ {
+				st, err := newStack(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				prefill(&cfg, st)
+				st.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/trial")
+		})
+	}
+}

@@ -28,10 +28,17 @@ type Stack struct {
 	// Recorder is non-nil when the configuration enabled recording.
 	Recorder *timeline.Recorder
 
-	cfg     WorkloadConfig
-	stopped atomic.Bool
-	aborted atomic.Bool
-	closed  bool
+	cfg WorkloadConfig
+	// cost is the configured machine model. The allocator runs it inside
+	// the measured window and cost.Suspended() outside it (see newStack).
+	cost simalloc.CostModel
+	// windowBase is the allocator's snapshot at openWindow: Snapshot's
+	// %free/%flush/%lock count time from here, so set-up time is not
+	// charged to the window.
+	windowBase simalloc.Stats
+	stopped    atomic.Bool
+	aborted    atomic.Bool
+	closed     bool
 
 	// faults is the trial's resolved fault plan; nil when cfg.Faults is
 	// empty, so the no-fault batch edge pays one nil check.
@@ -47,8 +54,24 @@ type Stack struct {
 	phase atomic.Int64
 }
 
-// NewStack constructs the allocator, reclaimer and set for cfg.
+// NewStack constructs the allocator, reclaimer and set for cfg and returns
+// the stack fully costed: whatever the caller does next, prefill included,
+// pays the configured cost model.
 func NewStack(cfg WorkloadConfig) (*Stack, error) {
+	s, err := newStack(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.openWindow()
+	return s, nil
+}
+
+// newStack assembles the stack with the allocator's cost table suspended:
+// modelled latency is busy work, and nothing reads how long construction
+// (the set's root carve) or a prefill took. Every count — object IDs, page
+// ownership, cache contents, Stats — is what the costed table would have
+// produced. openWindow puts the configured table in force.
+func newStack(cfg WorkloadConfig) (*Stack, error) {
 	if cfg.Threads <= 0 {
 		// Guard before the substrate constructors, whose own validation
 		// would otherwise panic (simalloc) rather than error.
@@ -60,6 +83,8 @@ func NewStack(cfg WorkloadConfig) (*Stack, error) {
 	if cfg.Cost.ThreadsPerSocket != 0 {
 		acfg.Cost = cfg.Cost
 	}
+	s.cost = acfg.Cost
+	acfg.Cost = s.cost.Suspended()
 	if cfg.TCacheCap > 0 {
 		acfg.TCacheCap = cfg.TCacheCap
 	}
@@ -132,6 +157,22 @@ func NewStack(cfg WorkloadConfig) (*Stack, error) {
 		clock.EnsureCoarse()
 	}
 	return s, nil
+}
+
+// setCost puts cm in force in the allocator. Call it only while no worker
+// goroutine exists: the table is read without synchronization.
+func (s *Stack) setCost(cm simalloc.CostModel) {
+	if sw, ok := s.Alloc.(simalloc.CostSwapper); ok {
+		sw.SwapCost(cm)
+	}
+}
+
+// openWindow marks the instant before the measured workers start: from here
+// the allocator charges the configured cost model, and Snapshot's allocator
+// time shares count from here.
+func (s *Stack) openWindow() {
+	s.setCost(s.cost)
+	s.windowBase = s.Alloc.Stats()
 }
 
 // Config returns the configuration the stack was built from.
@@ -220,9 +261,11 @@ func (s *Stack) Snapshot(ops int64, wall time.Duration) TrialResult {
 	res.SMR = s.Reclaimer.Stats()
 	res.PeakBytes = s.Alloc.PeakBytes()
 	res.PeakMiB = float64(res.PeakBytes) / (1 << 20)
-	res.PctFree = simalloc.PctOf(res.Alloc.FreeNanos, wall, s.cfg.Threads)
-	res.PctFlush = simalloc.PctOf(res.Alloc.FlushNanos, wall, s.cfg.Threads)
-	res.PctLock = simalloc.PctOf(res.Alloc.LockNanos, wall, s.cfg.Threads)
+	// The shares are of window thread-time, so their numerators are the
+	// window's too; res.Alloc itself stays cumulative, like its counts.
+	res.PctFree = simalloc.PctOf(res.Alloc.FreeNanos-s.windowBase.FreeNanos, wall, s.cfg.Threads)
+	res.PctFlush = simalloc.PctOf(res.Alloc.FlushNanos-s.windowBase.FlushNanos, wall, s.cfg.Threads)
+	res.PctLock = simalloc.PctOf(res.Alloc.LockNanos-s.windowBase.LockNanos, wall, s.cfg.Threads)
 	res.PeakLimbo = res.SMR.PeakLimbo
 	res.PctStall = simalloc.PctOf(res.SMR.StallNanos, wall, s.cfg.Threads)
 	res.Faults = s.faults.snapshot()
@@ -253,7 +296,10 @@ func (s *Stack) Snapshot(ops int64, wall time.Duration) TrialResult {
 }
 
 // Close tears the stack down: it stops the trial and drains every thread's
-// remaining limbo so the allocator's lifecycle checks stay clean. Close is
+// remaining limbo so the allocator's lifecycle checks stay clean. The drain
+// runs with the cost table suspended — the measurements were taken by
+// Snapshot, and nothing reads how long teardown took — so drain-time
+// recorder events keep their envelopes with near-zero durations. Close is
 // idempotent. Only call it after all worker goroutines have returned.
 func (s *Stack) Close() {
 	if s.closed {
@@ -261,6 +307,7 @@ func (s *Stack) Close() {
 	}
 	s.closed = true
 	s.Stop()
+	s.setCost(s.cost.Suspended())
 	for tid := 0; tid < s.cfg.Threads; tid++ {
 		s.Reclaimer.Drain(tid)
 	}

@@ -506,9 +506,11 @@ func runWorker(cfg *WorkloadConfig, st *Stack, w, tid int, kd KeyDist, om OpMix)
 // RunTrial executes one trial: assemble the stack, prefill to the
 // steady-state size, run the configured scenario's per-thread key and
 // operation streams — for Duration, or for exactly FixedOps ops per thread —
-// snapshot, tear down. The result carries the trial's total wall time
-// (ElapsedNanos), stamped on success and on watchdog-aborted partial
-// results alike, so stored sweeps learn real per-trial costs.
+// snapshot, tear down. Only the window between prefill and snapshot pays
+// the allocator's modelled cost table; construction, prefill and teardown
+// run it suspended (see newStack). The result carries the trial's total
+// wall time (ElapsedNanos), stamped on success and on watchdog-aborted
+// partial results alike, so stored sweeps learn real per-trial costs.
 func RunTrial(cfg WorkloadConfig) (TrialResult, error) {
 	t0 := time.Now()
 	res, err := runTrialInner(cfg)
@@ -549,7 +551,9 @@ func runTrialInner(cfg WorkloadConfig) (TrialResult, error) {
 			return TrialResult{}, err
 		}
 	}
-	st, err := NewStack(cfg)
+	// Construction and prefill run the allocator at zero modelled cost;
+	// openWindow, below, costs everything the workers do.
+	st, err := newStack(cfg)
 	if err != nil {
 		return TrialResult{}, err
 	}
@@ -559,6 +563,7 @@ func runTrialInner(cfg WorkloadConfig) (TrialResult, error) {
 	wd := startWatchdog(st, cfg.Deadline)
 	defer wd.stop()
 	prefill(&cfg, st)
+	st.openWindow()
 	if f := afterPrefill.Swap(nil); f != nil {
 		(*f)()
 	}

@@ -528,10 +528,16 @@ func (r *Runner) runCostOrdered(
 		}
 		pending = append(pending, costed{t: t, est: model.Estimate(t.Cfg)})
 	}
-	// Stable sort: equal-cost trials keep expansion order, so scheduling is
-	// deterministic given the same model state.
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].est > pending[j].est })
-	for len(pending) > 0 {
+	// order is the dispatch order, as indices into pending: a grant moves
+	// ints, never the pointer-carrying task values. Stable sort: equal-cost
+	// trials keep expansion order, so scheduling is deterministic given the
+	// same model state.
+	order := make([]int, len(pending))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return pending[order[i]].est > pending[order[j]].est })
+	for len(order) > 0 {
 		if stopped() {
 			return
 		}
@@ -543,16 +549,22 @@ func (r *Runner) runCostOrdered(
 		// less-perfect backfill choice.
 		free := tokens.available()
 		pick := 0
-		if weight(pending[0].t.Cfg) > free {
-			for i := 1; i < len(pending); i++ {
-				if weight(pending[i].t.Cfg) <= free {
+		if weight(pending[order[0]].t.Cfg) > free {
+			for i := 1; i < len(order); i++ {
+				if weight(pending[order[i]].t.Cfg) <= free {
 					pick = i
 					break
 				}
 			}
 		}
-		t := pending[pick].t
-		pending = append(pending[:pick], pending[pick+1:]...)
+		t := pending[order[pick]].t
+		// The usual grant is the head and costs nothing; only a backfill
+		// pick closes a gap.
+		if pick == 0 {
+			order = order[1:]
+		} else {
+			order = append(order[:pick], order[pick+1:]...)
+		}
 		w := weight(t.Cfg)
 		tokens.acquire(w)
 		wg.Add(1)

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -291,6 +293,72 @@ func TestStoreClaimsJournalSeparately(t *testing.T) {
 	for _, j := range re.Journal() {
 		if j.Kind != KindClaim || j.LeaseUntil == 0 {
 			t.Fatalf("reloaded claim lost its shape: %+v", j)
+		}
+	}
+}
+
+// TestStoreLoadParallelParity: load decodes batches of lines on up to
+// GOMAXPROCS goroutines, and what it builds must not depend on how many —
+// torn and blank lines skipped, claims routed to the journal, duplicates of
+// one key kept in file order, Records() in file order. The reference is a
+// line-at-a-time decode. Phase slices differ per record so a decode into a
+// reused, un-reset Record would show up as one record's schedule inside
+// another.
+func TestStoreLoadParallelParity(t *testing.T) {
+	var file strings.Builder
+	want := NewMemStore()
+	for i := 0; i < 2000; i++ {
+		seed := uint64(i + 1)
+		if i%13 == 12 {
+			seed = uint64(i - 5) // an earlier record's key, another result
+		}
+		cfg := crashCfg(seed)
+		cfg.Phases = []bench.PhaseSpec{{Live: 1 + int(seed%2), Ops: 100 + int(seed)}}
+		rec := NewRecord(cfg, bench.TrialResult{Scenario: cfg.Scenario, Seed: seed, Ops: int64(i)})
+		if i%17 == 16 {
+			rec = NewClaim(rec.Key, fmt.Sprintf("w%d", i), time.Unix(int64(i), 0))
+		}
+		line, err := recJSON(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case i%7 == 6:
+			line = ""
+		case i%11 == 10:
+			line = line[:len(line)/2]
+		default:
+			var back Record
+			if err := json.Unmarshal([]byte(line), &back); err != nil {
+				t.Fatal(err)
+			}
+			want.add(back)
+		}
+		file.WriteString(line + "\n")
+	}
+	dups := want.Len() - len(want.Keys())
+	if want.Len() < 1400 || len(want.Journal()) < 50 || dups < 50 {
+		t.Fatalf("reference store holds %d records (%d under an earlier key) and %d claims; the file is not the mix intended",
+			want.Len(), dups, len(want.Journal()))
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := NewMemStore()
+		if err := got.Load(strings.NewReader(file.String())); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Records(), want.Records()) {
+			t.Errorf("GOMAXPROCS=%d: Records() differ from the serial decode", procs)
+		}
+		if !reflect.DeepEqual(got.Journal(), want.Journal()) {
+			t.Errorf("GOMAXPROCS=%d: Journal() differs from the serial decode", procs)
+		}
+		for _, key := range want.Keys() {
+			if !reflect.DeepEqual(got.Get(key), want.Get(key)) {
+				t.Errorf("GOMAXPROCS=%d: records under %s differ or changed order", procs, key)
+			}
 		}
 	}
 }

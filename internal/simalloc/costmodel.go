@@ -94,6 +94,41 @@ func Uniform() CostModel {
 	}
 }
 
+// Suspended returns cm with every spin-unit cost zeroed and the topology
+// (ThreadsPerSocket, Sockets, RemoteFactor) kept: an allocator running it
+// homes arenas, numbers objects, fills caches and counts events exactly as
+// under cm, and only the burn and the lock-hold reservations derived from
+// it disappear. The harness runs it outside the measured window, where
+// nothing reads how long an allocator call took.
+func (cm CostModel) Suspended() CostModel {
+	cm.LocalTouch, cm.PerObjectFree, cm.PerObjectAlloc = 0, 0, 0
+	cm.FreshPage, cm.FreshObject = 0, 0
+	return cm
+}
+
+// CostSwapper is implemented by allocators whose cost table can be replaced
+// after construction: the three models, and wrappers that forward to one.
+// It is deliberately not part of Allocator, so wrappers that only observe
+// calls need not know about it.
+type CostSwapper interface {
+	// SwapCost installs cm and returns the table it replaced. cm must keep
+	// the topology the allocator was built with (arena and central-list
+	// homes are fixed at construction). Call it only while no thread is
+	// inside the allocator: the table is read without synchronization.
+	SwapCost(cm CostModel) (old CostModel)
+}
+
+// swapCost is SwapCost for the models, which all keep the table in force in
+// their Config.
+func (c *Config) swapCost(cm CostModel) CostModel {
+	old := c.Cost
+	if cm.ThreadsPerSocket != old.ThreadsPerSocket || cm.Sockets != old.Sockets {
+		panic("simalloc: SwapCost must keep the topology the allocator was built with")
+	}
+	c.Cost = cm
+	return old
+}
+
 // Socket returns the socket a simulated thread is pinned to, following the
 // paper's pinning policy (fill a socket before spilling to the next).
 func (cm *CostModel) Socket(tid int) int {

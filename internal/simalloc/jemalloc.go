@@ -338,6 +338,9 @@ func (a *JEMalloc) FlushThreadCaches() {
 	}
 }
 
+// SwapCost implements CostSwapper.
+func (a *JEMalloc) SwapCost(cm CostModel) CostModel { return a.cfg.swapCost(cm) }
+
 // Stats returns an aggregated snapshot.
 func (a *JEMalloc) Stats() Stats { return a.stats.snapshot() }
 

@@ -177,6 +177,9 @@ func (a *MIMalloc) FlushThreadCache(int) {}
 // pages, and pages already hold their free objects.
 func (a *MIMalloc) FlushThreadCaches() {}
 
+// SwapCost implements CostSwapper.
+func (a *MIMalloc) SwapCost(cm CostModel) CostModel { return a.cfg.swapCost(cm) }
+
 // Stats returns an aggregated snapshot.
 func (a *MIMalloc) Stats() Stats { return a.stats.snapshot() }
 

@@ -225,6 +225,9 @@ func (a *TCMalloc) FlushThreadCaches() {
 	}
 }
 
+// SwapCost implements CostSwapper.
+func (a *TCMalloc) SwapCost(cm CostModel) CostModel { return a.cfg.swapCost(cm) }
+
 // Stats returns an aggregated snapshot.
 func (a *TCMalloc) Stats() Stats { return a.stats.snapshot() }
 

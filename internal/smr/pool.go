@@ -117,6 +117,16 @@ func (p *PoolAllocator) FlushThreadCaches() {
 // exactly what the observer wants.
 func (p *PoolAllocator) SetFreeObserver(fn simalloc.FreeObserver) { p.base.SetFreeObserver(fn) }
 
+// SwapCost implements simalloc.CostSwapper by forwarding to the base, whose
+// table is the only one there is: the pool itself charges nothing. Over a
+// base that cannot swap, nothing changes and cm comes back.
+func (p *PoolAllocator) SwapCost(cm simalloc.CostModel) simalloc.CostModel {
+	if sw, ok := p.base.(simalloc.CostSwapper); ok {
+		return sw.SwapCost(cm)
+	}
+	return cm
+}
+
 // Stats returns the base allocator's snapshot; pool hits by design never
 // reach it. PoolHits reports the bypassed traffic.
 func (p *PoolAllocator) Stats() simalloc.Stats { return p.base.Stats() }

@@ -3,10 +3,10 @@
 # BENCH_HISTORY.md: one row per BENCH_<n>.json artifact, tracking the numbers
 # the gates care about — grid throughput (the paper scenario's mean ops/s),
 # recording overhead (pct_host, paired ratio), the open-system stalled p999
-# tail, the per-layer budgets (fleet lease, ds update) and what a second P
-# buys the update trial. Artifacts predate some metrics (recording landed in
-# PR 6, latency in PR 8); missing cells render as "—" rather than faking
-# history.
+# tail, the per-layer budgets (fleet lease, ds update), what a second P buys
+# the update trial and what a trial costs outside its window. Artifacts
+# predate some metrics (recording landed in PR 6, latency in PR 8); missing
+# cells render as "—" rather than faking history.
 #
 # Host metadata rides along per row because a throughput delta between PRs
 # means nothing if the toolchain or core count moved underneath it.
@@ -85,6 +85,16 @@ for path in sorted(glob.glob("BENCH_*.json"),
         scaling = (f"{scale[2]['simops/s'] / scale[1]['simops/s']:.2f}× · "
                    f"{scale[1]['cpu-ns/op']:.0f} → {scale[2]['cpu-ns/op']:.0f}")
 
+    # What a trial costs outside its window, for the benchmark's three
+    # trial shapes.
+    setup = {}
+    for b in d.get("benchmarks", []):
+        m = re.match(r"BenchmarkTrialSetup/(\w+?)(-\d+)?$", b.get("name", ""))
+        if m:
+            setup[m.group(1)] = b.get("metrics", {}).get("µs/trial")
+    setup_cell = " / ".join(f"{setup[k]:.0f}" for k in ("sweep1t", "update8t", "readhazard8t")
+                            if setup.get(k) is not None) or "—"
+
     host = d.get("host") or {}
     hostinfo = "—"
     if host:
@@ -102,6 +112,7 @@ for path in sorted(glob.glob("BENCH_*.json"),
         "lease": " / ".join(f"{lease[k]:.0f}" for k in sorted(lease)) or "—",
         "ds_update": ds_update,
         "scaling": scaling,
+        "setup": setup_cell,
         "host": hostinfo,
     })
 
@@ -117,13 +128,13 @@ with open(out, "w") as f:
             "machines — compare trends and ratios, not absolute ops/s, and "
             "check the host column before blaming a delta on code. \"—\" "
             "means the artifact predates that metric.\n\n")
-    f.write("| PR | grid paper/debra ops/s | recorded simops/s | rec pct_host | rec ratio | stalled p999 debra (ms) | stalled p999 hp (ms) | makespan gain | fleet lease ns/op | ds update ns/op · B/op | 2P/1P throughput · cpu-ns/op | host |\n")
-    f.write("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n")
+    f.write("| PR | grid paper/debra ops/s | recorded simops/s | rec pct_host | rec ratio | stalled p999 debra (ms) | stalled p999 hp (ms) | makespan gain | fleet lease ns/op | ds update ns/op · B/op | 2P/1P throughput · cpu-ns/op | setup µs/trial | host |\n")
+    f.write("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n")
     for r in rows:
         f.write(f"| {r['pr']} | {r['paper_ops']} | {r['recorded_ops']} | "
                 f"{r['pct_host']} | {r['ratio']} | {r['p999_debra']} | "
                 f"{r['p999_hp']} | {r['makespan']} | {r['lease']} | "
-                f"{r['ds_update']} | {r['scaling']} | {r['host']} |\n")
+                f"{r['ds_update']} | {r['scaling']} | {r['setup']} | {r['host']} |\n")
     f.write("\nColumn notes:\n\n")
     f.write("- **grid paper/debra ops/s** — mean throughput of the paper "
             "scenario under the debra reclaimer in the grid smoke sweep; the "
@@ -154,6 +165,13 @@ with open(out, "w") as f:
             "ratio above 1 with CPU per op about level is the aim; CPU per "
             "op doubling is cross-core cache-line traffic. \"—\" on 1-cpu "
             "hosts, where the 2 P run is skipped.\n")
+    f.write("- **setup µs/trial** — `BenchmarkTrialSetup` (`internal/bench`): "
+            "construction, prefill and teardown of one trial with no window "
+            "in between, as `bench.RunTrial` performs them (allocator cost "
+            "table suspended), for the repository benchmark's three trial "
+            "shapes: a one-thread 512-key sweep trial / the 8-thread 2^15-key "
+            "abtree × debra update trial / the occtree × hp read-mostly "
+            "one.\n")
 
 print(f"wrote {out} ({len(rows)} artifacts)")
 EOF
