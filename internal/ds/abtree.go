@@ -17,11 +17,11 @@ const (
 	abInternalCap = 64
 )
 
-// abNode is the head of every ABtree node on the host, and what a parent's
-// child slot points at. A leaf is an abLeaf (keys points at its inline
-// array, in is nil); an internal node is an abInternal (in points back at
-// it, keys is nil). A node's slot in its parent is guarded by the parent's
-// lock (or the tree's rootMu for the root).
+// abNode is the 40-byte head of every ABtree node on the host, and what a
+// parent's child slot points at. A leaf is an abLeaf (keys is its inline
+// array cut to the keys it holds, in is nil); an internal node is an
+// abInternal (in points back at it, keys is nil). A node's slot in its parent
+// is guarded by the parent's lock (or the tree's rootMu for the root).
 //
 // Host nodes belong to the Go collector and are never recycled by hand: what
 // the experiment models is obj's lifecycle in the simulated allocator, and
@@ -30,26 +30,29 @@ const (
 type abNode struct {
 	obj  *simalloc.Object
 	in   *abInternal
-	n    int               // leaf: keys in use; internal: children in use
-	keys *[abLeafCap]int64 // leaf: keys[:n], strictly ascending
+	keys []int64 // leaf: strictly ascending, at most abLeafCap
 }
 
-// abLeaf is a leaf: its keys live inline, so the copy-on-write replacement
-// an update publishes is one Go allocation (160 bytes), immutable from then
-// on.
-type abLeaf struct {
+// abLeaf is a leaf with its storage: A is [c]int64 for a capacity c. Its
+// keys live inline, so the copy-on-write replacement an update publishes is
+// one Go allocation, immutable from then on — and it is built at the
+// smallest capacity that holds its keys (newNode), so it costs the host what
+// it holds: leaves sit under half full in steady state, and the simulated
+// node is ABTreeNodeBytes whatever the host tier.
+type abLeaf[A any] struct {
 	abNode
-	arr [abLeafCap]int64
+	arr A
 }
 
-// abInternal is the routing part of an internal node: n-1 routing keys and n
-// child slots, child i covering route[i-1] <= k < route[i]. The slices and
-// lock point into the abTier this struct starts, so a node is one Go
-// allocation.
+// abInternal is the routing part of an internal node: n-1 routing keys and
+// n = len(children) child slots, child i covering route[i-1] <= k <
+// route[i]. The slices and lock point into the abTier this struct starts, so
+// a node is one Go allocation; push grows both slices within it, and only
+// before the node is published.
 type abInternal struct {
 	abNode
-	route    []int64                  // route[:n-1], strictly ascending, immutable
-	children []atomic.Pointer[abNode] // children[:n]; the rest are nil
+	route    []int64                  // strictly ascending, immutable
+	children []atomic.Pointer[abNode] // every slot set; nil up to cap
 	lock     *abLock
 }
 
@@ -82,7 +85,7 @@ type abTier[R, C any] struct {
 
 // bind points the abInternal at its storage.
 func (x *abTier[R, C]) bind(route []int64, slots []atomic.Pointer[abNode]) *abInternal {
-	x.route, x.children, x.lock = route, slots, &x.lockHere
+	x.route, x.children, x.lock = route[:0], slots[:0], &x.lockHere
 	x.in = &x.abInternal
 	return &x.abInternal
 }
@@ -112,7 +115,7 @@ type ABTree struct {
 func NewABTree(alloc simalloc.Allocator, rec smr.Reclaimer) *ABTree {
 	t := &ABTree{alloc: alloc, rec: rec, size: newSizeCtr(alloc.Threads())}
 	t.disp = newProtectDispatch(rec, alloc.Threads())
-	t.root.Store(t.newNode(0))
+	t.root.Store(t.newNode(0, 0))
 	return t
 }
 
@@ -121,29 +124,58 @@ func (t *ABTree) Name() string { return "abtree" }
 // Size returns the number of keys.
 func (t *ABTree) Size() int64 { return t.size.total() }
 
-// newNode allocates a node's simulated object and its host struct; as
-// returned it is an empty leaf.
-func (t *ABTree) newNode(tid int) *abNode {
-	l := &abLeaf{}
-	l.keys = &l.arr
+// newNode allocates a leaf's simulated object and its host struct, with
+// len(keys) = n for the caller to fill. The host struct is the smallest tier
+// holding n keys: capacities 1, 3, ... 15 make head + keys exactly the Go
+// size classes 48, 64, ... 160, and a full leaf takes the 176-byte class.
+func (t *ABTree) newNode(tid, n int) *abNode {
+	var l *abNode
+	switch n >> 1 {
+	case 0:
+		x := new(abLeaf[[1]int64])
+		x.keys, l = x.arr[:n], &x.abNode
+	case 1:
+		x := new(abLeaf[[3]int64])
+		x.keys, l = x.arr[:n], &x.abNode
+	case 2:
+		x := new(abLeaf[[5]int64])
+		x.keys, l = x.arr[:n], &x.abNode
+	case 3:
+		x := new(abLeaf[[7]int64])
+		x.keys, l = x.arr[:n], &x.abNode
+	case 4:
+		x := new(abLeaf[[9]int64])
+		x.keys, l = x.arr[:n], &x.abNode
+	case 5:
+		x := new(abLeaf[[11]int64])
+		x.keys, l = x.arr[:n], &x.abNode
+	case 6:
+		x := new(abLeaf[[13]int64])
+		x.keys, l = x.arr[:n], &x.abNode
+	case 7:
+		x := new(abLeaf[[15]int64])
+		x.keys, l = x.arr[:n], &x.abNode
+	default:
+		x := new(abLeaf[[abLeafCap]int64])
+		x.keys, l = x.arr[:n], &x.abNode
+	}
 	l.obj = t.alloc.Alloc(tid, ABTreeNodeBytes)
 	t.rec.OnAlloc(tid, l.obj)
-	return &l.abNode
+	return l
 }
 
 // newLeaf builds a leaf holding keys (ascending, at most abLeafCap).
 func (t *ABTree) newLeaf(tid int, keys []int64) *abNode {
-	n := t.newNode(tid)
-	n.n = copy(n.keys[:], keys)
+	n := t.newNode(tid, len(keys))
+	copy(n.keys, keys)
 	return n
 }
 
 // leafWith builds the copy of leaf old that also holds key, at the position
 // i that leafFind(old, key) reported. old must not be full.
 func (t *ABTree) leafWith(tid int, old *abNode, i int, key int64) *abNode {
-	n := t.newNode(tid)
-	insertKey(n.keys[:], old.keys[:old.n], i, key)
-	n.n = old.n + 1
+	n := t.newNode(tid, len(old.keys)+1)
+	insertKey(n.keys, old.keys, i, key)
 	return n
 }
 
@@ -156,10 +188,9 @@ func insertKey(dst, src []int64, i int, key int64) {
 
 // leafWithout builds the copy of leaf old that lacks the key at position i.
 func (t *ABTree) leafWithout(tid int, old *abNode, i int) *abNode {
-	n := t.newNode(tid)
+	n := t.newNode(tid, len(old.keys)-1)
 	copy(n.keys[:i], old.keys[:i])
-	copy(n.keys[i:], old.keys[i+1:old.n])
-	n.n = old.n - 1
+	copy(n.keys[i:], old.keys[i+1:])
 	return n
 }
 
@@ -186,11 +217,13 @@ func (t *ABTree) newInternal(tid, children int) *abInternal {
 // push appends child c to an unpublished node, with the routing key k to c's
 // left. The first child has nothing to its left and drops k.
 func (in *abInternal) push(k int64, c *abNode) {
-	if in.n > 0 {
-		in.route[in.n-1] = k
+	n := len(in.children)
+	if n > 0 {
+		in.route = in.route[:n]
+		in.route[n-1] = k
 	}
-	in.children[in.n].Store(c)
-	in.n++
+	in.children = in.children[:n+1]
+	in.children[n].Store(c)
 }
 
 // leftKey returns the routing key to the left of child i (0 for the first).
@@ -211,11 +244,11 @@ type abFill struct {
 }
 
 func (f *abFill) push(k int64, c *abNode) {
-	if f.lo.n < f.cut {
+	if len(f.lo.children) < f.cut {
 		f.lo.push(k, c)
 		return
 	}
-	if f.hi.n == 0 {
+	if len(f.hi.children) == 0 {
 		f.spine = k
 	}
 	f.hi.push(k, c)
@@ -234,7 +267,7 @@ func (t *ABTree) retire(tid int, n *abNode) { t.rec.Retire(tid, n.obj) }
 // childIndex returns the child slot covering key: the first i with
 // key < route[i], else the last slot.
 func childIndex(in *abInternal, key int64) int {
-	lo, hi := 0, in.n-1
+	lo, hi := 0, len(in.route)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if key < in.route[mid] {
@@ -247,14 +280,15 @@ func childIndex(in *abInternal, key int64) int {
 }
 
 // leafFind returns the position key holds in leaf n, or would be inserted
-// at — the first i with keys[i] >= key, else n.n — and whether it is there.
+// at — the first i with keys[i] >= key, else len(keys) — and whether it is
+// there.
 func leafFind(n *abNode, key int64) (i int, found bool) {
-	for i = 0; i < n.n; i++ {
-		if k := n.keys[i]; k >= key {
+	for i, k := range n.keys {
+		if k >= key {
 			return i, k == key
 		}
 	}
-	return i, false
+	return len(n.keys), false
 }
 
 // descend walks from the root to the leaf covering key, publishing
@@ -334,7 +368,7 @@ func (t *ABTree) tryInsert(tid int, key int64) (inserted, done bool) {
 	if found {
 		return false, true
 	}
-	if leaf.n < abLeafCap {
+	if len(leaf.keys) < abLeafCap {
 		// Common case: replace the leaf with a copy containing key.
 		slot, mu, ok := t.lockSlot(at, leaf)
 		if !ok {
@@ -359,7 +393,7 @@ func (t *ABTree) tryInsert(tid int, key int64) (inserted, done bool) {
 // into a local two-child split when the parent itself would overflow).
 func (t *ABTree) splitLeaf(tid int, at, above abSlot, leaf *abNode, i int, key int64) bool {
 	var merged [abLeafCap + 1]int64
-	insertKey(merged[:], leaf.keys[:], i, key)
+	insertKey(merged[:], leaf.keys, i, key)
 	const mid = len(merged) / 2
 	sep := merged[mid]
 
@@ -398,7 +432,7 @@ func (t *ABTree) splitLeaf(tid int, at, above abSlot, leaf *abNode, i int, key i
 
 	// Copy-on-write parent with the split child. Child slots are stable
 	// while p's lock is held.
-	m := p.n + 1
+	m := len(p.children) + 1
 	f := abFill{cut: m}
 	if m > abInternalCap {
 		// The parent would overflow: split it locally into two internal
@@ -413,7 +447,7 @@ func (t *ABTree) splitLeaf(tid int, at, above abSlot, leaf *abNode, i int, key i
 	f.pushFrom(p, 0, idx)
 	f.push(p.leftKey(idx), left)
 	f.push(sep, right)
-	f.pushFrom(p, idx+1, p.n)
+	f.pushFrom(p, idx+1, len(p.children))
 
 	replacement := f.lo
 	if f.hi != nil {
@@ -448,7 +482,7 @@ func (t *ABTree) tryDelete(tid int, key int64) (deleted, done bool) {
 		return false, true
 	}
 
-	if leaf.n > 1 || at.in == nil {
+	if len(leaf.keys) > 1 || at.in == nil {
 		// Replace the leaf (an empty root leaf is fine).
 		slot, mu, ok := t.lockSlot(at, leaf)
 		if !ok {
@@ -486,18 +520,18 @@ func (t *ABTree) removeEmptyLeaf(tid int, at, above abSlot, leaf *abNode) bool {
 	}
 
 	var replacement *abNode
-	if p.n == 2 {
+	if n := len(p.children); n == 2 {
 		// Collapse: the sibling takes p's place.
 		replacement = p.children[1-idx].Load()
 	} else {
 		// The routing key to the leaf's right goes with it, so the right
 		// neighbour takes over its range; the last child has none, and the
 		// key to its left goes.
-		f := abFill{lo: t.newInternal(tid, p.n-1), cut: p.n - 1}
+		f := abFill{lo: t.newInternal(tid, n-1), cut: n - 1}
 		f.pushFrom(p, 0, idx)
-		if idx+1 < p.n {
+		if idx+1 < n {
 			f.push(p.leftKey(idx), p.children[idx+1].Load())
-			f.pushFrom(p, idx+2, p.n)
+			f.pushFrom(p, idx+2, n)
 		}
 		replacement = &f.lo.abNode
 	}

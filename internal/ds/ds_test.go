@@ -42,14 +42,28 @@ func TestNewUnknown(t *testing.T) {
 	}
 }
 
+// abLeafTier returns the capacity newNode gives a leaf of n keys.
+func abLeafTier(n int) int { return min(n|1, abLeafCap) }
+
+// abFanout returns the keys a leaf holds or the children an internal node
+// has.
+func abFanout(n *abNode) int {
+	if n.in != nil {
+		return len(n.in.children)
+	}
+	return len(n.keys)
+}
+
 // checkABTree walks a quiescent ABtree and checks its host layout: leaf keys
-// strictly ascending with 1 <= n <= abLeafCap (only a root leaf may be
-// empty), internal nodes whose header points back at them, with 2 <= n <=
-// abInternalCap children in storage of one of the three capacities, nil
-// slots from n on and strictly ascending routing keys within n-1, every key inside the range its ancestors' routing keys
-// send to it, every reachable node unretired and backed by a live simulated
-// object, and the leaf counts summing to Size(). Other sets pass through.
-func checkABTree(t *testing.T, set Set) {
+// strictly ascending, 1 <= len <= abLeafCap of them (only a root leaf may be
+// empty) in storage of the smallest tier that holds them, internal nodes
+// whose header points back at them, with 2 <= n <= abInternalCap children in
+// storage of one of the three capacities, nil slots from n on and n-1
+// strictly ascending routing keys, every key inside the range its ancestors'
+// routing keys send to it, every reachable node unretired and backed by a
+// live simulated object, and the leaf counts summing to Size(). Other sets
+// pass through.
+func checkABTree(t testing.TB, set Set) {
 	t.Helper()
 	tree, ok := set.(*ABTree)
 	if !ok {
@@ -64,13 +78,16 @@ func checkABTree(t *testing.T, set Set) {
 			return fmt.Errorf("nil child under range [%d,%d)", lo, hi)
 		}
 		if n.obj == nil || n.obj.State() != simalloc.StateAllocated {
-			return fmt.Errorf("reachable node %v has no live simulated object", n.keys[:n.n])
+			return fmt.Errorf("reachable node %v has no live simulated object", n.keys)
 		}
 		inRange := func(k int64) bool { return (!hasLo || k >= lo) && (!hasHi || k < hi) }
 		if n.in == nil {
-			keys := n.keys[:n.n]
-			if n.n > abLeafCap || (n.n < 1 && n != root) {
-				return fmt.Errorf("leaf holds %d keys", n.n)
+			keys := n.keys
+			if len(keys) > abLeafCap || (len(keys) < 1 && n != root) {
+				return fmt.Errorf("leaf holds %d keys", len(keys))
+			}
+			if cap(keys) != abLeafTier(len(keys)) {
+				return fmt.Errorf("leaf of %d keys has room for %d, want the %d-key tier", len(keys), cap(keys), abLeafTier(len(keys)))
 			}
 			for i, k := range keys {
 				if i > 0 && keys[i-1] >= k {
@@ -80,26 +97,29 @@ func checkABTree(t *testing.T, set Set) {
 					return fmt.Errorf("leaf key %d outside its routed range [%d,%d) (%v,%v)", k, lo, hi, hasLo, hasHi)
 				}
 			}
-			total += int64(n.n)
+			total += int64(len(keys))
 			return nil
 		}
 		in := n.in
 		if &in.abNode != n {
 			return fmt.Errorf("internal node's header does not point back at it")
 		}
-		if c := len(in.children); (c != 16 && c != 32 && c != abInternalCap) || len(in.route) != c-1 {
-			return fmt.Errorf("internal node has room for %d children and %d routing keys", c, len(in.route))
+		if n.keys != nil {
+			return fmt.Errorf("internal node carries leaf keys %v", n.keys)
 		}
-		if in.n < 2 || in.n > len(in.children) {
-			return fmt.Errorf("internal node has %d children in room for %d", in.n, len(in.children))
+		if c := cap(in.children); (c != 16 && c != 32 && c != abInternalCap) || cap(in.route) != c-1 {
+			return fmt.Errorf("internal node has room for %d children and %d routing keys", c, cap(in.route))
 		}
-		route := in.route[:in.n-1]
+		count, route := len(in.children), in.route
+		if count < 2 || len(route) != count-1 {
+			return fmt.Errorf("internal node has %d children and %d routing keys", count, len(route))
+		}
 		if in.lock.retired.Load() {
 			return fmt.Errorf("reachable internal node %v is retired", route)
 		}
-		for i := in.n; i < len(in.children); i++ {
-			if in.children[i].Load() != nil {
-				return fmt.Errorf("internal node with %d children has slot %d set", in.n, i)
+		for i, slots := count, in.children[:cap(in.children)]; i < len(slots); i++ {
+			if slots[i].Load() != nil {
+				return fmt.Errorf("internal node with %d children has slot %d set", count, i)
 			}
 		}
 		for i, k := range route {
@@ -110,7 +130,7 @@ func checkABTree(t *testing.T, set Set) {
 				return fmt.Errorf("routing key %d outside its routed range [%d,%d) (%v,%v)", k, lo, hi, hasLo, hasHi)
 			}
 		}
-		for i := 0; i < in.n; i++ {
+		for i := 0; i < count; i++ {
 			clo, chi, cHasLo, cHasHi := lo, hi, hasLo, hasHi
 			if i > 0 {
 				clo, cHasLo = route[i-1], true
@@ -133,47 +153,13 @@ func checkABTree(t *testing.T, set Set) {
 }
 
 // TestSequentialAgainstModel runs a randomized op sequence against a
-// map-based reference model for every (ds, representative reclaimer) pair.
+// reference model for every (ds, representative reclaimer) pair.
 func TestSequentialAgainstModel(t *testing.T) {
 	for _, dsName := range Names() {
 		for _, smrName := range []string{"none", "debra", "debra_af", "token_af", "hp"} {
-			dsName, smrName := dsName, smrName
 			t.Run(dsName+"/"+smrName, func(t *testing.T) {
 				set, _, _ := newTestSet(t, dsName, smrName, 1)
-				model := map[int64]bool{}
-				rng := rand.New(rand.NewSource(42))
-				const keyRange = 128
-				for i := 0; i < 6000; i++ {
-					key := rng.Int63n(keyRange)
-					switch rng.Intn(3) {
-					case 0:
-						want := !model[key]
-						if got := set.Insert(0, key); got != want {
-							t.Fatalf("op %d: Insert(%d) = %v, want %v", i, key, got, want)
-						}
-						model[key] = true
-					case 1:
-						want := model[key]
-						if got := set.Delete(0, key); got != want {
-							t.Fatalf("op %d: Delete(%d) = %v, want %v", i, key, got, want)
-						}
-						delete(model, key)
-					default:
-						want := model[key]
-						if got := set.Contains(0, key); got != want {
-							t.Fatalf("op %d: Contains(%d) = %v, want %v", i, key, got, want)
-						}
-					}
-				}
-				if got, want := set.Size(), int64(len(model)); got != want {
-					t.Fatalf("Size = %d, want %d", got, want)
-				}
-				for k := range model {
-					if !set.Contains(0, k) {
-						t.Fatalf("final: key %d missing", k)
-					}
-				}
-				checkABTree(t, set)
+				runScript(t, set, randomScript(42, 6000), nil)
 			})
 		}
 	}
@@ -270,7 +256,7 @@ func TestConcurrentStress(t *testing.T) {
 					t.Errorf("limbo = %d after drain", st.Limbo)
 				}
 				_ = alloc
-				checkABTree(t, set)
+				checkSet(t, set)
 			})
 		}
 	}
@@ -312,7 +298,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 			if got := set.Size(); got != present {
 				t.Fatalf("Size = %d but %d keys are present", got, present)
 			}
-			checkABTree(t, set)
+			checkSet(t, set)
 		})
 	}
 }
@@ -509,12 +495,11 @@ func TestSizeCtr(t *testing.T) {
 func TestInsertRemoveSortedHelpers(t *testing.T) {
 	set, _, _ := newTestSet(t, "abtree", "none", 1)
 	tree := set.(*ABTree)
-	keysOf := func(n *abNode) []int64 { return n.keys[:n.n] }
 	with := func(n *abNode, key int64) *abNode {
 		t.Helper()
 		i, found := leafFind(n, key)
 		if found {
-			t.Fatalf("leafFind(%v, %d) found a key that is not there", keysOf(n), key)
+			t.Fatalf("leafFind(%v, %d) found a key that is not there", n.keys, key)
 		}
 		return tree.leafWith(0, n, i, key)
 	}
@@ -522,17 +507,20 @@ func TestInsertRemoveSortedHelpers(t *testing.T) {
 		t.Helper()
 		i, found := leafFind(n, key)
 		if !found {
-			t.Fatalf("leafFind(%v, %d) missed a key that is there", keysOf(n), key)
+			t.Fatalf("leafFind(%v, %d) missed a key that is there", n.keys, key)
 		}
 		return tree.leafWithout(0, n, i)
 	}
 	expect := func(what string, n *abNode, want ...int64) {
 		t.Helper()
-		if got := keysOf(n); !slices.Equal(got, want) {
+		if got := n.keys; !slices.Equal(got, want) {
 			t.Fatalf("%s = %v, want %v", what, got, want)
 		}
 		if n.in != nil || n.obj == nil {
 			t.Fatalf("%s: not a leaf backed by a simulated object", what)
+		}
+		if cap(n.keys) != abLeafTier(len(want)) {
+			t.Fatalf("%s: room for %d keys, want the %d-key tier", what, cap(n.keys), abLeafTier(len(want)))
 		}
 	}
 

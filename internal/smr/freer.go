@@ -80,8 +80,14 @@ type afQueue struct {
 }
 
 func (q *afQueue) push(batch []*simalloc.Object) {
-	// Compact the consumed prefix when it dominates the slice.
-	if q.head > len(q.objs)/2 && q.head > 1024 {
+	switch {
+	case q.head == len(q.objs):
+		// Drained (pop already nilled every slot): start over at the front,
+		// or a queue that never holds more than a batch still grows behind
+		// its consumed prefix.
+		q.objs, q.head = q.objs[:0], 0
+	case q.head > len(q.objs)/2 && q.head > 1024:
+		// Compact the consumed prefix when it dominates the slice.
 		n := copy(q.objs, q.objs[q.head:])
 		// Nil the vacated tail: without this the backing array keeps
 		// referencing objects that were already handed to the allocator,
@@ -176,8 +182,6 @@ func (a *amortizedFreer) drainAll(tid int) {
 func (a *amortizedFreer) orphanAll(reg *participants, tid int) {
 	q := &a.queues[tid]
 	if q.len() == 0 {
-		q.objs = q.objs[:0]
-		q.head = 0
 		return
 	}
 	batch := make([]*simalloc.Object, q.len())

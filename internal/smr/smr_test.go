@@ -515,6 +515,30 @@ func TestAFQueueRingCompaction(t *testing.T) {
 	}
 }
 
+// TestAFQueueReusesDrainedStorage pins that a queue drained between pushes
+// (token_af and debra_af at a steady rate) stays the size of what it holds.
+func TestAFQueueReusesDrainedStorage(t *testing.T) {
+	var q afQueue
+	batch := make([]*simalloc.Object, 64)
+	for i := range batch {
+		batch[i] = &simalloc.Object{ID: uint64(i)}
+	}
+	for round := 0; round < 10000; round++ {
+		q.push(batch)
+		for i, want := range batch {
+			if got := q.pop(); got != want {
+				t.Fatalf("round %d: pop %d returned %v, want object %d", round, i, got, want.ID)
+			}
+		}
+		if q.pop() != nil || q.len() != 0 {
+			t.Fatalf("round %d: queue not empty after draining its batch", round)
+		}
+	}
+	if cap(q.objs) != len(batch) {
+		t.Fatalf("cap(objs) = %d after push-one-batch/drain-it rounds, want one batch (%d)", cap(q.objs), len(batch))
+	}
+}
+
 func TestAFQueueCompactionDropsReferences(t *testing.T) {
 	var q afQueue
 	mk := func(n int) []*simalloc.Object {

@@ -157,7 +157,9 @@ with open(out, "w") as f:
             "(`internal/ds`): host time and Go heap bytes of one ABtree "
             "insert or delete on jemalloc × debra, one thread, 2^15 keys. "
             "About half the operations succeed and each success copies one "
-            "160-byte leaf, so ~80 B/op is the floor of this layout.\n")
+            "leaf at the size class of the keys it holds (~107 bytes on "
+            "average; a full-width 160 until PR 15), so ~54 B/op is the "
+            "floor of this layout.\n")
     f.write("- **2P/1P throughput · cpu-ns/op** — `BenchmarkUpdateScaling` "
             "(root package): the update trial (abtree × debra, 8 simulated "
             "threads, fixed op count) at GOMAXPROCS 2 against 1: the ratio of "
