@@ -180,6 +180,13 @@ func realMain() int {
 			return 1
 		}
 		defer st.Close()
+		// Same line as epochgrid's openStore: records of another schema load
+		// and stay, but cannot match this build's keys.
+		other := st.Query(func(r results.Record) bool { return r.Schema != results.SchemaVersion })
+		if len(other) > 0 {
+			fmt.Fprintf(os.Stderr, "epochbench: %d of %d records were written under schema %d; they are kept but cannot match v%d keys\n",
+				len(other), st.Len(), other[0].Schema, results.SchemaVersion)
+		}
 		runner.Store = st
 	}
 	opts := bench.Options{

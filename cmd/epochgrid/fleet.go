@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/grid"
-	"repro/internal/results"
 )
 
 // Distributed sweeps: `epochgrid -serve :PORT` turns the process into the
@@ -42,7 +41,7 @@ func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline,
 		fmt.Fprintln(os.Stderr, "epochgrid: -serve requires -store (the journal is what makes the coordinator crash-safe)")
 		return 2
 	}
-	st, err := results.Open(storePath)
+	st, err := openStore(storePath, os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "epochgrid: %v\n", err)
 		return 1

@@ -234,7 +234,7 @@ func realMain() int {
 
 	runner := &grid.Runner{Parallel: *parallel, Budget: *budget, Deadline: *deadline, Retries: *retries, Backoff: *backoff}
 	if *storePath != "" {
-		st, err := results.Open(*storePath)
+		st, err := openStore(*storePath, os.Stderr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "epochgrid: %v\n", err)
 			return 1
@@ -611,6 +611,22 @@ func runCompare(oldPath, newPath string, tol, limboTol, latTol float64, format, 
 		return 1
 	}
 	return 0
+}
+
+// openStore opens the sweep's store for appending and says so on warn, in
+// one line, when it holds records of another schema: they load and stay, but
+// their keys cannot match this build's, so the sweep re-executes them.
+func openStore(path string, warn io.Writer) (*results.Store, error) {
+	st, err := results.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	other := st.Query(func(r results.Record) bool { return r.Schema != results.SchemaVersion })
+	if len(other) > 0 {
+		fmt.Fprintf(warn, "epochgrid: %d of %d records were written under schema %d; they are kept but cannot match v%d keys\n",
+			len(other), st.Len(), other[0].Schema, results.SchemaVersion)
+	}
+	return st, nil
 }
 
 // loadStore reads a JSONL store without opening it for append (diffing

@@ -56,8 +56,7 @@ func (m *readMostly) Next() Op {
 // burstMix alternates fixed-length windows of pure 50/50 churn with
 // windows of pure reads, so retirement arrives in bursts and the
 // reclaimer's limbo drains during the quiet windows. The window length is
-// WorkloadConfig.BurstOps (with the deprecated PhaseOps alias honored when
-// BurstOps is unset).
+// WorkloadConfig.BurstOps.
 type burstMix struct {
 	r        rng
 	burstOps int64
@@ -66,9 +65,6 @@ type burstMix struct {
 
 func newBurstMix(cfg *WorkloadConfig, tid int) OpMix {
 	window := int64(cfg.BurstOps)
-	if window <= 0 {
-		window = int64(cfg.PhaseOps) // deprecated alias
-	}
 	if window <= 0 {
 		window = 4096
 	}

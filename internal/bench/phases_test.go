@@ -258,36 +258,3 @@ func TestRunTrialRejectsBadPhases(t *testing.T) {
 		})
 	}
 }
-
-// TestBurstOpsAlias pins the rename satellite: BurstOps drives the bursty
-// mix, the deprecated PhaseOps still works when BurstOps is unset, and
-// BurstOps wins when both are set.
-func TestBurstOpsAlias(t *testing.T) {
-	draw := func(cfg WorkloadConfig) []Op {
-		m := newBurstMix(&cfg, 0)
-		out := make([]Op, 64)
-		for i := range out {
-			out[i] = m.Next()
-		}
-		return out
-	}
-	burst := DefaultWorkload(1)
-	burst.BurstOps = 8
-	alias := DefaultWorkload(1)
-	alias.PhaseOps = 8
-	both := DefaultWorkload(1)
-	both.BurstOps = 8
-	both.PhaseOps = 999
-	a, b, c := draw(burst), draw(alias), draw(both)
-	for i := range a {
-		if a[i] != b[i] || a[i] != c[i] {
-			t.Fatalf("op %d: BurstOps %v, PhaseOps alias %v, both %v", i, a[i], b[i], c[i])
-		}
-	}
-	// Window length 8 means ops 8..15 of the stream are reads.
-	for i := 8; i < 16; i++ {
-		if a[i] != OpContains {
-			t.Fatalf("op %d = %v, want OpContains in the read window", i, a[i])
-		}
-	}
-}

@@ -11,11 +11,11 @@ import (
 // runTeedTrial replicates RunTrial's unphased path with one addition: before
 // any event can be produced (including prefill traffic), the live recorder's
 // raw staged stream is teed into a same-origin reference recorder that
-// replays every entry through the legacy direct path (timeline.ReplayEntry).
+// replays every entry through the reference path (timeline.ReplayEntry).
 // Wall-clock stamps are nondeterministic, so recorder parity is defined over
 // the raw stream: the staged pipeline's deferred post-processing (threshold
 // filter, mark clamp, drop accounting, origin rebase) must commit exactly
-// what the legacy logic commits when both see the same entries.
+// what the per-event reference commits when both see the same entries.
 func runTeedTrial(t *testing.T, cfg WorkloadConfig) (live, ref *timeline.Recorder) {
 	t.Helper()
 	st, err := NewStack(cfg)
@@ -59,7 +59,7 @@ func runTeedTrial(t *testing.T, cfg WorkloadConfig) (live, ref *timeline.Recorde
 }
 
 // compareRecorders asserts byte-identical CSV and ASCII output plus matching
-// drop counters between the staged pipeline and its legacy replay.
+// drop counters between the staged pipeline and its reference replay.
 func compareRecorders(t *testing.T, live, ref *timeline.Recorder) {
 	t.Helper()
 	var csvLive, csvRef bytes.Buffer
@@ -70,18 +70,18 @@ func compareRecorders(t *testing.T, live, ref *timeline.Recorder) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(csvLive.Bytes(), csvRef.Bytes()) {
-		t.Errorf("WriteCSV differs between staged pipeline and legacy replay:\nstaged:\n%s\nlegacy:\n%s",
+		t.Errorf("WriteCSV differs between staged pipeline and reference replay:\nstaged:\n%s\nreference:\n%s",
 			csvLive.String(), csvRef.String())
 	}
 	opts := timeline.RenderOptions{Width: 80}
 	asciiLive := timeline.RenderASCII(live, opts)
 	asciiRef := timeline.RenderASCII(ref, opts)
 	if asciiLive != asciiRef {
-		t.Errorf("RenderASCII differs between staged pipeline and legacy replay:\nstaged:\n%s\nlegacy:\n%s",
+		t.Errorf("RenderASCII differs between staged pipeline and reference replay:\nstaged:\n%s\nreference:\n%s",
 			asciiLive, asciiRef)
 	}
 	if dl, dr := live.Dropped(), ref.Dropped(); dl != dr {
-		t.Errorf("Dropped differs: staged %d, legacy replay %d", dl, dr)
+		t.Errorf("Dropped differs: staged %d, reference replay %d", dl, dr)
 	}
 	if live.TotalEvents() == 0 {
 		t.Error("trial produced no timeline events; parity test is vacuous")
@@ -90,7 +90,7 @@ func compareRecorders(t *testing.T, live, ref *timeline.Recorder) {
 
 // TestTrialRecorderParity is the tentpole's output pin: for a recorded
 // FixedOps trial of each reclaimer family, the staging-ring pipeline's
-// WriteCSV and RenderASCII output is bit-identical to the legacy per-event
+// WriteCSV and RenderASCII output is bit-identical to the reference per-event
 // recorder fed the same raw entries. Families cover the producer variants:
 // debra (epoch batch free + amortized-free siblings share its freer), hp
 // (scan-triggered batch free), he (era marks), token_af (token ring with

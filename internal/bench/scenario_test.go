@@ -213,7 +213,7 @@ func TestOpMixRatios(t *testing.T) {
 	}
 
 	// bursty: alternating pure-churn and pure-read windows.
-	cfg.PhaseOps = 100
+	cfg.BurstOps = 100
 	wl, err := NewScenario("bursty")
 	if err != nil {
 		t.Fatal(err)

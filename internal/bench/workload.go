@@ -64,12 +64,6 @@ type WorkloadConfig struct {
 	// ablation (README.md, "Performance model" → "Ablations", row 7; the
 	// optimization the paper declines).
 	PoolCapacity int
-	// LegacyDispatch routes every per-node protection through the
-	// smr.Reclaimer interface (the pre-Guard dispatch path) instead of the
-	// zero-dispatch Guard. Semantics are identical — pinned by the
-	// dispatch-parity tests — so this knob exists for A/B dispatch-cost runs
-	// and the parity CI job, not for ordinary trials.
-	LegacyDispatch bool
 	// Record enables timeline recording with RecorderCap events/thread.
 	Record      bool
 	RecorderCap int
@@ -79,23 +73,9 @@ type WorkloadConfig struct {
 	// deterministic trial: every thread runs exactly FixedOps operations and
 	// Duration is ignored. With Threads == 1 the whole trial — op streams,
 	// allocator traffic, reclaimer decisions — is bit-reproducible, which is
-	// what makes guard-vs-legacy dispatch parity testable and gives the grid
-	// a variance-free trial type.
+	// what the fixed-population golden pins and gives the grid a
+	// variance-free trial type.
 	FixedOps int
-	// YieldEvery controls scheduler yields. Simulated threads are
-	// goroutines; without explicit yields a goroutine runs a whole scheduler
-	// quantum (~10 ms, thousands of operations) alone, which serializes the
-	// workload into per-thread bursts and destroys the cross-thread object
-	// flow (a thread would mostly retire nodes it allocated itself).
-	//
-	//   0 (default): the batched auto policy — yield on op-batch boundaries
-	//     with a GOMAXPROCS-aware stride (see autoYieldStride), keeping
-	//     threads interleaved at sub-quantum granularity without paying a
-	//     Gosched per operation.
-	//   >0: the legacy policy — yield every YieldEvery operations, checked
-	//     in the per-op path (the pre-batching behavior, kept for A/B runs).
-	//   <0: never yield.
-	YieldEvery int
 
 	// Scenario knobs; zero values mean the scenario defaults.
 
@@ -113,11 +93,6 @@ type WorkloadConfig struct {
 	// shapes only that scenario's operation mix; it is unrelated to the
 	// phase engine's PhaseSpec.Ops, which bounds whole trial phases.
 	BurstOps int
-	// PhaseOps is the deprecated alias of BurstOps, from before the phase
-	// engine claimed the word "phase". Used only when BurstOps is zero.
-	//
-	// Deprecated: set BurstOps.
-	PhaseOps int
 
 	// Phases, when non-empty, turns the trial into a phased workload: the
 	// schedule runs in order, each phase driving Live workers for Ops
@@ -340,14 +315,17 @@ func (s *opStream) refill(kd KeyDist, om OpMix, n int) {
 	}
 }
 
-// autoYieldStride picks the per-thread op count between scheduler yields for
-// the default (YieldEvery == 0) policy. When the trial oversubscribes
-// GOMAXPROCS the stride is one batch, so runnable threads rotate every 64
-// ops — coarse enough to amortize the Gosched, fine enough to preserve the
-// cross-thread object flow the remote-free statistics depend on. With true
-// parallelism (threads <= GOMAXPROCS) goroutines already interleave on
-// distinct Ps and the Go scheduler preempts asynchronously, so a gentle
-// four-batch stride suffices as a fairness backstop.
+// autoYieldStride is the yield policy: the per-thread op count between
+// scheduler yields. Simulated threads are goroutines, and without explicit
+// yields one runs a whole scheduler quantum (~10 ms, thousands of operations)
+// before the next gets the P. When the trial oversubscribes GOMAXPROCS the
+// stride is one batch, so runnable threads rotate every 64 ops — coarse
+// enough to amortize the Gosched, fine enough that threads interleave far
+// below a quantum. With true parallelism (threads <= GOMAXPROCS) goroutines
+// already interleave on distinct Ps and the Go scheduler preempts
+// asynchronously, so a four-batch stride suffices as a fairness backstop.
+// TestAutoYieldPreservesObjectFlow pins both strides and what the policy
+// must preserve.
 func autoYieldStride(threads int) int {
 	if threads > runtime.GOMAXPROCS(0) {
 		return opBatchSize
@@ -394,9 +372,7 @@ func prefill(cfg *WorkloadConfig, st *Stack) {
 // the fixed op budget (FixedOps trials), a watchdog abort, or a crash fault
 // ends the window. The per-op path contains only the set call itself;
 // stream draws, the stop check, the yield policy, the timeline staging-ring
-// merge, the heartbeat, and the fault hook all live on batch boundaries —
-// except under the legacy per-op yield (YieldEvery > 0), which is preserved
-// verbatim for A/B runs.
+// merge, the heartbeat, and the fault hook all live on batch boundaries.
 //
 // w is the worker index — equal to tid in unphased trials, stable across
 // slot recycling in phased ones — and keys the fault engine's per-worker
@@ -420,11 +396,7 @@ func runWorker(cfg *WorkloadConfig, st *Stack, w, tid int, kd KeyDist, om OpMix)
 	var s opStream
 	local := int64(0)
 	fixed := int64(cfg.FixedOps)
-	legacyYield := int64(cfg.YieldEvery)
-	stride := int64(0)
-	if cfg.YieldEvery == 0 {
-		stride = int64(autoYieldStride(cfg.Threads))
-	}
+	stride := int64(autoYieldStride(cfg.Threads))
 	sinceYield := int64(0)
 	for {
 		n := opBatchSize
@@ -447,36 +419,18 @@ func runWorker(cfg *WorkloadConfig, st *Stack, w, tid int, kd KeyDist, om OpMix)
 			}
 		}
 		s.refill(kd, om, n)
-		if legacyYield > 0 {
-			for i := 0; i < n; i++ {
-				key := s.keys[i]
-				switch s.kinds[i] {
-				case OpInsert:
-					set.Insert(tid, key)
-				case OpDelete:
-					set.Delete(tid, key)
-				default:
-					set.Contains(tid, key)
-				}
-				local++
-				if local%legacyYield == 0 {
-					runtime.Gosched()
-				}
+		for i := 0; i < n; i++ {
+			key := s.keys[i]
+			switch s.kinds[i] {
+			case OpInsert:
+				set.Insert(tid, key)
+			case OpDelete:
+				set.Delete(tid, key)
+			default:
+				set.Contains(tid, key)
 			}
-		} else {
-			for i := 0; i < n; i++ {
-				key := s.keys[i]
-				switch s.kinds[i] {
-				case OpInsert:
-					set.Insert(tid, key)
-				case OpDelete:
-					set.Delete(tid, key)
-				default:
-					set.Contains(tid, key)
-				}
-			}
-			local += int64(n)
 		}
+		local += int64(n)
 		if ae != nil {
 			ae.complete(w, n)
 		}
@@ -488,11 +442,9 @@ func runWorker(cfg *WorkloadConfig, st *Stack, w, tid int, kd KeyDist, om OpMix)
 			// ring is empty; the trial-end reaper Leaves the slot.
 			return local
 		}
-		if stride > 0 {
-			if sinceYield += int64(n); sinceYield >= stride {
-				sinceYield = 0
-				runtime.Gosched()
-			}
+		if sinceYield += int64(n); sinceYield >= stride {
+			sinceYield = 0
+			runtime.Gosched()
 		}
 	}
 	// The final (possibly partial) batch's entries are merged above; a

@@ -105,7 +105,7 @@ type abSlot struct {
 type ABTree struct {
 	alloc  simalloc.Allocator
 	rec    smr.Reclaimer
-	disp   protectDispatch
+	guards []*smr.Guard
 	root   atomic.Pointer[abNode]
 	rootMu sync.Mutex // guards the root slot
 	size   *sizeCtr
@@ -113,8 +113,7 @@ type ABTree struct {
 
 // NewABTree builds an empty tree over the allocator and reclaimer.
 func NewABTree(alloc simalloc.Allocator, rec smr.Reclaimer) *ABTree {
-	t := &ABTree{alloc: alloc, rec: rec, size: newSizeCtr(alloc.Threads())}
-	t.disp = newProtectDispatch(rec, alloc.Threads())
+	t := &ABTree{alloc: alloc, rec: rec, guards: guardsOf(rec, alloc.Threads()), size: newSizeCtr(alloc.Threads())}
 	t.root.Store(t.newNode(0, 0))
 	return t
 }
@@ -294,17 +293,14 @@ func leafFind(n *abNode, key int64) (i int, found bool) {
 // descend walks from the root to the leaf covering key, publishing
 // protection for each visited node. It returns the leaf, the slot the leaf
 // hangs from and the slot its parent hangs from: the two levels an update
-// may lock. Protection routes through the guard when the reclaimer exposes
-// one (a concrete call the compiler can see through), skips publication
-// entirely for epoch-based reclaimers (nil guard, nil legacy), and falls
-// back to the Reclaimer interface only under smr.LegacyDispatch.
+// may lock. Protection goes through the guard (a concrete call the compiler
+// can see through) and is skipped entirely for epoch-based reclaimers, whose
+// guard is nil.
 func (t *ABTree) descend(tid int, key int64) (leaf *abNode, at, above abSlot) {
-	g, legacy := t.disp.handles(tid)
+	g := t.guards[tid]
 	cur := t.root.Load()
 	if g != nil {
 		g.Protect(0, cur.obj)
-	} else if legacy != nil {
-		legacy.Protect(tid, 0, cur.obj)
 	}
 	for depth := 1; cur.in != nil; depth++ {
 		above = at
@@ -312,8 +308,6 @@ func (t *ABTree) descend(tid int, key int64) (leaf *abNode, at, above abSlot) {
 		cur = at.in.children[at.idx].Load()
 		if g != nil {
 			g.Protect(depth%3, cur.obj)
-		} else if legacy != nil {
-			legacy.Protect(tid, depth%3, cur.obj)
 		}
 	}
 	return cur, at, above

@@ -16,11 +16,11 @@ import (
 // (two allocations); a delete splices out a leaf and its parent
 // (two retirements, no allocation).
 type DGTree struct {
-	alloc simalloc.Allocator
-	rec   smr.Reclaimer
-	disp  protectDispatch
-	root  *dgNode // sentinel internal; never retired
-	size  *sizeCtr
+	alloc  simalloc.Allocator
+	rec    smr.Reclaimer
+	guards []*smr.Guard
+	root   *dgNode // sentinel internal; never retired
+	size   *sizeCtr
 }
 
 type dgNode struct {
@@ -58,8 +58,7 @@ const dgInf = math.MaxInt64
 // every real leaf has both a parent and a grandparent, so deletions never
 // touch the root slot.
 func NewDGTree(alloc simalloc.Allocator, rec smr.Reclaimer) *DGTree {
-	t := &DGTree{alloc: alloc, rec: rec, size: newSizeCtr(alloc.Threads())}
-	t.disp = newProtectDispatch(rec, alloc.Threads())
+	t := &DGTree{alloc: alloc, rec: rec, guards: guardsOf(rec, alloc.Threads()), size: newSizeCtr(alloc.Threads())}
 	inner := &dgNode{key: dgInf}
 	inner.left.Store(&dgNode{key: dgInf, leaf: true})
 	inner.right.Store(&dgNode{key: dgInf, leaf: true})
@@ -93,19 +92,15 @@ func dgGoRight(n *dgNode, key int64) bool { return key >= n.key }
 // seek descends to the leaf covering key, returning the grandparent,
 // parent, directions taken, and the leaf.
 func (t *DGTree) seek(tid int, key int64) (gp *dgNode, gpRight bool, p *dgNode, pRight bool, leaf *dgNode) {
-	g, legacy := t.disp.handles(tid)
+	g := t.guards[tid]
 	gp = nil
 	p = t.root
 	pRight = dgGoRight(p, key)
 	cur := p.child(pRight).Load()
 	depth := 0
 	for !cur.leaf {
-		if cur.obj != nil {
-			if g != nil {
-				g.Protect(depth%3, cur.obj)
-			} else if legacy != nil {
-				legacy.Protect(tid, depth%3, cur.obj)
-			}
+		if g != nil && cur.obj != nil {
+			g.Protect(depth%3, cur.obj)
 		}
 		depth++
 		gp, gpRight = p, pRight

@@ -62,45 +62,19 @@ func New(name string, alloc simalloc.Allocator, rec smr.Reclaimer) (Set, error) 
 // Names lists the available data structures.
 func Names() []string { return []string{"abtree", "occtree", "dgtree"} }
 
-// guardSource is implemented by reclaimers that expose the zero-dispatch
-// Guard protection path. Every smr reclaimer does; smr.LegacyDispatch wraps
-// one to hide it, forcing the per-node interface path for A/B runs and the
-// dispatch-parity tests.
-type guardSource interface {
-	Guard(tid int) *smr.Guard
-}
-
-// protectDispatch is a tree's per-node protection routing, resolved once at
-// construction so traversal loops pay no interface dispatch per visited
-// node. Exactly one of the two shapes is live:
-//
-//   - guards[tid] non-nil: publish through the concrete Guard (HP/HE/IBR/
-//     NBR/WFE). guards[tid] nil with legacy nil: the reclaimer needs no
-//     per-node protection at all (epoch-based schemes) and the traversal
-//     branches away entirely.
-//   - legacy non-nil: the reclaimer hides its guards (smr.LegacyDispatch);
-//     every protection goes through Reclaimer.Protect as before.
-type protectDispatch struct {
-	guards []*smr.Guard
-	legacy smr.Reclaimer
-}
-
-func newProtectDispatch(rec smr.Reclaimer, threads int) protectDispatch {
-	d := protectDispatch{guards: make([]*smr.Guard, threads)}
-	if gs, ok := rec.(guardSource); ok {
-		for tid := range d.guards {
-			d.guards[tid] = gs.Guard(tid)
-		}
-	} else {
-		d.legacy = rec
+// guardsOf resolves rec's per-thread protection handles once, at tree
+// construction, so traversal loops pay no interface dispatch per visited
+// node. A non-nil guards[tid] publishes through the concrete smr.Guard
+// (HP/HE/IBR/NBR/WFE); a nil one means the reclaimer needs no per-node
+// protection (epoch-based schemes) and the traversal branches away entirely.
+// There is no other protection route: the trees never call
+// Reclaimer.Protect (TestTreesProtectThroughGuardsOnly).
+func guardsOf(rec smr.Reclaimer, threads int) []*smr.Guard {
+	guards := make([]*smr.Guard, threads)
+	for tid := range guards {
+		guards[tid] = rec.Guard(tid)
 	}
-	return d
-}
-
-// handles returns tid's protection endpoints for one operation; traversal
-// loops hoist them out of the per-node path.
-func (d *protectDispatch) handles(tid int) (*smr.Guard, smr.Reclaimer) {
-	return d.guards[tid], d.legacy
+	return guards
 }
 
 // sizeCtr tracks the set's cardinality with per-thread padded deltas so hot

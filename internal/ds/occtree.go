@@ -24,9 +24,9 @@ import (
 // traversal with lock-and-validate updates, which is the concurrency scheme
 // Fig. 1 contrasts against the ABtree.
 type OCCTree struct {
-	alloc simalloc.Allocator
-	rec   smr.Reclaimer
-	disp  protectDispatch
+	alloc  simalloc.Allocator
+	rec    smr.Reclaimer
+	guards []*smr.Guard
 	// head is an unretirable sentinel whose right child is the tree.
 	head *occNode
 	size *sizeCtr
@@ -43,8 +43,7 @@ type occNode struct {
 
 // NewOCCTree builds an empty tree over the allocator and reclaimer.
 func NewOCCTree(alloc simalloc.Allocator, rec smr.Reclaimer) *OCCTree {
-	t := &OCCTree{alloc: alloc, rec: rec, size: newSizeCtr(alloc.Threads())}
-	t.disp = newProtectDispatch(rec, alloc.Threads())
+	t := &OCCTree{alloc: alloc, rec: rec, guards: guardsOf(rec, alloc.Threads()), size: newSizeCtr(alloc.Threads())}
 	t.head = &occNode{key: math.MinInt64}
 	return t
 }
@@ -72,17 +71,13 @@ func (n *occNode) child(right bool) *atomic.Pointer[occNode] {
 // under which key would attach. It returns (parent, dirRight, node) where
 // node is nil when key is absent.
 func (t *OCCTree) seek(tid int, key int64) (p *occNode, right bool, n *occNode) {
-	g, legacy := t.disp.handles(tid)
+	g := t.guards[tid]
 	p, right = t.head, true
 	n = t.head.right.Load()
 	depth := 0
 	for n != nil {
-		if n.obj != nil {
-			if g != nil {
-				g.Protect(depth%3, n.obj)
-			} else if legacy != nil {
-				legacy.Protect(tid, depth%3, n.obj)
-			}
+		if g != nil && n.obj != nil {
+			g.Protect(depth%3, n.obj)
 		}
 		depth++
 		if key == n.key {

@@ -52,7 +52,20 @@ import (
 // legacy configs' encodings unchanged apart from the version), and
 // TrialResult gained the Arrival label, the latency quantiles
 // (LatP50Ns/LatP99Ns/LatP999Ns/LatMaxNs), and the Latency histogram.
-const SchemaVersion = 5
+//
+// v6: one way to run a trial. WorkloadConfig lost LegacyDispatch (the trees
+// protect through guards only), YieldEvery (the auto stride is the yield
+// policy) and the PhaseOps alias of BurstOps. All three marshalled without
+// omitempty, so every config's encoding, and with it every key, moves.
+// Migration: a v5 store opens and loads, but none of its records matches a
+// v6 key, so a sweep over it re-executes (epochgrid and epochbench say so in
+// one stderr line). Records are deliberately not re-keyed on load: the
+// decoder drops the removed fields, so a v5 record written with
+// LegacyDispatch true or an explicit YieldEvery would come back looking like
+// a default trial and be shared with one. A fleet's coordinator and workers
+// upgrade together, since a worker returns results under the keys it
+// computes.
+const SchemaVersion = 6
 
 // Normalize fills the configuration defaults that the harness would apply
 // at run time (RunTrial, NewStack, smr.Config.fillDefaults), so that a
@@ -79,18 +92,12 @@ func Normalize(cfg bench.WorkloadConfig) bench.WorkloadConfig {
 	if cfg.EraFreq <= 0 {
 		cfg.EraFreq = 64
 	}
-	// Fold the deprecated PhaseOps alias into BurstOps, its canonical
-	// spelling, so configs written either way share a key. Phases itself
-	// hashes as-is: materializing a scenario's default schedule here would
-	// couple every key to scenario internals (the conservative policy
+	// Phases hashes as-is: materializing a scenario's default schedule here
+	// would couple every key to scenario internals (the conservative policy
 	// above), so an explicit schedule and its scenario-default twin
-	// under-share, never mis-share.
-	if cfg.BurstOps <= 0 && cfg.PhaseOps > 0 {
-		cfg.BurstOps = cfg.PhaseOps
-	}
-	cfg.PhaseOps = 0
-	// An empty schedule and a nil one are the same (unphased) trial, but
-	// marshal as [] vs null — fold to nil so they share a key.
+	// under-share, never mis-share. An empty schedule and a nil one are the
+	// same (unphased) trial, but marshal as [] vs null — fold to nil so they
+	// share a key.
 	if len(cfg.Phases) == 0 {
 		cfg.Phases = nil
 	}
@@ -115,11 +122,8 @@ func Normalize(cfg bench.WorkloadConfig) bench.WorkloadConfig {
 			}
 		}
 	}
-	// YieldEvery needs no normalization: 0 is the auto yield policy, a real
-	// configuration distinct from every explicit stride. FixedOps and
-	// LegacyDispatch likewise hash as-is — a fixed-op trial and a wall-clock
-	// trial, or a guard-path and a legacy-dispatch trial, must never share a
-	// key.
+	// FixedOps hashes as-is: a fixed-op trial and a wall-clock trial must
+	// never share a key.
 	if cfg.Threads > 0 {
 		acfg := simalloc.DefaultConfig(cfg.Threads)
 		if cfg.TCacheCap <= 0 {

@@ -2,9 +2,11 @@ package results
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,13 +57,11 @@ func TestKeyNormalizationEquivalences(t *testing.T) {
 	if KeyOf(zeroed) != KeyOf(filled) {
 		t.Fatal("zero knobs and explicit defaults hash differently")
 	}
-	// YieldEvery is NOT normalized: 0 is the auto yield policy, a distinct
-	// measurement from any explicit stride. Same for the FixedOps and
-	// LegacyDispatch trial modes.
+	// FixedOps and BurstOps are NOT normalized: each value is a different
+	// measurement.
 	for _, mutate := range []func(*bench.WorkloadConfig){
-		func(c *bench.WorkloadConfig) { c.YieldEvery = 1 },
 		func(c *bench.WorkloadConfig) { c.FixedOps = 1000 },
-		func(c *bench.WorkloadConfig) { c.LegacyDispatch = true },
+		func(c *bench.WorkloadConfig) { c.BurstOps = 1024 },
 	} {
 		changed := base
 		mutate(&changed)
@@ -71,23 +71,38 @@ func TestKeyNormalizationEquivalences(t *testing.T) {
 	}
 }
 
-func TestBurstOpsAliasSharesKey(t *testing.T) {
-	// The deprecated PhaseOps spelling folds into BurstOps, so configs
-	// written either way address the same trial; BurstOps wins when both
-	// are set.
-	viaAlias := testConfig(4, 7)
-	viaAlias.PhaseOps = 512
-	canonical := testConfig(4, 7)
-	canonical.BurstOps = 512
-	both := canonical
-	both.PhaseOps = 999
-	if KeyOf(viaAlias) != KeyOf(canonical) || KeyOf(both) != KeyOf(canonical) {
-		t.Fatal("PhaseOps alias and BurstOps hash differently")
+// TestStoredConfigFieldsV6 pins what schema 6 hashes and stores: a default
+// configuration encodes exactly these fields (Faults, Deadline and Arrival
+// are omitempty), so the three knobs v6 retired cannot ride in a new record.
+// A field added to WorkloadConfig fails here first: it moves every key, so
+// it needs a SchemaVersion bump.
+func TestStoredConfigFieldsV6(t *testing.T) {
+	line, err := json.Marshal(testRecord(testConfig(4, 7), 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	other := testConfig(4, 7)
-	other.BurstOps = 1024
-	if KeyOf(other) == KeyOf(canonical) {
-		t.Fatal("different burst windows share a key")
+	var rec struct {
+		Schema int                        `json:"schema"`
+		Config map[string]json.RawMessage `json:"config"`
+	}
+	if err := json.Unmarshal(line, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Schema != 6 {
+		t.Fatalf("record schema = %d, want 6", rec.Schema)
+	}
+	want := strings.Fields(`Scenario DataStructure Reclaimer Allocator Threads
+		KeyRange Duration BatchSize DrainRate TokenCheckK EraFreq Cost TCacheCap
+		FlushFraction ArenasPerThread PoolCapacity Record RecorderCap Seed
+		FixedOps ZipfTheta HotFraction HotShiftOps BurstOps Phases`)
+	var got []string
+	for name := range rec.Config {
+		got = append(got, name)
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("stored config fields:\n got  %v\n want %v", got, want)
 	}
 }
 

@@ -44,20 +44,16 @@ type Diag struct {
 }
 
 // Diagnosable is implemented by every reclaimer in this package. It is a
-// separate interface (not part of Reclaimer) so external Reclaimer
-// implementations remain possible; use DiagnoseOf to capture through
-// wrappers.
+// separate interface (not part of Reclaimer) so a Reclaimer outside smr need
+// not diagnose itself. Such an implementation returns a nil Guard and gets no
+// per-node protection from the trees — none exists.
 type Diagnosable interface {
 	Diagnose() Diag
 }
 
-// DiagnoseOf captures a diagnostic snapshot from r, unwrapping the
-// LegacyDispatch shim if present. ok is false when r (after unwrapping)
-// does not support diagnostics.
+// DiagnoseOf captures a diagnostic snapshot from r. ok is false when r does
+// not support diagnostics.
 func DiagnoseOf(r Reclaimer) (Diag, bool) {
-	if l, isLegacy := r.(legacyReclaimer); isLegacy {
-		r = l.Reclaimer
-	}
 	d, ok := r.(Diagnosable)
 	if !ok {
 		return Diag{}, false

@@ -161,8 +161,7 @@ func (a *amortizedFreer) pump(tid int) {
 func (a *amortizedFreer) drainAll(tid int) {
 	e := a.e
 	q := &a.queues[tid]
-	// Teardown frees never produced timeline events (the legacy recorder had
-	// no hook here); mute the free observer so that stays true.
+	// Teardown frees are not timeline events; mute the free observer.
 	e.rec.MuteFrees(tid)
 	n := int64(0)
 	for {

@@ -6,9 +6,6 @@ import (
 	"repro/internal/simalloc"
 )
 
-// guardSource mirrors the type assertion the data structures perform.
-type guardSource interface{ Guard(tid int) *Guard }
-
 // TestGuardModesPerReclaimer pins which registry names expose a live guard
 // and in which mode, and that epoch-based schemes return nil (the trees'
 // branch-away contract).
@@ -26,11 +23,7 @@ func TestGuardModesPerReclaimer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gs, ok := r.(guardSource)
-		if !ok {
-			t.Fatalf("%s does not implement Guard(tid)", name)
-		}
-		g := gs.Guard(1)
+		g := r.Guard(1)
 		mode, live := wantMode[name]
 		if !live {
 			if g != nil {
@@ -130,7 +123,7 @@ func TestGuardProtectMatchesInterface(t *testing.T) {
 			}
 
 			drive(viaGuard, func(tid, slot int, o *simalloc.Object) {
-				viaGuard.(guardSource).Guard(tid).Protect(slot, o)
+				viaGuard.Guard(tid).Protect(slot, o)
 			})
 			drive(viaIface, func(tid, slot int, o *simalloc.Object) {
 				viaIface.Protect(tid, slot, o)
@@ -147,28 +140,5 @@ func TestGuardProtectMatchesInterface(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLegacyDispatchHidesGuard pins the wrapper contract: a wrapped
-// reclaimer must fail the guard-source assertion while behaving identically
-// through the interface.
-func TestLegacyDispatchHidesGuard(t *testing.T) {
-	r, err := New("hp", testConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := LegacyDispatch(r)
-	if _, ok := w.(guardSource); ok {
-		t.Fatal("LegacyDispatch did not hide the Guard method")
-	}
-	if w.Name() != "hp" {
-		t.Fatalf("wrapper changed Name: %q", w.Name())
-	}
-	// Interface methods still reach the wrapped reclaimer.
-	o := &simalloc.Object{ID: 7}
-	w.Protect(0, 0, o)
-	if got := r.(*HP).slots[0].p.Load(); got != o {
-		t.Fatal("wrapped Protect did not publish")
 	}
 }

@@ -34,11 +34,9 @@ import (
 //	... r.OnAlloc(tid, o) after allocating, r.Retire(tid, o) after unlinking ...
 //	r.EndOp(tid)
 //
-// Per-node protection has two equivalent routes: Protect(tid, slot, node)
-// through this interface, or the zero-dispatch Guard fast path (see
-// guard.go) that every reclaimer here also exposes via a concrete
-// Guard(tid) method. The trees prefer the guard; LegacyDispatch forces the
-// interface route.
+// The trees publish per-node protection through Guard(tid)'s concrete
+// handle (see guard.go), or not at all when it is nil. Protect(tid, slot,
+// node) is the specification each guard is tested against.
 type Reclaimer interface {
 	// Name returns the registry name (e.g. "debra", "token_af").
 	Name() string
@@ -53,6 +51,9 @@ type Reclaimer interface {
 	// through a small per-thread window (hazard-pointer style); epoch-based
 	// reclaimers ignore it.
 	Protect(tid int, slot int, o *simalloc.Object)
+	// Guard returns tid's zero-dispatch protection handle, whose Protect is
+	// observably identical to Protect above; nil when Protect is a no-op.
+	Guard(tid int) *Guard
 	// Retire hands an unlinked object to the reclaimer; it will be freed
 	// to the allocator once no thread can hold a reference.
 	Retire(tid int, o *simalloc.Object)

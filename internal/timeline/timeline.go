@@ -110,13 +110,12 @@ type stage struct {
 	// n is the fill level; merge resets it to zero.
 	n int
 	// reads counts extra host clock reads charged to recording on this
-	// thread: the two batch-envelope stamps per StageBatchFree, plus one
-	// per legacy RecordFreeCall. Observer entries and marks charge none.
+	// thread: the two batch-envelope stamps per StageBatchFree. Observer
+	// entries and marks charge none.
 	reads int64
 	// muted drops ObserveFree entries. Teardown paths (drainAll, departing
 	// threads' cache flushes) free through the allocator but never produced
-	// timeline events under the legacy recorder, so their observer callbacks
-	// are silenced to keep output identical.
+	// timeline events, so their observer callbacks are silenced.
 	muted bool
 	_     [8]int64 // avoid false sharing between adjacent threads' rings
 }
@@ -136,8 +135,9 @@ type threadBuf struct {
 // Each thread ID must be used by one goroutine at a time. The staged path (ObserveFree,
 // StageBatchFree, StageMark) is the production pipeline: wait-free, no
 // branching beyond a mask and a fill check, post-processed only at Merge.
-// The legacy direct path (Record, RecordFreeCall, Mark) commits immediately
-// and remains for tests and parity references; do not mix the two paths on
+// The reference commit path (Record, MarkAt, ReplayEntry) applies the same
+// per-event logic one event at a time and commits immediately; parity tests
+// tee the live stream into it, nothing else calls it. Do not mix the two on
 // the same tid within a trial, or per-thread event order is unspecified.
 // Stamps are int64 nanoseconds from package clock, so recording does no
 // time.Time arithmetic on the hot path.
@@ -242,7 +242,7 @@ func (r *Recorder) StageBatchFree(tid int, startNs, endNs, n int64) {
 // plots, so ~clock.CoarseResolution of staleness is invisible and the stamp
 // costs no clock read. Clamping (never before the origin, never before the
 // thread's previously committed event) is applied at merge time, exactly as
-// the legacy Mark applied it at record time.
+// MarkAt applies it at record time.
 func (r *Recorder) StageMark(tid int, kind EventKind, value int64) {
 	if r == nil {
 		return
@@ -291,7 +291,7 @@ func (r *Recorder) Merge(tid int) {
 				continue // filtered, not truncation
 			}
 		case KindEpochAdvance, KindGarbageSample:
-			// Legacy Mark clamp: a coarse stamp may lag the origin or the
+			// MarkAt's clamp: a coarse stamp may lag the origin or the
 			// thread's previous event; bound the displacement.
 			now := e.Start
 			if now < r.origin {
@@ -329,10 +329,10 @@ func (r *Recorder) MergeAll() {
 	}
 }
 
-// ReplayEntry runs one raw staged entry through the legacy (pre-ring)
-// recording logic: marks take the legacy Mark clamp, everything else the
-// legacy Record path. Parity harnesses tee a live recorder's raw stream
-// into a same-origin reference recorder with it and compare output.
+// ReplayEntry commits one raw staged entry through the reference path: marks
+// take MarkAt's clamp, everything else goes to Record. Parity harnesses tee a
+// live recorder's raw stream into a same-origin reference recorder with it
+// and compare output.
 func (r *Recorder) ReplayEntry(tid int, e Entry) {
 	switch e.Kind {
 	case KindEpochAdvance, KindGarbageSample:
@@ -344,9 +344,8 @@ func (r *Recorder) ReplayEntry(tid int, e Entry) {
 
 // ClockReads reports how many extra host clock reads recording has taken
 // beyond what an unrecorded trial performs: two per staged batch-free
-// envelope plus one per legacy RecordFreeCall. Observer entries and marks
-// are free. Read it after the trial quiesced (counters are unsynchronized
-// per-thread fields).
+// envelope. Observer entries and marks are free. Read it after the trial
+// quiesced (counters are unsynchronized per-thread fields).
 func (r *Recorder) ClockReads() int64 {
 	if r == nil {
 		return 0
@@ -360,7 +359,7 @@ func (r *Recorder) ClockReads() int64 {
 
 // Record stores one event for tid. Start and end are clock.Now values.
 // Recordable events past the per-thread capacity are dropped (and counted),
-// keeping recording overhead bounded. This is the legacy direct path; the
+// keeping recording overhead bounded. This is the reference commit path; the
 // production pipeline stages instead (see the package comment).
 func (r *Recorder) Record(tid int, kind EventKind, startNs, endNs, value int64) {
 	if r == nil {
@@ -382,51 +381,11 @@ func (r *Recorder) Record(tid int, kind EventKind, startNs, endNs, value int64) 
 	})
 }
 
-// RecordFreeCall records one allocator free call that began at startNs,
-// taking the end stamp itself so the caller never stamps twice: the
-// returned end value is the next call's start in a tight free loop. The
-// stamp is taken unconditionally — the chain must survive full buffers —
-// and the duration is always examined, so Dropped counts only recordable
-// events (at or over FreeCallThreshold) lost to a full buffer; sub-threshold
-// calls are filtered, never counted. Legacy direct path; the production
-// pipeline observes the allocator's own stamps instead (ObserveFree).
-func (r *Recorder) RecordFreeCall(tid int, startNs, value int64) int64 {
-	if r == nil {
-		return startNs
-	}
-	r.stages[tid].reads++
-	endNs := clock.Now()
-	if endNs-startNs < int64(r.FreeCallThreshold) {
-		return endNs
-	}
-	buf := &r.perThread[tid]
-	if len(buf.events) >= r.capEach {
-		buf.dropped.Add(1)
-		return endNs
-	}
-	buf.events = append(buf.events, Event{
-		Start: startNs - r.origin,
-		End:   endNs - r.origin,
-		Kind:  KindFreeCall,
-		Value: value,
-	})
-	return endNs
-}
-
-// Mark records an instantaneous event (epoch advance, garbage sample) using
-// the coarse clock. Legacy direct path; the production pipeline uses
-// StageMark, which defers the clamp to the merge.
-func (r *Recorder) Mark(tid int, kind EventKind, value int64) {
-	if r == nil {
-		return
-	}
-	r.MarkAt(tid, kind, clock.Coarse(), value)
-}
-
-// MarkAt is Mark with the coarse stamp already taken: the stamp is clamped
-// so a mark never starts before the origin or before the thread's most
-// recently committed event's start, bounding how far coarse lag can
-// displace a dot, then committed directly.
+// MarkAt commits an instantaneous event (epoch advance, garbage sample)
+// whose coarse stamp the caller took. The stamp is clamped so a mark never
+// starts before the origin or before the thread's most recently committed
+// event's start, bounding how far coarse lag can displace a dot. Reference
+// commit path, like Record.
 func (r *Recorder) MarkAt(tid int, kind EventKind, stampNs, value int64) {
 	if r == nil {
 		return

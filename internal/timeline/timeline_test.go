@@ -31,10 +31,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	now := clock.Now()
 	r.Record(0, KindBatchFree, now, now, 1)
-	r.Mark(0, KindEpochAdvance, 1)
-	if got := r.RecordFreeCall(0, now, 1); got != now {
-		t.Fatalf("nil RecordFreeCall returned %d, want start %d", got, now)
-	}
+	r.MarkAt(0, KindEpochAdvance, now, 1)
 	if r.Threads() != 0 || r.TotalEvents() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder not inert")
 	}
@@ -83,59 +80,11 @@ func TestFreeCallThresholdFilters(t *testing.T) {
 	}
 }
 
-func TestRecordFreeCall(t *testing.T) {
-	r := NewRecorder(1, 4)
-	// A start far enough in the past is over any threshold.
-	start := clock.Now() - ms
-	end := r.RecordFreeCall(0, start, 1)
-	if end <= start {
-		t.Fatalf("end stamp %d not after start %d", end, start)
-	}
-	if r.TotalEvents() != 1 {
-		t.Fatalf("TotalEvents = %d, want 1", r.TotalEvents())
-	}
-	ev := r.Events(0)[0]
-	if ev.Kind != KindFreeCall || ev.End-ev.Start < ms {
-		t.Fatalf("event = %+v", ev)
-	}
-	// A just-taken start is sub-threshold: filtered, but the returned stamp
-	// still advances so callers can chain it.
-	before := r.TotalEvents()
-	if got := r.RecordFreeCall(0, clock.Now(), 1); got == 0 {
-		t.Fatal("no end stamp returned")
-	}
-	if r.TotalEvents() != before {
-		t.Fatal("sub-threshold free call recorded")
-	}
-}
-
-func TestRecordFreeCallDroppedAtCapacity(t *testing.T) {
-	r := NewRecorder(1, 1)
-	start := clock.Now() - ms
-	r.RecordFreeCall(0, start, 1)
-	// A full buffer still advances the returned stamp (the chain must
-	// survive truncation) and counts the recordable call as dropped.
-	if got := r.RecordFreeCall(0, start, 1); got <= start {
-		t.Fatalf("full-buffer RecordFreeCall returned %d, want an advanced end stamp", got)
-	}
-	if r.Dropped() != 1 {
-		t.Fatalf("Dropped = %d, want 1", r.Dropped())
-	}
-	// A sub-threshold call against the full buffer is filtered, not lost:
-	// Dropped means "recordable events lost", consistently.
-	if got := r.RecordFreeCall(0, clock.Now(), 1); got == 0 {
-		t.Fatal("no end stamp returned")
-	}
-	if r.Dropped() != 1 {
-		t.Fatalf("Dropped = %d after sub-threshold call, want still 1", r.Dropped())
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	r := NewRecorder(1, 4)
 	now := r.Origin()
 	r.Record(0, KindBatchFree, now, now+ms, 5)
-	r.Mark(0, KindEpochAdvance, 3)
+	r.MarkAt(0, KindEpochAdvance, clock.Coarse(), 3)
 	var sb strings.Builder
 	if err := r.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -236,11 +185,11 @@ func TestGarbageCurveSorted(t *testing.T) {
 
 func TestMarkNeverBeforeOrigin(t *testing.T) {
 	r := NewRecorder(1, 4)
-	// Mark uses the coarse clock, which may lag the origin stamp taken at
-	// construction; events must still never start before the origin.
-	r.Mark(0, KindEpochAdvance, 1)
+	// StageMark uses the coarse clock, which may lag the origin stamp taken
+	// at construction; events must still never start before the origin.
+	r.StageMark(0, KindEpochAdvance, 1)
 	if ev := r.Events(0)[0]; ev.Start < 0 {
-		t.Fatalf("Mark produced pre-origin event: %+v", ev)
+		t.Fatalf("StageMark produced pre-origin event: %+v", ev)
 	}
 }
 
@@ -259,41 +208,9 @@ func TestEventKindStrings(t *testing.T) {
 	}
 }
 
-// BenchmarkRecordFreeCallSubThreshold is the recorded-trial fast path: the
-// overwhelming majority of free calls are below the threshold and must cost
-// at most one clock stamp.
-func BenchmarkRecordFreeCallSubThreshold(b *testing.B) {
-	r := NewRecorder(1, 1<<20)
-	c := clock.Now()
-	for i := 0; i < b.N; i++ {
-		c = r.RecordFreeCall(0, c, 1)
-	}
-}
-
-// BenchmarkRecordFreeCallLegacy measures the stamping pattern this package
-// replaced: two time.Now reads plus time.Time arithmetic per call.
-func BenchmarkRecordFreeCallLegacy(b *testing.B) {
-	r := NewRecorder(1, 1<<20)
-	for i := 0; i < b.N; i++ {
-		c0 := time.Now()
-		end := time.Now()
-		if d := end.Sub(c0); d >= r.FreeCallThreshold {
-			r.Record(0, KindFreeCall, int64(d), 2*int64(d), 1)
-		}
-	}
-}
-
-func BenchmarkRecordFreeCallBufferFull(b *testing.B) {
-	r := NewRecorder(1, 0)
-	c := clock.Now()
-	for i := 0; i < b.N; i++ {
-		c = r.RecordFreeCall(0, c, 1)
-	}
-}
-
 // TestStagedPipelineMatchesLegacy is the unit-level parity pin: a raw entry
 // stream driven through the staging rings, teed into a same-origin reference
-// recorder via the legacy replay path, must produce bit-identical CSV and
+// recorder via ReplayEntry, must produce bit-identical CSV and
 // ASCII output — threshold filtering, mark clamping, capacity drops and
 // origin rebasing all included.
 func TestStagedPipelineMatchesLegacy(t *testing.T) {
@@ -325,14 +242,14 @@ func TestStagedPipelineMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
-		t.Fatalf("CSV diverged:\nstaged:\n%s\nlegacy:\n%s", got.String(), want.String())
+		t.Fatalf("CSV diverged:\nstaged:\n%s\nreference:\n%s", got.String(), want.String())
 	}
 	opts := RenderOptions{Width: 40, Kinds: []EventKind{KindBatchFree, KindFreeCall}}
 	if g, w := RenderASCII(r, opts), RenderASCII(ref, opts); g != w {
-		t.Fatalf("ASCII diverged:\nstaged:\n%s\nlegacy:\n%s", g, w)
+		t.Fatalf("ASCII diverged:\nstaged:\n%s\nreference:\n%s", g, w)
 	}
 	if g, w := r.Dropped(), ref.Dropped(); g != w {
-		t.Fatalf("Dropped diverged: staged %d, legacy %d", g, w)
+		t.Fatalf("Dropped diverged: staged %d, reference %d", g, w)
 	}
 }
 
@@ -392,11 +309,6 @@ func TestStagedClockReads(t *testing.T) {
 	r.StageMark(0, KindEpochAdvance, 1)
 	if got := r.ClockReads(); got != 4 {
 		t.Fatalf("ClockReads = %d, want 4", got)
-	}
-	// The legacy chained path still counts its one stamp per call.
-	r.RecordFreeCall(0, now, 1)
-	if got := r.ClockReads(); got != 5 {
-		t.Fatalf("ClockReads = %d after RecordFreeCall, want 5", got)
 	}
 }
 
