@@ -32,9 +32,9 @@ const drainGrace = 2 * time.Second
 // the store, serve leases until every trial is done, then emit the same
 // summaries (and greppable grid line) a single-process sweep would. When no
 // worker leases anything within localGrace, the process degrades to local
-// mode — it drains the sweep itself through the coordinator's in-process
-// Source, so a -serve invocation with no fleet still finishes (late workers
-// can still join; both sides lease from the same pool).
+// mode — it becomes its own worker, against its own listener — so a -serve
+// invocation with no fleet still finishes (late workers can still join; both
+// sides lease from the same queue).
 func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline, localGrace time.Duration,
 	retries int, backoff time.Duration, format, outPath string, progress bool) int {
 	if storePath == "" {
@@ -78,10 +78,11 @@ func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline,
 	defer stop()
 	if localGrace > 0 {
 		// Degraded-local mode: if the grace window passes with zero leases
-		// granted, no worker is coming — drain the sweep in-process through
-		// the same Source/Drain path a worker uses. Leases granted to late
-		// workers and local leases come from one pool, so a worker joining
-		// mid-drain just shares the remaining trials.
+		// granted, no worker is coming — run one in this process. It is a
+		// worker like any other (claims journaled, dedupe by key, stats under
+		// its name), so one joining mid-drain just shares the remaining
+		// trials. It spools nothing, its coordinator cannot go away without
+		// it, and takes any trial: there is no bigger worker to wait for.
 		go func() {
 			t := time.NewTimer(localGrace)
 			defer t.Stop()
@@ -96,8 +97,8 @@ func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline,
 				return
 			}
 			fmt.Fprintf(os.Stderr, "fleet: no worker leased within %v; draining locally\n", localGrace)
-			local := &grid.Runner{Retries: retries, Backoff: backoff}
-			if err := local.Drain(ctx, coord.LocalSource("local")); err != nil && ctx.Err() == nil {
+			local := newWorker("http://"+ln.Addr().String(), retries, backoff, "local", "none", -1, 1)
+			if _, err := local.Run(ctx); err != nil && ctx.Err() == nil {
 				fmt.Fprintf(os.Stderr, "fleet: local drain: %v\n", err)
 			}
 		}()
@@ -120,34 +121,15 @@ func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline,
 	time.Sleep(drainGrace)
 	_ = srv.Close()
 
-	stStatus := coord.Status()
-	sums := coord.Summaries()
-	out, cleanup, err := openOut(outPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "epochgrid: %v\n", err)
-		return 1
-	}
-	defer cleanup()
-	if err := emit(out, format, sums, stStatus.Executed, stStatus.Cached); err != nil {
-		fmt.Fprintf(os.Stderr, "epochgrid: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "grid: configs=%d trials=%d executed=%d cached=%d quarantined=%d wall=%v\n",
-		len(sums), stStatus.Total, stStatus.Executed, stStatus.Cached, stStatus.Quarantined,
-		time.Since(t0).Round(time.Millisecond))
-	fmt.Fprintf(os.Stderr, "fleet: leases reissued=%d duplicate completions=%d\n",
-		stStatus.Reissued, stStatus.Duplicates)
-	if stStatus.Quarantined > 0 {
-		return 3
-	}
-	return 0
+	status := coord.Status()
+	code := finishSweep(format, outPath, coord.Summaries(), status.Total, status.Executed, status.Cached, status.Quarantined, t0)
+	fmt.Fprintf(os.Stderr, "fleet: leases reissued=%d duplicate completions=%d\n", status.Reissued, status.Duplicates)
+	return code
 }
 
-// runWorker drains a coordinator until its sweep is done. SIGINT/SIGTERM
-// cancel cleanly: the current trial's lease simply expires and is re-issued
-// elsewhere. SIGKILL needs no handling — that is the lease's whole job.
-func runWorker(base string, retries int, backoff time.Duration, name, spoolFlag string,
-	capacity, leaseBatch int, progress bool) int {
+// newWorker assembles a worker for the coordinator at base from the -worker
+// flags' values.
+func newWorker(base string, retries int, backoff time.Duration, name, spoolFlag string, capacity, leaseBatch int) *fleet.Worker {
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s:%d", host, os.Getpid())
@@ -160,7 +142,7 @@ func runWorker(base string, retries int, backoff time.Duration, name, spoolFlag 
 	case "none":
 		spool = ""
 	}
-	w := &fleet.Worker{
+	return &fleet.Worker{
 		Client: &fleet.Client{
 			Base: base, Timeout: 10 * time.Second, Retries: -1,
 			RetryBase: backoff, Seed: seedFor(name),
@@ -171,6 +153,15 @@ func runWorker(base string, retries int, backoff time.Duration, name, spoolFlag 
 		Capacity:   capacity,
 		LeaseBatch: leaseBatch,
 	}
+}
+
+// runWorker drains a coordinator until its sweep is done. SIGINT/SIGTERM
+// cancel cleanly: the current trial's lease simply expires and is re-issued
+// elsewhere. SIGKILL needs no handling — that is the lease's whole job.
+func runWorker(base string, retries int, backoff time.Duration, name, spoolFlag string,
+	capacity, leaseBatch int, progress bool) int {
+	w := newWorker(base, retries, backoff, name, spoolFlag, capacity, leaseBatch)
+	name = w.Name
 	if progress {
 		w.Logf = func(f string, args ...any) { fmt.Fprintf(os.Stderr, f+"\n", args...) }
 	}

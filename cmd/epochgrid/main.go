@@ -268,23 +268,27 @@ func realMain() int {
 		return 1
 	}
 	executed, cached := runner.Counts()
+	quarantined := runner.Quarantines()
+	return finishSweep(*format, *outPath, sums, executed+cached+quarantined, executed, cached, quarantined, t0)
+}
 
-	out, cleanup, err := openOut(*outPath)
+// finishSweep is the tail of every finished sweep, local or served: emit the
+// summaries, print the machine-greppable run line (the CI cache-hit gate
+// matches executed=0, the robustness gate quarantined=N), and pick the exit
+// code.
+func finishSweep(format, outPath string, sums []bench.Summary, trials, executed, cached, quarantined int, t0 time.Time) int {
+	out, cleanup, err := openOut(outPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "epochgrid: %v\n", err)
 		return 1
 	}
 	defer cleanup()
-	if err := emit(out, *format, sums, executed, cached); err != nil {
+	if err := emit(out, format, sums, executed, cached); err != nil {
 		fmt.Fprintf(os.Stderr, "epochgrid: %v\n", err)
 		return 1
 	}
-	// Machine-greppable run line (the CI cache-hit gate matches executed=0,
-	// the robustness gate matches quarantined=N).
-	quarantined := runner.Quarantines()
 	fmt.Fprintf(os.Stderr, "grid: configs=%d trials=%d executed=%d cached=%d quarantined=%d wall=%v\n",
-		len(sums), executed+cached+quarantined, executed, cached, quarantined,
-		time.Since(t0).Round(time.Millisecond))
+		len(sums), trials, executed, cached, quarantined, time.Since(t0).Round(time.Millisecond))
 	if quarantined > 0 {
 		// The sweep completed and its results were emitted, but some trials
 		// failed permanently — a distinct exit code so CI can tell "grid

@@ -115,6 +115,11 @@ func TestChaosFleetConverges(t *testing.T) {
 // and replays it on reconnect — no result is lost to the partition.
 func TestChaosWorkerSpoolsThroughPartition(t *testing.T) {
 	cfgs := tinyCfgs(2)
+	for i := range cfgs {
+		// Many poll intervals of waitFor long, so the link is severed while
+		// the first trial still runs, not after it was delivered.
+		cfgs[i].Duration = 200 * time.Millisecond
+	}
 	store := results.NewMemStore()
 	coord, err := NewCoordinator(cfgs, 1, CoordinatorConfig{
 		Store: store, LeaseTTL: 10 * time.Second, Logf: t.Logf,
@@ -154,9 +159,12 @@ func TestChaosWorkerSpoolsThroughPartition(t *testing.T) {
 	waitFor(t, 30*time.Second, "record to hit the spool", func() bool {
 		return w.Stats().Spooled == 1
 	})
-	if data, err := os.ReadFile(spool); err != nil || len(data) == 0 {
-		t.Fatalf("spool file missing or empty after partition: %v", err)
-	}
+	// The reconnect loop rewrites the spool after every failed replay, so a
+	// single read can catch it truncated.
+	waitFor(t, 30*time.Second, "spool file to hold the record", func() bool {
+		data, err := os.ReadFile(spool)
+		return err == nil && len(data) > 0
+	})
 	if store.Len() != 0 {
 		t.Fatal("severed worker somehow delivered a record")
 	}

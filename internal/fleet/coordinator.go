@@ -15,72 +15,8 @@ import (
 	"repro/internal/results"
 )
 
-// taskState tracks one expanded trial through the lease lifecycle.
-type taskState int
-
-const (
-	taskPending taskState = iota
-	taskLeased
-	taskDone
-)
-
-// fleetTask is one expanded trial: its content address, effective config,
-// and position in the summary layout. cfgIdx is also its cfgGroup.
-type fleetTask struct {
-	key              string
-	cfg              bench.WorkloadConfig
-	cfgIdx, trialIdx int
-	state            taskState
-	leaseID          string
-}
-
-// cfgGroup is one input configuration as the scheduler sees it. Its seeds
-// share a GroupKey, a StaticCost and a thread demand, so those are computed
-// once here and a grant decision never hashes a config; the group's pending
-// trials wait in a queue of their own.
-type cfgGroup struct {
-	key     string  // results.GroupOf: the cost model's index
-	static  float64 // grid.StaticCost
-	threads int
-	label   string // results.Label, for log lines
-	// pending holds the task indices of the group's pending trials in
-	// ascending order. Costly-first grants pop the head and cheap batch
-	// extras the tail, which is where a stable sort of the whole backlog by
-	// descending estimate would find them: the estimate is per group, so
-	// ties within a group fall in task order.
-	pending []int
-}
-
-func (g *cfgGroup) head() int { return g.pending[0] }
-func (g *cfgGroup) tail() int { return g.pending[len(g.pending)-1] }
-
-func (g *cfgGroup) popHead() int {
-	i := g.pending[0]
-	g.pending = g.pending[1:]
-	return i
-}
-
-func (g *cfgGroup) popTail() int {
-	i := g.tail()
-	g.pending = g.pending[:len(g.pending)-1]
-	return i
-}
-
-// requeue returns an expired lease's task to its place in the order.
-func (g *cfgGroup) requeue(i int) {
-	at, _ := slices.BinarySearch(g.pending, i)
-	g.pending = slices.Insert(g.pending, at, i)
-}
-
-// drop removes a pending task that finished without being granted.
-func (g *cfgGroup) drop(i int) {
-	at, _ := slices.BinarySearch(g.pending, i)
-	g.pending = slices.Delete(g.pending, at, at+1)
-}
-
 // lease is one outstanding grant.
 type lease struct {
-	id      string
 	taskIdx int
 	worker  string
 	granted time.Time
@@ -104,44 +40,38 @@ type CoordinatorConfig struct {
 	// Clock is the time source; nil means time.Now. Injectable so lease
 	// expiry is testable without real waits.
 	Clock func() time.Time
-	// Cost is the scheduling cost model; nil builds one seeded from the
-	// store's measured elapsed times. The coordinator grants costliest-
-	// fitting-first (the distributed face of the grid runner's LPT policy)
-	// and feeds every completion's measured wall time back into the model.
+	// Cost is the queue's cost model; nil builds one seeded from the store's
+	// measured elapsed times. Every completion's measured wall time feeds it.
 	Cost *grid.CostModel
 	// Logf, when set, receives one line per fleet event (grants, expiries,
 	// completions, duplicates). Serialized under the coordinator lock.
 	Logf func(format string, args ...any)
 }
 
-// Coordinator owns one sweep: the expanded trial list, the lease table, and
-// the store. All state transitions happen under one lock; persistence goes
-// through the store's crash-safe append log, so a coordinator killed at any
-// point restarts from the store with nothing lost — completed trials are
-// skipped, incomplete ones re-issued (their stale claims are journal
-// entries, not commitments).
+// Coordinator owns one sweep's lease layer: the sweep itself — which trials
+// are pending, which runs next, what a completion does to the books — is a
+// grid.Queue, the same one a local Run drains; what is the coordinator's own
+// is the lease table with its TTL and expiry, the claim journal, the worker
+// ledger and the HTTP surface. All state transitions happen under one lock;
+// persistence goes through the store's crash-safe append log, so a
+// coordinator killed at any point restarts from the store with nothing lost
+// — completed trials are skipped, incomplete ones re-issued (their stale
+// claims are journal entries, not commitments).
 type Coordinator struct {
 	store *results.Store
 	ttl   time.Duration
 	now   func() time.Time
 	logFn func(string, ...any) // nil: logging off
-	model *grid.CostModel
 
-	mu     sync.Mutex
-	eff    []bench.WorkloadConfig
-	trials int
-	tasks  []*fleetTask
-	groups []cfgGroup // indexed by cfgIdx
-	est    []float64  // per-group estimates of the request being served
-	byKey  map[string][]int
-	leases map[string]*lease
-	seq    int
+	mu      sync.Mutex
+	q       *grid.Queue
+	leaseOf []string // per task: the lease it is out under, "" when none
+	leases  map[string]*lease
+	seq     int
 
-	executed, cached, quarantined int
-	duplicates, reissued          int
-	doneCount                     int
-	granted                       int
-	doneCh                        chan struct{}
+	duplicates, reissued int
+	granted              int
+	doneCh               chan struct{}
 
 	startedAt time.Time
 	// completedCost sums the model's estimate of every freshly completed
@@ -164,10 +94,11 @@ type workerStats struct {
 // on one worker's crash.
 const maxBatchGrants = 8
 
-// NewCoordinator expands cfgs×trials with the runner's seed-chain convention
-// and builds the coordinator over the store. Trials already in the store
-// (including quarantines) are done before the first lease is granted — this
-// is what makes a coordinator restart resume instead of re-running.
+// NewCoordinator expands cfgs×trials exactly as grid.Runner would
+// (ExpandTasks: same tasks, same TrialKeys) and queues them over the store.
+// Trials already in the store (including quarantines) are done before the
+// first lease is granted — this is what makes a coordinator restart resume
+// instead of re-running.
 func NewCoordinator(cfgs []bench.WorkloadConfig, trials int, cc CoordinatorConfig) (*Coordinator, error) {
 	if cc.Store == nil {
 		return nil, fmt.Errorf("fleet: coordinator requires a store")
@@ -180,58 +111,20 @@ func NewCoordinator(cfgs []bench.WorkloadConfig, trials int, cc CoordinatorConfi
 	if now == nil {
 		now = time.Now
 	}
-	model := cc.Cost
-	if model == nil {
-		model = grid.NewCostModel(cc.Store)
-	}
-	eff, expanded := grid.ExpandTasks(cfgs, trials, cc.Faults, cc.Deadline)
+	eff, tasks := grid.ExpandTasks(cfgs, trials, cc.Faults, cc.Deadline)
 	c := &Coordinator{
 		store:     cc.Store,
 		ttl:       ttl,
 		now:       now,
 		logFn:     cc.Logf,
-		model:     model,
-		eff:       eff,
-		trials:    trials,
-		groups:    make([]cfgGroup, len(eff)),
-		est:       make([]float64, len(eff)),
-		byKey:     map[string][]int{},
+		q:         grid.NewQueue(eff, tasks, cc.Store, cc.Cost),
+		leaseOf:   make([]string, len(tasks)),
 		leases:    map[string]*lease{},
 		doneCh:    make(chan struct{}),
 		startedAt: now(),
 		workers:   map[string]*workerStats{},
 	}
-	for i, cfg := range eff {
-		c.groups[i] = cfgGroup{
-			key:     results.GroupOf(cfg),
-			static:  grid.StaticCost(cfg),
-			threads: cfg.Threads,
-			label:   results.Label(cfg),
-		}
-	}
-	for _, t := range expanded {
-		ft := &fleetTask{
-			key:    results.KeyOf(t.Cfg),
-			cfg:    t.Cfg,
-			cfgIdx: t.CfgIdx, trialIdx: t.TrialIdx,
-		}
-		idx := len(c.tasks)
-		c.tasks = append(c.tasks, ft)
-		c.byKey[ft.key] = append(c.byKey[ft.key], idx)
-		if recs := c.store.Get(ft.key); len(recs) > 0 {
-			ft.state = taskDone
-			c.doneCount++
-			if recs[0].Quarantined {
-				c.quarantined++
-			} else {
-				c.cached++
-			}
-			continue
-		}
-		g := &c.groups[ft.cfgIdx]
-		g.pending = append(g.pending, idx)
-	}
-	if c.doneCount == len(c.tasks) {
+	if c.q.Done() == c.q.Len() {
 		close(c.doneCh)
 	}
 	return c, nil
@@ -255,68 +148,51 @@ func (c *Coordinator) reclaimExpiredLocked() {
 		if l.expires.After(now) {
 			continue
 		}
+		// A lease in the table is its task's current one: a completion takes
+		// the task's lease out with it.
 		delete(c.leases, id)
-		t := c.tasks[l.taskIdx]
-		if t.state == taskLeased && t.leaseID == id {
-			t.state = taskPending
-			t.leaseID = ""
-			g := &c.groups[t.cfgIdx]
-			g.requeue(l.taskIdx)
-			c.reissued++
-			c.logf("fleet: lease %s (%s) from %s expired; re-issuing %s",
-				id, short(t.key), l.worker, g.label)
-		}
+		c.leaseOf[l.taskIdx] = ""
+		c.q.Return(l.taskIdx)
+		c.reissued++
+		c.logf("fleet: lease %s (%s) from %s expired; re-issuing %s",
+			id, short(c.q.Key(l.taskIdx)), l.worker, c.q.Label(l.taskIdx))
 	}
 }
 
 // grantLocked journals the claim for task i and attaches a fresh lease to
-// worker; caller holds mu and has taken the task off its group's queue.
+// worker; caller holds mu and has taken the task from the queue.
 func (c *Coordinator) grantLocked(i int, worker string) (Grant, error) {
-	t := c.tasks[i]
+	key := c.q.Key(i)
 	c.seq++
 	id := "L" + strconv.Itoa(c.seq)
 	now := c.now()
 	expires := now.Add(c.ttl)
 	// Journal the claim before answering: if the append fails the
 	// store is broken and granting would strand the trial's result.
-	if err := c.store.Append(results.NewClaim(t.key, worker, expires)); err != nil {
-		c.groups[t.cfgIdx].requeue(i)
+	if err := c.store.Append(results.NewClaim(key, worker, expires)); err != nil {
+		c.q.Return(i)
 		return Grant{}, fmt.Errorf("fleet: journaling claim: %w", err)
 	}
-	t.state = taskLeased
-	t.leaseID = id
-	c.leases[id] = &lease{id: id, taskIdx: i, worker: worker, granted: now, expires: expires}
+	c.leaseOf[i] = id
+	c.leases[id] = &lease{taskIdx: i, worker: worker, granted: now, expires: expires}
 	c.granted++
 	if c.logFn != nil {
 		c.logFn("fleet: leased %s (%s) to %s until %s",
-			c.groups[t.cfgIdx].label, short(t.key), worker, expires.Format(time.RFC3339))
+			c.q.Label(i), short(key), worker, expires.Format(time.RFC3339))
 	}
-	return Grant{LeaseID: id, Key: t.key, Config: t.cfg, ExpiresUnixNano: expires.UnixNano()}, nil
-}
-
-// fits reports whether a group's thread demand fits an advertised capacity
-// (<= 0 means unlimited).
-func (g *cfgGroup) fits(capacity int) bool {
-	return capacity <= 0 || g.threads <= capacity
+	return Grant{LeaseID: id, Key: key, Config: c.q.Config(i), ExpiresUnixNano: expires.UnixNano()}, nil
 }
 
 // Lease grants pending trials to the requesting worker, journaling each
-// claim. The grant policy is the distributed face of the grid runner's LPT
-// scheduler: the primary grant is the costliest pending trial that fits the
-// worker's advertised Capacity, so the biggest remaining work starts
-// earliest on the workers that can run it — the makespan argument. When
-// nothing fits the capacity, the cheapest pending trial is granted anyway
-// (capacity is advisory; a slow trial beats a stalled sweep). With
-// MaxTrials > 1 the response also batches up to maxBatchGrants of the
+// claim. Which trial is the queue's decision (grid.Queue.Take): the primary
+// grant is the costliest pending trial that fits the worker's advertised
+// Capacity. When nothing fits the capacity, the cheapest pending trial is
+// granted anyway (capacity is advisory; a slow trial beats a stalled sweep).
+// With MaxTrials > 1 the response also batches up to maxBatchGrants of the
 // cheapest fitting trials as Extra, amortizing lease round-trips over
 // trials whose RPC cost rivals their runtime. When everything is
 // leased-but-unfinished it answers StatusWait; when the sweep is complete,
 // StatusDone.
-//
-// The order is that of a stable sort of every pending trial by descending
-// estimate — ties in expansion order, deterministic given the same model
-// state — but no such sort is made: a request costs one estimate per
-// configuration group and no hashing, whatever the backlog.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -328,44 +204,20 @@ func (c *Coordinator) leaseLocked(req LeaseRequest) (LeaseResponse, error) {
 	if ws := c.workers[req.Worker]; ws == nil {
 		c.workers[req.Worker] = &workerStats{firstSeen: c.now()}
 	}
-	if c.doneCount == len(c.tasks) {
+	if c.q.Done() == c.q.Len() {
 		return LeaseResponse{Status: StatusDone}, nil
 	}
-	// Estimate every group with pending trials once per request: the model
-	// shifts as completions feed it, so ordering is computed live rather
-	// than pinned at expansion. The head of the descending order among the
-	// groups that fit is the costliest, ties to the lowest task index.
-	primary, backlog := -1, false
-	for gi := range c.groups {
-		g := &c.groups[gi]
-		if len(g.pending) == 0 {
-			continue
-		}
-		backlog = true
-		e, _ := c.estimate(g)
-		c.est[gi] = e
-		if !g.fits(req.Capacity) {
-			continue
-		}
-		if p := primary; p < 0 || e > c.est[p] || (e == c.est[p] && g.head() < c.groups[p].head()) {
-			primary = gi
-		}
-	}
-	if !backlog {
+	if c.q.Pending() == 0 {
 		return LeaseResponse{Status: StatusWait, RetryMs: c.retryMsLocked()}, nil
 	}
-	fallback := primary < 0
-	var first int
-	if fallback {
+	first, fits := c.q.Take(req.Capacity)
+	if !fits {
 		// Nothing fits the advertised capacity: grant the cheapest pending
-		// trial (last in descending order) so an undersized worker makes
-		// slow progress instead of the sweep waiting for a big worker that
-		// may never come.
-		first = c.groups[c.cheapestLocked(-1)].popTail()
+		// trial so an undersized worker makes slow progress instead of the
+		// sweep waiting for a big worker that may never come.
+		first, _ = c.q.TakeCheapest(0)
 		c.logf("fleet: no pending trial fits capacity %d from %s; granting cheapest",
 			req.Capacity, req.Worker)
-	} else {
-		first = c.groups[primary].popHead()
 	}
 	resp := LeaseResponse{Status: StatusLease}
 	g, err := c.grantLocked(first, req.Worker)
@@ -373,21 +225,16 @@ func (c *Coordinator) leaseLocked(req LeaseRequest) (LeaseResponse, error) {
 		return LeaseResponse{}, err
 	}
 	resp.LeaseID, resp.Key, resp.Config, resp.ExpiresUnixNano = g.LeaseID, g.Key, g.Config, g.ExpiresUnixNano
-	if req.MaxTrials > 1 && !fallback {
-		extra := req.MaxTrials - 1
-		if extra > maxBatchGrants {
-			extra = maxBatchGrants
-		}
-		// Fill the batch cheapest-first (from the tail of the descending
-		// order): batching exists to amortize round-trips over cheap
-		// trials, while expensive ones keep getting dedicated leases that
-		// renew independently.
-		for ; extra > 0; extra-- {
-			cheapest := c.cheapestLocked(req.Capacity)
-			if cheapest < 0 {
+	if req.MaxTrials > 1 && fits {
+		// Fill the batch cheapest-first: batching exists to amortize
+		// round-trips over cheap trials, while expensive ones keep getting
+		// dedicated leases that renew independently.
+		for extra := min(req.MaxTrials-1, maxBatchGrants); extra > 0; extra-- {
+			i, ok := c.q.TakeCheapest(req.Capacity)
+			if !ok {
 				break
 			}
-			g, err := c.grantLocked(c.groups[cheapest].popTail(), req.Worker)
+			g, err := c.grantLocked(i, req.Worker)
 			if err != nil {
 				return LeaseResponse{}, err
 			}
@@ -395,30 +242,6 @@ func (c *Coordinator) leaseLocked(req LeaseRequest) (LeaseResponse, error) {
 		}
 	}
 	return resp, nil
-}
-
-// estimate is the cost model's current estimate of one trial of the group,
-// and whether it is the group's measured mean in nanoseconds.
-func (c *Coordinator) estimate(g *cfgGroup) (float64, bool) {
-	return c.model.EstimateGroup(g.key, g.static)
-}
-
-// cheapestLocked returns the group holding the last trial of the descending
-// order among the groups that fit capacity — the lowest estimate (c.est,
-// filled by the request being served), ties to the highest task index — or
-// -1 when none has a pending trial.
-func (c *Coordinator) cheapestLocked(capacity int) int {
-	best := -1
-	for gi := range c.groups {
-		g := &c.groups[gi]
-		if len(g.pending) == 0 || !g.fits(capacity) {
-			continue
-		}
-		if best < 0 || c.est[gi] < c.est[best] || (c.est[gi] == c.est[best] && g.tail() > c.groups[best].tail()) {
-			best = gi
-		}
-	}
-	return best
 }
 
 // retryMsLocked is the poll delay for a worker that finds every remaining
@@ -435,7 +258,7 @@ func (c *Coordinator) retryMsLocked() int {
 	retry := min(max(c.ttl/8, 10*time.Millisecond), 250*time.Millisecond).Truncate(time.Millisecond)
 	now := c.now()
 	for _, l := range c.leases {
-		mean, measured := c.estimate(&c.groups[c.tasks[l.taskIdx].cfgIdx])
+		mean, measured := c.q.Estimate(l.taskIdx)
 		if !measured {
 			continue
 		}
@@ -491,40 +314,27 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 }
 
 func (c *Coordinator) completeLocked(req CompleteRequest) (CompleteResponse, error) {
-	idxs, ok := c.byKey[req.Key]
-	if !ok {
+	idxs := c.q.Tasks(req.Key)
+	if idxs == nil {
 		c.logf("fleet: rejecting completion of unknown key %s from %s", req.Key, req.Worker)
 		return CompleteResponse{Accepted: false}, nil
 	}
-	allDone := true
-	for _, i := range idxs {
-		if c.tasks[i].state != taskDone {
-			allDone = false
-		}
-	}
-	if allDone {
+	open := slices.IndexFunc(idxs, func(i int) bool { return !c.q.Finished(i) })
+	if open < 0 {
 		c.duplicates++
 		c.logf("fleet: duplicate completion of %s from %s (dedupe)", short(req.Key), req.Worker)
-		return CompleteResponse{Accepted: true, Duplicate: true, Done: c.doneCount == len(c.tasks)}, nil
+		return CompleteResponse{Accepted: true, Duplicate: true, Done: c.q.Done() == c.q.Len()}, nil
 	}
 	rec := req.Record
 	rec.Worker = req.Worker
-	added, err := c.store.AppendIfAbsent(rec)
-	if err != nil {
+	// The throughput ledger takes the estimate as it stood before this
+	// completion feeds the model, so the ETA's remaining-cost sum and
+	// completed-cost accumulator never both count the same trial.
+	est, _ := c.q.Estimate(idxs[open])
+	if _, err := c.q.Finish(idxs[open], rec); err != nil {
 		return CompleteResponse{}, fmt.Errorf("fleet: persisting completion: %w", err)
 	}
-	// Feed the completion into the cost model and the throughput ledger
-	// before marking done, so the ETA's remaining-cost sum and completed-
-	// cost accumulator never both count the same trial. Tasks sharing a key
-	// share a normalized config, hence a group.
-	g := &c.groups[c.tasks[idxs[0]].cfgIdx]
-	est, _ := c.estimate(g)
 	c.completedCost += est
-	elapsed := rec.ElapsedNanos
-	if elapsed == 0 {
-		elapsed = rec.Trial.ElapsedNanos
-	}
-	c.model.ObserveGroup(g.key, g.static, elapsed)
 	ws := c.workers[req.Worker]
 	if ws == nil {
 		ws = &workerStats{firstSeen: c.now()}
@@ -533,41 +343,20 @@ func (c *Coordinator) completeLocked(req CompleteRequest) (CompleteResponse, err
 	ws.done++
 	ws.lastDone = c.now()
 	for _, i := range idxs {
-		t := c.tasks[i]
-		switch t.state {
-		case taskDone:
-			continue
-		case taskPending:
-			// Finished without a live lease (spool replay after expiry, or a
-			// twin task under the same key): it is no longer grantable.
-			c.groups[t.cfgIdx].drop(i)
-		case taskLeased:
-			// Whatever lease the task is under now — the completing worker's
-			// own, or a re-issue's while this completion arrived by spool
-			// replay or under a superseded lease — ends with the task, so
-			// Status.Leased, Renew and the wait estimate stop counting it.
-			delete(c.leases, t.leaseID)
+		// Whatever lease a task under the key is out under now — the
+		// completing worker's own, or a re-issue's while this completion
+		// arrived by spool replay or under a superseded lease — ends with the
+		// task, so Status.Leased, Renew and the wait estimate stop counting it.
+		if id := c.leaseOf[i]; id != "" {
+			delete(c.leases, id)
+			c.leaseOf[i] = ""
 		}
-		t.state = taskDone
-		t.leaseID = ""
-		c.doneCount++
 	}
-	switch {
-	case !added:
-		// The key was already in the store (it arrived by merge or a
-		// concurrent writer) but the task was not yet marked done — count
-		// it as cached, like a startup hit.
-		c.cached++
-	case rec.Quarantined:
-		c.quarantined++
-	default:
-		c.executed++
-	}
+	done := c.q.Done() == c.q.Len()
 	if c.logFn != nil {
 		c.logFn("fleet: completed %s (%s) from %s [%d/%d]",
-			g.label, short(req.Key), req.Worker, c.doneCount, len(c.tasks))
+			c.q.Label(idxs[open]), short(req.Key), req.Worker, c.q.Done(), c.q.Len())
 	}
-	done := c.doneCount == len(c.tasks)
 	if done {
 		select {
 		case <-c.doneCh:
@@ -598,29 +387,18 @@ func (c *Coordinator) Granted() int {
 func (c *Coordinator) Status() StatusResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	executed, cached, quarantined := c.q.Counts()
 	resp := StatusResponse{
-		Total: len(c.tasks), Done: c.doneCount,
-		Executed: c.executed, Cached: c.cached, Quarantined: c.quarantined,
+		Total: c.q.Len(), Done: c.q.Done(),
+		Executed: executed, Cached: cached, Quarantined: quarantined,
 		Leased:     len(c.leases),
 		Duplicates: c.duplicates, Reissued: c.reissued,
-		Complete: c.doneCount == len(c.tasks),
+		Complete: c.q.Done() == c.q.Len(),
 	}
 	if !resp.Complete && c.completedCost > 0 {
-		wall := c.now().Sub(c.startedAt)
-		if wall > 0 {
-			for gi := range c.groups {
-				c.est[gi], _ = c.estimate(&c.groups[gi])
-			}
-			var remaining float64
-			for _, t := range c.tasks {
-				if t.state != taskDone {
-					remaining += c.est[t.cfgIdx]
-				}
-			}
+		if wall := c.now().Sub(c.startedAt); wall > 0 {
 			throughput := c.completedCost / wall.Seconds() // cost units per wall second
-			if throughput > 0 {
-				resp.ETASeconds = remaining / throughput
-			}
+			resp.ETASeconds = c.q.Remaining() / throughput
 		}
 	}
 	names := make([]string, 0, len(c.workers))
@@ -639,31 +417,13 @@ func (c *Coordinator) Status() StatusResponse {
 	return resp
 }
 
-// Summaries assembles per-config summaries from the store, in input-config
-// order with trials in seed-chain order — the same layout Runner.Run
-// returns, so `epochgrid -serve` emits exactly what the single-process sweep
-// would. Quarantined trials are excluded; a config with no successful trial
-// yields a zero summary carrying the config.
+// Summaries returns the queue's per-config summaries — the same layout, from
+// the same code, as Runner.Run returns, so `epochgrid -serve` emits exactly
+// what the single-process sweep would.
 func (c *Coordinator) Summaries() []bench.Summary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	perCfg := make([][]bench.TrialResult, len(c.eff))
-	for _, t := range c.tasks {
-		recs := c.store.Get(t.key)
-		if len(recs) == 0 || recs[0].Quarantined {
-			continue
-		}
-		perCfg[t.cfgIdx] = append(perCfg[t.cfgIdx], recs[0].Trial)
-	}
-	out := make([]bench.Summary, len(c.eff))
-	for i, cfg := range c.eff {
-		if len(perCfg[i]) == 0 {
-			out[i] = bench.Summary{Cfg: cfg}
-			continue
-		}
-		out[i] = bench.SummarizeTrials(cfg, perCfg[i])
-	}
-	return out
+	return c.q.Summaries()
 }
 
 // Handler returns the coordinator's HTTP surface:

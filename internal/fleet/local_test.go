@@ -8,10 +8,12 @@ import (
 	"repro/internal/results"
 )
 
-// TestLocalSourceDrains pins degraded-local mode: the coordinator's
-// in-process Source drains the whole sweep through the same lease/complete
-// state machine remote workers use — claims journaled, status converged,
-// one record per key.
+// TestLocalSourceDrains pins degraded-local mode. There is no local source
+// any more: when no worker shows up, `epochgrid -serve` starts the worker
+// built here — named "local", unlimited capacity, no spool — against its own
+// listener, so the sweep drains through the same lease/complete state
+// machine remote workers use: claims journaled, status converged, one record
+// per key.
 func TestLocalSourceDrains(t *testing.T) {
 	store := results.NewMemStore()
 	cfgs := tinyCfgs(2)
@@ -19,8 +21,13 @@ func TestLocalSourceDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &grid.Runner{}
-	if err := r.Drain(t.Context(), coord.LocalSource("local")); err != nil {
+	local := &Worker{
+		Client:   &Client{Base: startFleet(t, coord).URL},
+		Runner:   &grid.Runner{},
+		Name:     "local",
+		Capacity: -1,
+	}
+	if _, err := local.Run(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	st := coord.Status()

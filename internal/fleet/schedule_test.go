@@ -285,23 +285,44 @@ func seededStore(t *testing.T, cfgs []bench.WorkloadConfig) *results.Store {
 // sortLeaser is the reference scheduler of the parity test: the lease policy
 // as it was before the group index — estimate every pending trial by
 // hashing its config, stable-sort the backlog by descending estimate, walk
-// it — over its own store, model and lease table.
+// it — over its own store, model, tasks and lease table. It shares nothing
+// with grid.Queue, which is the point.
 type sortLeaser struct {
 	store  *results.Store
 	model  *grid.CostModel
 	ttl    time.Duration
 	now    func() time.Time
-	tasks  []*fleetTask
-	leases map[string]*lease
+	tasks  []*refTask
+	leases map[string]*refLease
 	seq    int
 	done   int
 }
 
+type refState int
+
+const (
+	refPending refState = iota
+	refLeased
+	refDone
+)
+
+type refTask struct {
+	key     string
+	cfg     bench.WorkloadConfig
+	state   refState
+	leaseID string
+}
+
+type refLease struct {
+	taskIdx int
+	expires time.Time
+}
+
 func newSortLeaser(cfgs []bench.WorkloadConfig, trials int, store *results.Store, ttl time.Duration, now func() time.Time) *sortLeaser {
-	r := &sortLeaser{store: store, model: grid.NewCostModel(store), ttl: ttl, now: now, leases: map[string]*lease{}}
+	r := &sortLeaser{store: store, model: grid.NewCostModel(store), ttl: ttl, now: now, leases: map[string]*refLease{}}
 	_, expanded := grid.ExpandTasks(cfgs, trials, nil, 0)
 	for _, t := range expanded {
-		r.tasks = append(r.tasks, &fleetTask{key: results.KeyOf(t.Cfg), cfg: t.Cfg})
+		r.tasks = append(r.tasks, &refTask{key: results.KeyOf(t.Cfg), cfg: t.Cfg})
 	}
 	return r
 }
@@ -312,8 +333,8 @@ func (r *sortLeaser) grant(i int, worker string) Grant {
 	id := fmt.Sprintf("L%d", r.seq)
 	expires := r.now().Add(r.ttl)
 	r.store.Append(results.NewClaim(t.key, worker, expires))
-	t.state, t.leaseID = taskLeased, id
-	r.leases[id] = &lease{id: id, taskIdx: i, expires: expires}
+	t.state, t.leaseID = refLeased, id
+	r.leases[id] = &refLease{taskIdx: i, expires: expires}
 	return Grant{LeaseID: id, Key: t.key, Config: t.cfg, ExpiresUnixNano: expires.UnixNano()}
 }
 
@@ -323,8 +344,8 @@ func (r *sortLeaser) lease(req LeaseRequest) LeaseResponse {
 			continue
 		}
 		delete(r.leases, id)
-		if t := r.tasks[l.taskIdx]; t.state == taskLeased && t.leaseID == id {
-			t.state, t.leaseID = taskPending, ""
+		if t := r.tasks[l.taskIdx]; t.state == refLeased && t.leaseID == id {
+			t.state, t.leaseID = refPending, ""
 		}
 	}
 	if r.done == len(r.tasks) {
@@ -336,8 +357,9 @@ func (r *sortLeaser) lease(req LeaseRequest) LeaseResponse {
 	}
 	var pending []pendingTask
 	for i, t := range r.tasks {
-		if t.state == taskPending {
-			pending = append(pending, pendingTask{i, r.model.Estimate(t.cfg)})
+		if t.state == refPending {
+			est, _ := r.model.EstimateGroup(results.GroupOf(t.cfg), grid.StaticCost(t.cfg))
+			pending = append(pending, pendingTask{i, est})
 		}
 	}
 	if len(pending) == 0 {
@@ -371,7 +393,7 @@ func (r *sortLeaser) complete(req CompleteRequest) CompleteResponse {
 	for _, t := range r.tasks {
 		if t.key == req.Key {
 			known = true
-			allDone = allDone && t.state == taskDone
+			allDone = allDone && t.state == refDone
 		}
 	}
 	if !known {
@@ -383,10 +405,10 @@ func (r *sortLeaser) complete(req CompleteRequest) CompleteResponse {
 	rec := req.Record
 	rec.Worker = req.Worker
 	r.store.AppendIfAbsent(rec)
-	r.model.Observe(rec.Config, rec.ElapsedNanos)
+	r.model.ObserveGroup(results.GroupOf(rec.Config), grid.StaticCost(rec.Config), rec.ElapsedNanos)
 	for _, t := range r.tasks {
-		if t.key == req.Key && t.state != taskDone {
-			t.state, t.leaseID = taskDone, ""
+		if t.key == req.Key && t.state != refDone {
+			t.state, t.leaseID = refDone, ""
 			r.done++
 		}
 	}
@@ -400,6 +422,29 @@ func (r *sortLeaser) complete(req CompleteRequest) CompleteResponse {
 // clock steps — and requires every answer, the claim journal and the final
 // store to be identical.
 func TestLeaseGrantOrderMatchesFullSort(t *testing.T) {
+	if grants, batched, expiries, st := runLeaseParityScript(t, 12); grants < 20 || batched < 10 || expiries < 3 || st.Reissued == 0 {
+		t.Fatalf("script too tame to prove anything: %d grants, %d batched, %d expiries, status %+v",
+			grants, batched, expiries, st)
+	}
+}
+
+// FuzzLeaseGrantOrder searches the script's seed space for a divergence
+// between the queue's grants and the full sort's. A seed whose script is too
+// tame to prove anything still has to agree; it just is not interesting.
+func FuzzLeaseGrantOrder(f *testing.F) {
+	f.Add(int64(12))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if grants, _, _, _ := runLeaseParityScript(t, seed); grants < 20 {
+			t.Skip("tame script")
+		}
+	})
+}
+
+// runLeaseParityScript runs the parity script of one seed to the end of the
+// sweep, failing t at the first divergence, and reports how much of the
+// lease surface the script exercised.
+func runLeaseParityScript(t *testing.T, seed int64) (grants, batched, expiries int, st StatusResponse) {
+	t.Helper()
 	const ttl = time.Second
 	now := time.Unix(9000, 0)
 	clock := func() time.Time { return now }
@@ -411,13 +456,13 @@ func TestLeaseGrantOrderMatchesFullSort(t *testing.T) {
 	}
 	ref := newSortLeaser(cfgs, 6, refStore, ttl, clock)
 
-	rng := rand.New(rand.NewSource(12))
+	rng := rand.New(rand.NewSource(seed))
 	var held []Grant // every grant ever made and not yet completed by the script, expired ones included
 	sameLease := func(step int, got, want LeaseResponse) {
 		t.Helper()
 		got.RetryMs = 0 // the reference predates the cost-timed wait
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: lease answers differ:\n got %+v\nwant %+v", step, got, want)
+			t.Fatalf("seed %d step %d: lease answers differ:\n got %+v\nwant %+v", seed, step, got, want)
 		}
 		if got.Status == StatusLease {
 			held = append(held, Grant{LeaseID: got.LeaseID, Key: got.Key, Config: got.Config})
@@ -431,10 +476,9 @@ func TestLeaseGrantOrderMatchesFullSort(t *testing.T) {
 			MaxTrials: []int{0, 1, 3, 12}[rng.Intn(4)],
 		}
 	}
-	var grants, batched, expiries int
 	for step := 0; !coord.Status().Complete; step++ {
 		if step > 5000 {
-			t.Fatalf("script did not finish the sweep: %+v", coord.Status())
+			t.Fatalf("seed %d: script did not finish the sweep: %+v", seed, coord.Status())
 		}
 		switch r := rng.Intn(12); {
 		case r < 5:
@@ -470,11 +514,11 @@ func TestLeaseGrantOrderMatchesFullSort(t *testing.T) {
 			next := got.Next
 			got.Next = nil
 			if got != want {
-				t.Fatalf("step %d: completion answers differ: got %+v want %+v", step, got, want)
+				t.Fatalf("seed %d step %d: completion answers differ: got %+v want %+v", seed, step, got, want)
 			}
 			if req.Next != nil {
 				if next == nil {
-					t.Fatalf("step %d: accepted completion dropped its lease request", step)
+					t.Fatalf("seed %d step %d: accepted completion dropped its lease request", seed, step)
 				}
 				sameLease(step, *next, ref.lease(*req.Next))
 			}
@@ -485,22 +529,17 @@ func TestLeaseGrantOrderMatchesFullSort(t *testing.T) {
 			expiries++
 		}
 	}
-	if grants < 20 || batched < 10 || expiries < 3 || coord.Status().Reissued == 0 {
-		t.Fatalf("script too tame to prove anything: %d grants, %d batched, %d expiries, status %+v",
-			grants, batched, expiries, coord.Status())
-	}
 	if got, want := coordStore.Journal(), refStore.Journal(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("claim journals differ: %d vs %d claims", len(got), len(want))
+		t.Fatalf("seed %d: claim journals differ: %d vs %d claims", seed, len(got), len(want))
 	}
 	if got, want := coordStore.Records(), refStore.Records(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("final stores differ: %d vs %d records", len(got), len(want))
+		t.Fatalf("seed %d: final stores differ: %d vs %d records", seed, len(got), len(want))
 	}
+	return grants, batched, expiries, coord.Status()
 }
 
-// backlogCoordinator builds a 24-group coordinator with the given number of
-// pending trials, returning a clock handle so callers can expire leases.
-func backlogCoordinator(tb testing.TB, pending int, now *time.Time) *Coordinator {
-	tb.Helper()
+// backlogCfgs is the 24-group sweep behind the backlog pins.
+func backlogCfgs() []bench.WorkloadConfig {
 	var cfgs []bench.WorkloadConfig
 	for i := 0; i < 24; i++ {
 		c := bench.DefaultWorkload(1)
@@ -510,6 +549,14 @@ func backlogCoordinator(tb testing.TB, pending int, now *time.Time) *Coordinator
 		c.Seed = uint64(100 + i)
 		cfgs = append(cfgs, c)
 	}
+	return cfgs
+}
+
+// backlogCoordinator builds a 24-group coordinator with the given number of
+// pending trials, reading the time from *now so callers can expire leases.
+func backlogCoordinator(tb testing.TB, pending int, now *time.Time) *Coordinator {
+	tb.Helper()
+	cfgs := backlogCfgs()
 	coord, err := NewCoordinator(cfgs, pending/len(cfgs), CoordinatorConfig{
 		Store: results.NewMemStore(), LeaseTTL: time.Second,
 		Clock: func() time.Time { return *now },
@@ -540,10 +587,12 @@ func TestLeaseCostIndependentOfBacklog(t *testing.T) {
 	now := time.Unix(100, 0)
 	coord := backlogCoordinator(t, 96, &now)
 	records := map[string]results.Record{}
-	for _, task := range coord.tasks {
-		tr := fakeTrial(task.cfg)
+	_, tasks := grid.ExpandTasks(backlogCfgs(), 96/24, nil, 0)
+	for _, task := range tasks {
+		tr := fakeTrial(task.Cfg)
 		tr.ElapsedNanos = int64(time.Millisecond)
-		records[task.key] = results.NewRecord(task.cfg, tr)
+		rec := results.NewRecord(task.Cfg, tr)
+		records[rec.Key] = rec
 	}
 	before := results.ConfigHashes()
 	for i := 0; i < 96; i++ {

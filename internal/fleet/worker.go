@@ -80,8 +80,8 @@ type Worker struct {
 	lease    LeaseResponse  // current lease (source state between Next and Complete)
 	queued   []Grant        // batch grants not yet started, run FIFO before the next lease RPC
 	next     *LeaseResponse // lease answer that rode on the last completion, not yet consumed
-	renewal  renewal
-	doneHint bool // a completion response said the sweep is over
+	renewing chan struct{}  // closed to stop the current lease's renewal loop
+	doneHint bool           // a completion response said the sweep is over
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -232,7 +232,7 @@ func sleepRetry(ctx context.Context, ms int) error {
 // Complete reports the finished trial, spooling on coordinator loss.
 func (s *workerSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, rec results.Record) error {
 	w := (*Worker)(s)
-	w.renewal.halt()
+	w.stopRenewal()
 	lease := w.lease
 	w.lease = LeaseResponse{}
 	if err := ctx.Err(); err != nil {
@@ -311,36 +311,21 @@ func (w *Worker) healed(reconnect *grid.Backoff) {
 	}
 }
 
-// startRenewal keeps the current lease alive while the trial runs. Renewal
-// failures are survivable by design (dedupe absorbs a re-issued trial), so
-// errors are logged and otherwise ignored.
+// startRenewal keeps the current lease alive while the trial runs, renewing
+// every RenewEvery until stopRenewal or ctx ends. Renewal failures are
+// survivable by design (dedupe absorbs a re-issued trial), so errors are
+// logged and otherwise ignored.
 func (w *Worker) startRenewal(ctx context.Context) {
 	every := w.RenewEvery
 	if every <= 0 {
 		every = time.Until(time.Unix(0, w.lease.ExpiresUnixNano)) / 3
 	}
-	leaseID := w.lease.LeaseID
-	w.renewal.start(ctx, every, func() {
-		resp, err := w.Client.Renew(ctx, RenewRequest{LeaseID: leaseID, Worker: w.name()})
-		if err != nil {
-			w.logf("fleet-worker %s: renew %s failed: %v", w.name(), leaseID, err)
-		} else if !resp.OK {
-			w.logf("fleet-worker %s: lease %s expired server-side; finishing anyway (dedupe)", w.name(), leaseID)
-		}
-	})
-}
-
-// renewal is the background loop that keeps one lease alive while its trial
-// runs, shared by the remote worker and the coordinator's local source.
-type renewal struct{ stop chan struct{} }
-
-// start calls renew every period (<= 0 means 5s) until halt or ctx ends.
-func (r *renewal) start(ctx context.Context, every time.Duration, renew func()) {
 	if every <= 0 {
 		every = 5 * time.Second
 	}
+	leaseID := w.lease.LeaseID
 	stop := make(chan struct{})
-	r.stop = stop
+	w.renewing = stop
 	go func() {
 		t := time.NewTicker(every)
 		defer t.Stop()
@@ -351,16 +336,21 @@ func (r *renewal) start(ctx context.Context, every time.Duration, renew func()) 
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				renew()
+			}
+			resp, err := w.Client.Renew(ctx, RenewRequest{LeaseID: leaseID, Worker: w.name()})
+			if err != nil {
+				w.logf("fleet-worker %s: renew %s failed: %v", w.name(), leaseID, err)
+			} else if !resp.OK {
+				w.logf("fleet-worker %s: lease %s expired server-side; finishing anyway (dedupe)", w.name(), leaseID)
 			}
 		}
 	}()
 }
 
-func (r *renewal) halt() {
-	if r.stop != nil {
-		close(r.stop)
-		r.stop = nil
+func (w *Worker) stopRenewal() {
+	if w.renewing != nil {
+		close(w.renewing)
+		w.renewing = nil
 	}
 }
 

@@ -130,7 +130,7 @@ type CostModel struct {
 
 // NewCostModel builds a model seeded from every stored record that carries
 // a measured elapsed time (nil store or no such records: pure static
-// estimates until Observe feeds it). This is what makes repeat and resumed
+// estimates until ObserveGroup feeds it). This is what makes repeat and resumed
 // sweeps cost-aware for free: the store already knows how long each
 // configuration really takes.
 func NewCostModel(store *results.Store) *CostModel {
@@ -148,17 +148,12 @@ func NewCostModel(store *results.Store) *CostModel {
 	return m
 }
 
-// Observe feeds one completed trial's measured wall time back into the
+// ObserveGroup feeds one completed trial's measured wall time back into the
 // model, sharpening estimates for the rest of the sweep (and, through the
-// calibration ratio, for configurations that have never run).
-func (m *CostModel) Observe(cfg bench.WorkloadConfig, elapsedNanos int64) {
-	m.ObserveGroup(results.GroupOf(cfg), StaticCost(cfg), elapsedNanos)
-}
-
-// ObserveGroup is Observe for a caller that already holds the trial's
-// GroupKey and StaticCost. Both are functions of the configuration with the
-// seed zeroed, so a dispatcher computes them once per configuration instead
-// of hashing the config on every completion.
+// calibration ratio, for configurations that have never run). It is keyed by
+// the trial's GroupKey and StaticCost: both are functions of the
+// configuration with the seed zeroed, so the queue computes them once per
+// configuration instead of hashing the config on every completion.
 func (m *CostModel) ObserveGroup(group string, static float64, elapsedNanos int64) {
 	if elapsedNanos <= 0 {
 		return
@@ -179,30 +174,13 @@ func (m *CostModel) ObserveGroup(group string, static float64, elapsedNanos int6
 	}
 }
 
-// Measured returns the group's mean measured elapsed nanoseconds and
-// whether any measurement exists.
-func (m *CostModel) Measured(cfg bench.WorkloadConfig) (float64, bool) {
-	if est, measured := m.EstimateGroup(results.GroupOf(cfg), 0); measured {
-		return est, true
-	}
-	return 0, false
-}
-
-// Estimate returns the scheduling cost of one trial in (approximate)
-// nanoseconds: the group's mean measured elapsed time when the store has
-// seen it, otherwise StaticCost scaled by the learned calibration ratio
-// (1.0 before any measurement — then everything is static and the ordering
-// is still coherent).
-func (m *CostModel) Estimate(cfg bench.WorkloadConfig) float64 {
-	est, _ := m.EstimateGroup(results.GroupOf(cfg), StaticCost(cfg))
-	return est
-}
-
-// EstimateGroup is Estimate keyed by a precomputed GroupKey and StaticCost;
-// measured reports whether the estimate is the group's own mean elapsed
-// nanoseconds rather than the calibrated static prior. It does no hashing,
-// so a dispatcher that caches both per configuration can re-estimate its
-// whole backlog on every grant for a map lookup each.
+// EstimateGroup returns the scheduling cost of one trial of a configuration
+// in (approximate) nanoseconds: the group's mean measured elapsed time when
+// the model has seen it (measured is then true), otherwise its StaticCost
+// scaled by the learned calibration ratio (1.0 before any measurement — then
+// everything is static and the ordering is still coherent). It does no
+// hashing, so the queue re-estimates its whole backlog on every take for a
+// map lookup per configuration.
 func (m *CostModel) EstimateGroup(group string, static float64) (est float64, measured bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

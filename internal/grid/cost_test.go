@@ -1,7 +1,9 @@
 package grid
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -84,25 +86,24 @@ func TestCostModelMeasuredOverridesStatic(t *testing.T) {
 	big := costCfg(8, 4000, 7)
 
 	m := NewCostModel(nil)
+	smallGroup, bigGroup := results.GroupOf(small), results.GroupOf(big)
 	// Static tier first: with no observations the ordering is purely static.
-	if m.Estimate(big) <= m.Estimate(small) {
-		t.Fatalf("static tier inverted: big=%.0f small=%.0f", m.Estimate(big), m.Estimate(small))
+	estBig, _ := m.EstimateGroup(bigGroup, StaticCost(big))
+	estSmall, _ := m.EstimateGroup(smallGroup, StaticCost(small))
+	if estBig <= estSmall {
+		t.Fatalf("static tier inverted: big=%.0f small=%.0f", estBig, estSmall)
 	}
 	// Feed measurements that contradict the static prior: the "small" config
 	// actually takes far longer (say it thrashes). Measured must win.
-	m.Observe(small, int64(400*time.Millisecond))
-	m.Observe(small, int64(600*time.Millisecond))
-	got, ok := m.Measured(small)
-	if !ok || got != float64(500*time.Millisecond) {
-		t.Fatalf("Measured(small) = %v, %v; want mean 500ms", got, ok)
-	}
-	if est := m.Estimate(small); est != float64(500*time.Millisecond) {
-		t.Fatalf("Estimate(small) = %.0f, want the measured mean", est)
+	m.ObserveGroup(smallGroup, StaticCost(small), int64(400*time.Millisecond))
+	m.ObserveGroup(smallGroup, StaticCost(small), int64(600*time.Millisecond))
+	if est, measured := m.EstimateGroup(smallGroup, StaticCost(small)); !measured || est != float64(500*time.Millisecond) {
+		t.Fatalf("EstimateGroup(small) = %.0f, measured=%v; want the measured mean 500ms", est, measured)
 	}
 	// The never-measured big config is now calibrated through the ratio:
 	// still static-ordered, but in nanosecond-comparable units (> 0).
-	if est := m.Estimate(big); est <= 0 {
-		t.Fatalf("calibrated estimate for unmeasured config = %.0f, want > 0", est)
+	if est, measured := m.EstimateGroup(bigGroup, StaticCost(big)); measured || est <= 0 {
+		t.Fatalf("calibrated estimate for unmeasured config = %.0f, measured=%v; want > 0, unmeasured", est, measured)
 	}
 
 	// Seeding from a store picks up persisted elapsed times; the seed of the
@@ -116,8 +117,8 @@ func TestCostModelMeasuredOverridesStatic(t *testing.T) {
 	reseeded := small
 	reseeded.Seed = 99 // different trial, same group
 	m2 := NewCostModel(st)
-	if est := m2.Estimate(reseeded); est != float64(250*time.Millisecond) {
-		t.Fatalf("store-seeded Estimate = %.0f, want the stored elapsed mean", est)
+	if est, _ := m2.EstimateGroup(results.GroupOf(reseeded), StaticCost(reseeded)); est != float64(250*time.Millisecond) {
+		t.Fatalf("store-seeded estimate = %.0f, want the stored elapsed mean", est)
 	}
 }
 
@@ -172,46 +173,74 @@ func TestSerialOrderPinned(t *testing.T) {
 
 // TestCostOrderedDispatch pins the Parallel > 1 scheduler: with a budget of
 // one token every execution serializes, so the observed start order IS the
-// dispatch order — which must be descending static cost.
+// dispatch order — which must be descending estimated cost, estimated from
+// the live model at every start.
 func TestCostOrderedDispatch(t *testing.T) {
-	cfgs := []bench.WorkloadConfig{
-		costCfg(1, 100, 1), costCfg(1, 400, 2), costCfg(1, 200, 3), costCfg(1, 300, 4),
-	}
-	var got []int
-	swapRunTrial(t, func(cfg bench.WorkloadConfig) (bench.TrialResult, error) {
-		got = append(got, cfg.FixedOps)
-		return bench.TrialResult{Seed: cfg.Seed, Ops: 1, OpsPerSec: 1}, nil
-	})
-	r := &Runner{Parallel: 2, Budget: 1}
-	sums, err := r.Run(cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{400, 300, 200, 100}
-	if len(got) != len(want) {
-		t.Fatalf("executed %d trials, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dispatch order not descending-cost: got %v, want %v", got, want)
-		}
-	}
-	// Results still return in input order regardless of execution order.
-	for i, s := range sums {
-		if s.Cfg.FixedOps != cfgs[i].FixedOps {
-			t.Fatalf("summary %d out of input order: ops=%d want %d", i, s.Cfg.FixedOps, cfgs[i].FixedOps)
-		}
+	for _, tc := range []struct {
+		name    string
+		cfgs    []bench.WorkloadConfig
+		trials  int
+		elapsed map[int]int64 // FixedOps -> the ElapsedNanos the double reports
+		want    []int         // FixedOps in start order
+	}{
+		{
+			name: "static",
+			cfgs: []bench.WorkloadConfig{
+				costCfg(1, 100, 1), costCfg(1, 400, 2), costCfg(1, 200, 3), costCfg(1, 300, 4),
+			},
+			trials: 1,
+			want:   []int{400, 300, 200, 100},
+		},
+		{
+			// The runner follows the live model, like the coordinator. The 400
+			// group measures what its static cost promised (1000 ns a unit);
+			// the 200 group's first trial then measures next to nothing, so
+			// its second seed falls behind the 100 group, which the calibrated
+			// prior still holds at ~66,667 ns. An order sorted once before the
+			// first start would run 200 twice before any 100.
+			name: "live model",
+			cfgs: []bench.WorkloadConfig{
+				costCfg(1, 400, 1), costCfg(1, 200, 2), costCfg(1, 100, 3),
+			},
+			trials:  2,
+			elapsed: map[int]int64{400: 400_000, 200: 1, 100: 100_000},
+			want:    []int{400, 400, 200, 100, 100, 200},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []int
+			swapRunTrial(t, func(cfg bench.WorkloadConfig) (bench.TrialResult, error) {
+				got = append(got, cfg.FixedOps)
+				return bench.TrialResult{Seed: cfg.Seed, Ops: 1, OpsPerSec: 1, ElapsedNanos: tc.elapsed[cfg.FixedOps]}, nil
+			})
+			r := &Runner{Parallel: 2, Budget: 1}
+			sums, err := r.Run(tc.cfgs, tc.trials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("dispatch order not descending estimated cost: got %v, want %v", got, tc.want)
+			}
+			// Results still return in input order regardless of execution order.
+			for i, s := range sums {
+				if s.Cfg.FixedOps != tc.cfgs[i].FixedOps {
+					t.Fatalf("summary %d out of input order: ops=%d want %d", i, s.Cfg.FixedOps, tc.cfgs[i].FixedOps)
+				}
+			}
+		})
 	}
 }
 
-// TestMakespanSchedulerGain is the tentpole's proof: a seeded heterogeneous
+// TestMakespanSchedulerGain is the cost order's proof: a seeded heterogeneous
 // synthetic sweep (12 cheap 1-thread trials expanded first, one expensive
-// 8-thread trial last — the adversarial order for FIFO) where cost-ordered
-// dispatch must beat expansion-ordered dispatch on makespan. Trial "work"
-// is a deterministic sleep proportional to the config's declared ops, so
-// the measured gain is pure scheduling, not noise. scripts/bench-json.sh
-// runs this with -v, parses the "makespan:" lines into BENCH_10.json, and
-// gates ratio >= 1.25 at Parallel=4.
+// 8-thread trial last — the adversarial order for expansion-order dispatch)
+// where cost-ordered dispatch must beat expansion order on makespan. Trial
+// "work" is a deterministic sleep proportional to the config's declared ops,
+// so the measured gain is pure scheduling, not noise. The control arm is the
+// queue's expansion order at Parallel > 1, which no Runner field selects: the
+// test calls the unexported run. scripts/bench-json.sh runs this with -v,
+// parses the "makespan:" lines into BENCH_<pr>.json, and gates ratio >= 1.25
+// at Parallel=4.
 func TestMakespanSchedulerGain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing benchmark; skipped in -short")
@@ -229,26 +258,26 @@ func TestMakespanSchedulerGain(t *testing.T) {
 	}
 	cfgs = append(cfgs, costCfg(8, 6000, 99)) // 150ms, 8 budget tokens
 
-	run := func(parallel int, schedule string) time.Duration {
-		r := &Runner{Parallel: parallel, Budget: 16, Schedule: schedule}
+	run := func(parallel int, expansionOrder bool) time.Duration {
+		r := &Runner{Parallel: parallel, Budget: 16}
 		t0 := time.Now()
-		if _, err := r.Run(cfgs, 1); err != nil {
+		if _, err := r.run(context.Background(), cfgs, 1, expansionOrder); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(t0)
 	}
 	for _, parallel := range []int{4, 8} {
-		fifo := run(parallel, ScheduleFIFO)
-		cost := run(parallel, ScheduleCost)
+		fifo := run(parallel, true)
+		cost := run(parallel, false)
 		ratio := float64(fifo) / float64(cost)
-		// Greppable line for scripts/bench-json.sh (BENCH_10.json makespan).
+		// Greppable line for scripts/bench-json.sh (the makespan gate).
 		fmt.Printf("makespan: parallel=%d fifo_ms=%d cost_ms=%d ratio=%.3f\n",
 			parallel, fifo.Milliseconds(), cost.Milliseconds(), ratio)
 		// The in-test gate is looser than the bench-json one (1.25 at P=4):
 		// this guards the scheduler working at all, the script guards the
 		// recorded artifact.
 		if parallel == 4 && ratio < 1.15 {
-			t.Errorf("cost-ordered dispatch gained only %.3fx over FIFO at parallel=%d", ratio, parallel)
+			t.Errorf("cost-ordered dispatch gained only %.3fx over expansion order at parallel=%d", ratio, parallel)
 		}
 	}
 }

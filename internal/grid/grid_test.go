@@ -2,6 +2,8 @@ package grid
 
 import (
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -392,6 +394,109 @@ func TestRunnerParallelPreservesOrder(t *testing.T) {
 			sums[i].Cfg.Reclaimer != cfgs[i].Reclaimer {
 			t.Fatalf("summary %d out of order: got %s/t%d/%s", i,
 				sums[i].Cfg.Scenario, sums[i].Cfg.Threads, sums[i].Cfg.Reclaimer)
+		}
+	}
+}
+
+// TestRunnerTwinKeysExecuteOnce pins the twin-key rule: two tasks of one
+// sweep that share a TrialKey — the same config listed twice, or two
+// spellings Normalize folds together — run once, store one record, and the
+// twin finishes as a cache hit of its sibling's record. Without a store
+// there is nothing to share and every task executes.
+func TestRunnerTwinKeysExecuteOnce(t *testing.T) {
+	var runs sync.Map // TrialKey -> *atomic.Int32
+	swapRunTrial(t, func(cfg bench.WorkloadConfig) (bench.TrialResult, error) {
+		n, _ := runs.LoadOrStore(results.KeyOf(cfg), new(atomic.Int32))
+		n.(*atomic.Int32).Add(1)
+		time.Sleep(2 * time.Millisecond) // long enough for the other drainer to reach the twin
+		return bench.TrialResult{Seed: cfg.Seed, Ops: 1, OpsPerSec: 1}, nil
+	})
+	a := costCfg(1, 100, 1)
+	b := costCfg(1, 200, 2)
+	spelled := b
+	spelled.Arrival = "none" // Normalize folds it to "": same key as b
+	cfgs := []bench.WorkloadConfig{a, a, b, spelled}
+
+	for _, parallel := range []int{1, 2} {
+		runs.Clear()
+		st := results.NewMemStore()
+		var last Progress
+		r := &Runner{Store: st, Parallel: parallel, OnProgress: func(p Progress) { last = p }}
+		sums, err := r.Run(cfgs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs.Range(func(key, n any) bool {
+			if got := n.(*atomic.Int32).Load(); got != 1 {
+				t.Errorf("parallel=%d: key %v ran %d times, want 1", parallel, key, got)
+			}
+			return true
+		})
+		if keys := st.Keys(); len(keys) != 2 || st.Len() != 2 {
+			t.Errorf("parallel=%d: store holds %d records under %d keys, want one record for each of 2 keys",
+				parallel, st.Len(), len(keys))
+		}
+		for i, s := range sums {
+			if len(s.Trials) != 1 {
+				t.Errorf("parallel=%d: summary %d carries %d trials, want 1", parallel, i, len(s.Trials))
+			}
+		}
+		if last.Done != 4 || last.Executed != 2 || last.Cached != 2 || last.Executed+last.Cached+last.Failed != last.Done {
+			t.Errorf("parallel=%d: last progress event %+v, want 4 done = 2 executed + 2 cached", parallel, last)
+		}
+		if ex, ca := r.Counts(); ex != 2 || ca != 2 {
+			t.Errorf("parallel=%d: Counts() = %d executed, %d cached, want 2/2", parallel, ex, ca)
+		}
+
+		// No store, nothing to share: every task runs.
+		runs.Clear()
+		r = &Runner{Parallel: parallel}
+		if _, err := r.Run(cfgs, 1); err != nil {
+			t.Fatal(err)
+		}
+		if ex, _ := r.Counts(); ex != 4 {
+			t.Errorf("parallel=%d: storeless run executed %d of 4 tasks", parallel, ex)
+		}
+	}
+}
+
+// TestRunHashesEachConfigOnce pins the hashing the queue saves, with the
+// counter that exists for it: through Run with a store, an executed trial
+// costs three config hashes (its key at queue construction, key and group in
+// the record Drain builds) plus one per configuration for the group the cost
+// model is indexed by, and a cache hit costs one (its key) and nothing per
+// configuration.
+func TestRunHashesEachConfigOnce(t *testing.T) {
+	swapRunTrial(t, okTrial)
+	cfgs := []bench.WorkloadConfig{costCfg(1, 100, 1), costCfg(2, 200, 2), costCfg(1, 300, 3)}
+	const trials = 8
+	for _, parallel := range []int{1, 4} {
+		st := results.NewMemStore()
+		r := &Runner{Store: st, Parallel: parallel}
+		before := results.ConfigHashes()
+		if _, err := r.Run(cfgs, trials); err != nil {
+			t.Fatal(err)
+		}
+		executed, _ := r.Counts()
+		if executed != len(cfgs)*trials {
+			t.Fatalf("parallel=%d: executed %d, want %d", parallel, executed, len(cfgs)*trials)
+		}
+		if n, limit := results.ConfigHashes()-before, int64(3*executed+len(cfgs)); n > limit {
+			t.Errorf("parallel=%d: %d config hashes for %d executed trials of %d configs, want at most %d",
+				parallel, n, executed, len(cfgs), limit)
+		}
+
+		r = &Runner{Store: st, Parallel: parallel}
+		before = results.ConfigHashes()
+		if _, err := r.Run(cfgs, trials); err != nil {
+			t.Fatal(err)
+		}
+		_, cached := r.Counts()
+		if cached != len(cfgs)*trials {
+			t.Fatalf("parallel=%d: resume hit %d, want %d", parallel, cached, len(cfgs)*trials)
+		}
+		if n := results.ConfigHashes() - before; n > int64(cached) {
+			t.Errorf("parallel=%d: %d config hashes for %d cache hits, want at most one each", parallel, n, cached)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -33,57 +32,6 @@ type Progress struct {
 	// Attempts is how many executions this trial took (0 for cache hits).
 	Attempts int
 }
-
-// weighted is a counting semaphore with weighted acquisition. The single
-// dispatching goroutine is the only waiter, so a plain cond suffices.
-type weighted struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	free int
-}
-
-func newWeighted(capacity int) *weighted {
-	w := &weighted{free: capacity}
-	w.cond = sync.NewCond(&w.mu)
-	return w
-}
-
-func (w *weighted) acquire(n int) {
-	w.mu.Lock()
-	for w.free < n {
-		w.cond.Wait()
-	}
-	w.free -= n
-	w.mu.Unlock()
-}
-
-func (w *weighted) release(n int) {
-	w.mu.Lock()
-	w.free += n
-	w.mu.Unlock()
-	w.cond.Broadcast()
-}
-
-// available reports the instantaneous free-token count. Advisory only: the
-// value can change before the caller acts on it, so it steers backfill
-// choices (would this trial fit right now?) while the blocking acquire
-// remains the correctness point.
-func (w *weighted) available() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.free
-}
-
-// Runner.Schedule values. The zero value selects cost-ordered dispatch
-// (when Parallel > 1), so sweeps get LPT scheduling without opting in.
-const (
-	// ScheduleCost dispatches pending trials in descending estimated cost
-	// with budget-aware backfill (the default for Parallel > 1).
-	ScheduleCost = "cost"
-	// ScheduleFIFO dispatches in raw expansion order, the pre-scheduler
-	// behavior — the control arm of the makespan benchmark.
-	ScheduleFIFO = "fifo"
-)
 
 // Runner executes expanded configuration batches. Completed trials are
 // looked up in — and appended to — Store (when set), so a re-run of the
@@ -141,14 +89,6 @@ type Runner struct {
 	// a fresh model per Run, seeded from Store's measured elapsed times;
 	// supply one to share measurements across Runs.
 	Cost *CostModel
-	// Schedule selects the Parallel > 1 dispatch order: "" (default) is
-	// cost-ordered — pending trials dispatched in descending estimated cost
-	// (longest-processing-time-first) with budget-aware backfill, minimizing
-	// sweep makespan on heterogeneous grids; ScheduleFIFO pins raw expansion
-	// order. The Parallel <= 1 serial path always runs in strict expansion
-	// order regardless of Schedule — that ordering is the bit-compatibility
-	// contract the golden baselines pin.
-	Schedule string
 
 	mu          sync.Mutex
 	executed    int
@@ -269,200 +209,80 @@ func (r *Runner) Run(cfgs []bench.WorkloadConfig, trials int) ([]bench.Summary, 
 	return r.RunContext(context.Background(), cfgs, trials)
 }
 
-// RunContext is Run with cancellation: when ctx is done the dispatcher stops
-// launching trials and in-flight retry backoffs abort immediately, so an
-// interrupted sweep returns as soon as its running trials finish (trials
-// themselves are not preemptible mid-measurement — the per-trial watchdog is
-// the bound on those). The store still holds every trial completed before
-// the cancellation, so the sweep resumes where it stopped.
+// RunContext is Run with cancellation: when ctx is done no further trial is
+// started and in-flight retry backoffs abort immediately, so an interrupted
+// sweep returns as soon as its running trials finish (trials themselves are
+// not preemptible mid-measurement — the per-trial watchdog is the bound on
+// those). The store still holds every trial completed before the
+// cancellation, so the sweep resumes where it stopped.
+//
+// With Parallel <= 1 trials run strictly in expansion order — the
+// bit-compatibility contract the golden baselines pin; otherwise in
+// descending estimated cost (longest-processing-time-first, estimates read
+// from the live model at every start) with budget-aware backfill, which
+// minimizes sweep makespan on heterogeneous grids.
 func (r *Runner) RunContext(ctx context.Context, cfgs []bench.WorkloadConfig, trials int) ([]bench.Summary, error) {
-	parallel := r.Parallel
-	if parallel <= 0 {
-		parallel = 1
-	}
-	budget := r.Budget
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
+	return r.run(ctx, cfgs, trials, r.Parallel <= 1)
+}
 
-	// Runner-level defaults apply at task-build time, inside ExpandTasks.
-	// The fault plan must land before any key computation (plans are hashed —
-	// a faulted trial is a different experiment); the deadline is normalized
-	// out of keys, so its placement is free.
+// run is the one path from configs to summaries: expand, queue, drain. The
+// order is the code's choice, not the user's (see RunContext); it is a
+// parameter only so the makespan test can run its control arm — expansion
+// order at Parallel > 1.
+func (r *Runner) run(ctx context.Context, cfgs []bench.WorkloadConfig, trials int, expansionOrder bool) ([]bench.Summary, error) {
+	// Runner-level defaults apply inside ExpandTasks, before any key is
+	// computed: the fault plan is hashed (a faulted trial is a different
+	// experiment); the deadline is normalized out of keys.
 	eff, tasks := ExpandTasks(cfgs, trials, r.Faults, r.Deadline)
-	perCfg := make([][]bench.TrialResult, len(cfgs))
-	okCfg := make([][]bool, len(cfgs))
-	for i := range cfgs {
-		n := 1
-		if trials >= 1 {
-			n = trials
-		}
-		perCfg[i] = make([]bench.TrialResult, n)
-		okCfg[i] = make([]bool, n)
-	}
-	total := len(tasks)
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards the per-Run counters/firstErr and serializes OnProgress
-		done     int
-		executed int
-		cached   int
-		failed   int
-		firstErr error // infrastructure failures only (store append) — trial failures quarantine instead
-	)
-	slots := make(chan struct{}, parallel)
-	tokens := newWeighted(budget)
-	cost := func(cfg bench.WorkloadConfig) int {
-		c := cfg.Threads
-		if c > budget {
-			c = budget
-		}
-		if c < 1 {
-			c = 1
-		}
-		return c
-	}
-	finish := func(t TrialTask, fromCache bool, ferr error, attempts int) {
-		mu.Lock()
-		done++
-		switch {
-		case ferr != nil:
-			failed++
-		case fromCache:
-			cached++
-		default:
-			executed++
-		}
-		// Progress counters are per-Run (Executed+Cached+Failed == Done);
-		// the runner-lifetime totals behind Counts() update separately.
-		p := Progress{
-			Done: done, Total: total,
-			Executed: executed, Cached: cached, Failed: failed,
-			Key: results.KeyOf(t.Cfg), Config: t.Cfg, FromCache: fromCache,
-			Err: ferr, Attempts: attempts,
-		}
-		r.mu.Lock()
-		switch {
-		case ferr != nil:
-			r.quarantined++
-		case fromCache:
-			r.cached++
-		default:
-			r.executed++
-		}
-		r.mu.Unlock()
-		if r.OnProgress != nil {
-			r.OnProgress(p)
-		}
-		mu.Unlock()
-	}
-	// model feeds measured elapsed times back into cost estimates. Only the
-	// cost-ordered dispatcher reads it, so the serial/FIFO paths skip the
-	// store scan NewCostModel does.
 	var model *CostModel
-	// fromCache resolves t against the store, recording the result and
-	// reporting whether the trial is satisfied. Hits cost no slot, no
-	// tokens, and no goroutine. A cached quarantine record is a hit too: a
-	// resumed sweep skips the key instead of re-wedging on it.
-	fromCache := func(t TrialTask) bool {
-		if r.Store == nil || t.Cfg.Record {
-			return false
-		}
-		recs := r.Store.Get(results.KeyOf(t.Cfg))
-		if len(recs) == 0 {
-			return false
-		}
-		if recs[0].Quarantined {
-			finish(t, true, fmt.Errorf("grid: %s: quarantined: %s",
-				results.Label(t.Cfg), recs[0].Error), 0)
-			return true
-		}
-		perCfg[t.CfgIdx][t.TrialIdx] = recs[0].Trial
-		okCfg[t.CfgIdx][t.TrialIdx] = true
-		finish(t, true, nil, 0)
-		return true
-	}
-	// execute is the per-trial goroutine body, shared by both dispatch
-	// orders; the caller holds a slot and w tokens, which it releases.
-	execute := func(t TrialTask, w int) {
-		defer wg.Done()
-		defer func() {
-			tokens.release(w)
-			<-slots
-		}()
-		// Bounded retry: trial failures (watchdog aborts, panics) are
-		// retried with jittered doubling backoff, then quarantined — the
-		// sweep never stops for one bad configuration. A canceled context
-		// aborts the backoff mid-wait; the interrupted trial is not
-		// quarantined (its failure was never final).
-		tr, n, terr := r.executeTrial(ctx, t.Cfg)
-		if terr != nil {
-			if ctx.Err() != nil && terr == ctx.Err() {
-				return
-			}
-			if r.Store != nil && !t.Cfg.Record {
-				rec := results.NewQuarantine(t.Cfg, tr, terr)
-				if err := r.Store.Append(rec); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("grid: %s: %w", results.Label(t.Cfg), err)
-					}
-					mu.Unlock()
-					return
-				}
-			}
-			finish(t, false, fmt.Errorf("grid: %s: %w", results.Label(t.Cfg), terr), n)
-			return
-		}
-		if model != nil {
-			model.Observe(t.Cfg, tr.ElapsedNanos)
-		}
-		if r.Store != nil && !t.Cfg.Record {
-			if err := r.Store.Append(results.NewRecord(t.Cfg, tr)); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("grid: %s: %w", results.Label(t.Cfg), err)
-				}
-				mu.Unlock()
-				return
-			}
-		}
-		perCfg[t.CfgIdx][t.TrialIdx] = tr
-		okCfg[t.CfgIdx][t.TrialIdx] = true
-		finish(t, false, nil, n)
-	}
-	stopped := func() bool {
-		mu.Lock()
-		stop := firstErr != nil
-		mu.Unlock()
-		return stop || ctx.Err() != nil
-	}
-
-	if parallel > 1 && r.Schedule != ScheduleFIFO {
-		model = r.Cost
-		if model == nil {
+	if !expansionOrder {
+		// Only cost order reads the model, so a serial run skips the store
+		// scan NewCostModel does.
+		if model = r.Cost; model == nil {
 			model = NewCostModel(r.Store)
 		}
-		r.runCostOrdered(tasks, model, cost, fromCache, execute, stopped, slots, tokens, &wg)
-	} else {
-		// Expansion-order dispatch: the serial (Parallel <= 1) contract and
-		// the ScheduleFIFO control arm. With Parallel <= 1 this runs trials
-		// strictly in expansion order, bit-compatible with every release
-		// since the runner existed — golden baselines pin it.
-		for _, t := range tasks {
-			if stopped() {
-				break
-			}
-			if fromCache(t) {
-				continue
-			}
-			slots <- struct{}{}
-			w := cost(t.Cfg)
-			tokens.acquire(w)
-			wg.Add(1)
-			go execute(t, w)
+	}
+	src := &queueSource{r: r, q: newQueue(eff, tasks, r.Store, model), budget: r.Budget}
+	src.cond = sync.NewCond(&src.mu)
+	src.tally.total = len(tasks)
+	if src.budget <= 0 {
+		src.budget = runtime.GOMAXPROCS(0)
+	}
+	src.free = src.budget
+	// Store hits were finished by the queue; they cost no drainer, no tokens
+	// and one hash each. A stored quarantine is a hit too: a resumed sweep
+	// skips the key instead of re-wedging on it.
+	for i := range tasks {
+		if src.q.Finished(i) {
+			src.hit(i)
 		}
+	}
+
+	dctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// Drainers waiting for tokens sleep on the cond, which a context cannot
+	// reach by itself.
+	defer context.AfterFunc(dctx, func() {
+		src.mu.Lock()
+		defer src.mu.Unlock()
+		src.cond.Broadcast()
+	})()
+	var (
+		wg       sync.WaitGroup
+		once     sync.Once
+		firstErr error // a store failure or the cancellation: what stopped the first drainer to stop
+	)
+	for range max(r.Parallel, 1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := r.drain(dctx, &drainer{queueSource: src}, &src.tally); err != nil {
+				once.Do(func() {
+					firstErr = err
+					cancel()
+				})
+			}
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -471,105 +291,103 @@ func (r *Runner) RunContext(ctx context.Context, cfgs []bench.WorkloadConfig, tr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if failed == total && total > 0 {
+	if src.tally.failed == len(tasks) && len(tasks) > 0 {
 		// Nothing at all succeeded: the sweep produced no data, which is an
 		// error (partial failure is not — quarantines carry the details).
-		first := results.Label(tasks[0].Cfg)
-		return nil, fmt.Errorf("grid: all %d trials failed (first: %s)", total, first)
+		return nil, fmt.Errorf("grid: all %d trials failed (first: %s)", len(tasks), results.Label(tasks[0].Cfg))
 	}
-
-	out := make([]bench.Summary, len(cfgs))
-	for i, cfg := range eff {
-		// Summaries aggregate only successful trials; a config whose every
-		// trial was quarantined yields a zero summary carrying the config,
-		// so output stays index-aligned with the input.
-		good := perCfg[i][:0:0]
-		for j, tr := range perCfg[i] {
-			if okCfg[i][j] {
-				good = append(good, tr)
-			}
-		}
-		if len(good) == 0 {
-			out[i] = bench.Summary{Cfg: cfg}
-			continue
-		}
-		out[i] = bench.SummarizeTrials(cfg, good)
-	}
-	return out, nil
+	return src.q.Summaries(), nil
 }
 
-// runCostOrdered is the Parallel > 1 dispatcher: longest-processing-time-
-// first with budget-aware backfill. Cache hits resolve up front in
-// expansion order (deterministic progress events, no scheduling cost);
-// the remaining trials dispatch in descending estimated cost, except that
-// when the token pool cannot fit the next big trial right now, the
-// costliest trial that does fit jumps the queue — slots stay busy instead
-// of idling behind a trial waiting for tokens. If nothing fits, the
-// dispatcher blocks on the head trial's tokens: that is plain LPT, and the
-// head is by construction the most expensive work left. Results are
-// index-addressed per task, so output order is unaffected by execution
-// order.
-func (r *Runner) runCostOrdered(
-	tasks []TrialTask, model *CostModel, weight func(bench.WorkloadConfig) int,
-	fromCache func(TrialTask) bool, execute func(TrialTask, int),
-	stopped func() bool, slots chan struct{}, tokens *weighted, wg *sync.WaitGroup,
-) {
-	type costed struct {
-		t   TrialTask
-		est float64
+// queueSource is what the drainers of one Run share: the queue, the lock
+// that serializes it, the thread-token budget, and the run's tally. Each
+// in-flight trial holds cfg.Threads tokens, clamped to the whole budget.
+type queueSource struct {
+	r      *Runner
+	mu     sync.Mutex
+	cond   *sync.Cond // signalled when tokens come back or the run is canceled
+	q      *Queue
+	budget int
+	free   int
+	tally  tally
+}
+
+// hit reports task i, finished from the store or by a twin's record, as a
+// cache hit (of a quarantine record, when it has no result).
+func (s *queueSource) hit(i int) {
+	var err error
+	if slot := &s.q.slots[i]; !slot.ok {
+		err = fmt.Errorf("grid: %s: quarantined: %s", results.Label(s.q.Config(i)), slot.failure)
 	}
-	pending := make([]costed, 0, len(tasks))
-	for _, t := range tasks {
-		if stopped() {
-			return
+	s.r.report(&s.tally, s.q.Key(i), s.q.Config(i), true, err, 0)
+}
+
+// drainer is one drainer's Source over the shared queueSource; between Next
+// and Complete it remembers which task it runs and the tokens it holds.
+type drainer struct {
+	*queueSource
+	task, held int
+}
+
+// Next takes the costliest pending trial that fits the free tokens — the
+// head of the order when its tokens are free, otherwise whatever lets a slot
+// stay busy instead of idling behind a trial that waits for tokens — and
+// waits for a completion when nothing fits. An idle host fits anything: a
+// trial wider than the whole budget is clamped to it and runs alone.
+func (d *drainer) Next(ctx context.Context) (bench.WorkloadConfig, bool, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for {
+		if err := ctx.Err(); err != nil {
+			return bench.WorkloadConfig{}, false, err
 		}
-		if fromCache(t) {
+		if d.q.Pending() == 0 {
+			// What is still unfinished is running under another drainer.
+			return bench.WorkloadConfig{}, false, nil
+		}
+		i, ok := 0, false
+		switch {
+		case d.free == d.budget:
+			i, ok = d.q.Take(0) // idle host: no limit
+		case d.free > 0:
+			i, ok = d.q.Take(d.free)
+		}
+		if !ok {
+			d.cond.Wait()
 			continue
 		}
-		pending = append(pending, costed{t: t, est: model.Estimate(t.Cfg)})
-	}
-	// order is the dispatch order, as indices into pending: a grant moves
-	// ints, never the pointer-carrying task values. Stable sort: equal-cost
-	// trials keep expansion order, so scheduling is deterministic given the
-	// same model state.
-	order := make([]int, len(pending))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool { return pending[order[i]].est > pending[order[j]].est })
-	for len(order) > 0 {
-		if stopped() {
-			return
+		if d.q.shadowed(i) {
+			// A twin under the same key is running: leave this task taken,
+			// and the twin's completion finishes it as a cache hit.
+			continue
 		}
-		slots <- struct{}{}
-		// Backfill: prefer the head, but when its tokens aren't free right
-		// now, take the costliest pending trial that fits. available() is
-		// advisory — releases race with this read — so the blocking acquire
-		// below stays the correctness point; a stale read only costs a
-		// less-perfect backfill choice.
-		free := tokens.available()
-		pick := 0
-		if weight(pending[order[0]].t.Cfg) > free {
-			for i := 1; i < len(order); i++ {
-				if weight(pending[order[i]].t.Cfg) <= free {
-					pick = i
-					break
-				}
-			}
-		}
-		t := pending[order[pick]].t
-		// The usual grant is the head and costs nothing; only a backfill
-		// pick closes a gap.
-		if pick == 0 {
-			order = order[1:]
-		} else {
-			order = append(order[:pick], order[pick+1:]...)
-		}
-		w := weight(t.Cfg)
-		tokens.acquire(w)
-		wg.Add(1)
-		go execute(t, w)
+		cfg := d.q.Config(i)
+		d.task, d.held = i, min(max(cfg.Threads, 1), d.budget)
+		d.free -= d.held
+		return cfg, true, nil
 	}
+}
+
+// Complete finishes the drainer's task in the queue — one append per key —
+// and returns its tokens. Twins the record finished are reported here, as
+// cache hits; the trial that ran is reported by drain. A trial that
+// completed is stored even when ctx is done by now: the sweep resumes from
+// it.
+func (d *drainer) Complete(_ context.Context, _ bench.WorkloadConfig, rec results.Record) error {
+	d.mu.Lock()
+	twins, err := d.q.Finish(d.task, rec)
+	d.free += d.held
+	d.cond.Broadcast()
+	d.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("grid: %s: %w", d.q.Label(d.task), err)
+	}
+	for _, i := range twins {
+		if i != d.task {
+			d.hit(i)
+		}
+	}
+	return nil
 }
 
 // GridFunc adapts the runner to bench.Options.RunGrid, the injection point
@@ -577,20 +395,20 @@ func (r *Runner) runCostOrdered(
 func (r *Runner) GridFunc() bench.GridFunc { return r.Run }
 
 // Source is a claim source: a stream of already-effective trial
-// configurations the runner executes one at a time, with a completion
-// channel back to whoever issued the claim. It abstracts where trials come
-// from — the in-process expansion Run uses, or a fleet coordinator leasing
-// trials over the network (internal/fleet) — while the per-trial execution
-// path (panic recovery, watchdog, bounded retry with cancellable jittered
-// backoff) stays identical.
+// configurations a drainer executes one at a time, with a completion
+// channel back to whoever issued the claim. It abstracts where the sweep's
+// Queue lives — in this process behind Run, or behind a fleet coordinator
+// that leases its trials over the network (internal/fleet) — while the
+// per-trial execution path (panic recovery, watchdog, bounded retry with
+// cancellable jittered backoff) is the same code: Drain.
 //
 // Configs arrive effective: defaults, fault plans, and chained seeds were
 // applied by whoever expanded the sweep (ExpandTasks), so Drain runs them
 // verbatim — re-applying defaults here could silently change TrialKeys and
 // break distributed caching.
 type Source interface {
-	// Next returns the next trial to execute. ok=false means the source is
-	// exhausted (sweep complete) and Drain should return nil. An error means
+	// Next returns the next trial to execute. ok=false means the source has
+	// nothing left to hand out and Drain should return nil. An error means
 	// the source is unreachable or shutting down; Drain returns it.
 	Next(ctx context.Context) (cfg bench.WorkloadConfig, ok bool, err error)
 	// Complete delivers the finished trial's record — a regular record for a
@@ -599,16 +417,21 @@ type Source interface {
 	Complete(ctx context.Context, cfg bench.WorkloadConfig, rec results.Record) error
 }
 
-// Drain pulls trials from src until it is exhausted, executing each through
-// the shared per-trial path and reporting the outcome back through
-// src.Complete. It is serial by design: a fleet worker's parallelism is N
-// worker processes, each honestly loaded with one trial, so the coordinator's
-// lease accounting — not a hidden in-process queue — is the single source of
-// truth about in-flight work. Progress events (when OnProgress is set) carry
-// Total == 0, since a claim source's size is unknown to the worker.
+// Drain pulls trials from src until it is exhausted. It is the only place a
+// trial is executed and turned into a results.Record: run with panic
+// recovery and bounded retry, build the record (or, after a permanent
+// failure, the quarantine record — the sweep never stops for one bad
+// configuration), hand it to src.Complete, count it, report it. Run starts
+// Parallel drains over its own queue; a fleet worker is one drain over a
+// coordinator's, so the coordinator's lease accounting — not a hidden
+// in-process queue — is the single source of truth about in-flight work.
+// Progress events from a Drain call carry Total == 0, since a claim source's
+// size is unknown to the worker.
 func (r *Runner) Drain(ctx context.Context, src Source) error {
-	done := 0
-	var executed, failed int
+	return r.drain(ctx, src, &tally{})
+}
+
+func (r *Runner) drain(ctx context.Context, src Source, t *tally) error {
 	for {
 		cfg, ok, err := src.Next(ctx)
 		if err != nil {
@@ -620,40 +443,64 @@ func (r *Runner) Drain(ctx context.Context, src Source) error {
 		tr, attempts, terr := r.executeTrial(ctx, cfg)
 		if terr != nil && ctx.Err() != nil && terr == ctx.Err() {
 			// The backoff was canceled mid-retry: the failure was never
-			// final, so no quarantine is reported — the claim's lease will
-			// expire and the trial will be re-issued elsewhere.
+			// final, so no quarantine is reported — the sweep resumes (or
+			// the claim's lease expires and is re-issued) with the trial
+			// still to run.
 			return terr
 		}
 		var rec results.Record
 		if terr != nil {
 			rec = results.NewQuarantine(cfg, tr, terr)
+			terr = fmt.Errorf("grid: %s: %w", results.Label(cfg), terr)
 		} else {
 			rec = results.NewRecord(cfg, tr)
 		}
+		// NewRecord drops the timeline because a stored record cannot replay
+		// it; an in-process source still owes it to the run's summaries, and
+		// it never serializes (json:"-").
+		rec.Trial.Recorder = tr.Recorder
 		if err := src.Complete(ctx, cfg, rec); err != nil {
 			return err
 		}
-		done++
-		r.mu.Lock()
-		if terr != nil {
-			r.quarantined++
-		} else {
-			r.executed++
-		}
-		r.mu.Unlock()
-		if r.OnProgress != nil {
-			if terr != nil {
-				failed++
-				terr = fmt.Errorf("grid: %s: %w", results.Label(cfg), terr)
-			} else {
-				executed++
-			}
-			r.OnProgress(Progress{
-				Done: done, Executed: executed, Failed: failed,
-				Key: rec.Key, Config: cfg,
-				Err: terr, Attempts: attempts,
-			})
-		}
+		r.report(t, rec.Key, cfg, false, terr, attempts)
+	}
+}
+
+// tally is the partition of finished trials behind one run's Progress
+// events. Every drainer of a Run shares one, so its lock is also what
+// serializes OnProgress.
+type tally struct {
+	mu                             sync.Mutex
+	total                          int
+	done, executed, cached, failed int
+}
+
+// report counts one finished trial — in the run's tally and in the runner's
+// lifetime totals — and streams its Progress event.
+func (r *Runner) report(t *tally, key string, cfg bench.WorkloadConfig, fromCache bool, err error, attempts int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.done++
+	r.mu.Lock()
+	switch {
+	case err != nil:
+		t.failed++
+		r.quarantined++
+	case fromCache:
+		t.cached++
+		r.cached++
+	default:
+		t.executed++
+		r.executed++
+	}
+	r.mu.Unlock()
+	if r.OnProgress != nil {
+		r.OnProgress(Progress{
+			Done: t.done, Total: t.total,
+			Executed: t.executed, Cached: t.cached, Failed: t.failed,
+			Key: key, Config: cfg, FromCache: fromCache,
+			Err: err, Attempts: attempts,
+		})
 	}
 }
 
