@@ -97,7 +97,7 @@ func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline,
 				return
 			}
 			fmt.Fprintf(os.Stderr, "fleet: no worker leased within %v; draining locally\n", localGrace)
-			local := newWorker("http://"+ln.Addr().String(), retries, backoff, "local", "none", -1, 1)
+			local := newWorker("http://"+ln.Addr().String(), retries, backoff, "local", "none", -1)
 			if _, err := local.Run(ctx); err != nil && ctx.Err() == nil {
 				fmt.Fprintf(os.Stderr, "fleet: local drain: %v\n", err)
 			}
@@ -123,13 +123,14 @@ func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline,
 
 	status := coord.Status()
 	code := finishSweep(format, outPath, coord.Summaries(), status.Total, status.Executed, status.Cached, status.Quarantined, t0)
-	fmt.Fprintf(os.Stderr, "fleet: leases reissued=%d duplicate completions=%d\n", status.Reissued, status.Duplicates)
+	fmt.Fprintf(os.Stderr, "fleet: leases reissued=%d duplicate completions=%d completion rpcs=%d\n",
+		status.Reissued, status.Duplicates, status.Completions)
 	return code
 }
 
 // newWorker assembles a worker for the coordinator at base from the -worker
 // flags' values.
-func newWorker(base string, retries int, backoff time.Duration, name, spoolFlag string, capacity, leaseBatch int) *fleet.Worker {
+func newWorker(base string, retries int, backoff time.Duration, name, spoolFlag string, capacity int) *fleet.Worker {
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s:%d", host, os.Getpid())
@@ -147,20 +148,19 @@ func newWorker(base string, retries int, backoff time.Duration, name, spoolFlag 
 			Base: base, Timeout: 10 * time.Second, Retries: -1,
 			RetryBase: backoff, Seed: seedFor(name),
 		},
-		Runner:     &grid.Runner{Retries: retries, Backoff: backoff},
-		Name:       name,
-		SpoolPath:  spool,
-		Capacity:   capacity,
-		LeaseBatch: leaseBatch,
+		Runner:    &grid.Runner{Retries: retries, Backoff: backoff},
+		Name:      name,
+		SpoolPath: spool,
+		Capacity:  capacity,
 	}
 }
 
 // runWorker drains a coordinator until its sweep is done. SIGINT/SIGTERM
-// cancel cleanly: the current trial's lease simply expires and is re-issued
+// cancel cleanly: the leases in hand simply expire and are re-issued
 // elsewhere. SIGKILL needs no handling — that is the lease's whole job.
 func runWorker(base string, retries int, backoff time.Duration, name, spoolFlag string,
-	capacity, leaseBatch int, progress bool) int {
-	w := newWorker(base, retries, backoff, name, spoolFlag, capacity, leaseBatch)
+	capacity int, progress bool) int {
+	w := newWorker(base, retries, backoff, name, spoolFlag, capacity)
 	name = w.Name
 	if progress {
 		w.Logf = func(f string, args ...any) { fmt.Fprintf(os.Stderr, f+"\n", args...) }

@@ -96,7 +96,6 @@ func realMain() int {
 		workerName = flag.String("worker-name", "", "worker mode: name journaled with claims (default host:pid)")
 		spoolPath  = flag.String("spool", "", "worker mode: local JSONL spool for records the coordinator could not receive (default: auto temp path; \"none\" disables)")
 		capacity   = flag.Int("capacity", 0, "worker mode: thread capacity advertised for cost-aware placement (default GOMAXPROCS; negative = unlimited)")
-		leaseBatch = flag.Int("lease-batch", 1, "worker mode: request up to N trials per lease RPC (extra cheap trials queue locally)")
 		dur        = flag.Duration("dur", 0, "measured window per trial (default 300ms)")
 		fixedOps   = flag.Int("ops", 0, "run exactly N ops per thread instead of the wall-clock window (deterministic with 1 thread)")
 		keyrange   = flag.Int64("keyrange", 0, "key universe size (default 32768)")
@@ -140,7 +139,7 @@ func realMain() int {
 		// Worker mode ignores the sweep axes: the coordinator owns the spec,
 		// the worker just executes what it is leased.
 		return runWorker(*workerURL, *retries, *backoff, *workerName, *spoolPath,
-			*capacity, *leaseBatch, *progress)
+			*capacity, *progress)
 	}
 
 	spec := grid.Spec{

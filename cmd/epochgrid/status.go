@@ -33,8 +33,8 @@ func runStatus(base string) int {
 	}
 	fmt.Printf("sweep: %s  %d/%d trials done (%d leased, %d pending)\n",
 		state, st.Done, st.Total, st.Leased, pending)
-	fmt.Printf("  executed=%d cached=%d quarantined=%d duplicates=%d reissued=%d\n",
-		st.Executed, st.Cached, st.Quarantined, st.Duplicates, st.Reissued)
+	fmt.Printf("  executed=%d cached=%d quarantined=%d duplicates=%d reissued=%d completions=%d\n",
+		st.Executed, st.Cached, st.Quarantined, st.Duplicates, st.Reissued, st.Completions)
 	switch {
 	case st.Complete:
 		fmt.Println("  eta: —")

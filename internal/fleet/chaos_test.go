@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -111,17 +112,20 @@ func TestChaosFleetConverges(t *testing.T) {
 }
 
 // TestChaosWorkerSpoolsThroughPartition: a worker that loses the coordinator
-// right before completing finishes its trial, spools the record locally,
-// and replays it on reconnect — no result is lost to the partition.
+// mid-chunk finishes the chunk, spools every record of it locally, and
+// replays them on reconnect in one completion — no result is lost to the
+// partition, none stored twice.
 func TestChaosWorkerSpoolsThroughPartition(t *testing.T) {
-	cfgs := tinyCfgs(2)
-	for i := range cfgs {
-		// Many poll intervals of waitFor long, so the link is severed while
-		// the first trial still runs, not after it was delivered.
-		cfgs[i].Duration = 200 * time.Millisecond
-	}
+	cfgs := tinyCfgs(1)
+	// Many poll intervals of waitFor long, so the link is severed while the
+	// chunk's first trial still runs, not after the chunk was delivered; and
+	// measured at a millisecond, so the first lease is a chunk: 4 of the 8.
+	cfgs[0].Duration = 100 * time.Millisecond
+	const trials, chunk = 8, 4
 	store := results.NewMemStore()
-	coord, err := NewCoordinator(cfgs, 1, CoordinatorConfig{
+	measure(t, store, cfgs[0], time.Millisecond)
+	seeded := store.Len()
+	coord, err := NewCoordinator(cfgs, trials, CoordinatorConfig{
 		Store: store, LeaseTTL: 10 * time.Second, Logf: t.Logf,
 	})
 	if err != nil {
@@ -140,8 +144,8 @@ func TestChaosWorkerSpoolsThroughPartition(t *testing.T) {
 		Logf:      t.Logf,
 	}
 
-	// Sever the link the moment the first lease is granted: the in-flight
-	// trial finishes against a dead coordinator.
+	// Sever the link the moment the first lease is granted: the chunk
+	// finishes against a dead coordinator.
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -154,18 +158,20 @@ func TestChaosWorkerSpoolsThroughPartition(t *testing.T) {
 	}()
 	waitFor(t, 30*time.Second, "first lease", func() bool { return coord.Status().Leased > 0 })
 	ft.Sever()
-	// The worker completes the trial, fails to deliver, spools, and starts
-	// its reconnect loop.
-	waitFor(t, 30*time.Second, "record to hit the spool", func() bool {
-		return w.Stats().Spooled == 1
+	if leased := coord.Status().Leased; leased != chunk {
+		t.Fatalf("first lease carries %d trials, want a chunk of %d", leased, chunk)
+	}
+	// The worker completes the chunk, fails to deliver, spools, and starts
+	// its reconnect loop, which leaves the spool alone while nothing gets
+	// through.
+	waitFor(t, 30*time.Second, "the chunk to hit the spool", func() bool {
+		return w.Stats().Spooled == chunk
 	})
-	// The reconnect loop rewrites the spool after every failed replay, so a
-	// single read can catch it truncated.
-	waitFor(t, 30*time.Second, "spool file to hold the record", func() bool {
-		data, err := os.ReadFile(spool)
-		return err == nil && len(data) > 0
-	})
-	if store.Len() != 0 {
+	data, err := os.ReadFile(spool)
+	if err != nil || bytes.Count(data, []byte("\n")) != chunk {
+		t.Fatalf("spool holds %d lines (%v), want %d", bytes.Count(data, []byte("\n")), err, chunk)
+	}
+	if store.Len() != seeded {
 		t.Fatal("severed worker somehow delivered a record")
 	}
 	ft.Heal()
@@ -175,17 +181,141 @@ func TestChaosWorkerSpoolsThroughPartition(t *testing.T) {
 	}
 
 	st := coord.Status()
-	if !st.Complete || st.Executed != 2 {
+	if !st.Complete || st.Executed != trials || st.Duplicates != 0 {
 		t.Fatalf("post-partition sweep incomplete: %+v", st)
 	}
-	if stats.Spooled != 1 || stats.Replayed != 1 || stats.Reconnects < 1 {
+	if stats.Spooled != chunk || stats.Replayed != chunk || stats.Reconnects < 1 {
 		t.Fatalf("spool cycle not observed: %+v", stats)
+	}
+	// The replay was one completion for the chunk, not one per record: with
+	// it, and a completion for each of the four trials left (by then the
+	// model knows what they take), the coordinator served five.
+	if st.Completions > 1+trials-chunk {
+		t.Fatalf("coordinator served %d completions, want the replay to be one: %+v", st.Completions, st)
 	}
 	if _, err := os.Stat(spool); !os.IsNotExist(err) {
 		t.Fatalf("replayed spool should be removed, stat err = %v", err)
 	}
-	if store.Len() != 2 {
-		t.Fatalf("store has %d records, want 2", store.Len())
+	if store.Len() != seeded+trials {
+		t.Fatalf("store has %d records, want %d", store.Len(), seeded+trials)
+	}
+	for _, k := range store.Keys() {
+		if n := len(store.Get(k)); n != 1 {
+			t.Fatalf("key %s has %d records, want exactly 1", k, n)
+		}
+	}
+}
+
+// TestChaosWorkerDroppedMidChunk: a worker that dies after finishing three
+// trials of a chunk of eight takes those three records with it — that is
+// what a chunk costs, at most a quantum of work. Every one of its eight
+// leases expires and is re-issued, and the sweep still converges on one
+// record per key.
+func TestChaosWorkerDroppedMidChunk(t *testing.T) {
+	cfgs := tinyCfgs(1)
+	cfgs[0].Duration = 50 * time.Millisecond
+	const trials, chunk = 16, 8
+	store := results.NewMemStore()
+	measure(t, store, cfgs[0], time.Millisecond)
+	seeded := store.Len()
+	coord, err := NewCoordinator(cfgs, trials, CoordinatorConfig{
+		Store: store, LeaseTTL: 300 * time.Millisecond, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startFleet(t, coord)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	victimCtx, kill := context.WithCancel(ctx)
+	victim := newWorker(t, srv.URL, "victim", 1)
+	var victimDone sync.WaitGroup
+	victimDone.Add(1)
+	go func() {
+		defer victimDone.Done()
+		victim.Run(victimCtx)
+	}()
+	waitFor(t, 30*time.Second, "victim to finish 3 of its chunk", func() bool { return victim.Stats().Executed >= 3 })
+	if leased := coord.Status().Leased; leased != chunk {
+		t.Fatalf("victim holds %d leases, want a chunk of %d", leased, chunk)
+	}
+	kill()
+	victimDone.Wait()
+	if n := store.Len() - seeded; n != 0 {
+		t.Fatalf("victim delivered %d records of an unfinished chunk", n)
+	}
+
+	stats, err := newWorker(t, srv.URL, "survivor", 2).Run(ctx)
+	if err != nil {
+		t.Fatalf("survivor: %v (stats %+v, status %+v)", err, stats, coord.Status())
+	}
+	st := coord.Status()
+	if !st.Complete || st.Executed != trials || st.Reissued != chunk || st.Duplicates > 3 || st.Leased != 0 {
+		t.Fatalf("want all %d of the victim's leases re-issued and the sweep complete: %+v", chunk, st)
+	}
+	if stats.Executed != trials {
+		t.Fatalf("survivor executed %d trials, want all %d", stats.Executed, trials)
+	}
+	for _, k := range store.Keys() {
+		if n := len(store.Get(k)); n != 1 {
+			t.Fatalf("key %s has %d records, want exactly 1", k, n)
+		}
+	}
+}
+
+// TestChaosRenewalCoversTheChunk: one renewal loop keeps every grant of a
+// chunk alive — the running trial's, the ones queued behind it and the
+// finished ones waiting to be reported — at a third of the TTL the
+// coordinator states, not of what the worker's clock makes of the expiry.
+// Four trials of 200 ms that the model took for 1 ms each, under a 300 ms TTL
+// on a coordinator whose clock is an hour behind: without renewal of the
+// queued grants the second trial's lease is gone before it starts.
+func TestChaosRenewalCoversTheChunk(t *testing.T) {
+	cfgs := tinyCfgs(1)
+	cfgs[0].Duration = 200 * time.Millisecond
+	const trials, chunk = 8, 4
+	store := results.NewMemStore()
+	measure(t, store, cfgs[0], time.Millisecond)
+	coord, err := NewCoordinator(cfgs, trials, CoordinatorConfig{
+		Store: store, LeaseTTL: 300 * time.Millisecond, Logf: t.Logf,
+		Clock: func() time.Time { return time.Now().Add(-time.Hour) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startFleet(t, coord)
+	// Expiry is evaluated when somebody leases or renews, and a lone worker
+	// asks for a lease only between chunks. Stand in for the rest of a fleet.
+	stop := make(chan struct{})
+	var poker sync.WaitGroup
+	poker.Add(1)
+	go func() {
+		defer poker.Done()
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				coord.Renew(RenewRequest{LeaseID: "nobody's"})
+			}
+		}
+	}()
+	stats, err := newWorker(t, srv.URL, "steady", 3).Run(t.Context())
+	close(stop)
+	poker.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	claims := store.Journal()
+	if len(claims) < chunk || claims[chunk-1].LeaseUntil != claims[0].LeaseUntil {
+		t.Fatalf("first lease was not a chunk of %d: %d claims", chunk, len(claims))
+	}
+	st := coord.Status()
+	if !st.Complete || st.Executed != trials || st.Reissued != 0 || st.Duplicates != 0 || stats.Executed != trials {
+		t.Fatalf("a renewed chunk must neither expire nor run twice: %+v, worker %+v", st, stats)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -70,7 +71,7 @@ type Coordinator struct {
 	seq     int
 
 	duplicates, reissued int
-	granted              int
+	granted, completions int
 	doneCh               chan struct{}
 
 	startedAt time.Time
@@ -89,10 +90,15 @@ type workerStats struct {
 	lastDone  time.Time
 }
 
-// maxBatchGrants caps how many trials one lease RPC may carry regardless of
-// the request's MaxTrials — a runaway batch would concentrate re-issue risk
-// on one worker's crash.
-const maxBatchGrants = 8
+// leaseQuantum is the measured cost a lease is filled up to. What it buys is
+// amortization: a round trip — a loopback or LAN RPC, two JSON passes, two
+// log appends — costs a few hundred microseconds, so 50 ms of work under one
+// puts it below a percent, two orders of magnitude above the round trip.
+// What it risks is a crash: a worker killed mid-lease loses at most a
+// quantum of finished work, three orders below the default 30 s LeaseTTL
+// that the re-issue waits for anyway. Nothing in between argues for another
+// value, so it is not a setting.
+const leaseQuantum = 50 * time.Millisecond
 
 // NewCoordinator expands cfgs×trials exactly as grid.Runner would
 // (ExpandTasks: same tasks, same TrialKeys) and queues them over the store.
@@ -159,40 +165,49 @@ func (c *Coordinator) reclaimExpiredLocked() {
 	}
 }
 
-// grantLocked journals the claim for task i and attaches a fresh lease to
-// worker; caller holds mu and has taken the task from the queue.
-func (c *Coordinator) grantLocked(i int, worker string) (Grant, error) {
-	key := c.q.Key(i)
-	c.seq++
-	id := "L" + strconv.Itoa(c.seq)
+// grantLocked journals the claims for the taken tasks of one lease — one
+// append for the lot — and attaches a fresh lease per task to worker. The
+// journal comes before the answer: if the append fails the store is broken
+// and granting would strand the trials' results, so every task goes back and
+// the whole lease fails.
+func (c *Coordinator) grantLocked(chunk []int, worker string) ([]Grant, error) {
 	now := c.now()
 	expires := now.Add(c.ttl)
-	// Journal the claim before answering: if the append fails the
-	// store is broken and granting would strand the trial's result.
-	if err := c.store.Append(results.NewClaim(key, worker, expires)); err != nil {
-		c.q.Return(i)
-		return Grant{}, fmt.Errorf("fleet: journaling claim: %w", err)
+	claims := make([]results.Record, len(chunk))
+	for k, i := range chunk {
+		claims[k] = results.NewClaim(c.q.Key(i), worker, expires)
 	}
-	c.leaseOf[i] = id
-	c.leases[id] = &lease{taskIdx: i, worker: worker, granted: now, expires: expires}
-	c.granted++
-	if c.logFn != nil {
-		c.logFn("fleet: leased %s (%s) to %s until %s",
-			c.q.Label(i), short(key), worker, expires.Format(time.RFC3339))
+	if _, err := c.store.AppendAllIfAbsent(claims); err != nil {
+		for _, i := range chunk {
+			c.q.Return(i)
+		}
+		return nil, fmt.Errorf("fleet: journaling claim: %w", err)
 	}
-	return Grant{LeaseID: id, Key: key, Config: c.q.Config(i), ExpiresUnixNano: expires.UnixNano()}, nil
+	grants := make([]Grant, len(chunk))
+	for k, i := range chunk {
+		c.seq++
+		id := "L" + strconv.Itoa(c.seq)
+		c.leaseOf[i] = id
+		c.leases[id] = &lease{taskIdx: i, worker: worker, granted: now, expires: expires}
+		c.granted++
+		if c.logFn != nil {
+			c.logFn("fleet: leased %s (%s) to %s until %s",
+				c.q.Label(i), short(claims[k].Key), worker, expires.Format(time.RFC3339))
+		}
+		grants[k] = Grant{LeaseID: id, Key: claims[k].Key, Config: c.q.Config(i), ExpiresUnixNano: expires.UnixNano()}
+	}
+	return grants, nil
 }
 
 // Lease grants pending trials to the requesting worker, journaling each
-// claim. Which trial is the queue's decision (grid.Queue.Take): the primary
-// grant is the costliest pending trial that fits the worker's advertised
-// Capacity. When nothing fits the capacity, the cheapest pending trial is
+// claim. Which trials is the queue's decision: the primary grant is the
+// costliest pending trial that fits the worker's advertised Capacity
+// (grid.Queue.Take), and when nothing fits, the cheapest pending trial is
 // granted anyway (capacity is advisory; a slow trial beats a stalled sweep).
-// With MaxTrials > 1 the response also batches up to maxBatchGrants of the
-// cheapest fitting trials as Extra, amortizing lease round-trips over
-// trials whose RPC cost rivals their runtime. When everything is
-// leased-but-unfinished it answers StatusWait; when the sweep is complete,
-// StatusDone.
+// How many is this layer's (fillLocked): a request that can hold a chunk gets
+// the cheapest fitting measured trials on top, up to leaseQuantum of work.
+// When everything is leased-but-unfinished it answers StatusWait; when the
+// sweep is complete, StatusDone.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -207,41 +222,63 @@ func (c *Coordinator) leaseLocked(req LeaseRequest) (LeaseResponse, error) {
 	if c.q.Done() == c.q.Len() {
 		return LeaseResponse{Status: StatusDone}, nil
 	}
-	if c.q.Pending() == 0 {
+	pending := c.q.Pending()
+	if pending == 0 {
 		return LeaseResponse{Status: StatusWait, RetryMs: c.retryMsLocked()}, nil
 	}
-	first, fits := c.q.Take(req.Capacity)
-	if !fits {
+	var chunk []int
+	if first, fits := c.q.Take(req.Capacity); fits {
+		chunk = c.fillLocked(first, req, pending)
+	} else {
 		// Nothing fits the advertised capacity: grant the cheapest pending
 		// trial so an undersized worker makes slow progress instead of the
 		// sweep waiting for a big worker that may never come.
-		first, _ = c.q.TakeCheapest(0)
+		cheapest, _ := c.q.TakeCheapest(0)
+		chunk = []int{cheapest}
 		c.logf("fleet: no pending trial fits capacity %d from %s; granting cheapest",
 			req.Capacity, req.Worker)
 	}
-	resp := LeaseResponse{Status: StatusLease}
-	g, err := c.grantLocked(first, req.Worker)
+	grants, err := c.grantLocked(chunk, req.Worker)
 	if err != nil {
 		return LeaseResponse{}, err
 	}
-	resp.LeaseID, resp.Key, resp.Config, resp.ExpiresUnixNano = g.LeaseID, g.Key, g.Config, g.ExpiresUnixNano
-	if req.MaxTrials > 1 && fits {
-		// Fill the batch cheapest-first: batching exists to amortize
-		// round-trips over cheap trials, while expensive ones keep getting
-		// dedicated leases that renew independently.
-		for extra := min(req.MaxTrials-1, maxBatchGrants); extra > 0; extra-- {
-			i, ok := c.q.TakeCheapest(req.Capacity)
-			if !ok {
-				break
-			}
-			g, err := c.grantLocked(i, req.Worker)
-			if err != nil {
-				return LeaseResponse{}, err
-			}
-			resp.Extra = append(resp.Extra, g)
-		}
+	return LeaseResponse{
+		Status: StatusLease, LeaseID: grants[0].LeaseID, Key: grants[0].Key, Config: grants[0].Config,
+		ExpiresUnixNano: grants[0].ExpiresUnixNano, TTLMs: int(c.ttl / time.Millisecond),
+		Extra: grants[1:],
+	}, nil
+}
+
+// fillLocked sizes a lease by its work: to the primary grant first it adds
+// the cheapest fitting pending trials of measured configurations while the
+// lease's summed estimate stays within leaseQuantum, so that a round trip is
+// shared by as many cheap trials as make it negligible and by no more. A
+// primary that fills the quantum by itself — any trial worth a lease of its
+// own — gets nothing added, and neither does one of an unmeasured
+// configuration: its cost is not known yet, so its first seed runs alone and
+// feeds the model. The count is further held to what the requester can hold
+// (a request that does not say holds one), to the protocol cap, and to the
+// fair share of the pending trials, ceil(pending / (2 × workers seen)) —
+// guided self-scheduling: chunks shrink as the sweep runs down, so no worker
+// sits on the tail while the others idle. pending counts the primary.
+func (c *Coordinator) fillLocked(first int, req LeaseRequest, pending int) []int {
+	share := 2 * len(c.workers)
+	room := min(req.MaxTrials, maxChunkTrials, (pending+share-1)/share)
+	est, measured := c.q.Estimate(first)
+	if room <= 1 || !measured {
+		return []int{first}
 	}
-	return resp, nil
+	chunk := append(make([]int, 0, room), first)
+	budget := float64(leaseQuantum) - est
+	for len(chunk) < room {
+		i, est, ok := c.q.TakeWithin(req.Capacity, budget)
+		if !ok {
+			break
+		}
+		chunk = append(chunk, i)
+		budget -= est
+	}
+	return chunk
 }
 
 // retryMsLocked is the poll delay for a worker that finds every remaining
@@ -268,37 +305,44 @@ func (c *Coordinator) retryMsLocked() int {
 	return int(max(retry+time.Millisecond-1, time.Millisecond) / time.Millisecond)
 }
 
-// Renew extends a held lease. A false OK means the lease already expired
-// (and the trial may be re-issued): the worker should finish anyway and let
-// dedupe sort it out.
+// Renew extends the named leases. A false OK means one already expired (and
+// its trial may be re-issued): the worker should finish anyway and let dedupe
+// sort it out.
 func (c *Coordinator) Renew(req RenewRequest) RenewResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reclaimExpiredLocked() // an expired lease is gone even if nobody leased since
-	l, ok := c.leases[req.LeaseID]
-	if !ok {
-		return RenewResponse{OK: false}
+	expires := c.now().Add(c.ttl)
+	resp := RenewResponse{OK: true, ExpiresUnixNano: expires.UnixNano()}
+	for _, id := range append([]string{req.LeaseID}, req.More...) {
+		if l, ok := c.leases[id]; ok {
+			l.expires = expires
+		} else {
+			resp = RenewResponse{OK: false}
+		}
 	}
-	l.expires = c.now().Add(c.ttl)
-	return RenewResponse{OK: true, ExpiresUnixNano: l.expires.UnixNano()}
+	return resp
 }
 
-// Complete accepts a finished trial. Identity is the key, not the lease: a
-// completion whose lease expired (or that arrives twice via a duplicated
-// RPC) is still the same content-addressed trial, so the first one in wins
-// and the rest are acknowledged as duplicates. The record is persisted
-// through AppendIfAbsent before the trial is marked done — a crash between
-// the two at worst re-issues an already-stored trial, whose completion then
-// dedupes; the store never ends up with two records for one key.
+// Complete accepts the finished trials of one completion request, each as a
+// completion of its own. Identity is the key, not the lease: a completion
+// whose lease expired (or that arrives twice via a duplicated RPC) is still
+// the same content-addressed trial, so the first one in wins and the rest
+// are acknowledged as duplicates. The records are persisted — one append,
+// AppendAllIfAbsent — before any trial is marked done: a crash between the
+// two at worst re-issues already-stored trials, whose completions then
+// dedupe; the store never ends up with two records for one key.
 //
-// An accepted request carrying Next is then served that lease request under
-// the same lock hold, duplicates included: the worker needs its next trial
-// either way.
+// A request carrying Next is then served that lease request under the same
+// lock hold, duplicates included — the worker needs its next trial either
+// way — unless a record was rejected.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.completions++
 	resp, err := c.completeLocked(req)
-	if err != nil || !resp.Accepted || req.Next == nil {
+	if err != nil || req.Next == nil || !resp.Accepted ||
+		slices.ContainsFunc(resp.More, func(a CompleteAck) bool { return !a.Accepted }) {
 		return resp, err
 	}
 	next, err := c.leaseLocked(*req.Next)
@@ -314,31 +358,59 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 }
 
 func (c *Coordinator) completeLocked(req CompleteRequest) (CompleteResponse, error) {
-	idxs := c.q.Tasks(req.Key)
-	if idxs == nil {
-		c.logf("fleet: rejecting completion of unknown key %s from %s", req.Key, req.Worker)
-		return CompleteResponse{Accepted: false}, nil
+	// Each record is filed under the key it was completed as, with its worker.
+	recs := make([]results.Record, 1+len(req.More))
+	recs[0], recs[0].Key = req.Record, req.Key
+	for k := range req.More {
+		recs[1+k], recs[1+k].Key = req.More[k].Record, req.More[k].Key
 	}
-	open := slices.IndexFunc(idxs, func(i int) bool { return !c.q.Finished(i) })
-	if open < 0 {
-		c.duplicates++
-		c.logf("fleet: duplicate completion of %s from %s (dedupe)", short(req.Key), req.Worker)
-		return CompleteResponse{Accepted: true, Duplicate: true, Done: c.q.Done() == c.q.Len()}, nil
-	}
-	rec := req.Record
-	rec.Worker = req.Worker
-	// The throughput ledger takes the estimate as it stood before this
+	// The throughput ledger takes each estimate as it stood before this
 	// completion feeds the model, so the ETA's remaining-cost sum and
 	// completed-cost accumulator never both count the same trial.
-	est, _ := c.q.Estimate(idxs[open])
-	if _, err := c.q.Finish(idxs[open], rec); err != nil {
+	ests := make([]float64, len(recs))
+	for k := range recs {
+		recs[k].Worker = req.Worker
+		if idxs := c.q.Tasks(recs[k].Key); idxs != nil {
+			ests[k], _ = c.q.Estimate(idxs[0])
+		}
+	}
+	tasks, err := c.q.FinishAll(recs)
+	if err != nil {
 		return CompleteResponse{}, fmt.Errorf("fleet: persisting completion: %w", err)
 	}
+	acks := make([]CompleteAck, len(recs))
+	for k := range recs {
+		acks[k] = c.ackLocked(req.Worker, recs[k].Key, tasks[k], ests[k])
+	}
+	done := c.q.Done() == c.q.Len()
+	if done {
+		select {
+		case <-c.doneCh:
+		default:
+			close(c.doneCh)
+		}
+	}
+	return CompleteResponse{Accepted: acks[0].Accepted, Duplicate: acks[0].Duplicate, More: acks[1:], Done: done}, nil
+}
+
+// ackLocked enters in the coordinator's own books what the queue did with one
+// record of a completion: task is the task it finished, -1 when none.
+func (c *Coordinator) ackLocked(worker, key string, task int, est float64) CompleteAck {
+	idxs := c.q.Tasks(key)
+	switch {
+	case idxs == nil:
+		c.logf("fleet: rejecting completion of unknown key %s from %s", key, worker)
+		return CompleteAck{Accepted: false}
+	case task < 0:
+		c.duplicates++
+		c.logf("fleet: duplicate completion of %s from %s (dedupe)", short(key), worker)
+		return CompleteAck{Accepted: true, Duplicate: true}
+	}
 	c.completedCost += est
-	ws := c.workers[req.Worker]
+	ws := c.workers[worker]
 	if ws == nil {
 		ws = &workerStats{firstSeen: c.now()}
-		c.workers[req.Worker] = ws
+		c.workers[worker] = ws
 	}
 	ws.done++
 	ws.lastDone = c.now()
@@ -352,28 +424,20 @@ func (c *Coordinator) completeLocked(req CompleteRequest) (CompleteResponse, err
 			c.leaseOf[i] = ""
 		}
 	}
-	done := c.q.Done() == c.q.Len()
 	if c.logFn != nil {
 		c.logFn("fleet: completed %s (%s) from %s [%d/%d]",
-			c.q.Label(idxs[open]), short(req.Key), req.Worker, c.q.Done(), c.q.Len())
+			c.q.Label(task), short(key), worker, c.q.Done(), c.q.Len())
 	}
-	if done {
-		select {
-		case <-c.doneCh:
-		default:
-			close(c.doneCh)
-		}
-	}
-	return CompleteResponse{Accepted: true, Done: done}, nil
+	return CompleteAck{Accepted: true}
 }
 
 // Done returns a channel closed when every trial is complete.
 func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 
 // Granted reports the cumulative number of leases granted over the
-// coordinator's lifetime (primary and batch alike). `epochgrid -serve`
-// polls it to detect that no worker ever showed up and fall back to
-// draining locally.
+// coordinator's lifetime, one per trial however many a response carried.
+// `epochgrid -serve` polls it to detect that no worker ever showed up and
+// fall back to draining locally.
 func (c *Coordinator) Granted() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -392,7 +456,7 @@ func (c *Coordinator) Status() StatusResponse {
 		Total: c.q.Len(), Done: c.q.Done(),
 		Executed: executed, Cached: cached, Quarantined: quarantined,
 		Leased:     len(c.leases),
-		Duplicates: c.duplicates, Reissued: c.reissued,
+		Duplicates: c.duplicates, Reissued: c.reissued, Completions: c.completions,
 		Complete: c.q.Done() == c.q.Len(),
 	}
 	if !resp.Complete && c.completedCost > 0 {
@@ -430,7 +494,7 @@ func (c *Coordinator) Summaries() []bench.Summary {
 //
 //	POST /v1/lease    LeaseRequest    -> LeaseResponse
 //	POST /v1/renew    RenewRequest    -> RenewResponse
-//	POST /v1/complete CompleteRequest -> CompleteResponse (and, with Next set, the worker's next lease)
+//	POST /v1/complete CompleteRequest -> CompleteResponse (a lease's records; with Next set, the worker's next lease)
 //	GET  /v1/status                   -> StatusResponse
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -464,14 +528,24 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 // decode reads a JSON request body (POST only), answering the error itself
-// when the body is malformed.
+// when the body is malformed. The body is read whole into a buffer of its
+// declared length: a completion carries a chunk's records, some 85 KB, which
+// a streaming decoder would reach by doubling its buffer eight times.
 func decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	body := http.MaxBytesReader(w, r.Body, 16<<20)
-	if err := json.NewDecoder(body).Decode(into); err != nil {
+	const limit = 16 << 20
+	var body bytes.Buffer
+	if r.ContentLength > 0 {
+		body.Grow(int(min(r.ContentLength, limit)) + bytes.MinRead)
+	}
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		err = json.Unmarshal(body.Bytes(), into)
+	}
+	if err != nil {
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return false
 	}

@@ -511,12 +511,12 @@ func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 	return c.next.RoundTrip(req)
 }
 
-// runQuickFleet drains cfgs×trials with two workers over HTTP, counting
-// their RPCs, and returns how long after the sweep's last completion the
-// last worker returned.
-func runQuickFleet(t *testing.T, cfgs []bench.WorkloadConfig, trials int) (rpcs map[string]int, tail time.Duration) {
+// runQuickFleet drains cfgs×trials over store with two workers over HTTP,
+// counting their RPCs, and returns how long after the sweep's last completion
+// the last worker returned.
+func runQuickFleet(t *testing.T, store *results.Store, cfgs []bench.WorkloadConfig, trials int) (rpcs map[string]int, tail time.Duration) {
 	t.Helper()
-	coord, err := NewCoordinator(cfgs, trials, CoordinatorConfig{Store: results.NewMemStore()})
+	coord, err := NewCoordinator(cfgs, trials, CoordinatorConfig{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,30 +560,38 @@ func runQuickFleet(t *testing.T, cfgs []bench.WorkloadConfig, trials int) (rpcs 
 // still take, not a flat quarter second, so it learns the sweep is over
 // within milliseconds of the last completion.
 func TestWorkersReturnPromptlyAtSweepEnd(t *testing.T) {
-	_, tail := runQuickFleet(t, quickCfgs(4), 8)
+	_, tail := runQuickFleet(t, results.NewMemStore(), quickCfgs(4), 8)
 	t.Logf("last worker returned %v after the last completion", tail)
 	if tail > 50*time.Millisecond {
 		t.Fatalf("last worker returned %v after the last completion, want < 50ms", tail)
 	}
 }
 
-// TestOneRoundTripPerTrial: the next lease rides on each completion, so a
-// sweep of N trials costs N completion RPCs, one first lease per worker, no
-// renewals, and the few polls of whichever worker waits out the tail.
+// TestOneRoundTripPerTrial is the bound on what dispatch costs a cheap trial:
+// a lease is filled up to the quantum and reported in one completion that
+// carries the next lease request, so a sweep of N trials of configurations
+// measured at about a millisecond costs at most N/4 completion RPCs — the
+// chunks are the fair share of what is pending, so they shrink towards the
+// tail — one first lease per worker, no renewals, and the few polls of
+// whichever worker waits out the tail.
 func TestOneRoundTripPerTrial(t *testing.T) {
-	const n = 64
-	rpcs, _ := runQuickFleet(t, quickCfgs(4), n/4)
+	const n = 128
+	store := results.NewMemStore()
+	cfgs := quickCfgs(4)
+	for _, cfg := range cfgs {
+		measure(t, store, cfg, time.Millisecond)
+	}
+	rpcs, _ := runQuickFleet(t, store, cfgs, n/4)
 	total := 0
 	for _, c := range rpcs {
 		total += c
 	}
 	t.Logf("%d trials: %v = %.3f RPCs per trial", n, rpcs, float64(total)/n)
-	if rpcs["/v1/complete"] != n || rpcs["/v1/renew"] != 0 {
-		t.Fatalf("want exactly %d completions and no renewals, got %v", n, rpcs)
+	if rpcs["/v1/complete"] > n/4 || rpcs["/v1/renew"] != 0 {
+		t.Fatalf("want at most %d completions and no renewals, got %v", n/4, rpcs)
 	}
 	// Two first leases; the rest are tail polls, a handful at most (they
-	// back off). That keeps the whole sweep within 1 + 2/N per trial plus
-	// those polls.
+	// back off).
 	if polls := rpcs["/v1/lease"] - 2; polls < 0 || polls > 8 {
 		t.Fatalf("want 2 first leases plus at most 8 tail polls, got %d lease RPCs", rpcs["/v1/lease"])
 	}

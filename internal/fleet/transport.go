@@ -142,23 +142,23 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// Lease asks for one or more trials (req.MaxTrials > 1 requests a batch;
-// req.Capacity advertises the worker's thread capacity for cost-aware
-// placement).
+// Lease asks for work: one trial, or as many as the coordinator sizes a lease
+// at when req.MaxTrials says the caller can hold them (req.Capacity
+// advertises the worker's thread capacity for cost-aware placement).
 func (c *Client) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
 	var resp LeaseResponse
 	err := c.do(ctx, "/v1/lease", req, &resp)
 	return resp, err
 }
 
-// Renew extends a held lease.
+// Renew extends held leases.
 func (c *Client) Renew(ctx context.Context, req RenewRequest) (RenewResponse, error) {
 	var resp RenewResponse
 	err := c.do(ctx, "/v1/renew", req, &resp)
 	return resp, err
 }
 
-// Complete delivers a finished trial.
+// Complete delivers the finished trials of a lease.
 func (c *Client) Complete(ctx context.Context, req CompleteRequest) (CompleteResponse, error) {
 	var resp CompleteResponse
 	err := c.do(ctx, "/v1/complete", req, &resp)

@@ -38,11 +38,15 @@ type WorkerStats struct {
 // Worker pulls leased trials from a coordinator and executes them through
 // the grid runner's per-trial path (panic recovery, watchdog, bounded retry
 // with cancellable jittered backoff). It is a grid.Source whose Next is an
-// HTTP lease and whose Complete is an HTTP completion with a local JSONL
+// HTTP lease — of a chunk of trials, sized by the coordinator, run in grant
+// order — and whose Complete holds each finished record until the chunk has
+// run and then reports them all in one HTTP completion, with a local JSONL
 // spool as the fallback: a worker that loses the coordinator finishes its
-// leased trial, spools the record, and replays the spool on reconnect —
-// losing nothing — while its expired lease lets the rest of the fleet make
-// progress (at worst duplicating work the dedupe then discards).
+// chunk, spools the records, and replays the spool on reconnect — losing
+// nothing — while its expired leases let the rest of the fleet make progress
+// (at worst duplicating work the dedupe then discards). A worker killed
+// mid-chunk loses the chunk's finished records with the running trial: at
+// most the coordinator's quantum of work, re-issued when the leases expire.
 type Worker struct {
 	// Client is the RPC client; required (its Base addresses the
 	// coordinator).
@@ -58,30 +62,30 @@ type Worker struct {
 	// delivered; "" disables spooling (undeliverable records are dropped —
 	// the lease expiry will re-issue the trial elsewhere).
 	SpoolPath string
-	// RenewEvery is the lease-renewal period while a trial runs; <= 0
-	// derives it from the lease expiry (a third of the remaining TTL).
+	// RenewEvery is the lease-renewal period; <= 0 means a third of the TTL
+	// the coordinator states with its first lease.
 	RenewEvery time.Duration
 	// Capacity is the thread capacity this worker advertises in lease
 	// requests, steering cost-aware placement: the coordinator grants it
 	// the costliest trial whose Threads fit. 0 means GOMAXPROCS; negative
 	// means unlimited (accept anything).
 	Capacity int
-	// LeaseBatch, when > 1, asks the coordinator for up to LeaseBatch
-	// trials per lease RPC; extra grants queue locally and are run before
-	// the next round-trip. Amortizes lease latency over cheap trials.
-	LeaseBatch int
 	// Logf, when set, receives one line per worker event.
 	Logf func(format string, args ...any)
 
 	mu       sync.Mutex
 	stats    WorkerStats
 	degraded bool
+	holding  []string // lease ids of the chunk in hand — running, queued, held — for the renewal loop
 
-	lease    LeaseResponse  // current lease (source state between Next and Complete)
-	queued   []Grant        // batch grants not yet started, run FIFO before the next lease RPC
+	lease    Grant          // the grant being run (source state between Next and Complete)
+	queued   []Grant        // the chunk's grants not yet started, run in order before the next lease
+	held     []Completion   // the chunk's finished records, reported together when queued runs out
 	next     *LeaseResponse // lease answer that rode on the last completion, not yet consumed
-	renewing chan struct{}  // closed to stop the current lease's renewal loop
 	doneHint bool           // a completion response said the sweep is over
+
+	stopRenewing context.CancelFunc // ends the renewal loop; nil until a first lease starts it
+	renewDone    chan struct{}      // closed by the renewal loop on its way out
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -108,6 +112,11 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 		r = &grid.Runner{}
 	}
 	err := r.Drain(ctx, (*workerSource)(w))
+	if w.stopRenewing != nil {
+		w.stopRenewing()
+		<-w.renewDone
+		w.stopRenewing = nil
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.stats, err
@@ -125,12 +134,18 @@ func (w *Worker) Stats() WorkerStats {
 // readers.
 type workerSource Worker
 
-// Next leases the next trial: a grant already in hand first (queued from a
-// batch, or the lease answer that rode on the last completion); otherwise
-// replay any spool (the reconnect contract), then poll the coordinator
-// through wait states and outages until a lease, done, or cancellation.
+// Next leases the next trial: the chunk in hand first; then the lease answer
+// that rode on the last completion; otherwise replay any spool (the
+// reconnect contract), then poll the coordinator through wait states and
+// outages until a lease, done, or cancellation.
 func (s *workerSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, error) {
 	w := (*Worker)(s)
+	if len(w.queued) > 0 {
+		// Its lease may be old by now; the renewal loop has kept it alive, and
+		// even a server-side expiry only costs a duplicate the dedupe absorbs.
+		w.lease, w.queued = w.queued[0], w.queued[1:]
+		return w.lease.Config, true, nil
+	}
 	reconnect := grid.NewBackoff(250*time.Millisecond, w.Client.Seed^0xf1eed)
 	for {
 		if err := ctx.Err(); err != nil {
@@ -142,21 +157,9 @@ func (s *workerSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, er
 			return bench.WorkloadConfig{}, false, nil
 		}
 		var resp LeaseResponse
-		switch {
-		case len(w.queued) > 0:
-			// Run down the local batch queue before another lease RPC. A
-			// queued grant's lease may be old; that is survivable — renewal
-			// keeps it alive from here, and even a server-side expiry only
-			// costs a duplicate the dedupe absorbs.
-			g := w.queued[0]
-			w.queued = w.queued[1:]
-			resp = LeaseResponse{
-				Status: StatusLease, LeaseID: g.LeaseID, Key: g.Key,
-				Config: g.Config, ExpiresUnixNano: g.ExpiresUnixNano,
-			}
-		case w.next != nil:
+		if w.next != nil {
 			resp, w.next = *w.next, nil
-		default:
+		} else {
 			if w.replaySpool(ctx) {
 				// Spool fully drained (or empty): the link is healthy.
 				w.healed(reconnect)
@@ -189,11 +192,12 @@ func (s *workerSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, er
 			}
 			continue
 		case StatusLease:
-			w.lease = resp
-			w.queued = append(w.queued, resp.Extra...)
-			w.startRenewal(ctx)
-			if w.Logf != nil { // per trial: skip building the label when quiet
-				w.Logf("fleet-worker %s: leased %s (%s), %d queued", w.name(),
+			w.lease = Grant{LeaseID: resp.LeaseID, Key: resp.Key, Config: resp.Config, ExpiresUnixNano: resp.ExpiresUnixNano}
+			w.queued = resp.Extra
+			w.held = make([]Completion, 0, 1+len(resp.Extra))
+			w.hold(ctx, resp)
+			if w.Logf != nil { // per chunk: skip building the label when quiet
+				w.Logf("fleet-worker %s: leased %s (%s) and %d more", w.name(),
 					results.Label(resp.Config), short(resp.Key), len(w.queued))
 			}
 			return resp.Config, true, nil
@@ -210,7 +214,7 @@ func (w *Worker) leaseRequest() *LeaseRequest {
 	if capacity == 0 {
 		capacity = runtime.GOMAXPROCS(0)
 	}
-	return &LeaseRequest{Worker: w.name(), Capacity: capacity, MaxTrials: w.LeaseBatch}
+	return &LeaseRequest{Worker: w.name(), Capacity: capacity, MaxTrials: maxChunkTrials}
 }
 
 // sleepRetry waits out a StatusWait answer (ms <= 0 means 100 ms) or ctx.
@@ -229,15 +233,18 @@ func sleepRetry(ctx context.Context, ms int) error {
 	}
 }
 
-// Complete reports the finished trial, spooling on coordinator loss.
+// Complete holds the finished trial's record while the chunk still has
+// trials to run, and with the chunk's last one reports them all — one
+// completion, carrying the next lease request — spooling them on coordinator
+// loss.
 func (s *workerSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, rec results.Record) error {
 	w := (*Worker)(s)
-	w.stopRenewal()
-	lease := w.lease
-	w.lease = LeaseResponse{}
 	if err := ctx.Err(); err != nil {
-		// Cancellation is a stop order, not an outage: drop the record (the
-		// lease will expire and the trial will be re-issued) and unwind.
+		// Cancellation is a stop order, not an outage: drop the chunk's
+		// records (the leases will expire and the trials will be re-issued)
+		// and unwind.
+		w.held = nil
+		w.release()
 		return err
 	}
 	w.mu.Lock()
@@ -247,13 +254,14 @@ func (s *workerSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, r
 		w.stats.Executed++
 	}
 	w.mu.Unlock()
-	req := CompleteRequest{LeaseID: lease.LeaseID, Worker: w.name(), Key: lease.Key, Record: rec}
-	if len(w.queued) == 0 {
-		// Nothing queued locally, so the next thing this worker does is ask
-		// for a lease: let the ask ride on the completion.
-		req.Next = w.leaseRequest()
+	w.held = append(w.held, Completion{LeaseID: w.lease.LeaseID, Key: w.lease.Key, Record: rec})
+	if len(w.queued) > 0 {
+		return nil
 	}
-	resp, err := w.Client.Complete(ctx, req)
+	held := w.held
+	w.held = nil
+	w.release() // finished work needs no lease: a re-issue from here on only dedupes
+	resp, err := w.Client.Complete(ctx, completeRequest(w.name(), held, w.leaseRequest()))
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -262,11 +270,20 @@ func (s *workerSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, r
 			return err
 		}
 		w.degrade(err)
-		w.spool(rec, lease.Key)
+		w.spool(held)
 		return nil
 	}
 	w.acknowledge(resp)
 	return nil
+}
+
+// completeRequest lays a chunk's records out on the wire: the first in the
+// flat fields, the rest in More.
+func completeRequest(worker string, chunk []Completion, next *LeaseRequest) CompleteRequest {
+	return CompleteRequest{
+		LeaseID: chunk[0].LeaseID, Worker: worker, Key: chunk[0].Key, Record: chunk[0].Record,
+		More: chunk[1:], Next: next,
+	}
 }
 
 // acknowledge folds a completion response into the stats and keeps the
@@ -278,10 +295,12 @@ func (w *Worker) acknowledge(resp CompleteResponse) {
 	w.next = resp.Next // nil from a spool replay, which runs only once next is consumed
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !resp.Accepted {
-		w.stats.Rejected++
-	} else if resp.Duplicate {
-		w.stats.Duplicates++
+	for _, ack := range append([]CompleteAck{{Accepted: resp.Accepted, Duplicate: resp.Duplicate}}, resp.More...) {
+		if !ack.Accepted {
+			w.stats.Rejected++
+		} else if ack.Duplicate {
+			w.stats.Duplicates++
+		}
 	}
 }
 
@@ -311,55 +330,83 @@ func (w *Worker) healed(reconnect *grid.Backoff) {
 	}
 }
 
-// startRenewal keeps the current lease alive while the trial runs, renewing
-// every RenewEvery until stopRenewal or ctx ends. Renewal failures are
-// survivable by design (dedupe absorbs a re-issued trial), so errors are
-// logged and otherwise ignored.
-func (w *Worker) startRenewal(ctx context.Context) {
+// hold makes the chunk a lease answer granted what the renewal loop keeps
+// alive, and starts that loop with the worker's first lease: only then is
+// the coordinator's TTL known.
+func (w *Worker) hold(ctx context.Context, resp LeaseResponse) {
+	ids := make([]string, 1, 1+len(resp.Extra))
+	ids[0] = resp.LeaseID
+	for _, g := range resp.Extra {
+		ids = append(ids, g.LeaseID)
+	}
+	w.mu.Lock()
+	w.holding = ids
+	w.mu.Unlock()
+	if w.stopRenewing != nil {
+		return
+	}
 	every := w.RenewEvery
 	if every <= 0 {
-		every = time.Until(time.Unix(0, w.lease.ExpiresUnixNano)) / 3
+		every = time.Duration(resp.TTLMs) * time.Millisecond / 3
 	}
 	if every <= 0 {
-		every = 5 * time.Second
+		every = 5 * time.Second // a coordinator that does not state its TTL
 	}
-	leaseID := w.lease.LeaseID
-	stop := make(chan struct{})
-	w.renewing = stop
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				return
-			case <-t.C:
-			}
-			resp, err := w.Client.Renew(ctx, RenewRequest{LeaseID: leaseID, Worker: w.name()})
-			if err != nil {
-				w.logf("fleet-worker %s: renew %s failed: %v", w.name(), leaseID, err)
-			} else if !resp.OK {
-				w.logf("fleet-worker %s: lease %s expired server-side; finishing anyway (dedupe)", w.name(), leaseID)
-			}
+	ctx, w.stopRenewing = context.WithCancel(ctx)
+	w.renewDone = make(chan struct{})
+	go w.renewLoop(ctx, every)
+}
+
+// release ends the renewal of the chunk in hand.
+func (w *Worker) release() {
+	w.mu.Lock()
+	w.holding = nil
+	w.mu.Unlock()
+}
+
+// renewLoop is the worker's one renewal loop, for the length of a Run: every
+// tick it renews, in one RPC, every grant the worker holds — the running
+// trial's, the queued ones behind it however long it runs, and the finished
+// ones waiting to be reported. Renewal failures are survivable by design
+// (dedupe absorbs a re-issued trial), so errors are logged and otherwise
+// ignored.
+func (w *Worker) renewLoop(ctx context.Context, every time.Duration) {
+	defer close(w.renewDone)
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
 		}
-	}()
-}
-
-func (w *Worker) stopRenewal() {
-	if w.renewing != nil {
-		close(w.renewing)
-		w.renewing = nil
+		w.mu.Lock()
+		ids := w.holding // replaced, never written to
+		w.mu.Unlock()
+		if len(ids) == 0 {
+			continue
+		}
+		resp, err := w.Client.Renew(ctx, RenewRequest{LeaseID: ids[0], More: ids[1:], Worker: w.name()})
+		if err != nil {
+			w.logf("fleet-worker %s: renewing %d leases failed: %v", w.name(), len(ids), err)
+		} else if !resp.OK {
+			w.logf("fleet-worker %s: a lease of %v expired server-side; finishing anyway (dedupe)", w.name(), ids)
+		}
 	}
 }
 
-// spool appends an undeliverable record to the local JSONL spool. Same
-// crash-safety contract as the store: O_APPEND, one line per write.
-func (w *Worker) spool(rec results.Record, key string) {
+// spool appends a chunk's undeliverable records to the local JSONL spool.
+// Same crash-safety contract as the store: O_APPEND, one write, one line per
+// record.
+func (w *Worker) spool(chunk []Completion) {
 	if w.SpoolPath == "" {
-		w.logf("fleet-worker %s: no spool configured; dropping record %s (lease expiry will re-issue)",
-			w.name(), short(key))
+		w.logf("fleet-worker %s: no spool configured; dropping %d records from %s on (lease expiry will re-issue)",
+			w.name(), len(chunk), short(chunk[0].Key))
+		return
+	}
+	lines, err := spoolLines(chunk)
+	if err != nil {
+		w.logf("fleet-worker %s: encoding spool record: %v", w.name(), err)
 		return
 	}
 	f, err := os.OpenFile(w.SpoolPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -368,26 +415,33 @@ func (w *Worker) spool(rec results.Record, key string) {
 		return
 	}
 	defer f.Close()
-	b, err := json.Marshal(rec)
-	if err != nil {
-		w.logf("fleet-worker %s: encoding spool record: %v", w.name(), err)
-		return
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
+	if _, err := f.Write(lines); err != nil {
 		w.logf("fleet-worker %s: writing spool: %v", w.name(), err)
 		return
 	}
 	w.mu.Lock()
-	w.stats.Spooled++
+	w.stats.Spooled += len(chunk)
 	w.mu.Unlock()
-	w.logf("fleet-worker %s: spooled %s to %s", w.name(), short(key), w.SpoolPath)
+	w.logf("fleet-worker %s: spooled %d records from %s on to %s", w.name(), len(chunk), short(chunk[0].Key), w.SpoolPath)
 }
 
-// replaySpool re-delivers spooled records, rewriting the spool with whatever
-// still cannot be delivered. Returns true when the spool is empty afterward
-// (including the trivially-empty case). Duplicate acknowledgements are
-// normal: the trial may have been re-issued and completed elsewhere while
-// this worker was partitioned.
+// spoolLines is the spool's form of a chunk: its records, one JSON line each.
+func spoolLines(chunk []Completion) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := range chunk {
+		if err := enc.Encode(&chunk[i].Record); err != nil {
+			return nil, err
+		}
+	}
+	return buf.Bytes(), nil
+}
+
+// replaySpool re-delivers spooled records, a protocol chunk per completion,
+// rewriting the spool with whatever still cannot be delivered. Returns true
+// when the spool is empty afterward (including the trivially-empty case).
+// Duplicate acknowledgements are normal: the trials may have been re-issued
+// and completed elsewhere while this worker was partitioned.
 func (w *Worker) replaySpool(ctx context.Context) bool {
 	if w.SpoolPath == "" {
 		return true
@@ -396,7 +450,7 @@ func (w *Worker) replaySpool(ctx context.Context) bool {
 	if err != nil || len(data) == 0 {
 		return true
 	}
-	var recs []results.Record
+	var recs []Completion
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	for sc.Scan() {
@@ -408,51 +462,36 @@ func (w *Worker) replaySpool(ctx context.Context) bool {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			continue // torn spool line (killed mid-write): the record was never acknowledged anywhere; drop
 		}
-		recs = append(recs, rec)
+		recs = append(recs, Completion{Key: rec.Key, Record: rec})
 	}
-	if len(recs) == 0 {
-		os.Remove(w.SpoolPath)
-		return true
-	}
-	var remaining []results.Record
-	for i, rec := range recs {
-		if ctx.Err() != nil {
-			remaining = append(remaining, recs[i:]...)
-			break
-		}
-		resp, err := w.Client.Complete(ctx, CompleteRequest{
-			Worker: w.name(), Key: rec.Key, Record: rec,
-		})
+	spooled := len(recs)
+	for len(recs) > 0 && ctx.Err() == nil {
+		chunk := recs[:min(len(recs), maxChunkTrials)]
+		resp, err := w.Client.Complete(ctx, completeRequest(w.name(), chunk, nil))
 		if err != nil {
-			remaining = append(remaining, recs[i:]...)
 			break
 		}
+		recs = recs[len(chunk):]
 		w.acknowledge(resp)
 		w.mu.Lock()
-		w.stats.Replayed++
+		w.stats.Replayed += len(chunk)
 		w.mu.Unlock()
-		w.logf("fleet-worker %s: replayed spooled %s", w.name(), short(rec.Key))
+		w.logf("fleet-worker %s: replayed %d spooled records from %s on", w.name(), len(chunk), short(chunk[0].Key))
 	}
-	if len(remaining) == 0 {
+	switch len(recs) {
+	case 0:
 		os.Remove(w.SpoolPath)
 		return true
+	case spooled:
+		return false // nothing got through: the spool stands as it is
 	}
 	// Rewrite the spool to only the undelivered tail. A crash between
 	// delivery and this rewrite re-replays a delivered record later — which
 	// dedupes — so the spool never loses a record, only occasionally repeats
 	// one. (Write-then-rename would be atomic but gains nothing over that
 	// guarantee here.)
-	f, err := os.Create(w.SpoolPath)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	for _, rec := range remaining {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			continue
-		}
-		f.Write(append(b, '\n'))
+	if lines, err := spoolLines(recs); err == nil {
+		os.WriteFile(w.SpoolPath, lines, 0o644)
 	}
 	return false
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/bench"
@@ -177,14 +178,32 @@ func (q *Queue) estimate(g *queuedGroup) (float64, bool) {
 // are read from the live model on every call, because completions shift
 // them: one estimate per configuration and no hashing, whatever the backlog.
 // ok is false when no pending trial fits.
-func (q *Queue) Take(capacity int) (i int, ok bool) { return q.take(capacity, false) }
+func (q *Queue) Take(capacity int) (i int, ok bool) {
+	i, _, ok = q.take(capacity, false, anyCost)
+	return i, ok
+}
 
 // TakeCheapest is Take from the other end of the same order: the cheapest
-// pending trial that fits, ties to the highest task index. Batch extras and
-// the grant to a worker that nothing fits come from here.
-func (q *Queue) TakeCheapest(capacity int) (i int, ok bool) { return q.take(capacity, true) }
+// pending trial that fits, ties to the highest task index. The grant to a
+// worker that nothing fits comes from here.
+func (q *Queue) TakeCheapest(capacity int) (i int, ok bool) {
+	i, _, ok = q.take(capacity, true, anyCost)
+	return i, ok
+}
 
-func (q *Queue) take(capacity int, cheapest bool) (int, bool) {
+// TakeWithin is TakeCheapest for filling a lease up to a cost budget: only
+// a configuration the model has measured qualifies — an unmeasured one has
+// no cost to count against the budget, so its first seed runs alone and
+// feeds the model — and only at an estimate of at most budget nanoseconds,
+// which est returns.
+func (q *Queue) TakeWithin(capacity int, budget float64) (i int, est float64, ok bool) {
+	return q.take(capacity, true, budget)
+}
+
+// anyCost is take's budget when estimates do not restrict the choice.
+var anyCost = math.Inf(1)
+
+func (q *Queue) take(capacity int, cheapest bool, budget float64) (int, float64, bool) {
 	var (
 		best    *queuedGroup
 		bestEst float64
@@ -194,7 +213,10 @@ func (q *Queue) take(capacity int, cheapest bool) (int, bool) {
 		if len(g.pending) == 0 || (capacity > 0 && g.threads > capacity) {
 			continue
 		}
-		est, _ := q.estimate(g)
+		est, measured := q.estimate(g)
+		if budget != anyCost && (!measured || est > budget) {
+			continue
+		}
 		var better bool
 		switch {
 		case best == nil:
@@ -209,7 +231,7 @@ func (q *Queue) take(capacity int, cheapest bool) (int, bool) {
 		}
 	}
 	if best == nil {
-		return 0, false
+		return 0, 0, false
 	}
 	var i int
 	if cheapest {
@@ -221,7 +243,7 @@ func (q *Queue) take(capacity int, cheapest bool) (int, bool) {
 	}
 	q.slots[i].state = taskTaken
 	q.pending--
-	return i, true
+	return i, bestEst, true
 }
 
 // Return puts a taken task back in its place in the order: its lease
@@ -263,6 +285,62 @@ func (q *Queue) Finish(i int, rec results.Record) (twins []int, err error) {
 		if fresh, err = q.store.AppendIfAbsent(rec); err != nil {
 			return nil, err
 		}
+	}
+	return q.settle(i, rec, fresh), nil
+}
+
+// FinishAll is Finish for the records of one fleet completion, which name
+// their trials by key: each record in turn finishes the first unfinished
+// task under its key, exactly as if it had been completed alone, but what
+// the store has to take of the lot reaches it in one append. tasks[k] is the
+// task recs[k] finished, or -1 when it finished none: its key is not part of
+// the sweep, or every task under it was done already — by an earlier
+// completion, or by an earlier record of this one.
+func (q *Queue) FinishAll(recs []results.Record) (tasks []int, err error) {
+	// What is news to the store is decided before anything is finished, as
+	// the append has to be: a record with an unfinished cacheable task. Of
+	// two such records under one key the store takes the first, and the turn
+	// of the second finds its task finished by then.
+	tasks = make([]int, len(recs))
+	isNews := func(k int) bool { return tasks[k] >= 0 && q.cacheable(tasks[k]) }
+	news := make([]results.Record, 0, len(recs))
+	for k := range recs {
+		if tasks[k] = q.open(recs[k].Key); isNews(k) {
+			news = append(news, recs[k])
+		}
+	}
+	var fresh []bool
+	if len(news) > 0 {
+		if fresh, err = q.store.AppendAllIfAbsent(news); err != nil {
+			return nil, err
+		}
+	}
+	for k := range recs {
+		stored := true
+		if isNews(k) {
+			stored, fresh = fresh[0], fresh[1:]
+		}
+		if tasks[k] = q.open(recs[k].Key); tasks[k] >= 0 {
+			q.settle(tasks[k], recs[k], stored)
+		}
+	}
+	return tasks, nil
+}
+
+// open is the first unfinished task under key, -1 when there is none.
+func (q *Queue) open(key string) int {
+	for _, i := range q.byKey[key] {
+		if q.slots[i].state != taskDone {
+			return i
+		}
+	}
+	return -1
+}
+
+// settle finishes task i under rec once the store has answered for it: fresh
+// says the store took rec (or there was nothing to ask it).
+func (q *Queue) settle(i int, rec results.Record, fresh bool) (twins []int) {
+	if q.cacheable(i) {
 		if !fresh {
 			if recs := q.store.Get(rec.Key); len(recs) > 0 {
 				rec = recs[0]
@@ -280,7 +358,7 @@ func (q *Queue) Finish(i int, rec results.Record) (twins []int, err error) {
 			q.finish(j, rec, false)
 		}
 	}
-	return twins, nil
+	return twins
 }
 
 // finish moves one unfinished task to done under rec.

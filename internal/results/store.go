@@ -2,6 +2,7 @@ package results
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -135,6 +136,7 @@ type Store struct {
 	recs    []Record
 	byKey   map[string][]int
 	journal []Record
+	batch   bytes.Buffer // AppendAllIfAbsent's lines; kept, so a chunk's 85 KB is grown to once
 }
 
 // NewMemStore creates an unbacked in-memory store.
@@ -303,6 +305,51 @@ func (s *Store) AppendIfAbsent(rec Record) (bool, error) {
 		return false, err
 	}
 	return true, nil
+}
+
+// AppendAllIfAbsent is AppendIfAbsent for a batch that goes to the file as
+// one write — the k claims of a fleet lease, the k records of one completion.
+// It is still one JSONL line per record, and each record is appended only
+// when its TrialKey is neither in the store nor earlier in recs (journal
+// records always are); added[i] reports which. A process killed inside the
+// write leaves whole lines and at most one torn one, which load skips like
+// any other. On an error nothing is indexed.
+func (s *Store) AppendAllIfAbsent(recs []Record) (added []bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	added = make([]bool, len(recs))
+	buf := &s.batch
+	buf.Reset()
+	enc := json.NewEncoder(buf) // Marshal's bytes plus the newline, without Marshal's copy
+	for i := range recs {
+		rec := &recs[i]
+		if rec.Kind == "" {
+			_, dup := s.byKey[rec.Key]
+			for j := 0; j < i && !dup; j++ {
+				dup = added[j] && recs[j].Kind == "" && recs[j].Key == rec.Key
+			}
+			if dup {
+				continue
+			}
+		}
+		added[i] = true
+		if s.f != nil {
+			if err := enc.Encode(rec); err != nil {
+				return nil, fmt.Errorf("results: encoding record: %w", err)
+			}
+		}
+	}
+	if buf.Len() > 0 {
+		if _, err := s.f.Write(buf.Bytes()); err != nil {
+			return nil, fmt.Errorf("results: appending records: %w", err)
+		}
+	}
+	for i := range recs {
+		if added[i] {
+			s.add(recs[i])
+		}
+	}
+	return added, nil
 }
 
 // Merge appends every record from other whose TrialKey is not yet present

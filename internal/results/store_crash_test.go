@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -359,6 +360,81 @@ func TestStoreLoadParallelParity(t *testing.T) {
 			if !reflect.DeepEqual(got.Get(key), want.Get(key)) {
 				t.Errorf("GOMAXPROCS=%d: records under %s differ or changed order", procs, key)
 			}
+		}
+	}
+}
+
+// TestStoreBatchAppendTornInLastLine: AppendAllIfAbsent puts a fleet lease's
+// claims, or a completion's records, in the file with one write — one line
+// per record all the same, deduped per key against the store and within the
+// batch, claims routed to the journal. A process killed inside that write
+// leaves whole lines and a torn last one, and such a file loads to exactly
+// the complete lines before the tear, at any GOMAXPROCS: a batch longer than
+// load's decode batch crosses its boundary.
+func TestStoreBatchAppendTornInLastLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "batch.jsonl")
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(crashRec(1)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []Record{crashRec(1), crashRec(2), NewClaim(crashRec(2).Key, "w1", time.Unix(50, 0)), crashRec(2)}
+	for seed := uint64(3); seed < 3+loadBatch; seed++ {
+		batch = append(batch, crashRec(seed))
+	}
+	added, err := st.AppendAllIfAbsent(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]bool{false, true, true, false}, slices.Repeat([]bool{true}, loadBatch)...)
+	if !slices.Equal(added, want) {
+		t.Fatalf("added = %v, want the stored key and the repeat within the batch skipped, the claim kept", added)
+	}
+	if st.Len() != 2+loadBatch || len(st.Journal()) != 1 {
+		t.Fatalf("indexed %d records and %d claims, want %d and 1", st.Len(), len(st.Journal()), 2+loadBatch)
+	}
+	st.Close()
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(whole[len(before):]), "\n")
+	lines = lines[:len(lines)-1] // SplitAfter's empty tail
+	if len(lines) != 2+loadBatch {
+		t.Fatalf("the batch wrote %d lines, want %d", len(lines), 2+loadBatch)
+	}
+	last := lines[len(lines)-1]
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, cut := range []int{1, len(last) / 2, len(last) - 2} {
+			torn := filepath.Join(t.TempDir(), "torn.jsonl")
+			if err := os.WriteFile(torn, whole[:len(whole)-len(last)+cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(torn)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d cut=%d: %v", procs, cut, err)
+			}
+			// Everything but the torn record: crashRec(1), the batch's
+			// 1+loadBatch fresh records less its last, and the claim.
+			if re.Len() != 1+loadBatch || len(re.Journal()) != 1 || re.Has(batch[len(batch)-1].Key) {
+				t.Errorf("GOMAXPROCS=%d cut=%d: loaded %d records and %d claims, want %d and 1, the torn record absent",
+					procs, cut, re.Len(), len(re.Journal()), 1+loadBatch)
+			}
+			for _, rec := range batch[:len(batch)-1] {
+				if rec.Kind == "" && len(re.Get(rec.Key)) != 1 {
+					t.Errorf("GOMAXPROCS=%d cut=%d: key %s loaded %d times, want 1", procs, cut, rec.Key, len(re.Get(rec.Key)))
+				}
+			}
+			re.Close()
 		}
 	}
 }

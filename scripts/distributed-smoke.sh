@@ -14,7 +14,10 @@
 #      is the costliest (8-thread) trial — capacity-aware LPT granting,
 #      observed from outside through the claim journal;
 #   5. a coordinator with no workers at all drains the sweep itself after
-#      the -local-grace window (degraded-local mode).
+#      the -local-grace window (degraded-local mode);
+#   6. a sweep of cheap trials is leased in chunks: the coordinator serves
+#      fewer completion RPCs than it has trials, and the store still holds
+#      every key exactly once.
 #
 # Usage: scripts/distributed-smoke.sh [workdir]
 # Env:   OPS=4000   per-thread op budget of each trial (keep trials long
@@ -236,4 +239,60 @@ if ! grep -qE '^grid: .*trials=2 .*executed=2' "$work/local-serve.log"; then
   exit 1
 fi
 echo "distributed-smoke: degraded-local gate passed (workerless sweep drained in-process)"
+
+# --- Phase 6: cheap trials share round trips --------------------------------
+# 2 configurations x 16 seeds of one-thread trials that take milliseconds.
+# Each configuration's first seed runs alone and measures it; from then on a
+# lease is filled up to the coordinator's quantum and reported in one
+# completion, so the completion RPCs it served must number fewer than the
+# trials — while the convergence and one-record-per-key gates stay what they
+# are for every other phase.
+cheap_port=7744
+cheap_store="$work/cheap.jsonl"
+"$work/epochgrid" -serve "127.0.0.1:$cheap_port" -store "$cheap_store" \
+  -reclaimers debra,hp -threads 1 -trials 16 -ops 200 -keyrange 256 \
+  -lease-ttl 5s -local-grace 0 -format json -out "$work/cheap.json" 2>"$work/cheap-serve.log" &
+cheap_pid=$!
+trap 'kill "$cheap_pid" 2>/dev/null || true' EXIT
+for _ in $(seq 1 50); do
+  if curl -s -o /dev/null "http://127.0.0.1:$cheap_port/v1/status"; then break; fi
+  sleep 0.1
+done
+worker_pids=()
+for name in cheap-a cheap-b; do
+  "$work/epochgrid" -worker "http://127.0.0.1:$cheap_port" -worker-name "$name" \
+    -capacity 1 -spool none 2>"$work/$name.log" &
+  worker_pids+=($!)
+done
+for pid in "${worker_pids[@]}"; do
+  wait "$pid" || { echo "distributed-smoke: cheap-trial worker failed" >&2; cat "$work"/cheap-[ab].log >&2; exit 1; }
+done
+wait "$cheap_pid" || { echo "distributed-smoke: cheap-trial coordinator failed" >&2; cat "$work/cheap-serve.log" >&2; exit 1; }
+trap - EXIT
+grep -E '^(grid|fleet): ' "$work/cheap-serve.log"
+if ! grep -qE '^grid: .*trials=32 .*executed=32' "$work/cheap-serve.log"; then
+  echo "distributed-smoke: FAIL cheap-trial convergence" >&2
+  cat "$work/cheap-serve.log" >&2
+  exit 1
+fi
+rpcs="$(sed -n 's/^fleet: .*completion rpcs=\([0-9]*\).*/\1/p' "$work/cheap-serve.log")"
+if [ -z "$rpcs" ] || [ "$rpcs" -ge 32 ]; then
+  echo "distributed-smoke: FAIL chunking: ${rpcs:-no} completion RPCs for 32 cheap trials" >&2
+  exit 1
+fi
+python3 - "$cheap_store" <<'EOF'
+import json, sys
+from collections import Counter
+keys = Counter()
+with open(sys.argv[1]) as f:
+    for line in f:
+        rec = json.loads(line)
+        if not rec.get("kind"):
+            keys[rec["key"]] += 1
+dups = {k: n for k, n in keys.items() if n > 1}
+if dups or len(keys) != 32:
+    print(f"cheap store: {len(keys)} distinct keys, dups={dups}", file=sys.stderr)
+    sys.exit(1)
+EOF
+echo "distributed-smoke: chunk gate passed ($rpcs completion RPCs for 32 trials, 32 keys, 0 dups)"
 echo "distributed-smoke: all gates passed"
