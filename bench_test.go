@@ -1,13 +1,13 @@
-// Package repro's root benchmarks regenerate every table and figure of
-// "Are Your Epochs Too Epic? Batch Free Can Be Harmful" (PPoPP '24), plus
-// ablations of the model's knobs (README.md, "Performance model" →
+// Package repro's root benchmarks run every configuration of every table and
+// figure of "Are Your Epochs Too Epic? Batch Free Can Be Harmful" (PPoPP '24),
+// plus ablations of the model's knobs (README.md, "Performance model" →
 // "Ablations").
 //
 // Each benchmark reports paper-comparable metrics via b.ReportMetric:
-// ops/s (throughput), peakMiB (peak mapped memory), and where relevant the
-// perf percentages (%free, %flush, %lock). Run a single one with e.g.
+// ops/s (throughput), peakMiB (peak mapped memory) and the perf percentages
+// (%free, %lock). Run a single one with e.g.
 //
-//	go test -bench BenchmarkTable2 -benchtime 1x
+//	go test -bench 'BenchmarkExperiment/table2' -benchtime 1x
 //
 // The b.N loop repeats whole trials; metrics come from the last trial.
 package repro
@@ -20,12 +20,14 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/simalloc"
+	"repro/internal/experiments"
+	"repro/internal/grid"
+	"repro/internal/results"
 )
 
-// benchThreads is the scaled thread count for single-point benchmarks (the
-// paper's 192 is used by the cmd/epochbench experiments; benchmarks use a
-// smaller count so `go test -bench .` completes in minutes).
+// benchThreads is the scaled thread count of the benchmarks (the paper's 192
+// is epochgrid -experiment's default; benchmarks use a smaller count so
+// `go test -bench .` completes in minutes).
 const benchThreads = 48
 
 // benchDur keeps each trial short; the experiments CLI uses longer windows.
@@ -33,7 +35,7 @@ const benchDur = 120 * time.Millisecond
 
 // runWorkload runs b.N trials of a configuration and reports the paper's
 // metrics from the last.
-func runWorkload(b *testing.B, cfg bench.WorkloadConfig) bench.TrialResult {
+func runWorkload(b *testing.B, cfg bench.WorkloadConfig) {
 	b.Helper()
 	var tr bench.TrialResult
 	var err error
@@ -47,7 +49,6 @@ func runWorkload(b *testing.B, cfg bench.WorkloadConfig) bench.TrialResult {
 	b.ReportMetric(tr.PeakMiB, "peakMiB")
 	b.ReportMetric(tr.PctFree, "%free")
 	b.ReportMetric(tr.PctLock, "%lock")
-	return tr
 }
 
 func cfgFor(reclaimer string, threads int) bench.WorkloadConfig {
@@ -79,172 +80,38 @@ func BenchmarkScenarioAmortized(b *testing.B) {
 	}
 }
 
-// --- Figure 1: ABtree vs OCCtree under DEBRA and under leaking ---
+// --- The paper's tables and figures: every configuration of the table ---
 
-func BenchmarkFig1_ABtreeDebra(b *testing.B) { runWorkload(b, cfgFor("debra", benchThreads)) }
-func BenchmarkFig1_OCCtreeDebra(b *testing.B) {
-	cfg := cfgFor("debra", benchThreads)
-	cfg.DataStructure = "occtree"
-	runWorkload(b, cfg)
-}
-func BenchmarkFig1_ABtreeLeak(b *testing.B) { runWorkload(b, cfgFor("none", benchThreads)) }
-func BenchmarkFig1_OCCtreeLeak(b *testing.B) {
-	cfg := cfgFor("none", benchThreads)
-	cfg.DataStructure = "occtree"
-	runWorkload(b, cfg)
-}
-
-// --- Figure 2 / Table 1: DEBRA overhead growth with thread count ---
-
-func BenchmarkTable1_JEOverhead12(b *testing.B) { runWorkload(b, cfgFor("debra", 12)) }
-func BenchmarkTable1_JEOverhead48(b *testing.B) { runWorkload(b, cfgFor("debra", 48)) }
-func BenchmarkTable1_JEOverhead96(b *testing.B) { runWorkload(b, cfgFor("debra", 96)) }
-
-func BenchmarkFig2_TimelineRecording(b *testing.B) {
-	// Fig. 2's contribution is that recording timelines is nearly free;
-	// benchmark the same workload with recording enabled.
-	cfg := cfgFor("debra", benchThreads)
-	cfg.Record = true
-	runWorkload(b, cfg)
-}
-
-// --- Figure 3 / Table 2: batch free vs amortized free on jemalloc ---
-
-func BenchmarkTable2_JEBatch(b *testing.B)     { runWorkload(b, cfgFor("debra", benchThreads)) }
-func BenchmarkTable2_JEAmortized(b *testing.B) { runWorkload(b, cfgFor("debra_af", benchThreads)) }
-
-// --- Figure 4: garbage smoothing (measured via limbo watermark) ---
-
-func BenchmarkFig4_GarbageBatch(b *testing.B) {
-	tr := runWorkload(b, cfgFor("debra", benchThreads))
-	b.ReportMetric(float64(tr.SMR.Limbo), "limbo")
-}
-func BenchmarkFig4_GarbageAmortized(b *testing.B) {
-	tr := runWorkload(b, cfgFor("debra_af", benchThreads))
-	b.ReportMetric(float64(tr.SMR.Limbo), "limbo")
-}
-
-// --- Table 3: the other allocators ---
-
-func benchAllocator(b *testing.B, allocator, reclaimer string) {
-	cfg := cfgFor(reclaimer, benchThreads)
-	cfg.Allocator = allocator
-	runWorkload(b, cfg)
-}
-
-func BenchmarkTable3_TCBatch(b *testing.B)     { benchAllocator(b, "tcmalloc", "debra") }
-func BenchmarkTable3_TCAmortized(b *testing.B) { benchAllocator(b, "tcmalloc", "debra_af") }
-func BenchmarkTable3_MIBatch(b *testing.B)     { benchAllocator(b, "mimalloc", "debra") }
-func BenchmarkTable3_MIAmortized(b *testing.B) { benchAllocator(b, "mimalloc", "debra_af") }
-
-// --- Figures 5-10 / Table 4: the Token-EBR design sequence ---
-
-func BenchmarkFig5_TokenNaive(b *testing.B) { runWorkload(b, cfgFor("token_naive", benchThreads)) }
-func BenchmarkFig7_TokenPassFirst(b *testing.B) {
-	runWorkload(b, cfgFor("token_pass", benchThreads))
-}
-func BenchmarkFig8_TokenPeriodic(b *testing.B) {
-	runWorkload(b, cfgFor("token_periodic", benchThreads))
-}
-func BenchmarkFig9_TokenAmortized(b *testing.B) { runWorkload(b, cfgFor("token_af", benchThreads)) }
-
-func BenchmarkTable4_TokenVariants(b *testing.B) {
-	// One composite run per variant; ops/s of the last (token_af) is
-	// reported, with per-variant sub-benchmarks above for detail.
-	for _, name := range []string{"token_naive", "token_pass", "token_periodic", "token_af"} {
-		cfg := cfgFor(name, benchThreads)
-		if _, err := bench.RunTrial(cfg); err != nil {
+// BenchmarkExperiment runs each configuration of each experiment in
+// internal/experiments as a sub-benchmark, at benchThreads and benchDur
+// whatever thread list the figure names (configurations that then coincide
+// run once), e.g.
+//
+//	go test -bench 'BenchmarkExperiment/table2' -benchtime 1x
+func BenchmarkExperiment(b *testing.B) {
+	flags := grid.Spec{Base: bench.DefaultWorkload(benchThreads), Threads: []int{benchThreads}}
+	flags.Base.Duration = benchDur
+	for _, e := range experiments.All {
+		e, err := e.Resolve(flags, benchThreads)
+		if err != nil {
 			b.Fatal(err)
 		}
+		seen := map[string]bool{}
+		for _, sw := range e.Sweeps {
+			for _, cfg := range sw.Expand() {
+				cfg.Threads = benchThreads
+				name := e.ID + "/" + results.Label(cfg)
+				if cfg.Record {
+					name += "/recorded"
+				}
+				if seen[name] {
+					continue
+				}
+				seen[name] = true
+				b.Run(name, func(b *testing.B) { runWorkload(b, cfg) })
+			}
+		}
 	}
-	runWorkload(b, cfgFor("token_af", benchThreads))
-}
-
-// --- Figure 11a (Experiment 1): the reclaimer field ---
-
-func BenchmarkExp1_TokenAF(b *testing.B) { runWorkload(b, cfgFor("token_af", benchThreads)) }
-func BenchmarkExp1_DebraAF(b *testing.B) { runWorkload(b, cfgFor("debra_af", benchThreads)) }
-func BenchmarkExp1_NBRPlus(b *testing.B) { runWorkload(b, cfgFor("nbrplus", benchThreads)) }
-func BenchmarkExp1_NBR(b *testing.B)     { runWorkload(b, cfgFor("nbr", benchThreads)) }
-func BenchmarkExp1_Debra(b *testing.B)   { runWorkload(b, cfgFor("debra", benchThreads)) }
-func BenchmarkExp1_QSBR(b *testing.B)    { runWorkload(b, cfgFor("qsbr", benchThreads)) }
-func BenchmarkExp1_RCU(b *testing.B)     { runWorkload(b, cfgFor("rcu", benchThreads)) }
-func BenchmarkExp1_IBR(b *testing.B)     { runWorkload(b, cfgFor("ibr", benchThreads)) }
-func BenchmarkExp1_WFE(b *testing.B)     { runWorkload(b, cfgFor("wfe", benchThreads)) }
-func BenchmarkExp1_HE(b *testing.B)      { runWorkload(b, cfgFor("he", benchThreads)) }
-func BenchmarkExp1_HP(b *testing.B)      { runWorkload(b, cfgFor("hp", benchThreads)) }
-func BenchmarkExp1_Leak(b *testing.B)    { runWorkload(b, cfgFor("none", benchThreads)) }
-
-// --- Figure 11b (Experiment 2): AF vs ORIG pairs ---
-
-func BenchmarkExp2_QSBROrig(b *testing.B)    { runWorkload(b, cfgFor("qsbr", benchThreads)) }
-func BenchmarkExp2_QSBRAF(b *testing.B)      { runWorkload(b, cfgFor("qsbr_af", benchThreads)) }
-func BenchmarkExp2_RCUOrig(b *testing.B)     { runWorkload(b, cfgFor("rcu", benchThreads)) }
-func BenchmarkExp2_RCUAF(b *testing.B)       { runWorkload(b, cfgFor("rcu_af", benchThreads)) }
-func BenchmarkExp2_HPOrig(b *testing.B)      { runWorkload(b, cfgFor("hp", benchThreads)) }
-func BenchmarkExp2_HPAF(b *testing.B)        { runWorkload(b, cfgFor("hp_af", benchThreads)) }
-func BenchmarkExp2_HEOrig(b *testing.B)      { runWorkload(b, cfgFor("he", benchThreads)) }
-func BenchmarkExp2_HEAF(b *testing.B)        { runWorkload(b, cfgFor("he_af", benchThreads)) }
-func BenchmarkExp2_IBROrig(b *testing.B)     { runWorkload(b, cfgFor("ibr", benchThreads)) }
-func BenchmarkExp2_IBRAF(b *testing.B)       { runWorkload(b, cfgFor("ibr_af", benchThreads)) }
-func BenchmarkExp2_NBROrig(b *testing.B)     { runWorkload(b, cfgFor("nbr", benchThreads)) }
-func BenchmarkExp2_NBRAF(b *testing.B)       { runWorkload(b, cfgFor("nbr_af", benchThreads)) }
-func BenchmarkExp2_NBRPlusOrig(b *testing.B) { runWorkload(b, cfgFor("nbrplus", benchThreads)) }
-func BenchmarkExp2_NBRPlusAF(b *testing.B)   { runWorkload(b, cfgFor("nbrplus_af", benchThreads)) }
-func BenchmarkExp2_WFEOrig(b *testing.B)     { runWorkload(b, cfgFor("wfe", benchThreads)) }
-func BenchmarkExp2_WFEAF(b *testing.B)       { runWorkload(b, cfgFor("wfe_af", benchThreads)) }
-func BenchmarkExp2_TokenOrig(b *testing.B)   { runWorkload(b, cfgFor("token", benchThreads)) }
-func BenchmarkExp2_TokenAF(b *testing.B)     { runWorkload(b, cfgFor("token_af", benchThreads)) }
-
-// --- Figures 12-14 (appendices C-D): DGT tree ---
-
-func BenchmarkFig13_DGTDebra(b *testing.B) {
-	cfg := cfgFor("debra", benchThreads)
-	cfg.DataStructure = "dgtree"
-	runWorkload(b, cfg)
-}
-func BenchmarkFig13_DGTDebraAF(b *testing.B) {
-	cfg := cfgFor("debra_af", benchThreads)
-	cfg.DataStructure = "dgtree"
-	runWorkload(b, cfg)
-}
-func BenchmarkFig14_DGTTokenAF(b *testing.B) {
-	cfg := cfgFor("token_af", benchThreads)
-	cfg.DataStructure = "dgtree"
-	runWorkload(b, cfg)
-}
-
-// --- Figures 15-16 (appendix E): other machine models ---
-
-func BenchmarkFig15_Intel144TokenAF(b *testing.B) {
-	cfg := cfgFor("token_af", benchThreads)
-	cfg.Cost = simalloc.Intel144()
-	runWorkload(b, cfg)
-}
-func BenchmarkFig16_AMD256TokenAF(b *testing.B) {
-	cfg := cfgFor("token_af", benchThreads)
-	cfg.Cost = simalloc.AMD256()
-	runWorkload(b, cfg)
-}
-
-// --- Figure 17 / appendix G: timeline-heavy configurations ---
-
-func BenchmarkFig17_VisibleFreeCalls(b *testing.B) {
-	cfg := cfgFor("debra", benchThreads)
-	cfg.Record = true
-	tr := runWorkload(b, cfg)
-	b.ReportMetric(float64(tr.Recorder.TotalEvents()), "events")
-}
-
-func BenchmarkAppG_TCMallocDebra96(b *testing.B) {
-	cfg := cfgFor("debra", 96)
-	cfg.Allocator = "tcmalloc"
-	runWorkload(b, cfg)
-}
-func BenchmarkAppG_MIMallocDebra96(b *testing.B) {
-	cfg := cfgFor("debra", 96)
-	cfg.Allocator = "mimalloc"
-	runWorkload(b, cfg)
 }
 
 // --- Ablations (README.md, "Performance model" → "Ablations") ---

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -36,7 +37,7 @@ const drainGrace = 2 * time.Second
 // invocation with no fleet still finishes (late workers can still join; both
 // sides lease from the same queue).
 func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline, localGrace time.Duration,
-	retries int, backoff time.Duration, format, outPath string, progress bool) int {
+	retries int, backoff time.Duration, format string, out io.Writer, progress bool) int {
 	if storePath == "" {
 		fmt.Fprintln(os.Stderr, "epochgrid: -serve requires -store (the journal is what makes the coordinator crash-safe)")
 		return 2
@@ -122,7 +123,12 @@ func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline,
 	_ = srv.Close()
 
 	status := coord.Status()
-	code := finishSweep(format, outPath, coord.Summaries(), status.Total, status.Executed, status.Cached, status.Quarantined, t0)
+	sums := coord.Summaries()
+	if err := emit(out, format, sums, status.Executed, status.Cached); err != nil {
+		fmt.Fprintf(os.Stderr, "epochgrid: %v\n", err)
+		return 1
+	}
+	code := closeSweep(len(sums), status.Total, status.Executed, status.Cached, status.Quarantined, t0)
 	fmt.Fprintf(os.Stderr, "fleet: leases reissued=%d duplicate completions=%d completion rpcs=%d\n",
 		status.Reissued, status.Duplicates, status.Completions)
 	return code

@@ -1,4 +1,5 @@
-// Command epochgrid declares parameter sweeps from flags, runs them through
+// Command epochgrid is the harness's one CLI: it declares parameter sweeps
+// from flags, reproduces the paper's tables and figures, runs either through
 // the parallel cache-aware grid runner, and diffs result stores.
 //
 // Sweep (axes are comma-separated; the cartesian product runs):
@@ -9,6 +10,17 @@
 // A re-run of the same sweep against the same store executes zero trials
 // (every key is already present); an interrupted sweep resumes where it
 // stopped. Emit machine-readable results with -format json|csv.
+//
+// A table or figure of the paper is a sweep the harness already knows
+// (internal/experiments; -list names them): its own axes overlaid on the
+// flags', its report printed in place of the summary table.
+//
+//	epochgrid -experiment table2 -at 48
+//	epochgrid -experiment exp1 -threads 6,12,24,48 -trials 3 -parallel 4 -store results.jsonl
+//
+// -threads is the thread sweep (default: the paper's 6..192), -at the thread
+// count of single-point tables and figures (default 192); every other flag
+// applies as to a plain sweep, one value per axis.
 //
 // Robustness sweeps inject faults and bound wedges:
 //
@@ -63,58 +75,68 @@ import (
 	"repro/internal/arrival"
 	"repro/internal/bench"
 	"repro/internal/ds"
+	"repro/internal/experiments"
 	"repro/internal/grid"
 	"repro/internal/results"
 	"repro/internal/smr"
 )
 
 func main() {
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:]))
 }
 
-func realMain() int {
+// realMain is main behind an exit code, so deferred cleanup — closing the
+// store and -out, flushing the profiles — runs on every exit path.
+func realMain(args []string) int {
+	fs := flag.NewFlagSet("epochgrid", flag.ContinueOnError)
+	var sweep sweepFlags
+	sweep.register(fs)
 	var (
-		list       = flag.Bool("list", false, "enumerate registered scenarios, data structures, allocators and reclaimers, then exit")
-		scenarios  = flag.String("scenarios", "", "comma-separated scenario axis (default: paper)")
-		phasesFlag = flag.String("phases", "", "phase-schedule axis: schedules separated by ';', each comma-separated [scenario:]LIVExOPS (e.g. \"4x2000,2x2000;8x1000\")")
-		dsNames    = flag.String("ds", "", "comma-separated data structure axis (abtree, occtree, dgtree)")
-		allocators = flag.String("allocators", "", "comma-separated allocator axis (jemalloc, tcmalloc, mimalloc)")
-		reclaimers = flag.String("reclaimers", "", "comma-separated reclaimer axis (see smr registry)")
-		threads    = flag.String("threads", "", "comma-separated thread-count axis (default: 4)")
-		batches    = flag.String("batches", "", "comma-separated limbo batch-size axis (default: 2048)")
-		trials     = flag.Int("trials", 1, "trials per configuration (seed chain)")
-		faultsFlag = flag.String("faults", "", "fault-plan axis: plans separated by ';', each comma-separated kind:wW@AT[~SPAN][/EVERY][xFACTOR] (empty segment or \"none\" = healthy control, e.g. \"none;stall:w0@4096\")")
-		arrFlag    = flag.String("arrivals", "", "arrival-process axis: processes separated by ';', each KIND:RATE[@PERIOD][~PARAM] (empty segment or \"none\" = closed-loop control, e.g. \"none;poisson:150000\"); see -list")
-		deadline   = flag.Duration("deadline", 0, "per-trial watchdog deadline: abort a trial whose op progress stalls this long (0 = no watchdog)")
-		retries    = flag.Int("retries", 0, "re-execute a failed trial this many times before quarantining it")
-		backoff    = flag.Duration("backoff", 0, "base delay between trial retries, doubled with seeded jitter (default 50ms)")
-		serveAddr  = flag.String("serve", "", "coordinator mode: serve the sweep's trials under leases on this address (e.g. :7712); requires -store")
-		workerURL  = flag.String("worker", "", "worker mode: pull leased trials from the coordinator at this URL (e.g. http://host:7712)")
-		statusURL  = flag.String("status", "", "status mode: pretty-print the coordinator's /v1/status from this URL and exit")
-		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "coordinator mode: how long a worker may hold a trial without renewing before it is re-issued")
-		localGrace = flag.Duration("local-grace", 5*time.Second, "coordinator mode: if no worker leases a trial within this window, drain the sweep locally in-process (0 disables)")
-		workerName = flag.String("worker-name", "", "worker mode: name journaled with claims (default host:pid)")
-		spoolPath  = flag.String("spool", "", "worker mode: local JSONL spool for records the coordinator could not receive (default: auto temp path; \"none\" disables)")
-		capacity   = flag.Int("capacity", 0, "worker mode: thread capacity advertised for cost-aware placement (default GOMAXPROCS; negative = unlimited)")
-		dur        = flag.Duration("dur", 0, "measured window per trial (default 300ms)")
-		fixedOps   = flag.Int("ops", 0, "run exactly N ops per thread instead of the wall-clock window (deterministic with 1 thread)")
-		keyrange   = flag.Int64("keyrange", 0, "key universe size (default 32768)")
-		seed       = flag.Uint64("seed", 0, "base RNG seed (default 1)")
-		storePath  = flag.String("store", "", "JSONL results store: cache hits skip execution, completed trials append")
-		parallel   = flag.Int("parallel", 1, "max in-flight trials")
-		budget     = flag.Int("budget", 0, "thread-token budget shared by in-flight trials (default GOMAXPROCS)")
-		format     = flag.String("format", "table", "output format: table, json, csv")
-		outPath    = flag.String("out", "", "write results to this file instead of stdout")
-		progress   = flag.Bool("progress", false, "stream per-trial progress to stderr")
-		compareOld = flag.String("compare", "", "diff mode: path of the old (baseline) store")
-		compareNew = flag.String("with", "", "diff mode: path of the new store (required with -compare)")
-		tol        = flag.Float64("tol", 0.05, "relative mean-ops tolerance for unchanged classification")
-		limboTol   = flag.Float64("limbo-tol", 0, "diff mode: peak-limbo growth factor beyond which a group regresses (0 = default 4.0)")
-		latTol     = flag.Float64("lat-tol", 0, "diff mode: p999 modeled-latency growth factor beyond which a group regresses (0 = default 4.0)")
+		list       = fs.Bool("list", false, "enumerate registered experiments, scenarios, data structures, allocators and reclaimers, then exit")
+		experiment = fs.String("experiment", "", "run a table or figure of the paper by id, or \"all\" (see -list): its own axes over the sweep flags', one value per other axis; -format table prints its report")
+		at         = fs.Int("at", 0, "-experiment: thread count of single-point tables and figures (default 192)")
+		deadline   = fs.Duration("deadline", 0, "per-trial watchdog deadline: abort a trial whose op progress stalls this long (0 = no watchdog)")
+		retries    = fs.Int("retries", 0, "re-execute a failed trial this many times before quarantining it")
+		backoff    = fs.Duration("backoff", 0, "base delay between trial retries, doubled with seeded jitter (default 50ms)")
+		serveAddr  = fs.String("serve", "", "coordinator mode: serve the sweep's trials under leases on this address (e.g. :7712); requires -store")
+		workerURL  = fs.String("worker", "", "worker mode: pull leased trials from the coordinator at this URL (e.g. http://host:7712)")
+		statusURL  = fs.String("status", "", "status mode: pretty-print the coordinator's /v1/status from this URL and exit")
+		leaseTTL   = fs.Duration("lease-ttl", 30*time.Second, "coordinator mode: how long a worker may hold a trial without renewing before it is re-issued")
+		localGrace = fs.Duration("local-grace", 5*time.Second, "coordinator mode: if no worker leases a trial within this window, drain the sweep locally in-process (0 disables)")
+		workerName = fs.String("worker-name", "", "worker mode: name journaled with claims (default host:pid)")
+		spoolPath  = fs.String("spool", "", "worker mode: local JSONL spool for records the coordinator could not receive (default: auto temp path; \"none\" disables)")
+		capacity   = fs.Int("capacity", 0, "worker mode: thread capacity advertised for cost-aware placement (default GOMAXPROCS; negative = unlimited)")
+		storePath  = fs.String("store", "", "JSONL results store: cache hits skip execution, completed trials append")
+		parallel   = fs.Int("parallel", 1, "max in-flight trials")
+		budget     = fs.Int("budget", 0, "thread-token budget shared by in-flight trials (default GOMAXPROCS)")
+		format     = fs.String("format", "table", "output format: table, json, csv")
+		outPath    = fs.String("out", "", "write results to this file instead of stdout")
+		progress   = fs.Bool("progress", false, "stream per-trial progress to stderr")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the measured work (from the first trial's window on) to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile at exit to this file")
+		compareOld = fs.String("compare", "", "diff mode: path of the old (baseline) store")
+		compareNew = fs.String("with", "", "diff mode: path of the new store (required with -compare)")
+		tol        = fs.Float64("tol", 0.05, "relative mean-ops tolerance for unchanged classification")
+		limboTol   = fs.Float64("limbo-tol", 0, "diff mode: peak-limbo growth factor beyond which a group regresses (0 = default 4.0)")
+		latTol     = fs.Float64("lat-tol", 0, "diff mode: p999 modeled-latency growth factor beyond which a group regresses (0 = default 4.0)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(os.Stderr, "epochgrid: "+format+"\n", a...)
+		return code
+	}
 
 	if *list {
+		fmt.Println("experiments:")
+		for _, id := range experiments.IDs() {
+			e, _ := experiments.Get(id)
+			fmt.Printf("  %-8s %s\n", id, e.Title)
+		}
 		fmt.Printf("scenarios:       %s\n", strings.Join(bench.Scenarios(), ", "))
 		fmt.Printf("data structures: %s\n", strings.Join(ds.Names(), ", "))
 		fmt.Printf("allocators:      %s\n", strings.Join(grid.Allocators(), ", "))
@@ -135,6 +157,9 @@ func realMain() int {
 		return runStatus(*statusURL)
 	}
 
+	if *experiment != "" && (*serveAddr != "" || *workerURL != "") {
+		return fail(2, "-experiment runs in this process: it cannot be combined with -serve or -worker")
+	}
 	if *workerURL != "" {
 		// Worker mode ignores the sweep axes: the coordinator owns the spec,
 		// the worker just executes what it is leased.
@@ -142,101 +167,43 @@ func realMain() int {
 			*capacity, *progress)
 	}
 
-	spec := grid.Spec{
-		Scenarios:      splitAxis(*scenarios),
-		DataStructures: splitAxis(*dsNames),
-		Allocators:     splitAxis(*allocators),
-		Reclaimers:     splitAxis(*reclaimers),
-		Trials:         *trials,
+	spec, err := sweep.spec()
+	if err != nil {
+		return fail(2, "%v", err)
 	}
-	if strings.TrimSpace(*phasesFlag) != "" {
-		for _, sched := range strings.Split(*phasesFlag, ";") {
-			// An empty segment is a real axis member: the unphased trial
-			// (nil schedule), so "-phases \";8x1000\"" sweeps unphased
-			// against phased.
-			ph, err := bench.ParsePhases(sched)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "epochgrid: -phases: %v\n", err)
-				return 2
-			}
-			spec.PhaseSchedules = append(spec.PhaseSchedules, ph)
+	// A sweep, or the experiments' sweeps, resolved and validated before the
+	// first trial of any of them runs.
+	var plan []experiments.Experiment
+	if *experiment != "" {
+		if plan, err = planExperiments(*experiment, spec, *at); err != nil {
+			return fail(2, "%v", err)
 		}
-	}
-	if strings.TrimSpace(*faultsFlag) != "" {
-		for _, plan := range strings.Split(*faultsFlag, ";") {
-			// Same convention: an empty segment (or "none") is the healthy
-			// control, so "-faults \"none;stall:w0@4096\"" sweeps faulted
-			// configs against their no-fault baselines in one grid.
-			fs, err := bench.ParseFaults(plan)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "epochgrid: -faults: %v\n", err)
-				return 2
-			}
-			spec.FaultPlans = append(spec.FaultPlans, fs)
-		}
-	}
-	if strings.TrimSpace(*arrFlag) != "" {
-		for _, a := range strings.Split(*arrFlag, ";") {
-			// Same convention: an empty segment (or "none") is the
-			// closed-loop control, so "-arrivals \"none;poisson:150000\""
-			// sweeps open-system configs against their closed-loop baselines
-			// in one grid.
-			sp, err := arrival.Parse(a)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "epochgrid: -arrivals: %v\n", err)
-				return 2
-			}
-			if sp.IsZero() {
-				spec.Arrivals = append(spec.Arrivals, "")
-			} else {
-				spec.Arrivals = append(spec.Arrivals, arrival.Format(sp))
-			}
-		}
-	}
-	var err error
-	if spec.Threads, err = splitInts(*threads); err != nil {
-		fmt.Fprintf(os.Stderr, "epochgrid: -threads: %v\n", err)
-		return 2
-	}
-	if spec.BatchSizes, err = splitInts(*batches); err != nil {
-		fmt.Fprintf(os.Stderr, "epochgrid: -batches: %v\n", err)
-		return 2
-	}
-	spec.Base = bench.DefaultWorkload(4)
-	if *dur > 0 {
-		spec.Base.Duration = *dur
-	}
-	if *fixedOps > 0 {
-		spec.Base.FixedOps = *fixedOps
-	}
-	if *keyrange > 0 {
-		spec.Base.KeyRange = *keyrange
-	}
-	if *seed > 0 {
-		spec.Base.Seed = *seed
-	}
-	if err := spec.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "epochgrid: %v\n", err)
-		return 2
+	} else if err := spec.Validate(); err != nil {
+		return fail(2, "%v", err)
 	}
 	switch *format {
 	case "table", "json", "csv":
 	default:
-		fmt.Fprintf(os.Stderr, "epochgrid: unknown format %q (table, json, csv)\n", *format)
-		return 2
+		return fail(2, "unknown format %q (table, json, csv)", *format)
 	}
+	// -out opens before the first trial: a mistyped path must not cost the
+	// sweep.
+	out, closeOut, err := openOut(*outPath)
+	if err != nil {
+		return fail(1, "%v", err)
+	}
+	defer closeOut()
 
 	if *serveAddr != "" {
 		return runServe(*serveAddr, spec, *storePath, *leaseTTL, *deadline, *localGrace,
-			*retries, *backoff, *format, *outPath, *progress)
+			*retries, *backoff, *format, out, *progress)
 	}
 
 	runner := &grid.Runner{Parallel: *parallel, Budget: *budget, Deadline: *deadline, Retries: *retries, Backoff: *backoff}
 	if *storePath != "" {
 		st, err := openStore(*storePath, os.Stderr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "epochgrid: %v\n", err)
-			return 1
+			return fail(1, "%v", err)
 		}
 		defer st.Close()
 		runner.Store = st
@@ -259,35 +226,81 @@ func realMain() int {
 			}
 		}
 	}
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return fail(1, "%v", err)
+	}
+	defer stopProfiles()
 
 	t0 := time.Now()
-	sums, err := runner.RunSpec(spec)
+	var sums []bench.Summary
+	if plan != nil {
+		sums, err = runExperiments(plan, runner, out, *format == "table")
+	} else {
+		sums, err = runner.RunSpec(spec)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "epochgrid: %v\n", err)
-		return 1
+		return fail(1, "%v", err)
 	}
 	executed, cached := runner.Counts()
 	quarantined := runner.Quarantines()
-	return finishSweep(*format, *outPath, sums, executed+cached+quarantined, executed, cached, quarantined, t0)
+	// An experiment's table is its report, written as it finished.
+	if plan == nil || *format != "table" {
+		if err := emit(out, *format, sums, executed, cached); err != nil {
+			return fail(1, "%v", err)
+		}
+	}
+	return closeSweep(len(sums), executed+cached+quarantined, executed, cached, quarantined, t0)
 }
 
-// finishSweep is the tail of every finished sweep, local or served: emit the
-// summaries, print the machine-greppable run line (the CI cache-hit gate
-// matches executed=0, the robustness gate quarantined=N), and pick the exit
-// code.
-func finishSweep(format, outPath string, sums []bench.Summary, trials, executed, cached, quarantined int, t0 time.Time) int {
-	out, cleanup, err := openOut(outPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "epochgrid: %v\n", err)
-		return 1
+// planExperiments resolves -experiment's id ("all": every id, sorted) against
+// the flags' spec.
+func planExperiments(id string, flags grid.Spec, at int) ([]experiments.Experiment, error) {
+	ids := []string{id}
+	if id == "all" {
+		ids = experiments.IDs()
 	}
-	defer cleanup()
-	if err := emit(out, format, sums, executed, cached); err != nil {
-		fmt.Fprintf(os.Stderr, "epochgrid: %v\n", err)
-		return 1
+	plan := make([]experiments.Experiment, len(ids))
+	for i, id := range ids {
+		e, ok := experiments.Get(id)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (have all, %s)", id, strings.Join(experiments.IDs(), ", "))
+		}
+		var err error
+		if plan[i], err = e.Resolve(flags, at); err != nil {
+			return nil, err
+		}
 	}
+	return plan, nil
+}
+
+// runExperiments runs the plan in order through the runner. With reports set
+// each experiment's report is written to out as it finishes; the summaries of
+// all of them come back for the formats that emit those instead.
+func runExperiments(plan []experiments.Experiment, runner *grid.Runner, out io.Writer, reports bool) ([]bench.Summary, error) {
+	var all []bench.Summary
+	for _, p := range plan {
+		t0 := time.Now()
+		report, sums, err := p.Run(runner)
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, sums...)
+		if reports {
+			fmt.Fprintf(out, "== %s: %s ==\n%s\n(%s completed in %v)\n\n",
+				p.ID, p.Title, report, p.ID, time.Since(t0).Round(time.Millisecond))
+		}
+	}
+	return all, nil
+}
+
+// closeSweep is the tail of every finished sweep, local or served, once its
+// output is written: print the machine-greppable run line (the CI cache-hit
+// gate matches executed=0, the robustness gate quarantined=N) and pick the
+// exit code.
+func closeSweep(configs, trials, executed, cached, quarantined int, t0 time.Time) int {
 	fmt.Fprintf(os.Stderr, "grid: configs=%d trials=%d executed=%d cached=%d quarantined=%d wall=%v\n",
-		len(sums), trials, executed, cached, quarantined, time.Since(t0).Round(time.Millisecond))
+		configs, trials, executed, cached, quarantined, time.Since(t0).Round(time.Millisecond))
 	if quarantined > 0 {
 		// The sweep completed and its results were emitted, but some trials
 		// failed permanently — a distinct exit code so CI can tell "grid
@@ -295,32 +308,6 @@ func finishSweep(format, outPath string, sums []bench.Summary, trials, executed,
 		return 3
 	}
 	return 0
-}
-
-func splitAxis(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitAxis(s) {
-		n, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q", p)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func openOut(path string) (io.Writer, func(), error) {

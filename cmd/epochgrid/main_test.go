@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -42,4 +45,90 @@ func TestOpenStoreReportsOtherSchema(t *testing.T) {
 	if warn.Len() != 0 {
 		t.Fatalf("fresh store warned: %q", warn.String())
 	}
+}
+
+// TestOutOpensBeforeTheSweep: -out is created before the first trial, so an
+// unwritable path exits 1 with nothing run — the store holds no record — for
+// a plain sweep, an experiment and a served sweep alike.
+func TestOutOpensBeforeTheSweep(t *testing.T) {
+	tiny := []string{"-threads", "2", "-at", "2", "-ops", "50", "-keyrange", "1024"}
+	for name, mode := range map[string][]string{
+		"sweep":      {"-reclaimers", "debra"},
+		"experiment": {"-experiment", "table2"},
+		"serve":      {"-serve", "127.0.0.1:0", "-local-grace", "1ms"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			store := filepath.Join(dir, "store.jsonl")
+			args := append(append([]string{"-store", store, "-out", filepath.Join(dir, "no-such-dir", "out.csv")}, tiny...), mode...)
+			if code := realMain(args); code != 1 {
+				t.Fatalf("exit code %d, want 1", code)
+			}
+			if info, err := os.Stat(store); err == nil && info.Size() > 0 {
+				t.Fatalf("the sweep ran before -out failed: store holds %d bytes", info.Size())
+			}
+		})
+	}
+}
+
+// TestExperimentFlagErrors: what -experiment cannot honour is a one-line
+// exit-2 refusal, never a silently ignored flag.
+func TestExperimentFlagErrors(t *testing.T) {
+	for name, args := range map[string][]string{
+		"unknown id":       {"-experiment", "fig99"},
+		"swept free axis":  {"-experiment", "exp1", "-scenarios", "paper,zipf"},
+		"fixed axis named": {"-experiment", "exp1", "-reclaimers", "debra"},
+		"with -serve":      {"-experiment", "exp1", "-serve", ":0", "-store", filepath.Join(t.TempDir(), "s.jsonl")},
+		"with -worker":     {"-experiment", "exp1", "-worker", "http://127.0.0.1:1"},
+	} {
+		if code := realMain(args); code != 2 {
+			t.Errorf("%s: exit code %d, want 2", name, code)
+		}
+	}
+}
+
+// FuzzSpecFromFlags feeds arbitrary command lines to the sweep flags' parser:
+// it never panics, and a spec that parses and validates expands to exactly the
+// product of its axis lengths (an empty axis counting as its one Base value).
+// Seeded from the CI jobs' flag strings.
+func FuzzSpecFromFlags(f *testing.F) {
+	for _, line := range []string{
+		"-scenarios paper,zipf -reclaimers debra,token_af -threads 2 -dur 30ms -keyrange 4096 -trials 1",
+		"-scenarios churn -reclaimers debra,token_af,hp_af -threads 4 -ops 200 -keyrange 4096 -trials 1",
+		"-scenarios paper -reclaimers debra -threads 4 -phases 4x200,1x200,4x200,1x200 -keyrange 4096",
+		"-reclaimers debra,qsbr,hp,he,ibr -threads 4 -faults stall:w0@512~16384 -ops 8000 -keyrange 4096 -batches 128",
+		"-reclaimers debra,hp -arrivals none;poisson:150000 -faults none;stall:w0@5000~60000 -dur 600ms",
+		"-ds abtree,occtree,dgtree -allocators jemalloc,tcmalloc,mimalloc -batches 128,2048 -seed 7",
+		"-phases ;8x1000 -faults ; -arrivals ;",
+		"-threads 2,,4, -batches ,",
+		"-threads 0 -trials -1 -dur -5ms",
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		var sweep sweepFlags
+		sweep.register(fs)
+		if fs.Parse(strings.Fields(line)) != nil {
+			return
+		}
+		spec, err := sweep.spec()
+		if err != nil || spec.Validate() != nil {
+			return
+		}
+		want := 1
+		for _, n := range []int{
+			len(spec.Scenarios), len(spec.PhaseSchedules), len(spec.FaultPlans), len(spec.Arrivals),
+			len(spec.DataStructures), len(spec.Allocators), len(spec.Threads), len(spec.BatchSizes), len(spec.Reclaimers),
+		} {
+			want *= max(n, 1)
+		}
+		if want > 1<<12 {
+			return // a legal sweep, just not one worth materializing per input
+		}
+		if got := len(spec.Expand()); got != want || spec.Size() != want {
+			t.Fatalf("%q expands to %d configurations (Size %d), want %d", line, got, spec.Size(), want)
+		}
+	})
 }

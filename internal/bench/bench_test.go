@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -13,17 +12,6 @@ func tinyWorkload(threads int) WorkloadConfig {
 	cfg.Duration = 25 * time.Millisecond
 	cfg.BatchSize = 128
 	return cfg
-}
-
-func tinyOptions() Options {
-	return Options{
-		Threads:   []int{4},
-		AtThreads: 4,
-		Duration:  20 * time.Millisecond,
-		Trials:    1,
-		KeyRange:  1 << 10,
-		BatchSize: 128,
-	}
 }
 
 func TestRunTrialBasics(t *testing.T) {
@@ -133,104 +121,6 @@ func TestWorkloadMaintainsSteadyState(t *testing.T) {
 	}
 }
 
-func TestOptionsFill(t *testing.T) {
-	var o Options
-	o.fill()
-	d := DefaultOptions()
-	if len(o.Threads) != len(d.Threads) || o.AtThreads != d.AtThreads ||
-		o.Duration != d.Duration || o.KeyRange != d.KeyRange {
-		t.Fatalf("fill() did not apply defaults: %+v", o)
-	}
-}
-
-func TestExperimentRegistryComplete(t *testing.T) {
-	want := []string{
-		"fig1", "fig2", "table1", "fig3", "table2", "fig4", "table3",
-		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table4",
-		"exp1", "exp2", "fig12", "fig13", "fig14", "fig15", "fig16",
-		"fig17", "appg",
-	}
-	for _, id := range want {
-		if _, ok := Get(id); !ok {
-			t.Errorf("experiment %q not registered", id)
-		}
-	}
-	if len(ExperimentIDs()) < len(want) {
-		t.Fatalf("registry has %d experiments, want >= %d", len(ExperimentIDs()), len(want))
-	}
-}
-
-func TestExperimentTable4Runs(t *testing.T) {
-	e, ok := Get("table4")
-	if !ok {
-		t.Fatal("table4 missing")
-	}
-	out, err := e.Run(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Naive", "Pass-first", "Periodic", "Amortized"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table4 output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestExperimentFig9TimelineRuns(t *testing.T) {
-	e, _ := Get("fig9")
-	out, err := e.Run(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "token_af") {
-		t.Errorf("fig9 output unexpected:\n%s", out)
-	}
-}
-
-func TestExperimentTable2Runs(t *testing.T) {
-	e, _ := Get("table2")
-	out, err := e.Run(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "JE batch") || !strings.Contains(out, "JE amort.") {
-		t.Errorf("table2 output missing rows:\n%s", out)
-	}
-}
-
-func TestTableFormatter(t *testing.T) {
-	tb := newTable("a", "b")
-	tb.add("1", "2")
-	tb.addf("%d\t%s", 3, "x")
-	out := tb.String()
-	for _, want := range []string{"a", "b", "1", "2", "3", "x"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFormatHelpers(t *testing.T) {
-	cases := map[float64]string{
-		5:      "5",
-		1500:   "1.5K",
-		2.5e6:  "2.5M",
-		3.2e9:  "3.20B",
-		43.4e6: "43.4M",
-	}
-	for v, want := range cases {
-		if got := fmtOps(v); got != want {
-			t.Errorf("fmtOps(%v) = %q, want %q", v, got, want)
-		}
-	}
-	if ratio(2, 1) != "2.00x" || ratio(1, 0) != "inf" {
-		t.Error("ratio formatting wrong")
-	}
-	if fmtCount(1500) != "1.5K" {
-		t.Error("fmtCount wrong")
-	}
-}
-
 func TestRNGIndependenceOfKeyAndCoin(t *testing.T) {
 	// Regression test for the frozen-set bug: with key and coin drawn from
 	// one xorshift stream the coin is a deterministic function of the key.
@@ -257,5 +147,28 @@ func TestRNGIndependenceOfKeyAndCoin(t *testing.T) {
 	}
 	if both < 60 {
 		t.Fatalf("only %d/64 keys drawn with both coins; key/coin correlated", both)
+	}
+}
+
+// TestTrialResultCarriesSeed pins the self-describing-results satellite:
+// the seed a trial ran with must surface in its result.
+func TestTrialResultCarriesSeed(t *testing.T) {
+	cfg := tinyWorkload(2)
+	cfg.Seed = 1234
+	tr, err := RunTrial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Seed != 1234 {
+		t.Fatalf("TrialResult.Seed = %d, want 1234", tr.Seed)
+	}
+	s, err := RunTrials(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range TrialSeeds(1234, 2) {
+		if s.Trials[i].Seed != seed {
+			t.Fatalf("trial %d seed = %d, want %d", i, s.Trials[i].Seed, seed)
+		}
 	}
 }

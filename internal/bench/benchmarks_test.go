@@ -13,10 +13,9 @@ import (
 func BenchmarkRetireDrainCycle(b *testing.B) {
 	for _, name := range []string{"debra", "debra_af", "token_af"} {
 		b.Run(name, func(b *testing.B) {
-			st, err := NewStackBuilder(1).
-				Reclaimer(name).
-				Configure(func(c *WorkloadConfig) { c.Cost = simalloc.Uniform() }).
-				Build()
+			cfg := DefaultWorkload(1)
+			cfg.Reclaimer, cfg.Cost = name, simalloc.Uniform()
+			st, err := NewStack(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -252,14 +252,12 @@ func TestAllScenariosRunAllStructures(t *testing.T) {
 	}
 }
 
-func TestStackBuilderAndTeardown(t *testing.T) {
-	st, err := NewStackBuilder(2).
-		Allocator("tcmalloc").
-		Reclaimer("debra_af").
-		DataStructure("occtree").
-		Recording(1000).
-		Configure(func(cfg *WorkloadConfig) { cfg.KeyRange = 1 << 10 }).
-		Build()
+func TestNewStackAndTeardown(t *testing.T) {
+	cfg := DefaultWorkload(2)
+	cfg.Allocator, cfg.Reclaimer, cfg.DataStructure = "tcmalloc", "debra_af", "occtree"
+	cfg.Record, cfg.RecorderCap = true, 1000
+	cfg.KeyRange = 1 << 10
+	st, err := NewStack(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +265,7 @@ func TestStackBuilderAndTeardown(t *testing.T) {
 		t.Fatal("recorder not built")
 	}
 	if got := st.Config().KeyRange; got != 1<<10 {
-		t.Fatalf("Configure not applied: KeyRange %d", got)
+		t.Fatalf("config not kept: KeyRange %d", got)
 	}
 	for i := 0; i < 1000; i++ {
 		st.Set.Insert(0, int64(i%64))
@@ -284,7 +282,8 @@ func TestStackBuilderAndTeardown(t *testing.T) {
 	if limbo := st.Reclaimer.Stats().Limbo; limbo != 0 {
 		t.Fatalf("Close left %d objects in limbo", limbo)
 	}
-	if _, err := NewStackBuilder(2).Reclaimer("bogus").Build(); err == nil {
+	cfg.Reclaimer = "bogus"
+	if _, err := NewStack(cfg); err == nil {
 		t.Fatal("unknown reclaimer accepted")
 	}
 }

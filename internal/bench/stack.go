@@ -16,8 +16,8 @@ import (
 // Stack is the assembled experiment substrate for one trial: a simulated
 // allocator, a reclaimer wired to it, a concurrent set on top, and an
 // optional timeline recorder threaded through all three. Build one with
-// NewStack (from a full WorkloadConfig) or with a StackBuilder, drive the
-// set, then Close it to release the remaining limbo.
+// NewStack from a full WorkloadConfig, drive the set, then Close it to
+// release the remaining limbo.
 type Stack struct {
 	// Alloc is the simulated allocator at the bottom of the stack.
 	Alloc simalloc.Allocator
@@ -313,56 +313,3 @@ func (s *Stack) Close() {
 	// before any reader sees the recorder.
 	s.Recorder.MergeAll()
 }
-
-// StackBuilder assembles a Stack fluently, starting from the scaled paper
-// defaults. It is the programmatic mirror of the WorkloadConfig fields:
-//
-//	st, err := bench.NewStackBuilder(8).
-//		Allocator("jemalloc").
-//		Reclaimer("token_af").
-//		DataStructure("abtree").
-//		Build()
-type StackBuilder struct {
-	cfg WorkloadConfig
-}
-
-// NewStackBuilder starts a builder from DefaultWorkload(threads).
-func NewStackBuilder(threads int) *StackBuilder {
-	return &StackBuilder{cfg: DefaultWorkload(threads)}
-}
-
-// Allocator selects the allocator model ("jemalloc", "tcmalloc", "mimalloc").
-func (b *StackBuilder) Allocator(name string) *StackBuilder {
-	b.cfg.Allocator = name
-	return b
-}
-
-// Reclaimer selects the reclaimer by smr registry name.
-func (b *StackBuilder) Reclaimer(name string) *StackBuilder {
-	b.cfg.Reclaimer = name
-	return b
-}
-
-// DataStructure selects the set by ds registry name.
-func (b *StackBuilder) DataStructure(name string) *StackBuilder {
-	b.cfg.DataStructure = name
-	return b
-}
-
-// Recording enables timeline recording with capEach events per thread
-// (<= 0 means the default capacity).
-func (b *StackBuilder) Recording(capEach int) *StackBuilder {
-	b.cfg.Record = true
-	b.cfg.RecorderCap = capEach
-	return b
-}
-
-// Configure applies an arbitrary edit to the underlying WorkloadConfig for
-// the long tail of knobs (batch size, cost model, ablation overrides, ...).
-func (b *StackBuilder) Configure(edit func(*WorkloadConfig)) *StackBuilder {
-	edit(&b.cfg)
-	return b
-}
-
-// Build assembles the stack.
-func (b *StackBuilder) Build() (*Stack, error) { return NewStack(b.cfg) }

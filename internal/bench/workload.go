@@ -1,9 +1,10 @@
-// Package bench is the experiment harness: it reproduces every table and
-// figure of "Are Your Epochs Too Epic?" over the simulated allocators
-// (package simalloc), the reclaimers (package smr) and the concurrent sets
-// (package ds).
+// Package bench is the trial path of the harness that reproduces "Are Your
+// Epochs Too Epic?": one trial over the simulated allocators (package
+// simalloc), the reclaimers (package smr) and the concurrent sets (package
+// ds). The paper's tables and figures are stated over it in package
+// experiments.
 //
-// The harness is layered. Stack assembly (Stack, NewStack, StackBuilder)
+// The harness is layered. Stack assembly (Stack, NewStack)
 // builds the allocator + reclaimer + set + recorder substrate for one
 // trial. The scenario engine (Workload, KeyDist, OpMix, and the scenario
 // registry behind Scenarios/NewScenario) decides what the simulated threads
@@ -338,7 +339,7 @@ func autoYieldStride(threads int) int {
 var afterPrefill atomic.Pointer[func()]
 
 // OnFirstPrefillDone arms f to run once, immediately after the next trial's
-// prefill completes and before its measured window opens. cmd/epochbench
+// prefill completes and before its measured window opens. cmd/epochgrid
 // uses it to start -cpuprofile/-memprofile capture past the prefill, so a
 // single-trial profile covers only the measured window.
 func OnFirstPrefillDone(f func()) { afterPrefill.Store(&f) }

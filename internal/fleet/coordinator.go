@@ -41,9 +41,6 @@ type CoordinatorConfig struct {
 	// Clock is the time source; nil means time.Now. Injectable so lease
 	// expiry is testable without real waits.
 	Clock func() time.Time
-	// Cost is the queue's cost model; nil builds one seeded from the store's
-	// measured elapsed times. Every completion's measured wall time feeds it.
-	Cost *grid.CostModel
 	// Logf, when set, receives one line per fleet event (grants, expiries,
 	// completions, duplicates). Serialized under the coordinator lock.
 	Logf func(format string, args ...any)
@@ -123,7 +120,7 @@ func NewCoordinator(cfgs []bench.WorkloadConfig, trials int, cc CoordinatorConfi
 		ttl:       ttl,
 		now:       now,
 		logFn:     cc.Logf,
-		q:         grid.NewQueue(eff, tasks, cc.Store, cc.Cost),
+		q:         grid.NewQueue(eff, tasks, cc.Store),
 		leaseOf:   make([]string, len(tasks)),
 		leases:    map[string]*lease{},
 		doneCh:    make(chan struct{}),

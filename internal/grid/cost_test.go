@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -261,7 +260,7 @@ func TestMakespanSchedulerGain(t *testing.T) {
 	run := func(parallel int, expansionOrder bool) time.Duration {
 		r := &Runner{Parallel: parallel, Budget: 16}
 		t0 := time.Now()
-		if _, err := r.run(context.Background(), cfgs, 1, expansionOrder); err != nil {
+		if _, err := r.run(cfgs, 1, expansionOrder); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(t0)

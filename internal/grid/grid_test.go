@@ -170,7 +170,7 @@ func TestSpecPartialBaseGetsDefaults(t *testing.T) {
 
 func TestRunSpecNormalizesTrials(t *testing.T) {
 	// Spec.Trials <= 0 means 1 chained trial (the Spec doc), not the
-	// verbatim-seed GridFunc convention — both values must hit the same
+	// verbatim-seed convention of Run's trials <= 0 — both values must hit the same
 	// store keys.
 	st := results.NewMemStore()
 	spec := tinySpec()
@@ -294,8 +294,8 @@ func TestRunnerProgressStream(t *testing.T) {
 		t.Fatalf("final event wrong: %+v", last)
 	}
 
-	// Progress counters are per-Run: a reused runner (epochbench runs
-	// several batches on one runner) must restart the partition, while
+	// Progress counters are per-Run: a reused runner (an experiment runs
+	// one batch per sweep on one runner) must restart the partition, while
 	// Counts() keeps the lifetime totals.
 	events = events[:0]
 	if _, err := r.RunSpec(spec); err != nil {

@@ -75,13 +75,10 @@ func (g *queuedGroup) tail() int { return g.pending[len(g.pending)-1] }
 // NewQueue builds the cost-ordered queue of a sweep from ExpandTasks output.
 // Each task's key is computed once, here; trials already in the store
 // (quarantine records included) are finished before the first take, which is
-// what makes a re-run or a restarted coordinator resume. A nil model is built
-// from the store's measured elapsed times.
-func NewQueue(eff []bench.WorkloadConfig, tasks []TrialTask, store *results.Store, model *CostModel) *Queue {
-	if model == nil {
-		model = NewCostModel(store)
-	}
-	return newQueue(eff, tasks, store, model)
+// what makes a re-run or a restarted coordinator resume. The cost model is
+// built from the store's measured elapsed times.
+func NewQueue(eff []bench.WorkloadConfig, tasks []TrialTask, store *results.Store) *Queue {
+	return newQueue(eff, tasks, store, NewCostModel(store))
 }
 
 // newQueue is NewQueue with the order left to the caller: a nil model makes

@@ -85,11 +85,6 @@ type Runner struct {
 	// experiment), so the default is applied before any cache lookup.
 	Faults []bench.FaultSpec
 
-	// Cost is the cost model used by the Parallel > 1 scheduler. Nil builds
-	// a fresh model per Run, seeded from Store's measured elapsed times;
-	// supply one to share measurements across Runs.
-	Cost *CostModel
-
 	mu          sync.Mutex
 	executed    int
 	cached      int
@@ -201,35 +196,26 @@ func ExpandTasks(cfgs []bench.WorkloadConfig, trials int, defFaults []bench.Faul
 	return eff, tasks
 }
 
-// Run executes one batch with the GridFunc contract (bench.GridFunc):
-// trials >= 1 runs the RunTrials seed chain per config, trials <= 0 runs a
-// single trial per config with the seed used verbatim. Summaries are
-// returned in input order regardless of execution order.
-func (r *Runner) Run(cfgs []bench.WorkloadConfig, trials int) ([]bench.Summary, error) {
-	return r.RunContext(context.Background(), cfgs, trials)
-}
-
-// RunContext is Run with cancellation: when ctx is done no further trial is
-// started and in-flight retry backoffs abort immediately, so an interrupted
-// sweep returns as soon as its running trials finish (trials themselves are
-// not preemptible mid-measurement — the per-trial watchdog is the bound on
-// those). The store still holds every trial completed before the
-// cancellation, so the sweep resumes where it stopped.
+// Run executes one batch: trials >= 1 runs the seed chain (bench.TrialSeeds)
+// per config, trials <= 0 runs a single trial per config with the seed used
+// verbatim (the single-point experiments' convention, kept distinct so every
+// RNG stream stays what it was). Summaries are returned in input order
+// regardless of execution order.
 //
 // With Parallel <= 1 trials run strictly in expansion order — the
 // bit-compatibility contract the golden baselines pin; otherwise in
 // descending estimated cost (longest-processing-time-first, estimates read
 // from the live model at every start) with budget-aware backfill, which
 // minimizes sweep makespan on heterogeneous grids.
-func (r *Runner) RunContext(ctx context.Context, cfgs []bench.WorkloadConfig, trials int) ([]bench.Summary, error) {
-	return r.run(ctx, cfgs, trials, r.Parallel <= 1)
+func (r *Runner) Run(cfgs []bench.WorkloadConfig, trials int) ([]bench.Summary, error) {
+	return r.run(cfgs, trials, r.Parallel <= 1)
 }
 
 // run is the one path from configs to summaries: expand, queue, drain. The
-// order is the code's choice, not the user's (see RunContext); it is a
-// parameter only so the makespan test can run its control arm — expansion
-// order at Parallel > 1.
-func (r *Runner) run(ctx context.Context, cfgs []bench.WorkloadConfig, trials int, expansionOrder bool) ([]bench.Summary, error) {
+// order is the code's choice, not the user's (see Run); it is a parameter
+// only so the makespan test can run its control arm — expansion order at
+// Parallel > 1.
+func (r *Runner) run(cfgs []bench.WorkloadConfig, trials int, expansionOrder bool) ([]bench.Summary, error) {
 	// Runner-level defaults apply inside ExpandTasks, before any key is
 	// computed: the fault plan is hashed (a faulted trial is a different
 	// experiment); the deadline is normalized out of keys.
@@ -238,9 +224,7 @@ func (r *Runner) run(ctx context.Context, cfgs []bench.WorkloadConfig, trials in
 	if !expansionOrder {
 		// Only cost order reads the model, so a serial run skips the store
 		// scan NewCostModel does.
-		if model = r.Cost; model == nil {
-			model = NewCostModel(r.Store)
-		}
+		model = NewCostModel(r.Store)
 	}
 	src := &queueSource{r: r, q: newQueue(eff, tasks, r.Store, model), budget: r.Budget}
 	src.cond = sync.NewCond(&src.mu)
@@ -258,7 +242,7 @@ func (r *Runner) run(ctx context.Context, cfgs []bench.WorkloadConfig, trials in
 		}
 	}
 
-	dctx, cancel := context.WithCancel(ctx)
+	dctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Drainers waiting for tokens sleep on the cond, which a context cannot
 	// reach by itself.
@@ -270,7 +254,7 @@ func (r *Runner) run(ctx context.Context, cfgs []bench.WorkloadConfig, trials in
 	var (
 		wg       sync.WaitGroup
 		once     sync.Once
-		firstErr error // a store failure or the cancellation: what stopped the first drainer to stop
+		firstErr error // a store failure: what stopped the first drainer to stop
 	)
 	for range max(r.Parallel, 1) {
 		wg.Add(1)
@@ -287,9 +271,6 @@ func (r *Runner) run(ctx context.Context, cfgs []bench.WorkloadConfig, trials in
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	if src.tally.failed == len(tasks) && len(tasks) > 0 {
 		// Nothing at all succeeded: the sweep produced no data, which is an
@@ -389,10 +370,6 @@ func (d *drainer) Complete(_ context.Context, _ bench.WorkloadConfig, rec result
 	}
 	return nil
 }
-
-// GridFunc adapts the runner to bench.Options.RunGrid, the injection point
-// the experiment sweeps route through.
-func (r *Runner) GridFunc() bench.GridFunc { return r.Run }
 
 // Source is a claim source: a stream of already-effective trial
 // configurations a drainer executes one at a time, with a completion
@@ -506,8 +483,7 @@ func (r *Runner) report(t *tally, key string, cfg bench.WorkloadConfig, fromCach
 
 // RunSpec expands and validates a spec, then runs it. Spec.Trials <= 0 is
 // normalized to 1 here (with the RunTrials seed chain, matching the Spec
-// doc); the verbatim-seed trials<=0 convention belongs to Run's GridFunc
-// contract only.
+// doc); the verbatim-seed trials<=0 convention belongs to Run only.
 func (r *Runner) RunSpec(s Spec) ([]bench.Summary, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

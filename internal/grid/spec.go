@@ -11,7 +11,6 @@ package grid
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/arrival"
 	"repro/internal/bench"
@@ -148,7 +147,9 @@ func (s Spec) Validate() error {
 	if err := validateNames("allocator", s.Allocators, Allocators()); err != nil {
 		return err
 	}
-	if err := validateNames("reclaimer", s.Reclaimers, smr.Names()); err != nil {
+	// "token" is Experiment 2's name for the periodic Token-EBR variant: an
+	// alias the registry constructs but Names() does not advertise.
+	if err := validateNames("reclaimer", s.Reclaimers, append(smr.Names(), "token")); err != nil {
 		return err
 	}
 	for _, n := range s.Threads {
@@ -254,16 +255,4 @@ func (s Spec) Expand() []bench.WorkloadConfig {
 		}
 	}
 	return cfgs
-}
-
-// EstimatedWall returns a rough serial wall-time floor for the sweep:
-// trials × duration per config (prefill and teardown excluded). Useful for
-// progress messaging.
-func (s Spec) EstimatedWall() time.Duration {
-	trials := s.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	s = s.withDefaults()
-	return time.Duration(s.Size()*trials) * s.Base.Duration
 }

@@ -58,9 +58,9 @@ import (
 // policy) and the PhaseOps alias of BurstOps. All three marshalled without
 // omitempty, so every config's encoding, and with it every key, moves.
 // Migration: a v5 store opens and loads, but none of its records matches a
-// v6 key, so a sweep over it re-executes (epochgrid and epochbench say so in
-// one stderr line). Records are deliberately not re-keyed on load: the
-// decoder drops the removed fields, so a v5 record written with
+// v6 key, so a sweep over it re-executes (epochgrid says so in one stderr
+// line). Records are deliberately not re-keyed on load: the decoder drops
+// the removed fields, so a v5 record written with
 // LegacyDispatch true or an explicit YieldEvery would come back looking like
 // a default trial and be shared with one. A fleet's coordinator and workers
 // upgrade together, since a worker returns results under the keys it
