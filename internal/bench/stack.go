@@ -115,22 +115,13 @@ func newStack(cfg WorkloadConfig) (*Stack, error) {
 		alloc.SetFreeObserver(s.Recorder.ObserveFree)
 	}
 
-	rcfg := smr.DefaultConfig(alloc, cfg.Threads)
-	if cfg.BatchSize > 0 {
-		rcfg.BatchSize = cfg.BatchSize
-	}
-	if cfg.DrainRate > 0 {
-		rcfg.DrainRate = cfg.DrainRate
-	}
-	if cfg.TokenCheckK > 0 {
-		rcfg.TokenCheckK = cfg.TokenCheckK
-	}
-	if cfg.EraFreq > 0 {
-		rcfg.EraFreq = cfg.EraFreq
-	}
-	rcfg.Recorder = s.Recorder
-	rcfg.Stopped = s.stopped.Load
-	reclaimer, err := smr.New(cfg.Reclaimer, rcfg)
+	// Knobs the workload leaves at zero take smr.DefaultConfig's values.
+	reclaimer, err := smr.New(cfg.Reclaimer, smr.Config{
+		Alloc: alloc, Threads: cfg.Threads,
+		BatchSize: cfg.BatchSize, DrainRate: cfg.DrainRate,
+		TokenCheckK: cfg.TokenCheckK, EraFreq: cfg.EraFreq,
+		Recorder: s.Recorder, Stopped: s.stopped.Load,
+	})
 	if err != nil {
 		return nil, err
 	}

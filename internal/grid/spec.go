@@ -147,10 +147,10 @@ func (s Spec) Validate() error {
 	if err := validateNames("allocator", s.Allocators, Allocators()); err != nil {
 		return err
 	}
-	// "token" is Experiment 2's name for the periodic Token-EBR variant: an
-	// alias the registry constructs but Names() does not advertise.
-	if err := validateNames("reclaimer", s.Reclaimers, append(smr.Names(), "token")); err != nil {
-		return err
+	for _, r := range s.Reclaimers {
+		if !smr.Known(r) { // Names() plus the registry's aliases
+			return fmt.Errorf("grid: unknown reclaimer %q (have %v)", r, smr.Names())
+		}
 	}
 	for _, n := range s.Threads {
 		if n <= 0 {

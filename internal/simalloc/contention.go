@@ -1,6 +1,7 @@
 package simalloc
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -69,6 +70,29 @@ func init() {
 		per = 16
 	}
 	nsPerSpinUnit = per
+}
+
+// lockedList is a shared free list — a jemalloc arena bin, a tcmalloc
+// central list — behind its mutex and its virtual-contention clock.
+type lockedList struct {
+	mu    sync.Mutex
+	clock binClock
+	list  objList
+}
+
+// acquire is the slow-path prologue of every refill and flush: reserve
+// holdNs of the list's virtual time, burn the queueing delay that returns as
+// lock wait, touch the list's line, and take the mutex under a stamp pair.
+// Every host clock read is charged to ts. The caller unlocks l.mu.
+func (l *lockedList) acquire(tid int, ts *threadStats, touch int, holdNs int64) {
+	burned, reads := burnQueue(tid, l.clock.reserve(holdNs))
+	ts.lockNanos += burned
+	ts.clockReads += reads + 1 // +1: reserve's own stamp
+	spinWork(tid, touch)
+	l0 := clock.Now()
+	l.mu.Lock()
+	ts.lockNanos += clock.Now() - l0
+	ts.clockReads += 2
 }
 
 // burnQueue spends the queueing delay as spin work attributable to tid and

@@ -1,7 +1,6 @@
 package simalloc
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/clock"
@@ -46,10 +45,8 @@ type jeArena struct {
 }
 
 type jeBin struct {
-	mu    sync.Mutex
-	clock binClock
-	list  objList
-	_     [4]int64 // keep bins on separate cache lines
+	lockedList
+	_ [4]int64 // keep bins on separate cache lines
 }
 
 type jeTCacheBin struct {
@@ -143,14 +140,7 @@ func (a *JEMalloc) refill(tid int, class uint8, tc *jeTCacheBin) {
 
 	touch := a.cfg.Cost.TouchCost(tid, arena.homeSocket)
 	hold := int64(touch+a.cfg.FillCount*a.cfg.Cost.PerObjectAlloc) * nsPerSpinUnit
-	burned, reads := burnQueue(tid, bin.clock.reserve(hold))
-	ts.lockNanos += burned
-	ts.clockReads += reads + 1 // +1: reserve's own stamp
-	spinWork(tid, touch)
-	l0 := clock.Now()
-	bin.mu.Lock()
-	ts.lockNanos += clock.Now() - l0
-	ts.clockReads += 2
+	bin.acquire(tid, ts, touch, hold)
 	got := 0
 	for got < a.cfg.FillCount {
 		o := bin.list.pop()
@@ -272,15 +262,7 @@ func (a *JEMalloc) flushN(tid int, class uint8, tc *jeTCacheBin, n int) {
 		if a.flushHoldProbe != nil {
 			a.flushHoldProbe(g.arena, hold)
 		}
-		burned, reads := burnQueue(tid, bin.clock.reserve(hold))
-		ts.lockNanos += burned
-		ts.clockReads += reads + 1 // +1: reserve's own stamp
-
-		spinWork(tid, touch)
-		l0 := clock.Now()
-		bin.mu.Lock()
-		ts.lockNanos += clock.Now() - l0
-		ts.clockReads += 2
+		bin.acquire(tid, ts, touch, hold)
 		remote := g.arena != myArena
 		for o := g.head; o != nil; {
 			next := o.next

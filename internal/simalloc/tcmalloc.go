@@ -1,7 +1,6 @@
 package simalloc
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/clock"
@@ -26,9 +25,7 @@ type TCMalloc struct {
 }
 
 type tcCentral struct {
-	mu         sync.Mutex
-	clock      binClock
-	list       objList
+	lockedList
 	homeSocket int
 	_          [3]int64
 }
@@ -95,14 +92,7 @@ func (a *TCMalloc) refill(tid int, class uint8, tc *objList) {
 
 	touch := a.cfg.Cost.TouchCost(tid, central.homeSocket)
 	hold := int64(touch+a.cfg.FillCount*a.cfg.Cost.PerObjectAlloc) * nsPerSpinUnit
-	burned, reads := burnQueue(tid, central.clock.reserve(hold))
-	ts.lockNanos += burned
-	ts.clockReads += reads + 1 // +1: reserve's own stamp
-	spinWork(tid, touch)
-	l0 := clock.Now()
-	central.mu.Lock()
-	ts.lockNanos += clock.Now() - l0
-	ts.clockReads += 2
+	central.acquire(tid, ts, touch, hold)
 	got := 0
 	for got < a.cfg.FillCount {
 		o := central.list.pop()
@@ -173,14 +163,7 @@ func (a *TCMalloc) spillN(tid int, class uint8, tc *objList, n int) {
 	touch := a.cfg.Cost.TouchCost(tid, central.homeSocket)
 	perObj := a.cfg.Cost.PerObjectFree * a.cfg.Cost.RemoteFactor
 	hold := int64(touch+n*perObj) * nsPerSpinUnit
-	burned, reads := burnQueue(tid, central.clock.reserve(hold))
-	ts.lockNanos += burned
-	ts.clockReads += reads + 1 // +1: reserve's own stamp
-	spinWork(tid, touch)
-	l0 := clock.Now()
-	central.mu.Lock()
-	ts.lockNanos += clock.Now() - l0
-	ts.clockReads += 2
+	central.acquire(tid, ts, touch, hold)
 	for i := 0; i < n; i++ {
 		o := tc.pop()
 		spinWork(tid, perObj)

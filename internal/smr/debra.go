@@ -16,9 +16,7 @@ import "repro/internal/simalloc"
 // Doubling the thread count therefore doubles the expected epoch length and
 // the limbo-bag size — the mechanism behind the paper's Table 1.
 type DEBRA struct {
-	e  env
-	f  freer
-	af bool
+	core
 	th []debraThread
 }
 
@@ -31,25 +29,18 @@ type debraThread struct {
 	_         [4]int64
 }
 
-// NewDEBRA constructs DEBRA; af selects the amortized-free variant
-// (debra_af in the paper's Experiment 2).
-func NewDEBRA(cfg Config, af bool) *DEBRA {
-	d := &DEBRA{af: af}
-	d.e = newEnv(cfg)
-	d.f = newFreer(&d.e, af)
-	d.th = make([]debraThread, d.e.cfg.Threads)
-	return d
+func makeDEBRA(name string, cfg Config, af bool) DEBRA {
+	return DEBRA{core: newCore(name, cfg, af), th: make([]debraThread, cfg.Threads)}
 }
 
-func (d *DEBRA) Name() string {
-	if d.af {
-		return "debra_af"
-	}
-	return "debra"
+func newDEBRA(name string, cfg Config, af bool) Reclaimer {
+	d := makeDEBRA(name, cfg, af)
+	return &d
 }
 
 // BeginOp announces the current epoch, rotating limbo bags on change, and
-// performs the amortized announcement scan.
+// performs the amortized announcement scan. (QSBR runs this same body from
+// EndOp: see qsbr.go.)
 func (d *DEBRA) BeginOp(tid int) {
 	me := &d.th[tid]
 	ge := d.e.epochs.Load()
@@ -59,7 +50,7 @@ func (d *DEBRA) BeginOp(tid int) {
 		// started before those objects were unlinked can still be running.
 		idx := int((ge + 1) % 3)
 		if len(me.bags[idx]) > 0 {
-			d.f.freeBatch(tid, me.bags[idx])
+			d.freeBatch(tid, me.bags[idx])
 			me.bags[idx] = me.bags[idx][:0]
 		}
 		me.cur = int(ge % 3)
@@ -67,9 +58,7 @@ func (d *DEBRA) BeginOp(tid int) {
 		// Adoption point: orphans enter the current-epoch bag, so they
 		// wait out a full two-epoch grace period from here — conservative
 		// (they were unlinked earlier) and therefore safe.
-		if d.e.reg.hasOrphans() {
-			me.bags[me.cur] = d.e.reg.adoptInto(me.bags[me.cur])
-		}
+		me.bags[me.cur] = d.adopt(me.bags[me.cur])
 	}
 
 	me.opCount++
@@ -89,19 +78,6 @@ func (d *DEBRA) BeginOp(tid int) {
 		}
 	}
 }
-
-// EndOp pumps the freer (one queued free per op for the AF variant).
-func (d *DEBRA) EndOp(tid int) { d.f.pump(tid) }
-
-// OnAlloc is a no-op for epoch-based schemes.
-func (d *DEBRA) OnAlloc(int, *simalloc.Object) {}
-
-// Protect is a no-op for epoch-based schemes.
-func (d *DEBRA) Protect(int, int, *simalloc.Object) {}
-
-// Guard returns nil: epoch protection needs no per-node publication, so
-// trees branch away from the protect path entirely.
-func (d *DEBRA) Guard(int) *Guard { return nil }
 
 // Retire places o in the current-epoch limbo bag.
 func (d *DEBRA) Retire(tid int, o *simalloc.Object) {
@@ -126,33 +102,14 @@ func (d *DEBRA) Join() (int, error) {
 	return slot, nil
 }
 
-// Leave hands the slot's three limbo bags and any queued freeable objects
-// to the orphan queue and vacates the slot.
+// Leave hands the slot's three limbo bags to the orphan queue.
 func (d *DEBRA) Leave(tid int) {
 	me := &d.th[tid]
-	for i := range me.bags {
-		d.e.reg.orphan(me.bags[i])
-		me.bags[i] = nil
-	}
-	d.f.orphanAll(d.e.reg, tid)
-	d.e.leave(tid)
+	d.depart(tid, &me.bags[0], &me.bags[1], &me.bags[2])
 }
 
-// Drain frees all bags, pending orphans, and the freeable list
-// unconditionally.
+// Drain adopts pending orphans into the current bag and frees all three.
 func (d *DEBRA) Drain(tid int) {
 	me := &d.th[tid]
-	if d.e.reg.hasOrphans() {
-		me.bags[me.cur] = d.e.reg.adoptInto(me.bags[me.cur])
-	}
-	for i := range me.bags {
-		if len(me.bags[i]) > 0 {
-			d.f.freeBatch(tid, me.bags[i])
-			me.bags[i] = me.bags[i][:0]
-		}
-	}
-	d.f.drainAll(tid)
+	d.drain(tid, me.cur, &me.bags[0], &me.bags[1], &me.bags[2])
 }
-
-// Stats returns an aggregated snapshot.
-func (d *DEBRA) Stats() Stats { return d.e.stats() }

@@ -84,15 +84,3 @@ func (e *env) diag(scheme string) Diag {
 	}
 	return d
 }
-
-// Diagnose implements Diagnosable for every reclaimer in the registry.
-
-func (d *DEBRA) Diagnose() Diag { return d.e.diag(d.Name()) }
-func (q *QSBR) Diagnose() Diag  { return q.e.diag(q.Name()) }
-func (r *RCU) Diagnose() Diag   { return r.e.diag(r.Name()) }
-func (h *HP) Diagnose() Diag    { return h.e.diag(h.Name()) }
-func (h *HE) Diagnose() Diag    { return h.e.diag(h.Name()) }
-func (i *IBR) Diagnose() Diag   { return i.e.diag(i.Name()) }
-func (n *NBR) Diagnose() Diag   { return n.e.diag(n.Name()) }
-func (t *Token) Diagnose() Diag { return t.e.diag(t.Name()) }
-func (n *None) Diagnose() Diag  { return n.e.diag(n.Name()) }

@@ -10,42 +10,39 @@ import (
 // not the grace-period detection — decides performance on jemalloc-like
 // allocators:
 //
-//   - batchFreer frees the whole batch immediately (the traditional
-//     "optimization", which triggers remote batch frees), and
-//   - amortizedFreer queues the batch on a thread-local freeable list and
-//     releases DrainRate objects per subsequent operation (the paper's fix).
-type freer interface {
-	// freeBatch releases or queues a safe-to-free batch on behalf of tid.
-	// Ownership of the slice contents transfers; the slice itself may be
-	// reused by the caller afterwards.
-	freeBatch(tid int, batch []*simalloc.Object)
-	// pump is called once per data-structure operation.
-	pump(tid int)
-	// drainAll releases everything still queued for tid.
-	drainAll(tid int)
-	// orphanAll hands tid's queued-but-unfreed objects to the registry's
-	// orphan queue (participant departure). The objects were already
-	// grace-proven safe, but re-homing them through a survivor's limbo —
-	// and thus a second grace period — keeps every adoption path uniform
-	// and is merely conservative.
-	orphanAll(reg *participants, tid int)
-	// queued reports tid's freeable-list length.
-	queued(tid int) int
+//   - batch (queues == nil) frees the whole batch immediately (the
+//     traditional "optimization", which triggers remote batch frees), and
+//   - amortized free (AF) appends the batch to a per-thread freeable list and
+//     releases rate (DrainRate) objects per subsequent operation — the
+//     paper's fix. Freeing gradually lets the allocator's thread cache absorb
+//     and recycle the objects instead of overflowing into remote batch frees.
+//
+// The policy is a two-field struct inside core, not an interface: the
+// per-operation pump is a nil check the compiler inlines into each scheme's
+// EndOp.
+type freer struct {
+	rate   int
+	queues []afQueue
 }
 
-// batchFreer frees whole batches immediately, recording the batch as one
+// freeBatch releases or queues a safe-to-free batch on behalf of tid.
+// Ownership of the slice contents transfers; the slice itself may be reused
+// by the caller afterwards.
+func (c *core) freeBatch(tid int, batch []*simalloc.Object) {
+	if c.f.queues == nil {
+		c.freeNow(tid, batch)
+	} else if len(batch) != 0 {
+		c.f.queues[tid].push(batch)
+	}
+}
+
+// freeNow frees a whole batch synchronously, recording the batch as one
 // timeline event and any individual high-latency free call separately.
-type batchFreer struct {
-	e *env
-}
-
-func newBatchFreer(e *env) *batchFreer { return &batchFreer{e: e} }
-
-func (b *batchFreer) freeBatch(tid int, batch []*simalloc.Object) {
+func (c *core) freeNow(tid int, batch []*simalloc.Object) {
 	if len(batch) == 0 {
 		return
 	}
-	e := b.e
+	e := &c.e
 	if e.rec == nil {
 		for _, o := range batch {
 			e.alloc.Free(tid, o)
@@ -65,11 +62,6 @@ func (b *batchFreer) freeBatch(tid int, batch []*simalloc.Object) {
 	e.noteFree(tid, int64(len(batch)))
 	e.rec.StageBatchFree(tid, t0, end, int64(len(batch)))
 }
-
-func (b *batchFreer) pump(int)                     {}
-func (b *batchFreer) drainAll(int)                 {}
-func (b *batchFreer) orphanAll(*participants, int) {}
-func (b *batchFreer) queued(int) int               { return 0 }
 
 // afQueue is one thread's freeable list. A plain FIFO ring over a slice; the
 // owner is the only accessor.
@@ -111,41 +103,23 @@ func (q *afQueue) pop() *simalloc.Object {
 
 func (q *afQueue) len() int { return len(q.objs) - q.head }
 
-// amortizedFreer implements the paper's amortized free (AF): safe batches
-// are appended to a per-thread freeable list, and each operation frees
-// DrainRate objects from the list. Freeing gradually lets the allocator's
-// thread cache absorb and recycle the objects instead of overflowing into
-// remote batch frees.
-type amortizedFreer struct {
-	e      *env
-	rate   int
-	queues []afQueue
-}
-
-func newAmortizedFreer(e *env) *amortizedFreer {
-	return &amortizedFreer{
-		e:      e,
-		rate:   e.cfg.DrainRate,
-		queues: make([]afQueue, e.cfg.Threads),
+// pump is called once per data-structure operation.
+func (c *core) pump(tid int) {
+	if c.f.queues != nil {
+		c.freeQueued(tid, c.f.rate)
 	}
 }
 
-func (a *amortizedFreer) freeBatch(tid int, batch []*simalloc.Object) {
-	if len(batch) == 0 {
-		return
-	}
-	a.queues[tid].push(batch)
-}
-
-// pump frees up to DrainRate queued objects. Recorded and unrecorded trials
-// run the same loop with zero clock stamps: an amortized free has no batch
-// envelope, and any individual call long enough to matter hits an allocator
-// slow path whose existing stamps feed the recorder via the free observer.
-func (a *amortizedFreer) pump(tid int) {
-	e := a.e
-	q := &a.queues[tid]
+// freeQueued frees up to limit objects from tid's freeable list. Recorded
+// and unrecorded trials run the same loop with zero clock stamps: an
+// amortized free has no batch envelope, and any individual call long enough
+// to matter hits an allocator slow path whose existing stamps feed the
+// recorder via the free observer.
+func (c *core) freeQueued(tid, limit int) {
+	e := &c.e
+	q := &c.f.queues[tid]
 	n := int64(0)
-	for i := 0; i < a.rate; i++ {
+	for i := 0; i < limit; i++ {
 		o := q.pop()
 		if o == nil {
 			break
@@ -158,45 +132,31 @@ func (a *amortizedFreer) pump(tid int) {
 	}
 }
 
-func (a *amortizedFreer) drainAll(tid int) {
-	e := a.e
-	q := &a.queues[tid]
+// drainQueued releases everything still queued for tid.
+func (c *core) drainQueued(tid int) {
+	if c.f.queues == nil {
+		return
+	}
 	// Teardown frees are not timeline events; mute the free observer.
-	e.rec.MuteFrees(tid)
-	n := int64(0)
-	for {
-		o := q.pop()
-		if o == nil {
-			break
-		}
-		e.alloc.Free(tid, o)
-		n++
-	}
-	if n > 0 {
-		e.noteFree(tid, n)
-	}
-	e.rec.UnmuteFrees(tid)
+	c.e.rec.MuteFrees(tid)
+	c.freeQueued(tid, c.f.queues[tid].len())
+	c.e.rec.UnmuteFrees(tid)
 }
 
-func (a *amortizedFreer) orphanAll(reg *participants, tid int) {
-	q := &a.queues[tid]
-	if q.len() == 0 {
+// orphanQueued hands tid's queued-but-unfreed objects to the registry's
+// orphan queue (participant departure). The objects were already
+// grace-proven safe, but re-homing them through a survivor's limbo — and
+// thus a second grace period — keeps every adoption path uniform and is
+// merely conservative.
+func (c *core) orphanQueued(tid int) {
+	if c.f.queues == nil || c.f.queues[tid].len() == 0 {
 		return
 	}
+	q := &c.f.queues[tid]
 	batch := make([]*simalloc.Object, q.len())
 	copy(batch, q.objs[q.head:])
 	clear(q.objs)
 	q.objs = q.objs[:0]
 	q.head = 0
-	reg.orphan(batch)
-}
-
-func (a *amortizedFreer) queued(tid int) int { return a.queues[tid].len() }
-
-// newFreer picks the policy: amortized when af is set, else batch.
-func newFreer(e *env, af bool) freer {
-	if af {
-		return newAmortizedFreer(e)
-	}
-	return newBatchFreer(e)
+	c.e.reg.orphan(batch)
 }

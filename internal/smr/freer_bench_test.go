@@ -7,32 +7,35 @@ import (
 	"repro/internal/timeline"
 )
 
-// benchEnv assembles a jemalloc-backed env with zero modeled costs, so the
-// freer benchmarks measure host bookkeeping (stamping, queue management),
-// not spin work.
-func benchEnv(recorded bool) (*env, simalloc.Allocator) {
-	acfg := simalloc.Config{
+// zeroCostAlloc is a one-thread jemalloc with zero modeled costs whose cache
+// never flushes, so what runs on top of it is host bookkeeping (stamping,
+// queue management), not spin work.
+func zeroCostAlloc() simalloc.Allocator {
+	return simalloc.NewJEMalloc(simalloc.Config{
 		Threads:        1,
 		Cost:           simalloc.CostModel{ThreadsPerSocket: 1 << 30, Sockets: 1, RemoteFactor: 1},
-		TCacheCap:      1 << 20, // never flush: isolate the freer's own cost
+		TCacheCap:      1 << 20,
 		FlushFraction:  0.75,
 		FillCount:      64,
 		PageRunObjects: 64,
-	}
-	alloc := simalloc.NewJEMalloc(acfg)
+	})
+}
+
+// benchCore assembles a core over zeroCostAlloc for the freer benchmarks.
+func benchCore(recorded, af bool) (*core, simalloc.Allocator) {
+	alloc := zeroCostAlloc()
 	cfg := DefaultConfig(alloc, 1)
 	if recorded {
 		cfg.Recorder = timeline.NewRecorder(1, 1<<20)
 	}
-	e := newEnv(cfg)
-	return &e, alloc
+	c := newCore("bench", cfg, af)
+	return &c, alloc
 }
 
 // benchmarkBatchFreer measures the recorded-trial free path: freeBatch over
 // a reused bag, with the allocator's own stamping included.
 func benchmarkBatchFreer(b *testing.B, recorded bool) {
-	e, alloc := benchEnv(recorded)
-	f := newBatchFreer(e)
+	f, alloc := benchCore(recorded, false)
 	const k = 256
 	batch := make([]*simalloc.Object, k)
 	b.ResetTimer()
@@ -53,8 +56,7 @@ func BenchmarkBatchFreerRecorded(b *testing.B)   { benchmarkBatchFreer(b, true) 
 // benchmarkAmortizedPump measures the per-operation drain: one queued free
 // per pump at the paper's DrainRate of 1.
 func benchmarkAmortizedPump(b *testing.B, recorded bool) {
-	e, alloc := benchEnv(recorded)
-	f := newAmortizedFreer(e)
+	f, alloc := benchCore(recorded, true)
 	const k = 4096
 	batch := make([]*simalloc.Object, k)
 	queued := 0

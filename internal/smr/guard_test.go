@@ -112,9 +112,9 @@ func TestGuardProtectMatchesInterface(t *testing.T) {
 					if step == 3 {
 						switch v := r.(type) {
 						case *HE:
-							v.era.v.Add(1)
+							v.clock.era.v.Add(1)
 						case *IBR:
-							v.epoch.v.Add(1)
+							v.clock.era.v.Add(1)
 						case *NBR:
 							v.round.v.Add(1)
 						}

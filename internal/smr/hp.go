@@ -11,28 +11,21 @@ import "repro/internal/simalloc"
 // token_af in the paper's Experiment 1; the scan-then-free-batch structure
 // is why it still benefits (modestly) from amortized freeing.
 type HP struct {
-	e      env
-	f      freer
-	af     bool
+	core
 	slots  []padPtr // threads × HazardSlots, row-major
 	guards []Guard
 	th     []hpThread
 }
 
 type hpThread struct {
-	retired []*simalloc.Object
+	scanList
+	// scratch is the scan's hazard snapshot, reused like the lists.
 	scratch map[*simalloc.Object]struct{}
-	// freeable is the scan's output batch, reused across scans so the
-	// steady state allocates nothing.
-	freeable []*simalloc.Object
-	_        [1]int64
+	_       [1]int64
 }
 
-// NewHP constructs hazard pointers; af selects the amortized-free variant.
-func NewHP(cfg Config, af bool) *HP {
-	h := &HP{af: af}
-	h.e = newEnv(cfg)
-	h.f = newFreer(&h.e, af)
+func newHP(name string, cfg Config, af bool) Reclaimer {
+	h := &HP{core: newCore(name, cfg, af)}
 	hs := h.e.cfg.HazardSlots
 	h.slots = make([]padPtr, h.e.cfg.Threads*hs)
 	h.guards = make([]Guard, h.e.cfg.Threads)
@@ -50,27 +43,19 @@ func NewHP(cfg Config, af bool) *HP {
 // store into the tid's hazard window.
 func (h *HP) Guard(tid int) *Guard { return &h.guards[tid] }
 
-func (h *HP) Name() string {
-	if h.af {
-		return "hp_af"
+// clearHazards nils a thread's hazard slots.
+func clearHazards(w []padPtr) {
+	for i := range w {
+		w[i].p.Store(nil)
 	}
-	return "hp"
 }
 
-// BeginOp is a no-op; protection is per pointer.
-func (h *HP) BeginOp(int) {}
-
-// EndOp clears the thread's hazard window and pumps the freer.
+// EndOp clears the thread's hazard window and pumps the freer. (BeginOp is
+// core's no-op; protection is per pointer.)
 func (h *HP) EndOp(tid int) {
-	base := tid * h.e.cfg.HazardSlots
-	for i := 0; i < h.e.cfg.HazardSlots; i++ {
-		h.slots[base+i].p.Store(nil)
-	}
-	h.f.pump(tid)
+	clearHazards(h.guards[tid].ptrs)
+	h.pump(tid)
 }
-
-// OnAlloc is a no-op.
-func (h *HP) OnAlloc(int, *simalloc.Object) {}
 
 // Protect publishes o in tid's hazard slot. The sequentially-consistent
 // store is the algorithm's per-step cost.
@@ -88,71 +73,36 @@ func (h *HP) Retire(tid int, o *simalloc.Object) {
 	}
 }
 
-// scan partitions the retire list into protected and free-able objects and
-// hands the latter to the freer as one batch.
+// scan snapshots every hazard slot and sweeps the retire list against it:
+// an object is held while some slot publishes it.
 func (h *HP) scan(tid int) {
 	me := &h.th[tid]
 	// Adoption point: orphans join the retire list before the hazard
 	// snapshot, so anything still published in a live thread's window is
 	// kept and everything else frees with this batch.
-	if h.e.reg.hasOrphans() {
-		me.retired = h.e.reg.adoptInto(me.retired)
-	}
+	me.retired = h.adopt(me.retired)
 	clear(me.scratch)
 	for i := range h.slots {
 		if o := h.slots[i].p.Load(); o != nil {
 			me.scratch[o] = struct{}{}
 		}
 	}
-	keep := me.retired[:0]
-	freeable := me.freeable[:0]
-	for _, o := range me.retired {
-		if _, hazard := me.scratch[o]; hazard {
-			keep = append(keep, o)
-		} else {
-			freeable = append(freeable, o)
-		}
-	}
-	me.retired = keep
-	h.e.epochs.Add(1) // count scan rounds as "epochs" for reporting
-	h.f.freeBatch(tid, freeable)
-	clear(freeable) // freed objects must not stay reachable from the scratch
-	me.freeable = freeable[:0]
-	h.e.sampleGarbage(tid)
+	h.sweep(tid, &me.scanList, func(o *simalloc.Object) bool {
+		_, hazard := me.scratch[o]
+		return hazard
+	})
 }
 
-// Join occupies a vacated slot; its hazard window is already clear (Leave
-// and EndOp both nil it), so the joiner starts unprotected as a fresh
-// thread would.
-func (h *HP) Join() (int, error) { return h.e.reg.join() }
-
-// Leave clears the slot's hazard window, hands its retire list and any
-// queued freeable objects to the orphan queue, and vacates the slot.
+// Leave clears the slot's hazard window — so the joiner that recycles the
+// slot starts unprotected, as a fresh thread would — and hands its retire
+// list to the orphan queue.
 func (h *HP) Leave(tid int) {
-	base := tid * h.e.cfg.HazardSlots
-	for i := 0; i < h.e.cfg.HazardSlots; i++ {
-		h.slots[base+i].p.Store(nil)
-	}
-	me := &h.th[tid]
-	h.e.reg.orphan(me.retired)
-	me.retired = nil
-	h.f.orphanAll(h.e.reg, tid)
-	h.e.leave(tid)
+	clearHazards(h.guards[tid].ptrs)
+	h.depart(tid, &h.th[tid].retired)
 }
 
 // Drain frees everything pending — including orphans — regardless of
 // hazards (only call once all threads have stopped).
 func (h *HP) Drain(tid int) {
-	me := &h.th[tid]
-	if h.e.reg.hasOrphans() {
-		me.retired = h.e.reg.adoptInto(me.retired)
-	}
-	if len(me.retired) > 0 {
-		h.f.freeBatch(tid, me.retired)
-		me.retired = me.retired[:0]
-	}
-	h.f.drainAll(tid)
+	h.drain(tid, 0, &h.th[tid].retired)
 }
-
-// Stats returns an aggregated snapshot.
-func (h *HP) Stats() Stats { return h.e.stats() }

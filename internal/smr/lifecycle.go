@@ -27,10 +27,11 @@ import (
 //   - A departing participant's unreclaimed objects are never freed
 //     immediately — other threads may still hold references from ops in
 //     flight. They are handed to the shared orphan queue, and survivors
-//     adopt them into their own limbo machinery (each reclaimer picks the
-//     adoption point that matches its safety argument; see the Leave docs
-//     in each file). Adopted objects then ride an ordinary grace period
-//     before being freed. Stack teardown drains the queue uncondition-
+//     adopt them into their own limbo machinery: core.depart is the one
+//     Leave body, and each scheme calls core.adopt at the point that
+//     matches its safety argument (the comment at that call says why).
+//     Adopted objects then ride an ordinary grace period before being
+//     freed. Stack teardown (core.drain) empties the queue uncondition-
 //     ally, so nothing leaks even if no survivor runs another operation.
 //
 // Fixed-population trials never call Join/Leave: every slot starts live,

@@ -105,7 +105,7 @@ func TestLeaveOrphansDrainedAtTeardown(t *testing.T) {
 // token passes over vacated slots, a departing holder re-homes it, and a
 // joiner claims a token stranded on a dead slot.
 func TestTokenRingSkipsDepartedSlots(t *testing.T) {
-	tok := NewToken(testConfig(3), TokenAF)
+	tok := mustNew(t, "token_af", testConfig(3)).(*Token)
 
 	tok.Leave(1)
 	// holder starts at slot 0; receipt there must pass over dead slot 1.

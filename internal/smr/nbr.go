@@ -25,9 +25,7 @@ import (
 // the bag's objects are unreachable, so the bag is freed without a new
 // round.
 type NBR struct {
-	e    env
-	f    freer
-	af   bool
+	core
 	plus bool
 
 	round  pad64   // current neutralization round
@@ -49,35 +47,23 @@ type nbrThread struct {
 	_      [4]int64
 }
 
-// NewNBR constructs NBR (plus=false) or NBR+ (plus=true); af selects the
-// amortized-free variant.
-func NewNBR(cfg Config, plus, af bool) *NBR {
-	n := &NBR{af: af, plus: plus}
-	n.e = newEnv(cfg)
-	n.f = newFreer(&n.e, af)
-	n.acks = make([]pad64, n.e.cfg.Threads)
-	n.guards = make([]Guard, n.e.cfg.Threads)
-	for tid := range n.guards {
-		n.guards[tid] = Guard{mode: GuardAck, round: &n.round, ack: &n.acks[tid]}
+// newNBR returns the registry constructor of NBR (plus=false) or NBR+.
+func newNBR(plus bool) func(string, Config, bool) Reclaimer {
+	return func(name string, cfg Config, af bool) Reclaimer {
+		n := &NBR{core: newCore(name, cfg, af), plus: plus}
+		n.acks = make([]pad64, cfg.Threads)
+		n.guards = make([]Guard, cfg.Threads)
+		for tid := range n.guards {
+			n.guards[tid] = Guard{mode: GuardAck, round: &n.round, ack: &n.acks[tid]}
+		}
+		n.th = make([]nbrThread, cfg.Threads)
+		return n
 	}
-	n.th = make([]nbrThread, n.e.cfg.Threads)
-	return n
 }
 
 // Guard returns tid's zero-dispatch protection handle: a direct
 // neutralization-round acknowledgement checkpoint.
 func (n *NBR) Guard(tid int) *Guard { return &n.guards[tid] }
-
-func (n *NBR) Name() string {
-	name := "nbr"
-	if n.plus {
-		name = "nbrplus"
-	}
-	if n.af {
-		name += "_af"
-	}
-	return name
-}
 
 // ack acknowledges any pending neutralization round; this is where the
 // original algorithm's signal handler would run.
@@ -99,11 +85,8 @@ func (n *NBR) BeginOp(tid int) {
 func (n *NBR) EndOp(tid int) {
 	n.ack(tid)
 	n.th[tid].active.v.Store(0)
-	n.f.pump(tid)
+	n.pump(tid)
 }
-
-// OnAlloc is a no-op.
-func (n *NBR) OnAlloc(int, *simalloc.Object) {}
 
 // Protect is a neutralization checkpoint.
 func (n *NBR) Protect(tid int, _ int, _ *simalloc.Object) { n.ack(tid) }
@@ -119,9 +102,7 @@ func (n *NBR) Retire(tid int, o *simalloc.Object) {
 		// was unlinked before bagStartDone was sampled, and a completed
 		// round after that point (run or elided) proves no reader holds a
 		// reference. Adopting mid-bag would break NBR+'s elision proof.
-		if n.e.reg.hasOrphans() {
-			me.bag = n.e.reg.adoptInto(me.bag)
-		}
+		me.bag = n.adopt(me.bag)
 	}
 	me.bag = append(me.bag, o)
 	n.e.noteRetire(tid)
@@ -131,7 +112,7 @@ func (n *NBR) Retire(tid int, o *simalloc.Object) {
 	if !(n.plus && n.done.v.Load() > me.bagStartDone) {
 		n.neutralize(tid)
 	}
-	n.f.freeBatch(tid, me.bag)
+	n.freeBatch(tid, me.bag)
 	me.bag = me.bag[:0]
 }
 
@@ -168,29 +149,13 @@ func (n *NBR) Join() (int, error) {
 }
 
 // Leave marks the slot idle (neutralizers treat idle threads as implicitly
-// acknowledged, so no round ever waits on it), hands its bag and any
-// queued freeable objects to the orphan queue, and vacates the slot.
+// acknowledged, so no round ever waits on it) and hands its bag to the
+// orphan queue.
 func (n *NBR) Leave(tid int) {
 	me := &n.th[tid]
 	me.active.v.Store(0)
-	n.e.reg.orphan(me.bag)
-	me.bag = nil
-	n.f.orphanAll(n.e.reg, tid)
-	n.e.leave(tid)
+	n.depart(tid, &me.bag)
 }
 
 // Drain frees everything pending — including orphans — unconditionally.
-func (n *NBR) Drain(tid int) {
-	me := &n.th[tid]
-	if n.e.reg.hasOrphans() {
-		me.bag = n.e.reg.adoptInto(me.bag)
-	}
-	if len(me.bag) > 0 {
-		n.f.freeBatch(tid, me.bag)
-		me.bag = me.bag[:0]
-	}
-	n.f.drainAll(tid)
-}
-
-// Stats returns an aggregated snapshot.
-func (n *NBR) Stats() Stats { return n.e.stats() }
+func (n *NBR) Drain(tid int) { n.drain(tid, 0, &n.th[tid].bag) }

@@ -24,7 +24,6 @@ func TestPaddedTypesFillCacheLines(t *testing.T) {
 		{"afQueue", unsafe.Sizeof(afQueue{}), false},
 		{"poolThread", unsafe.Sizeof(poolThread{}), false},
 		{"debraThread", unsafe.Sizeof(debraThread{}), false},
-		{"qsbrThread", unsafe.Sizeof(qsbrThread{}), false},
 		{"hpThread", unsafe.Sizeof(hpThread{}), false},
 		{"heThread", unsafe.Sizeof(heThread{}), false},
 		{"ibrThread", unsafe.Sizeof(ibrThread{}), false},
@@ -83,6 +82,7 @@ func TestHotFieldsDoNotShareLines(t *testing.T) {
 		e  env
 		tk Token
 		dt debraThread
+		ec eraClock
 	)
 	word := unsafe.Sizeof(int64(0))
 	for _, c := range []struct {
@@ -114,6 +114,19 @@ func TestHotFieldsDoNotShareLines(t *testing.T) {
 				{"f", unsafe.Offsetof(tk.f), unsafe.Sizeof(tk.f)},
 				{"variant", unsafe.Offsetof(tk.variant), unsafe.Sizeof(tk.variant)},
 				{"th", unsafe.Offsetof(tk.th), unsafe.Sizeof(tk.th)},
+			},
+		},
+		{
+			// Every retire, on any thread, writes retireN; every operation
+			// reads era. The pads put a full line after each, so whatever a
+			// scheme declares around its clock is clear of both.
+			typ: "eraClock",
+			written: []span{
+				{"retireN.v", unsafe.Offsetof(ec.retireN) + unsafe.Offsetof(ec.retireN.v), word},
+			},
+			read: []span{
+				{"freq", unsafe.Offsetof(ec.freq), unsafe.Sizeof(ec.freq)},
+				{"era.v", unsafe.Offsetof(ec.era) + unsafe.Offsetof(ec.era.v), word},
 			},
 		},
 		{

@@ -102,7 +102,7 @@ func TestPeakLimboBoundConcurrent(t *testing.T) {
 // the objects is the one who will subtract them.
 func TestLeavePublishesPendingRetires(t *testing.T) {
 	cfg := testConfig(2)
-	d := NewDEBRA(cfg, false)
+	d := mustNew(t, "debra", cfg).(*DEBRA)
 	const n = limboPublishEvery - 1
 	for i := 0; i < n; i++ {
 		o := cfg.Alloc.Alloc(1, 64)

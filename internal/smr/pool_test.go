@@ -84,7 +84,7 @@ func TestPoolWithReclaimer(t *testing.T) {
 	p := NewPoolAllocator(base, 1<<20)
 	cfg := DefaultConfig(p, 1)
 	cfg.BatchSize = 16
-	r := NewDEBRA(cfg, true)
+	r := mustNew(t, "debra_af", cfg)
 	for i := 0; i < 500; i++ {
 		r.BeginOp(0)
 		o := p.Alloc(0, 240)

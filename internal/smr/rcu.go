@@ -19,9 +19,7 @@ import (
 // to the RBF problem; rcu_af keeps the grace-period wait but queues the bag
 // for amortized freeing.
 type RCU struct {
-	e  env
-	f  freer
-	af bool
+	core
 	th []rcuThread
 }
 
@@ -39,23 +37,18 @@ type rcuThread struct {
 	// it out, would never escape).
 	syncing pad64
 	bag     []*simalloc.Object
-	_       [5]int64
+	// snap is synchronize's counter snapshot, kept per thread so a grace
+	// period allocates nothing.
+	snap []int64
+	_    [2]int64
 }
 
-// NewRCU constructs RCU; af selects the amortized-free variant.
-func NewRCU(cfg Config, af bool) *RCU {
-	r := &RCU{af: af}
-	r.e = newEnv(cfg)
-	r.f = newFreer(&r.e, af)
-	r.th = make([]rcuThread, r.e.cfg.Threads)
-	return r
-}
-
-func (r *RCU) Name() string {
-	if r.af {
-		return "rcu_af"
+func newRCU(name string, cfg Config, af bool) Reclaimer {
+	r := &RCU{core: newCore(name, cfg, af), th: make([]rcuThread, cfg.Threads)}
+	for t := range r.th {
+		r.th[t].snap = make([]int64, cfg.Threads)
 	}
-	return "rcu"
+	return r
 }
 
 // BeginOp enters the read-side critical section (counter becomes odd).
@@ -69,18 +62,8 @@ func (r *RCU) BeginOp(tid int) {
 func (r *RCU) EndOp(tid int) {
 	c := &r.th[tid].counter.v
 	c.Store(c.Load() + 1)
-	r.f.pump(tid)
+	r.pump(tid)
 }
-
-// OnAlloc is a no-op.
-func (r *RCU) OnAlloc(int, *simalloc.Object) {}
-
-// Protect is a no-op: RCU readers are protected by the critical section.
-func (r *RCU) Protect(int, int, *simalloc.Object) {}
-
-// Guard returns nil: the read-side critical section protects the whole
-// traversal, so trees branch away from the protect path entirely.
-func (r *RCU) Guard(int) *Guard { return nil }
 
 // Retire adds o to the bag; when the bag reaches BatchSize the thread waits
 // for a grace period and hands the bag to the freer.
@@ -95,11 +78,9 @@ func (r *RCU) Retire(tid int, o *simalloc.Object) {
 	// They were unlinked before their owner departed, so any reader that
 	// could still reference them is inside a critical section synchronize
 	// is about to wait out.
-	if r.e.reg.hasOrphans() {
-		me.bag = r.e.reg.adoptInto(me.bag)
-	}
+	me.bag = r.adopt(me.bag)
 	r.synchronize(tid)
-	r.f.freeBatch(tid, me.bag)
+	r.freeBatch(tid, me.bag)
 	me.bag = me.bag[:0]
 }
 
@@ -115,7 +96,7 @@ func (r *RCU) synchronize(tid int) {
 	me := &r.th[tid]
 	me.syncing.v.Store(1)
 	defer me.syncing.v.Store(0)
-	snap := make([]int64, r.e.cfg.Threads)
+	snap := me.snap
 	for t := range r.th {
 		snap[t] = r.th[t].counter.v.Load()
 	}
@@ -144,35 +125,12 @@ func (r *RCU) synchronize(tid int) {
 	r.e.sampleGarbage(tid)
 }
 
-// Join occupies a vacated slot. A vacated slot's counter is even (its old
-// occupant left outside any critical section), which is exactly the
-// quiescent state a fresh reader needs, so nothing is re-primed.
-func (r *RCU) Join() (int, error) { return r.e.reg.join() }
-
-// Leave hands the slot's limbo bag and any queued freeable objects to the
-// orphan queue and vacates the slot. The counter stays even, so in-flight
-// grace-period waits already treat the slot as quiescent.
-func (r *RCU) Leave(tid int) {
-	me := &r.th[tid]
-	r.e.reg.orphan(me.bag)
-	me.bag = nil
-	r.f.orphanAll(r.e.reg, tid)
-	r.e.leave(tid)
-}
+// Leave hands the slot's limbo bag to the orphan queue. The counter stays
+// even — its occupant leaves outside any critical section — so in-flight
+// grace-period waits already treat the slot as quiescent, and that is also
+// exactly the state a joiner recycling the slot needs: nothing is re-primed.
+func (r *RCU) Leave(tid int) { r.depart(tid, &r.th[tid].bag) }
 
 // Drain frees the bag, pending orphans, and the freeable list
 // unconditionally.
-func (r *RCU) Drain(tid int) {
-	me := &r.th[tid]
-	if r.e.reg.hasOrphans() {
-		me.bag = r.e.reg.adoptInto(me.bag)
-	}
-	if len(me.bag) > 0 {
-		r.f.freeBatch(tid, me.bag)
-		me.bag = me.bag[:0]
-	}
-	r.f.drainAll(tid)
-}
-
-// Stats returns an aggregated snapshot.
-func (r *RCU) Stats() Stats { return r.e.stats() }
+func (r *RCU) Drain(tid int) { r.drain(tid, 0, &r.th[tid].bag) }

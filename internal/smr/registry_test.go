@@ -1,33 +1,51 @@
 package smr
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// TestNamesMatchFactories pins the two hand-maintained views of the
-// registry together: every name Names() advertises must construct, and
-// every registered factory must be advertised (the "token" alias for the
-// periodic variant is the one documented exception).
+// TestNamesMatchFactories checks the one registry table: no name appears
+// twice, exactly one row is an alias ("token", for the periodic variant), the
+// alias resolves to a constructible row, and Names() lists every row but it.
 func TestNamesMatchFactories(t *testing.T) {
-	aliases := map[string]bool{"token": true}
-
-	names := map[string]bool{}
-	for _, name := range Names() {
-		if names[name] {
-			t.Errorf("Names() lists %q twice", name)
+	names := Names()
+	seen := map[string]bool{}
+	var aliases []string
+	for _, ent := range registry {
+		if seen[ent.name] {
+			t.Errorf("registry lists %q twice", ent.name)
 		}
-		names[name] = true
-		if _, ok := factories[name]; !ok {
-			t.Errorf("Names() lists %q but no factory is registered", name)
+		seen[ent.name] = true
+		switch {
+		case ent.alias != "":
+			aliases = append(aliases, ent.name)
+			if i := find(ent.alias); i < 0 || registry[i].new == nil {
+				t.Errorf("alias %q names %q, which does not construct", ent.name, ent.alias)
+			}
+			if slices.Contains(names, ent.name) {
+				t.Errorf("Names() lists the alias %q", ent.name)
+			}
+		case ent.new == nil:
+			t.Errorf("registry row %q has no constructor", ent.name)
+		case !slices.Contains(names, ent.name):
+			t.Errorf("Names() omits %q", ent.name)
+		}
+		if !Known(ent.name) {
+			t.Errorf("Known(%q) = false", ent.name)
 		}
 	}
-	for name := range factories {
-		if !names[name] && !aliases[name] {
-			t.Errorf("factory %q is not listed in Names()", name)
-		}
+	if len(aliases) != 1 || aliases[0] != "token" {
+		t.Errorf("aliases = %v, want exactly [token]", aliases)
 	}
-	for alias := range aliases {
-		if _, ok := factories[alias]; !ok {
-			t.Errorf("documented alias %q has no factory", alias)
-		}
+	if len(names) != len(registry)-1 {
+		t.Errorf("Names() has %d entries for %d non-alias rows", len(names), len(registry)-1)
+	}
+	if r, err := New("token", testConfig(1)); err != nil || r.Name() != "token_periodic" {
+		t.Errorf(`New("token") = %v, %v; want the token_periodic reclaimer`, r, err)
+	}
+	if Known("bogus") {
+		t.Error(`Known("bogus") = true`)
 	}
 }
 
@@ -35,13 +53,13 @@ func TestNamesMatchFactories(t *testing.T) {
 // the registry too.
 func TestExperimentNamesRegistered(t *testing.T) {
 	for _, name := range Experiment1Names() {
-		if _, ok := factories[name]; !ok {
+		if !Known(name) {
 			t.Errorf("Experiment1Names lists unknown reclaimer %q", name)
 		}
 	}
 	for _, pair := range Experiment2Pairs() {
 		for _, name := range pair {
-			if _, ok := factories[name]; !ok {
+			if !Known(name) {
 				t.Errorf("Experiment2Pairs lists unknown reclaimer %q", name)
 			}
 		}

@@ -12,6 +12,12 @@
 // the same locking discipline as jemalloc/tcmalloc/mimalloc. The paper's
 // remote-batch-free pathology, and the amortized-free fix, both live in the
 // interaction between this package's freeing policy and the allocator.
+//
+// A reclaimer is its grace-period rule. Each scheme file supplies its
+// announcement state, BeginOp / EndOp / Retire, a grace-period test and an
+// adoption point; the embedded core (core.go) supplies everything else —
+// the freeing policy (freer.go), Leave / Drain bodies, Join, Stats, Diagnose,
+// the registry name — once, for all of them.
 package smr
 
 import (
@@ -150,7 +156,9 @@ type Config struct {
 	Stopped func() bool
 }
 
-// DefaultConfig returns the configuration used across the reproduction.
+// DefaultConfig returns the configuration used across the reproduction. It
+// is the one defaults table: a Config built by hand has its unset (zero or
+// negative) fields filled from these same values at construction.
 func DefaultConfig(alloc simalloc.Allocator, threads int) Config {
 	return Config{
 		Alloc:         alloc,
@@ -165,7 +173,7 @@ func DefaultConfig(alloc simalloc.Allocator, threads int) Config {
 }
 
 // Validate reports the configuration errors construction would otherwise
-// panic on. New runs it before invoking a factory, so bad configurations
+// panic on. New runs it before invoking a constructor, so bad configurations
 // surface as ordinary errors through the harness (bench.RunTrial) instead
 // of panics; the panics in fillDefaults remain only as a backstop for
 // direct constructor misuse.
@@ -183,23 +191,18 @@ func (c *Config) fillDefaults() {
 	if err := c.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 2048
-	}
-	if c.DrainRate <= 0 {
-		c.DrainRate = 1
-	}
-	if c.EpochCheckOps <= 0 {
-		c.EpochCheckOps = 1
-	}
-	if c.TokenCheckK <= 0 {
-		c.TokenCheckK = 100
-	}
-	if c.HazardSlots <= 0 {
-		c.HazardSlots = 3
-	}
-	if c.EraFreq <= 0 {
-		c.EraFreq = 64
+	d := DefaultConfig(c.Alloc, c.Threads)
+	for _, f := range []struct {
+		v   *int
+		def int
+	}{
+		{&c.BatchSize, d.BatchSize}, {&c.DrainRate, d.DrainRate},
+		{&c.EpochCheckOps, d.EpochCheckOps}, {&c.TokenCheckK, d.TokenCheckK},
+		{&c.HazardSlots, d.HazardSlots}, {&c.EraFreq, d.EraFreq},
+	} {
+		if *f.v <= 0 {
+			*f.v = f.def
+		}
 	}
 }
 
@@ -218,9 +221,9 @@ type threadCtr struct {
 // them to the shared limbo count. It bounds how low Stats.PeakLimbo can read.
 const limboPublishEvery = 32
 
-// env is the shared plumbing embedded by every reclaimer: allocator, freeing
-// policy hooks, per-thread counters, participant registry, epoch counter and
-// timeline recorder.
+// env is the shared plumbing inside every reclaimer's core: allocator,
+// per-thread counters, participant registry, epoch counter and timeline
+// recorder.
 type env struct {
 	cfg    Config
 	alloc  simalloc.Allocator
@@ -245,8 +248,8 @@ type env struct {
 	glogMu sync.Mutex
 }
 
+// newEnv builds the plumbing for a cfg whose defaults are filled (newCore).
 func newEnv(cfg Config) env {
-	cfg.fillDefaults()
 	return env{
 		cfg:   cfg,
 		alloc: cfg.Alloc,

@@ -24,6 +24,16 @@ func testConfig(threads int) Config {
 	return cfg
 }
 
+// mustNew constructs name through the registry, as the harness does.
+func mustNew(t testing.TB, name string, cfg Config) Reclaimer {
+	t.Helper()
+	r, err := New(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestRegistryNamesConstruct(t *testing.T) {
 	for _, name := range Names() {
 		r, err := New(name, testConfig(2))
@@ -101,6 +111,47 @@ func TestSingleThreadLifecycle(t *testing.T) {
 			}
 			if alloc.LiveBytes() != 0 {
 				t.Fatalf("allocator live bytes = %d after drain", alloc.LiveBytes())
+			}
+		})
+	}
+}
+
+// TestGracePeriodPathsAllocNothing holds every scheme's retire → grace
+// period → free cycle to zero host allocations once warm: bags, scan scratch
+// and snapshots are per-thread and reused, the shared sweep's closure and
+// the variadic depart / drain do not escape. One thread, objects recycled
+// through an allocator whose cache never flushes, so any allocation counted
+// is the reclaimer's own.
+func TestGracePeriodPathsAllocNothing(t *testing.T) {
+	for _, name := range Names() {
+		if name == "none" {
+			continue // leaks by design, so the allocator keeps carving fresh objects
+		}
+		t.Run(name, func(t *testing.T) {
+			alloc := zeroCostAlloc()
+			cfg := DefaultConfig(alloc, 1)
+			cfg.BatchSize = 64
+			r := mustNew(t, name, cfg)
+			batch := func() {
+				for i := 0; i < cfg.BatchSize; i++ {
+					r.BeginOp(0)
+					o := alloc.Alloc(0, 64)
+					r.OnAlloc(0, o)
+					r.Protect(0, i, o)
+					r.Retire(0, o)
+					r.EndOp(0)
+				}
+			}
+			// Warm past the first grace periods, and past the point where an
+			// AF queue's ring has compacted once and stopped growing.
+			for i := 0; i < 64; i++ {
+				batch()
+			}
+			if st := r.Stats(); st.Epochs == 0 || st.Freed == 0 {
+				t.Fatalf("warm-up never reached a grace period: %+v", st)
+			}
+			if n := testing.AllocsPerRun(10, batch); n != 0 {
+				t.Errorf("retiring BatchSize objects allocates %v times on the host; want 0", n)
 			}
 		})
 	}
@@ -203,7 +254,7 @@ func TestEpochAdvances(t *testing.T) {
 // that never announces the current epoch prevents advancement.
 func TestDebraDelayedThreadBlocksEpoch(t *testing.T) {
 	cfg := testConfig(2)
-	d := NewDEBRA(cfg, false)
+	d := mustNew(t, "debra", cfg)
 	// Thread 1 announces epoch 0 once, then goes silent.
 	d.BeginOp(1)
 	d.EndOp(1)
@@ -223,7 +274,7 @@ func TestDebraDelayedThreadBlocksEpoch(t *testing.T) {
 // TestTokenRingOrder checks the token circulates the ring in order.
 func TestTokenRingOrder(t *testing.T) {
 	cfg := testConfig(3)
-	tok := NewToken(cfg, TokenPassFirst)
+	tok := mustNew(t, "token_pass", cfg).(*Token)
 	// Initially thread 0 holds the token.
 	tok.BeginOp(1) // not holder: no-op
 	if tok.Receipts(1) != 0 {
@@ -259,7 +310,7 @@ func TestTokenRingOrder(t *testing.T) {
 // the bag "previous", once more to free it).
 func TestTokenSafetyWindow(t *testing.T) {
 	cfg := testConfig(2)
-	tok := NewToken(cfg, TokenPassFirst)
+	tok := mustNew(t, "token_pass", cfg).(*Token)
 	o := cfg.Alloc.Alloc(0, 64)
 	tok.BeginOp(0) // receives token; bags empty
 	tok.Retire(0, o)
@@ -286,7 +337,7 @@ func TestTokenSafetyWindow(t *testing.T) {
 func TestHPProtectedObjectSurvivesScan(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.BatchSize = 4
-	h := NewHP(cfg, false)
+	h := mustNew(t, "hp", cfg)
 	alloc := cfg.Alloc
 
 	victim := alloc.Alloc(1, 64)
@@ -320,7 +371,7 @@ func TestHEEraConflict(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.BatchSize = 4
 	cfg.EraFreq = 1 // advance era every retire
-	h := NewHE(cfg, false)
+	h := mustNew(t, "he", cfg)
 	alloc := cfg.Alloc
 
 	h.BeginOp(1) // thread 1 reserves the current era
@@ -356,7 +407,7 @@ func TestIBRReservationConflict(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.BatchSize = 4
 	cfg.EraFreq = 1
-	r := NewIBR(cfg, false)
+	r := mustNew(t, "ibr", cfg)
 	alloc := cfg.Alloc
 
 	r.BeginOp(1)
@@ -391,10 +442,10 @@ func TestIBRReservationConflict(t *testing.T) {
 // flag; FixedOps trials have no such rescue, so the livelock must not form
 // at all.
 func TestRCUMutualSynchronizeNoDeadlock(t *testing.T) {
-	for _, af := range []bool{false, true} {
+	for _, name := range []string{"rcu", "rcu_af"} {
 		cfg := testConfig(2)
 		cfg.BatchSize = 1 // every Retire triggers synchronize
-		r := NewRCU(cfg, af)
+		r := mustNew(t, name, cfg)
 		alloc := cfg.Alloc
 
 		var barrier, done sync.WaitGroup
@@ -416,13 +467,13 @@ func TestRCUMutualSynchronizeNoDeadlock(t *testing.T) {
 		select {
 		case <-finished:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("af=%v: mutual synchronize deadlocked", af)
+			t.Fatalf("%s: mutual synchronize deadlocked", name)
 		}
 		for tid := 0; tid < 2; tid++ {
 			r.Drain(tid)
 		}
 		if st := r.Stats(); st.Freed != 2 || st.Limbo != 0 {
-			t.Fatalf("af=%v: freed=%d limbo=%d after drain", af, st.Freed, st.Limbo)
+			t.Fatalf("%s: freed=%d limbo=%d after drain", name, st.Freed, st.Limbo)
 		}
 	}
 }
@@ -432,7 +483,7 @@ func TestRCUMutualSynchronizeNoDeadlock(t *testing.T) {
 func TestNBRPlusElidesRounds(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.BatchSize = 4
-	n := NewNBR(cfg, true, false)
+	n := mustNew(t, "nbrplus", cfg)
 	alloc := cfg.Alloc
 	// First bag: must neutralize (round 1).
 	for i := 0; i < 4; i++ {
@@ -460,7 +511,7 @@ func TestNBRPlusElidesRounds(t *testing.T) {
 func TestAFQueuesAndPumps(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.DrainRate = 2
-	d := NewDEBRA(cfg, true)
+	d := mustNew(t, "debra_af", cfg)
 	alloc := cfg.Alloc
 
 	var retired []*simalloc.Object
@@ -569,10 +620,13 @@ func TestAFQueueCompactionDropsReferences(t *testing.T) {
 
 func TestConfigDefaultsFilled(t *testing.T) {
 	cfg := Config{Alloc: testAlloc(1), Threads: 1}
-	e := newEnv(cfg)
-	if e.cfg.BatchSize == 0 || e.cfg.DrainRate == 0 || e.cfg.TokenCheckK == 0 ||
-		e.cfg.HazardSlots == 0 || e.cfg.EraFreq == 0 || e.cfg.EpochCheckOps == 0 {
-		t.Fatalf("defaults not filled: %+v", e.cfg)
+	got := newCore("test", cfg, false).e.cfg
+	want := DefaultConfig(cfg.Alloc, 1)
+	knobs := func(c Config) [6]int {
+		return [6]int{c.BatchSize, c.DrainRate, c.EpochCheckOps, c.TokenCheckK, c.HazardSlots, c.EraFreq}
+	}
+	if knobs(got) != knobs(want) {
+		t.Fatalf("a hand-built Config runs with %v; want DefaultConfig's %v", knobs(got), knobs(want))
 	}
 }
 
@@ -584,7 +638,7 @@ func TestConfigPanics(t *testing.T) {
 					t.Error("invalid config did not panic")
 				}
 			}()
-			newEnv(cfg)
+			newCore("test", cfg, false)
 		}()
 	}
 }

@@ -29,34 +29,18 @@ const (
 	TokenAF
 )
 
-// String returns the registry name of the variant.
-func (v TokenVariant) String() string {
-	switch v {
-	case TokenNaive:
-		return "token_naive"
-	case TokenPassFirst:
-		return "token_pass"
-	case TokenPeriodic:
-		return "token_periodic"
-	case TokenAF:
-		return "token_af"
-	default:
-		return "token(?)"
-	}
-}
-
 // Token implements the paper's Token-EBR (Section 4): threads form a ring
 // and a token circulates; receiving the token means every thread has begun
 // a new operation since the token last visited, so the receiver's previous
 // limbo bag is safe to free. The algorithm needs one shared word (the
 // holder index) and two bags per thread — dramatically simpler than DEBRA.
 type Token struct {
-	e       env
-	f       freer
+	core
 	variant TokenVariant
 
-	// holder is written at every token pass and read by every BeginOp; f,
-	// variant and th are read by every operation and stay off its line.
+	// holder is written at every token pass and read by every BeginOp; the
+	// core's f, variant and th are read by every operation and stay off its
+	// line.
 	holder isolated64
 	th     []tokenThread
 }
@@ -67,16 +51,12 @@ type tokenThread struct {
 	_         [1]int64
 }
 
-// NewToken constructs the given Token-EBR variant.
-func NewToken(cfg Config, variant TokenVariant) *Token {
-	t := &Token{variant: variant}
-	t.e = newEnv(cfg)
-	t.f = newFreer(&t.e, variant == TokenAF)
-	t.th = make([]tokenThread, t.e.cfg.Threads)
-	return t
+// newToken returns the registry constructor of the given variant.
+func newToken(variant TokenVariant) func(string, Config, bool) Reclaimer {
+	return func(name string, cfg Config, af bool) Reclaimer {
+		return &Token{core: newCore(name, cfg, af), variant: variant, th: make([]tokenThread, cfg.Threads)}
+	}
 }
-
-func (t *Token) Name() string { return t.variant.String() }
 
 // nextLive returns the next occupied slot after from in ring order, or
 // from itself when no other slot is occupied. With a full population this
@@ -132,18 +112,16 @@ func (t *Token) BeginOp(tid int) {
 	// they are freed only after this bag survives a bag swap plus a full
 	// ring round — every live participant passes an operation boundary
 	// in between.
-	if t.e.reg.hasOrphans() {
-		me.cur = t.e.reg.adoptInto(me.cur)
-	}
+	me.cur = t.adopt(me.cur)
 
 	switch t.variant {
 	case TokenNaive:
-		t.freeBatchNow(tid, me.prev)
+		t.freeNow(tid, me.prev)
 		me.cur, me.prev = me.prev[:0], me.cur
 		t.pass(tid)
 	case TokenPassFirst:
 		t.pass(tid)
-		t.freeBatchNow(tid, me.prev)
+		t.freeNow(tid, me.prev)
 		me.cur, me.prev = me.prev[:0], me.cur
 	case TokenPeriodic:
 		t.pass(tid)
@@ -153,33 +131,9 @@ func (t *Token) BeginOp(tid int) {
 		t.pass(tid)
 		// freeBatch queues the bag's contents on the freeable list, so the
 		// bag's backing array is reusable immediately.
-		t.f.freeBatch(tid, me.prev)
+		t.freeBatch(tid, me.prev)
 		me.cur, me.prev = me.prev[:0], me.cur
 	}
-}
-
-// freeBatchNow synchronously frees a whole bag, recording timeline events.
-// Like batchFreer.freeBatch, the recorded loop is identical to the
-// unrecorded one: long free calls ride the allocator's slow-path stamps via
-// the free observer, and only the batch envelope is stamped here.
-func (t *Token) freeBatchNow(tid int, batch []*simalloc.Object) {
-	if len(batch) == 0 {
-		return
-	}
-	if t.e.rec == nil {
-		for _, o := range batch {
-			t.e.alloc.Free(tid, o)
-		}
-		t.e.noteFree(tid, int64(len(batch)))
-		return
-	}
-	t0 := clock.Now()
-	for _, o := range batch {
-		t.e.alloc.Free(tid, o)
-	}
-	end := clock.Now()
-	t.e.noteFree(tid, int64(len(batch)))
-	t.e.rec.StageBatchFree(tid, t0, end, int64(len(batch)))
 }
 
 // freeWithTokenChecks frees a bag one object at a time, checking every
@@ -207,19 +161,6 @@ func (t *Token) freeWithTokenChecks(tid int, batch []*simalloc.Object) {
 		rec.StageBatchFree(tid, t0, clock.Now(), int64(len(batch)))
 	}
 }
-
-// EndOp pumps the freer (token_af frees DrainRate queued objects).
-func (t *Token) EndOp(tid int) { t.f.pump(tid) }
-
-// OnAlloc is a no-op.
-func (t *Token) OnAlloc(int, *simalloc.Object) {}
-
-// Protect is a no-op: epoch protection comes from the token round trip.
-func (t *Token) Protect(int, int, *simalloc.Object) {}
-
-// Guard returns nil: token-ring protection needs no per-node publication,
-// so trees branch away from the protect path entirely.
-func (t *Token) Guard(int) *Guard { return nil }
 
 // Retire places o in the current bag.
 func (t *Token) Retire(tid int, o *simalloc.Object) {
@@ -252,17 +193,11 @@ func (t *Token) Join() (int, error) {
 	return slot, nil
 }
 
-// Leave hands both bags and any queued freeable objects to the orphan
-// queue, vacates the slot, and — if the slot holds the token — passes it
-// to the next live participant so the ring keeps turning.
+// Leave hands both bags to the orphan queue and — if the slot holds the
+// token — passes it to the next live participant so the ring keeps turning.
 func (t *Token) Leave(tid int) {
 	me := &t.th[tid]
-	t.e.reg.orphan(me.cur)
-	me.cur = nil
-	t.e.reg.orphan(me.prev)
-	me.prev = nil
-	t.f.orphanAll(t.e.reg, tid)
-	t.e.leave(tid)
+	t.depart(tid, &me.cur, &me.prev)
 	// After the live flag is down: if the token is (or just arrived) here,
 	// move it along. See pass for why this closes the handoff race.
 	if t.holder.v.Load() == int64(tid) {
@@ -271,22 +206,15 @@ func (t *Token) Leave(tid int) {
 }
 
 // Drain frees both bags, pending orphans, and the freeable list
-// unconditionally.
+// unconditionally. Not core.drain: under every variant, token_af included,
+// both bags go straight to the allocator (freeNow, with its recorder
+// envelope) rather than through the freeable list, previous bag first.
 func (t *Token) Drain(tid int) {
 	me := &t.th[tid]
-	if t.e.reg.hasOrphans() {
-		me.cur = t.e.reg.adoptInto(me.cur)
-	}
-	if len(me.prev) > 0 {
-		t.freeBatchNow(tid, me.prev)
-		me.prev = me.prev[:0]
-	}
-	if len(me.cur) > 0 {
-		t.freeBatchNow(tid, me.cur)
-		me.cur = me.cur[:0]
-	}
-	t.f.drainAll(tid)
+	me.cur = t.adopt(me.cur)
+	t.freeNow(tid, me.prev)
+	me.prev = me.prev[:0]
+	t.freeNow(tid, me.cur)
+	me.cur = me.cur[:0]
+	t.drainQueued(tid)
 }
-
-// Stats returns an aggregated snapshot.
-func (t *Token) Stats() Stats { return t.e.stats() }

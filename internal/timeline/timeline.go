@@ -113,7 +113,7 @@ type stage struct {
 	// thread: the two batch-envelope stamps per StageBatchFree. Observer
 	// entries and marks charge none.
 	reads int64
-	// muted drops ObserveFree entries. Teardown paths (drainAll, departing
+	// muted drops ObserveFree entries. Teardown paths (smr drainQueued, departing
 	// threads' cache flushes) free through the allocator but never produced
 	// timeline events, so their observer callbacks are silenced.
 	muted bool
