@@ -325,7 +325,7 @@ func openOut(path string) (io.Writer, func(), error) {
 // themselves record it (TrialResult.Phases), which stays accurate even
 // for store records written by a build whose scenario defaults differed;
 // re-deriving from the config is only the fallback for records that
-// predate the field. Empty means the trials were unphased. Every format
+// predate the field. Empty means the implicit single phase. Every format
 // carries it, so stored artifacts are self-describing about thread churn.
 func phasesOf(s bench.Summary) string {
 	for _, tr := range s.Trials {
@@ -333,10 +333,7 @@ func phasesOf(s bench.Summary) string {
 			return tr.Phases
 		}
 	}
-	ph, err := bench.EffectivePhases(s.Cfg)
-	if err != nil || len(ph) == 0 {
-		return ""
-	}
+	ph, _ := bench.EffectivePhases(s.Cfg)
 	return bench.FormatPhases(ph)
 }
 

@@ -79,12 +79,25 @@ func TestRunTrialValidation(t *testing.T) {
 	}
 }
 
+// chainedTrials runs n trials of cfg down the TrialSeeds chain, as
+// grid.Queue.Summaries' input is produced in production.
+func chainedTrials(t *testing.T, cfg WorkloadConfig, n int) []TrialResult {
+	t.Helper()
+	var trials []TrialResult
+	for _, seed := range TrialSeeds(cfg.Seed, n) {
+		cfg.Seed = seed
+		tr, err := RunTrial(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trials = append(trials, tr)
+	}
+	return trials
+}
+
 func TestRunTrialsAggregation(t *testing.T) {
 	cfg := tinyWorkload(2)
-	s, err := RunTrials(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := SummarizeTrials(cfg, chainedTrials(t, cfg, 2))
 	if len(s.Trials) != 2 {
 		t.Fatalf("trials = %d", len(s.Trials))
 	}
@@ -162,13 +175,10 @@ func TestTrialResultCarriesSeed(t *testing.T) {
 	if tr.Seed != 1234 {
 		t.Fatalf("TrialResult.Seed = %d, want 1234", tr.Seed)
 	}
-	s, err := RunTrials(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trials := chainedTrials(t, cfg, 2)
 	for i, seed := range TrialSeeds(1234, 2) {
-		if s.Trials[i].Seed != seed {
-			t.Fatalf("trial %d seed = %d, want %d", i, s.Trials[i].Seed, seed)
+		if trials[i].Seed != seed {
+			t.Fatalf("trial %d seed = %d, want %d", i, trials[i].Seed, seed)
 		}
 	}
 }

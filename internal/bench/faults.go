@@ -225,7 +225,7 @@ type faultEngine struct {
 	stalls, wedges, crashes, slowdowns atomic.Int64
 }
 
-// splitmix64 is the seeded-worker mixer (same finalizer the phase engine's
+// splitmix64 is the seeded-worker mixer (same finalizer phaseSeed's
 // golden-ratio increment comes from).
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -301,8 +301,9 @@ func (fe *faultEngine) enter(w, slot int) {
 
 func (fe *faultEngine) exit() { fe.running.Add(-1) }
 
-// isDead reports whether worker w crashed in an earlier phase.
-func (fe *faultEngine) isDead(w int) bool { return fe.state[w].dead.Load() }
+// isDead reports whether worker w crashed in an earlier phase; never, on
+// the nil engine of a trial without a fault plan.
+func (fe *faultEngine) isDead(w int) bool { return fe != nil && fe.state[w].dead.Load() }
 
 // onBatch is the injection point, called by runWorker after each completed
 // batch of n ops. It returns true when the worker must crash (exit

@@ -3,7 +3,6 @@ package bench
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -125,27 +124,14 @@ func TestCrashAdoptionZeroLeak(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wl, err := NewScenario(cfg.Scenario)
+				runs, _, err := resolveSchedule(&cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				prefill(&cfg, st)
-				// KeyDist/OpMix construction is serial by contract.
-				keys := make([]KeyDist, cfg.Threads)
-				mixes := make([]OpMix, cfg.Threads)
-				for tid := range keys {
-					keys[tid] = wl.KeyDist(&cfg, tid)
-					mixes[tid] = wl.OpMix(&cfg, tid)
+				if _, _, err := runPhases(&cfg, st, runs); err != nil {
+					t.Fatal(err)
 				}
-				var wg sync.WaitGroup
-				for tid := 0; tid < cfg.Threads; tid++ {
-					wg.Add(1)
-					go func(tid int) {
-						defer wg.Done()
-						runWorker(&cfg, st, tid, tid, keys[tid], mixes[tid])
-					}(tid)
-				}
-				wg.Wait()
 				st.Stop()
 				if got := st.faults.snapshot().Crashes; got != 1 {
 					t.Fatalf("crashes = %d, want 1", got)
@@ -169,16 +155,26 @@ func TestCrashAdoptionZeroLeak(t *testing.T) {
 	}
 }
 
-func TestWatchdogAbortsWedgedTrial(t *testing.T) {
+// wedgedConfig is a two-thread FixedOps trial whose worker 0 wedges at op
+// 512 with a 300 ms watchdog armed; abortGrace is stretched for the test.
+func wedgedConfig(t *testing.T) WorkloadConfig {
 	oldGrace := abortGrace
 	abortGrace = 5 * time.Second
-	defer func() { abortGrace = oldGrace }()
+	t.Cleanup(func() { abortGrace = oldGrace })
 
 	cfg := DefaultWorkload(2)
 	cfg.KeyRange = 1 << 10
 	cfg.FixedOps = 20000
 	cfg.Deadline = 300 * time.Millisecond
 	cfg.Faults = mustFaults(t, "wedge:w0@512")
+	return cfg
+}
+
+// expectWatchdogAbort runs cfg through RunTrial and requires the watchdog's
+// diagnosed abort: a *TrialError with the goroutine dump and fault counts,
+// a partial result carrying the reason, promptly.
+func expectWatchdogAbort(t *testing.T, cfg WorkloadConfig) {
+	t.Helper()
 	t0 := time.Now()
 	tr, err := RunTrial(cfg)
 	elapsed := time.Since(t0)
@@ -200,6 +196,10 @@ func TestWatchdogAbortsWedgedTrial(t *testing.T) {
 	if elapsed > 20*time.Second {
 		t.Errorf("abort took %v", elapsed)
 	}
+}
+
+func TestWatchdogAbortsWedgedTrial(t *testing.T) {
+	expectWatchdogAbort(t, wedgedConfig(t))
 }
 
 func TestWatchdogHealthyTrialUnaffected(t *testing.T) {

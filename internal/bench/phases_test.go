@@ -3,6 +3,7 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ds"
 	"repro/internal/smr"
@@ -40,7 +41,8 @@ func TestChurnStressAllReclaimers(t *testing.T) {
 		for _, rec := range smr.Names() {
 			t.Run(dsName+"/"+rec, func(t *testing.T) {
 				cfg := churnConfig(rec, dsName)
-				runs, err := resolvePhases(&cfg, churnSchedule(cfg.Threads, perPhase))
+				cfg.Phases = churnSchedule(cfg.Threads, perPhase)
+				runs, _, err := resolveSchedule(&cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,25 +100,60 @@ func TestPhasedTrialOpsCount(t *testing.T) {
 	}
 }
 
-// TestSinglePhaseMatchesFixedOps pins the phase-0 seed convention: a
-// one-phase full-population schedule is the same trial as an unphased
-// FixedOps run — bit-identical modeled stats at one thread.
+// TestSinglePhaseMatchesFixedOps pins that the trial of the paper is the
+// schedule of one phase: for every reclaimer on every tree, a FixedOps
+// config (the implicit phase, stored with no schedule) and the same phase
+// spelled out in Phases are the same trial — bit-identical modeled stats at
+// one thread. The last two rows run the implicit phase's other form, the
+// Duration window, through the same coordinator: healthy, and wedged under
+// the watchdog.
 func TestSinglePhaseMatchesFixedOps(t *testing.T) {
-	base := parityConfig("debra_af", "abtree")
-	phased := base
-	phased.FixedOps = 0
-	phased.Phases = []PhaseSpec{{Live: 1, Ops: base.FixedOps}}
-	a, err := RunTrial(base)
-	if err != nil {
-		t.Fatal(err)
+	for _, dsName := range ds.Names() {
+		for _, rec := range smr.Names() {
+			t.Run(dsName+"/"+rec, func(t *testing.T) {
+				base := parityConfig(rec, dsName)
+				phased := base
+				phased.FixedOps = 0
+				phased.Phases = []PhaseSpec{{Live: 1, Ops: base.FixedOps}}
+				a, err := RunTrial(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := RunTrial(phased)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if modeledOf(a) != modeledOf(b) {
+					t.Fatalf("single-phase trial diverged from FixedOps:\n fixed  %+v\n phased %+v", modeledOf(a), modeledOf(b))
+				}
+				if a.Phases != "" || b.Phases != "paper:1x4000" {
+					t.Fatalf("stored schedules = %q, %q; want none for the implicit phase, paper:1x4000 spelled out", a.Phases, b.Phases)
+				}
+			})
+		}
 	}
-	b, err := RunTrial(phased)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if modeledOf(a) != modeledOf(b) {
-		t.Fatalf("single-phase trial diverged from FixedOps:\n fixed  %+v\n phased %+v", modeledOf(a), modeledOf(b))
-	}
+	t.Run("duration window", func(t *testing.T) {
+		cfg := tinyWorkload(2)
+		tr, err := RunTrial(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Phases != "" || tr.Ops <= 0 || tr.Wall < cfg.Duration {
+			t.Fatalf("window trial: phases %q ops %d wall %v", tr.Phases, tr.Ops, tr.Wall)
+		}
+		if s := tr.SMR; s.Retired != s.Freed+s.Limbo {
+			t.Fatalf("retired %d != freed %d + limbo %d at the snapshot", s.Retired, s.Freed, s.Limbo)
+		}
+	})
+	t.Run("duration window wedged", func(t *testing.T) {
+		// One thread: a window's healthy workers never run out of budget, so
+		// the heartbeat flatlines only when every worker is wedged.
+		cfg := wedgedConfig(t)
+		cfg.Threads = 1
+		cfg.FixedOps = 0
+		cfg.Duration = time.Minute // the watchdog, not the window, must end it
+		expectWatchdogAbort(t, cfg)
+	})
 }
 
 // TestPhasedDeterministic: with every phase at Live 1, the measured part
@@ -129,9 +166,9 @@ func TestPhasedDeterministic(t *testing.T) {
 	cfg.KeyRange = 512
 	cfg.BatchSize = 64
 	cfg.Seed = 11
-	schedule := []PhaseSpec{{Live: 1, Ops: 300}, {Live: 1, Ops: 300}, {Live: 1, Ops: 300}}
+	cfg.Phases = []PhaseSpec{{Live: 1, Ops: 300}, {Live: 1, Ops: 300}, {Live: 1, Ops: 300}}
 	run := func() modeledStats {
-		runs, err := resolvePhases(&cfg, schedule)
+		runs, _, err := resolveSchedule(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

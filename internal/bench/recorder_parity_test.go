@@ -2,15 +2,14 @@ package bench
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"repro/internal/timeline"
 )
 
-// runTeedTrial replicates RunTrial's unphased path with one addition: before
-// any event can be produced (including prefill traffic), the live recorder's
-// raw staged stream is teed into a same-origin reference recorder that
+// runTeedTrial is RunTrial's path — the one coordinator over the resolved
+// schedule — with one addition: before any event can be produced (including
+// prefill traffic), the live recorder's raw staged stream is teed into a same-origin reference recorder that
 // replays every entry through the reference path (timeline.ReplayEntry).
 // Wall-clock stamps are nondeterministic, so recorder parity is defined over
 // the raw stream: the staged pipeline's deferred post-processing (threshold
@@ -32,25 +31,13 @@ func runTeedTrial(t *testing.T, cfg WorkloadConfig) (live, ref *timeline.Recorde
 
 	prefill(&cfg, st)
 
-	wl, err := NewScenario(cfg.Scenario)
+	runs, _, err := resolveSchedule(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]KeyDist, cfg.Threads)
-	mixes := make([]OpMix, cfg.Threads)
-	for tid := 0; tid < cfg.Threads; tid++ {
-		keys[tid] = wl.KeyDist(&cfg, tid)
-		mixes[tid] = wl.OpMix(&cfg, tid)
+	if _, _, err := runPhases(&cfg, st, runs); err != nil {
+		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for tid := 0; tid < cfg.Threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			runWorker(&cfg, st, tid, tid, keys[tid], mixes[tid])
-		}(tid)
-	}
-	wg.Wait()
 	st.Stop()
 	// Close drains remaining limbo; synchronous reclaimers stage their final
 	// bags here, so parity is compared over the complete event stream.

@@ -31,9 +31,9 @@ type OpMix interface {
 
 // Workload is one benchmark scenario: it fabricates the per-thread key and
 // operation streams for a trial. A fresh Workload instance is created per
-// trial (see NewScenario), and the harness calls KeyDist/OpMix serially for
-// every tid before starting the workers, so implementations may share
-// memoized tables (e.g. the zipfian zeta sum) across threads without
+// phase (see NewScenario), and the coordinator calls KeyDist/OpMix serially
+// for every worker before releasing any of them, so implementations may
+// share memoized tables (e.g. the zipfian zeta sum) across threads without
 // locking.
 type Workload interface {
 	// Name is the registry name ("paper", "zipf", ...).
@@ -42,15 +42,9 @@ type Workload interface {
 	KeyDist(cfg *WorkloadConfig, tid int) KeyDist
 	// OpMix returns tid's operation stream for this trial.
 	OpMix(cfg *WorkloadConfig, tid int) OpMix
-}
-
-// PhasedWorkload is the optional Workload extension for scenarios that
-// ship a default phase schedule (see PhaseSpec): when a trial names such a
-// scenario and leaves WorkloadConfig.Phases empty, RunTrial adopts the
-// scenario's schedule. A nil return means the scenario runs unphased.
-type PhasedWorkload interface {
-	Workload
-	// DefaultPhases builds the scenario's phase schedule for cfg.
+	// DefaultPhases builds the schedule a trial naming this scenario runs
+	// when its WorkloadConfig.Phases is empty (see PhaseSpec); nil means the
+	// one full-population phase of the paper's trial.
 	DefaultPhases(cfg *WorkloadConfig) []PhaseSpec
 }
 

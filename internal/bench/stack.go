@@ -50,7 +50,7 @@ type Stack struct {
 	// completed batch. The watchdog declares a trial wedged when it stops
 	// moving; stall faults measure their release span against it.
 	heart atomic.Int64
-	// phase is the running phase index (phased trials), for diagnostics.
+	// phase is the running phase index, for diagnostics.
 	phase atomic.Int64
 }
 

@@ -13,7 +13,7 @@ import (
 
 // The trial watchdog.
 //
-// FixedOps trials run their op budgets to completion with no wall-clock
+// Op-bounded phases run their budgets to completion with no wall-clock
 // stop — which is what makes them deterministic, and also what lets a
 // genuine wedge (a regressed grace-period hang, a wedge fault, two
 // mutually-stalled workers) hang the process and with it a multi-hour grid
@@ -182,23 +182,6 @@ func captureDiagnostics(st *Stack) string {
 		sb.WriteString("\n[goroutine dump truncated]\n")
 	}
 	return sb.String()
-}
-
-// awaitWorkers waits for the worker group (done) or, after a watchdog
-// abort, up to abortGrace for the workers to unwind. false means the
-// workers are unrecoverably wedged and the trial must be abandoned.
-func awaitWorkers(done <-chan struct{}, wd *watchdog) bool {
-	select {
-	case <-done:
-		return true
-	case <-wd.firedCh():
-	}
-	select {
-	case <-done:
-		return true
-	case <-time.After(abortGrace):
-		return false
-	}
 }
 
 // abandonedResult builds the result of a trial whose workers never

@@ -12,8 +12,11 @@
 // steady-state size, then run a 50% insert / 50% delete workload over a
 // uniform key range — is the "paper" scenario, and further scenarios vary
 // the key distribution (zipfian, shifting hotspot) and the operation mix
-// (read-mostly, bursty). RunTrial composes the two layers and reports
-// throughput, peak memory, and allocator overhead percentages.
+// (read-mostly, bursty). What a trial's workers do with a scenario is a
+// schedule of phases (phases.go) — one full-population phase unless the
+// config or its scenario says otherwise — and RunTrial is the one path that
+// composes the layers and reports throughput, peak memory, and allocator
+// overhead percentages.
 package bench
 
 import (
@@ -71,11 +74,11 @@ type WorkloadConfig struct {
 	// Seed varies the per-thread RNG streams.
 	Seed uint64
 	// FixedOps, when positive, replaces the wall-clock window with a
-	// deterministic trial: every thread runs exactly FixedOps operations and
-	// Duration is ignored. With Threads == 1 the whole trial — op streams,
-	// allocator traffic, reclaimer decisions — is bit-reproducible, which is
-	// what the fixed-population golden pins and gives the grid a
-	// variance-free trial type.
+	// deterministic trial: every thread runs exactly FixedOps operations
+	// per phase and Duration is ignored. With Threads == 1 the whole trial —
+	// op streams, allocator traffic, reclaimer decisions — is
+	// bit-reproducible, which is what the fixed-population golden pins and
+	// gives the grid a variance-free trial type.
 	FixedOps int
 
 	// Scenario knobs; zero values mean the scenario defaults.
@@ -91,20 +94,19 @@ type WorkloadConfig struct {
 	HotShiftOps int
 	// BurstOps is the per-thread window length, in ops, of the "bursty"
 	// scenario's alternating churn and read windows (default 4096). It
-	// shapes only that scenario's operation mix; it is unrelated to the
-	// phase engine's PhaseSpec.Ops, which bounds whole trial phases.
+	// shapes only that scenario's operation mix; it is unrelated to
+	// PhaseSpec.Ops, which bounds whole trial phases.
 	BurstOps int
 
-	// Phases, when non-empty, turns the trial into a phased workload: the
-	// schedule runs in order, each phase driving Live workers for Ops
-	// operations each under the phase's scenario. Workers beyond a phase's
-	// live count Leave the participant registry (limbo orphaned for
-	// survivors to adopt, allocator cache flushed with modeled cost) and
-	// park; re-grown phases Join again, recycling vacated slots. Duration
-	// is ignored — every phase is op-bounded — and FixedOps serves as the
-	// per-worker default for phases whose Ops is zero. Scenarios may also
-	// carry a default schedule (see PhasedWorkload) used when this field
-	// is empty.
+	// Phases is the trial's schedule: it runs in order, each phase driving
+	// Live workers for Ops operations each under the phase's scenario.
+	// Workers beyond a phase's live count Leave the participant registry
+	// (limbo orphaned for survivors to adopt, allocator cache flushed with
+	// modeled cost) and park; re-grown phases Join again, recycling vacated
+	// slots. Every phase named here is op-bounded — Duration is ignored, and
+	// FixedOps is the per-worker default for phases whose Ops is zero.
+	// Empty means the scenario's default schedule (Workload.DefaultPhases),
+	// else one phase: all Threads, for FixedOps each or for Duration.
 	Phases []PhaseSpec
 
 	// Faults, when non-empty, is the trial's injected fault plan: seeded,
@@ -159,11 +161,11 @@ type TrialResult struct {
 	// Scenario is the workload scenario the trial ran.
 	Scenario string
 	// Phases is the resolved phase schedule the trial ran, in the
-	// ParsePhases syntax; empty for unphased trials. Stored results are
-	// therefore self-describing about thread churn.
+	// ParsePhases syntax; empty for the implicit single phase. Stored
+	// results are therefore self-describing about thread churn.
 	Phases string `json:",omitempty"`
 	// Seed is the per-thread RNG stream seed the trial actually used (after
-	// any RunTrials chaining), so a stored result can be traced back to —
+	// any TrialSeeds chaining), so a stored result can be traced back to —
 	// and re-executed with — the exact streams that produced it.
 	Seed uint64
 	// Ops and OpsPerSec are completed set operations in the window.
@@ -368,24 +370,22 @@ func prefill(cfg *WorkloadConfig, st *Stack) {
 	wg.Wait()
 }
 
-// runWorker is one simulated thread's measured loop: draw a batch of keys
-// and op kinds, execute it, repeat until the stop flag (wall-clock trials),
-// the fixed op budget (FixedOps trials), a watchdog abort, or a crash fault
-// ends the window. The per-op path contains only the set call itself;
-// stream draws, the stop check, the yield policy, the timeline staging-ring
-// merge, the heartbeat, and the fault hook all live on batch boundaries.
+// runWorker is one simulated thread's measured loop for one phase: draw a
+// batch of keys and op kinds, execute it, repeat until the phase's op
+// budget is spent (budget 0: until the Duration window's Stop), a watchdog
+// abort, or a crash fault ends it. The per-op path contains only the set
+// call itself; stream draws, the stop check, the yield policy, the timeline
+// staging-ring merge, the heartbeat, and the fault hook all live on batch
+// boundaries.
 //
-// w is the worker index — equal to tid in unphased trials, stable across
-// slot recycling in phased ones — and keys the fault engine's per-worker
-// schedules.
-func runWorker(cfg *WorkloadConfig, st *Stack, w, tid int, kd KeyDist, om OpMix) int64 {
+// w is the worker index — stable across slot recycling, equal to tid
+// while the population never shrinks — and keys the fault engine's
+// per-worker schedules.
+func runWorker(cfg *WorkloadConfig, st *Stack, w, tid int, kd KeyDist, om OpMix, budget int) int64 {
 	set := st.Set
 	rec := st.Recorder // nil-safe: Merge on a nil recorder is a no-op
 	fe := st.faults
 	if fe != nil {
-		if fe.isDead(w) {
-			return 0 // crashed in an earlier phase; never runs again
-		}
 		fe.enter(w, tid)
 		defer fe.exit()
 	}
@@ -396,7 +396,7 @@ func runWorker(cfg *WorkloadConfig, st *Stack, w, tid int, kd KeyDist, om OpMix)
 	ae.resync(w)
 	var s opStream
 	local := int64(0)
-	fixed := int64(cfg.FixedOps)
+	fixed := int64(budget)
 	stride := int64(autoYieldStride(cfg.Threads))
 	sinceYield := int64(0)
 	for {
@@ -456,14 +456,18 @@ func runWorker(cfg *WorkloadConfig, st *Stack, w, tid int, kd KeyDist, om OpMix)
 	return local
 }
 
-// RunTrial executes one trial: assemble the stack, prefill to the
-// steady-state size, run the configured scenario's per-thread key and
-// operation streams — for Duration, or for exactly FixedOps ops per thread —
+// RunTrial executes one trial, and there is one way through it: validate,
+// resolve the schedule (one phase unless the config or its scenario says
+// otherwise), assemble the stack, prefill to the steady-state size, open the
+// window, let the coordinator release the parked workers phase by phase,
 // snapshot, tear down. Only the window between prefill and snapshot pays
 // the allocator's modelled cost table; construction, prefill and teardown
-// run it suspended (see newStack). The result carries the trial's total
-// wall time (ElapsedNanos), stamped on success and on watchdog-aborted
-// partial results alike, so stored sweeps learn real per-trial costs.
+// run it suspended (see newStack). The measured clock (Wall) starts inside
+// the coordinator, once the first phase's streams exist and just before its
+// workers are released (see runPhases). The result carries the trial's
+// total wall time (ElapsedNanos), stamped on success and on
+// watchdog-aborted partial results alike, so stored sweeps learn real
+// per-trial costs.
 func RunTrial(cfg WorkloadConfig) (TrialResult, error) {
 	t0 := time.Now()
 	res, err := runTrialInner(cfg)
@@ -481,28 +485,9 @@ func runTrialInner(cfg WorkloadConfig) (TrialResult, error) {
 	if cfg.FixedOps < 0 {
 		return TrialResult{}, fmt.Errorf("bench: FixedOps must be >= 0")
 	}
-	if cfg.Scenario == "" {
-		// Normalize before building the stack so TrialResult.Scenario
-		// reports the scenario that actually ran.
-		cfg.Scenario = "paper"
-	}
-	wl, err := NewScenario(cfg.Scenario)
+	runs, implicit, err := resolveSchedule(&cfg)
 	if err != nil {
 		return TrialResult{}, err
-	}
-	// A schedule in the config — or a default one shipped by the scenario —
-	// routes the trial through the phase engine after the shared prefill.
-	phases := cfg.Phases
-	if len(phases) == 0 {
-		if pw, ok := wl.(PhasedWorkload); ok {
-			phases = pw.DefaultPhases(&cfg)
-		}
-	}
-	var runs []phaseRun
-	if len(phases) > 0 {
-		if runs, err = resolvePhases(&cfg, phases); err != nil {
-			return TrialResult{}, err
-		}
 	}
 	// Construction and prefill run the allocator at zero modelled cost;
 	// openWindow, below, costs everything the workers do.
@@ -525,112 +510,45 @@ func runTrialInner(cfg WorkloadConfig) (TrialResult, error) {
 	// closed-loop).
 	st.arrivals.open()
 
-	if runs != nil {
-		type phasesOut struct {
-			total int64
-			wall  time.Duration
-			err   error
-		}
-		out := make(chan phasesOut, 1)
-		go func() {
-			total, wall, perr := runPhases(&cfg, st, runs)
-			out <- phasesOut{total, wall, perr}
-		}()
-		var po phasesOut
-		select {
-		case po = <-out:
-		case <-wd.firedCh():
-			// Aborted: the coordinator and workers unwind through their
-			// stop-aware checks; give them the grace window.
-			select {
-			case po = <-out:
-			case <-time.After(abortGrace):
-				return abandonedResult(&cfg, wd)
-			}
-		}
-		// Workers are done; retire the watchdog before teardown so a slow
-		// final drain cannot fire it spuriously. trialErr is stable after
-		// stop.
-		wd.stop()
-		if po.err != nil {
-			st.Close()
-			return TrialResult{}, po.err
-		}
-		st.Stop()
-		st.reapCrashed()
-		res := st.Snapshot(po.total, po.wall)
-		specs := make([]PhaseSpec, len(runs))
-		for i, r := range runs {
-			specs[i] = r.spec
-		}
-		res.Phases = FormatPhases(specs)
-		st.Close()
-		if terr := wd.trialErr(); terr != nil {
-			res.Error = terr.Reason
-			return res, terr
-		}
-		return res, nil
-	}
-
-	// Per-thread streams are built serially, before the workers start, so
-	// scenarios may share memoized tables across threads without locking.
-	keys := make([]KeyDist, cfg.Threads)
-	mixes := make([]OpMix, cfg.Threads)
-	for tid := 0; tid < cfg.Threads; tid++ {
-		keys[tid] = wl.KeyDist(&cfg, tid)
-		mixes[tid] = wl.OpMix(&cfg, tid)
-	}
-
-	ops := make([]struct {
-		v int64
-		_ [7]int64
-	}, cfg.Threads)
-
-	var wg sync.WaitGroup
-	start := time.Now()
-	for tid := 0; tid < cfg.Threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			atomic.StoreInt64(&ops[tid].v, runWorker(&cfg, st, tid, tid, keys[tid], mixes[tid]))
-		}(tid)
-	}
+	var (
+		ops  int64
+		wall time.Duration
+		perr error
+	)
 	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	if cfg.FixedOps > 0 {
-		// Deterministic window: every thread runs its budget to completion;
-		// the stop flag is only raised afterwards (for the reclaimers'
-		// blocking-wait bail-outs during teardown). A watchdog abort is the
-		// one early exit: workers observe it at batch boundaries and
-		// stop-aware waits release, so awaitWorkers normally returns within
-		// the grace window even for a wedged trial.
-		if !awaitWorkers(done, wd) {
-			return abandonedResult(&cfg, wd)
-		}
-		st.Stop()
-	} else {
+	go func() {
+		defer close(done)
+		ops, wall, perr = runPhases(&cfg, st, runs)
+	}()
+	select {
+	case <-done:
+	case <-wd.firedCh():
+		// Aborted: workers observe it at batch boundaries and stop-aware
+		// waits release, so the coordinator normally returns within the
+		// grace window even for a wedged trial.
 		select {
-		case <-time.After(cfg.Duration):
-		case <-wd.firedCh():
-		}
-		st.Stop()
-		if !awaitWorkers(done, wd) {
+		case <-done:
+		case <-time.After(abortGrace):
 			return abandonedResult(&cfg, wd)
 		}
 	}
-	wall := time.Since(start)
 	// Workers are done; retire the watchdog before teardown so a slow final
-	// drain cannot fire it spuriously, then reap crash-faulted slots (their
-	// stranded limbo becomes orphans for Close's drain to adopt).
+	// drain cannot fire it spuriously. trialErr is stable after stop.
 	wd.stop()
-	st.reapCrashed()
-
-	var total int64
-	for i := range ops {
-		total += atomic.LoadInt64(&ops[i].v)
+	if perr != nil {
+		st.Close()
+		return TrialResult{}, perr
 	}
-	res := st.Snapshot(total, wall)
-
+	// The stop flag is raised only now for op-bounded schedules (for the
+	// reclaimers' blocking-wait bail-outs during teardown); then the
+	// crash-faulted slots are reaped — after every worker has returned, so
+	// their stranded limbo becomes orphans for Close's drain to adopt.
+	st.Stop()
+	st.reapCrashed()
+	res := st.Snapshot(ops, wall)
+	if !implicit {
+		res.Phases = FormatPhases(specsOf(runs))
+	}
 	// Hygiene: release remaining limbo so the allocator's lifecycle checks
 	// stay clean. Measurements above were taken first, as in the paper.
 	st.Close()
@@ -651,8 +569,8 @@ type Summary struct {
 	MinPeak, MaxMiB float64
 }
 
-// TrialSeeds returns the per-trial seed chain RunTrials feeds successive
-// trials of a configuration whose base seed is base: seed_i depends on all
+// TrialSeeds returns the per-trial seed chain fed to successive trials of
+// a configuration whose base seed is base: seed_i depends on all
 // previous links, so trials of one configuration never share RNG streams.
 // The chain is part of the stored-results contract (internal/results hashes
 // the chained seed into each TrialKey); changing it invalidates every
@@ -671,8 +589,9 @@ func TrialSeeds(base uint64, n int) []uint64 {
 }
 
 // SummarizeTrials aggregates already-executed trials of one configuration
-// into a Summary, exactly as RunTrials would. cfg is the base configuration
-// (pre-chaining seed); trials must be non-empty.
+// into a Summary (the paper reports the mean with min/max error bars over
+// three trials). cfg is the base configuration (pre-chaining seed); trials
+// must be non-empty.
 func SummarizeTrials(cfg WorkloadConfig, trials []TrialResult) Summary {
 	s := Summary{Cfg: cfg, Trials: trials}
 	s.MinOps, s.MaxOps = trials[0].OpsPerSec, trials[0].OpsPerSec
@@ -696,23 +615,4 @@ func SummarizeTrials(cfg WorkloadConfig, trials []TrialResult) Summary {
 	s.MeanOps /= float64(len(trials))
 	s.MeanPeakMiB /= float64(len(trials))
 	return s
-}
-
-// RunTrials runs n trials and aggregates them (the paper reports the mean
-// with min/max error bars over three trials).
-func RunTrials(cfg WorkloadConfig, n int) (Summary, error) {
-	if n <= 0 {
-		n = 1
-	}
-	base := cfg
-	trials := make([]TrialResult, 0, n)
-	for _, seed := range TrialSeeds(base.Seed, n) {
-		cfg.Seed = seed
-		tr, err := RunTrial(cfg)
-		if err != nil {
-			return Summary{}, err
-		}
-		trials = append(trials, tr)
-	}
-	return SummarizeTrials(base, trials), nil
 }

@@ -34,10 +34,9 @@ type CoordinatorConfig struct {
 	// but wasteful); too long delays recovery from a dead worker by the
 	// whole TTL.
 	LeaseTTL time.Duration
-	// Deadline/Faults are the runner-level defaults applied to every config
-	// before key computation, exactly as grid.Runner would (ExpandTasks).
+	// Deadline is the runner-level default applied to every config that
+	// sets none, exactly as grid.Runner would (ExpandTasks).
 	Deadline time.Duration
-	Faults   []bench.FaultSpec
 	// Clock is the time source; nil means time.Now. Injectable so lease
 	// expiry is testable without real waits.
 	Clock func() time.Time
@@ -114,7 +113,7 @@ func NewCoordinator(cfgs []bench.WorkloadConfig, trials int, cc CoordinatorConfi
 	if now == nil {
 		now = time.Now
 	}
-	eff, tasks := grid.ExpandTasks(cfgs, trials, cc.Faults, cc.Deadline)
+	eff, tasks := grid.ExpandTasks(cfgs, trials, nil, cc.Deadline)
 	c := &Coordinator{
 		store:     cc.Store,
 		ttl:       ttl,

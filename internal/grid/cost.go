@@ -48,26 +48,15 @@ var faultCostFactor = map[string]float64{
 // arrival pacing add a small constant overhead over the closed loop.
 const arrivalCostFactor = 1.15
 
-// effectiveOps totals the work a configuration will run: the phase
-// schedule's Σ live×ops when phased, threads × FixedOps for deterministic
-// trials, and threads × duration × the nominal rate for wall-clock windows.
+// effectiveOps totals the work a configuration will run: Σ live×ops over
+// the schedule bench resolves for it (its Phases, else its scenario's
+// default), else the implicit phase — threads × FixedOps, or threads ×
+// duration × the nominal rate for the wall-clock window.
 func effectiveOps(cfg bench.WorkloadConfig) float64 {
-	if len(cfg.Phases) > 0 {
+	if phases, _ := bench.EffectivePhases(cfg); len(phases) > 0 {
 		var total float64
-		for _, ph := range cfg.Phases {
-			live := ph.Live
-			if live <= 0 {
-				live = cfg.Threads
-			}
-			ops := ph.Ops
-			if ops <= 0 {
-				if cfg.FixedOps > 0 {
-					ops = cfg.FixedOps
-				} else {
-					ops = bench.DefaultPhaseOps
-				}
-			}
-			total += float64(live) * float64(ops)
+		for _, ph := range phases {
+			total += float64(ph.Live) * float64(ph.Ops)
 		}
 		return total
 	}

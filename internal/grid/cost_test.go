@@ -76,6 +76,31 @@ func TestStaticCostMonotonicity(t *testing.T) {
 	}
 }
 
+// TestStaticCostResolvesTheSchedule: a scenario's default schedule and the
+// same schedule spelled out in cfg.Phases are one trial and cost the same —
+// with an op budget (CI's churn-smoke) and without one, where neither is
+// priced as the Duration window a scheduled trial never opens.
+func TestStaticCostResolvesTheSchedule(t *testing.T) {
+	for _, ops := range []int{200, 0} {
+		byDefault := costCfg(4, ops, 1)
+		byDefault.Scenario = "churn"
+		byDefault.Duration = 300 * time.Millisecond
+		phases, err := bench.EffectivePhases(byDefault)
+		if err != nil || len(phases) != 8 {
+			t.Fatalf("churn schedule = %v, %v; want eight phases", phases, err)
+		}
+		spelled := byDefault
+		spelled.Phases = phases
+		var work float64
+		for _, ph := range phases {
+			work += float64(ph.Live * ph.Ops)
+		}
+		if got, want := StaticCost(byDefault), StaticCost(spelled); got != want || got != 4*work {
+			t.Errorf("ops=%d: default schedule costs %.0f, spelled out %.0f, want 4 × %.0f", ops, got, want, work)
+		}
+	}
+}
+
 // TestCostModelMeasuredOverridesStatic pins the two-tier estimate: a group
 // with stored measurements is estimated by its mean elapsed time (however
 // wrong the static prior was), and a never-measured group is scaled by the

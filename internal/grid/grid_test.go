@@ -345,7 +345,7 @@ func TestRunnerVerbatimSeedConvention(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := sums[0].Trials[0].Seed, bench.TrialSeeds(77, 1)[0]; got != want {
-		t.Fatalf("trials=1 must use the RunTrials chain: got %d want %d", got, want)
+		t.Fatalf("trials=1 must use the TrialSeeds chain: got %d want %d", got, want)
 	}
 }
 

@@ -221,9 +221,9 @@ func TestRunnerAllFailedIsError(t *testing.T) {
 	}
 }
 
-// TestRunnerDefaultsApplyBeforeKeys: runner-level Faults/Deadline land on
-// configs that don't set their own — faults before key computation (they
-// are hashed), deadline normalized out of keys.
+// TestRunnerDefaultsApplyBeforeKeys: the runner-level Deadline lands on
+// configs that don't set their own and is normalized out of keys; a
+// config's fault plan is hashed into its key.
 func TestRunnerDefaultsApplyBeforeKeys(t *testing.T) {
 	var seen []bench.WorkloadConfig
 	var mu sync.Mutex
@@ -239,10 +239,14 @@ func TestRunnerDefaultsApplyBeforeKeys(t *testing.T) {
 	}
 	var keys []string
 	r := &Runner{
-		Faults: plan, Deadline: 5 * time.Second,
+		Deadline:   5 * time.Second,
 		OnProgress: func(p Progress) { keys = append(keys, p.Key) },
 	}
 	cfgs := twoConfigs()
+	bare := cfgs[0]
+	for i := range cfgs {
+		cfgs[i].Faults = plan
+	}
 	// trials <= 0 uses seeds verbatim, so the test can compute keys itself.
 	if _, err := r.Run(cfgs, 0); err != nil {
 		t.Fatal(err)
@@ -253,14 +257,12 @@ func TestRunnerDefaultsApplyBeforeKeys(t *testing.T) {
 				bench.FormatFaults(cfg.Faults), cfg.Deadline)
 		}
 	}
-	// The progress key must match the key of the effective (faulted) config,
-	// not the bare input config — that is what makes cache lookups sound.
-	want := cfgs[0]
-	want.Faults = plan
-	if keys[0] != results.KeyOf(want) {
-		t.Fatalf("progress key %s is not the faulted config's key %s", keys[0], results.KeyOf(want))
+	// The progress key is the key of the config as given (the deadline the
+	// runner added is not hashed), and not the bare config's — that is what
+	// makes cache lookups sound.
+	if keys[0] != results.KeyOf(cfgs[0]) {
+		t.Fatalf("progress key %s is not the faulted config's key %s", keys[0], results.KeyOf(cfgs[0]))
 	}
-	bare := cfgs[0]
 	if keys[0] == results.KeyOf(bare) {
 		t.Fatal("fault plan did not change the trial key")
 	}

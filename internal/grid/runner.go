@@ -80,10 +80,6 @@ type Runner struct {
 	// Backoff is the sleep before the first retry (doubling per attempt);
 	// <= 0 means 50ms.
 	Backoff time.Duration
-	// Faults is the default fault plan, applied to every config that doesn't
-	// carry its own. Plans change trial keys (a faulted trial is a different
-	// experiment), so the default is applied before any cache lookup.
-	Faults []bench.FaultSpec
 
 	mu          sync.Mutex
 	executed    int
@@ -163,22 +159,20 @@ type TrialTask struct {
 	Cfg              bench.WorkloadConfig
 }
 
-// ExpandTasks applies the runner-level default fault plan and watchdog
-// deadline to each config, then expands the RunTrials seed-chain convention
-// (trials >= 1 chains seeds; trials <= 0 uses each config's seed verbatim)
-// into per-trial tasks. It returns the effective configs alongside the
-// tasks. This is the claim-source contract shared by the in-process Runner
-// and the fleet coordinator: both must derive identical task lists — and
-// therefore identical TrialKeys — from the same spec, or distributed caching
-// would be unsound. Defaults land here, before any key computation, because
-// fault plans are hashed into keys.
-func ExpandTasks(cfgs []bench.WorkloadConfig, trials int, defFaults []bench.FaultSpec, defDeadline time.Duration) ([]bench.WorkloadConfig, []TrialTask) {
+// ExpandTasks applies the runner-level default watchdog deadline to each
+// config, then expands the TrialSeeds chain convention (trials >= 1 chains
+// seeds; trials <= 0 uses each config's seed verbatim) into per-trial tasks.
+// It returns the effective configs alongside the tasks. This is the
+// claim-source contract shared by the in-process Runner and the fleet
+// coordinator: both must derive identical task lists — and therefore
+// identical TrialKeys — from the same spec, or distributed caching would be
+// unsound. The third parameter is ignored: it was the default fault plan,
+// which no caller has set since a plan became a Spec axis, and it stays only
+// because benchmark/ calls the four-argument form.
+func ExpandTasks(cfgs []bench.WorkloadConfig, trials int, _ []bench.FaultSpec, defDeadline time.Duration) ([]bench.WorkloadConfig, []TrialTask) {
 	eff := make([]bench.WorkloadConfig, len(cfgs))
 	var tasks []TrialTask
 	for i, cfg := range cfgs {
-		if len(cfg.Faults) == 0 && len(defFaults) > 0 {
-			cfg.Faults = defFaults
-		}
 		if cfg.Deadline == 0 {
 			cfg.Deadline = defDeadline
 		}
@@ -216,10 +210,9 @@ func (r *Runner) Run(cfgs []bench.WorkloadConfig, trials int) ([]bench.Summary, 
 // only so the makespan test can run its control arm — expansion order at
 // Parallel > 1.
 func (r *Runner) run(cfgs []bench.WorkloadConfig, trials int, expansionOrder bool) ([]bench.Summary, error) {
-	// Runner-level defaults apply inside ExpandTasks, before any key is
-	// computed: the fault plan is hashed (a faulted trial is a different
-	// experiment); the deadline is normalized out of keys.
-	eff, tasks := ExpandTasks(cfgs, trials, r.Faults, r.Deadline)
+	// The runner's default deadline applies inside ExpandTasks; it is
+	// normalized out of keys.
+	eff, tasks := ExpandTasks(cfgs, trials, nil, r.Deadline)
 	var model *CostModel
 	if !expansionOrder {
 		// Only cost order reads the model, so a serial run skips the store
@@ -482,7 +475,7 @@ func (r *Runner) report(t *tally, key string, cfg bench.WorkloadConfig, fromCach
 }
 
 // RunSpec expands and validates a spec, then runs it. Spec.Trials <= 0 is
-// normalized to 1 here (with the RunTrials seed chain, matching the Spec
+// normalized to 1 here (with the TrialSeeds chain, matching the Spec
 // doc); the verbatim-seed trials<=0 convention belongs to Run only.
 func (r *Runner) RunSpec(s Spec) ([]bench.Summary, error) {
 	if err := s.Validate(); err != nil {

@@ -56,7 +56,7 @@ type Spec struct {
 	Threads        []int
 	BatchSizes     []int
 	Reclaimers     []string
-	// Trials per configuration (the RunTrials seed chain); <= 0 means 1.
+	// Trials per configuration (the TrialSeeds chain); <= 0 means 1.
 	Trials int
 }
 
