@@ -7,8 +7,8 @@ import (
 
 // The ds layer's budget: what one ABtree operation costs the host on the
 // paper's stack (jemalloc model × debra), one thread, 2^15 keys, half of
-// them present. scripts/bench-json.sh records both into BENCH_<pr>.json and
-// scripts/bench-history.sh tracks the update row across PRs.
+// them present. On the full stack the same layer is the repository
+// benchmark's ds.* fields (ds.insert_ns_p50, ds.delete_ns_p50, ds.op_ns_p99).
 
 const benchKeyRange = 1 << 15
 

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -262,9 +261,8 @@ func TestCostOrderedDispatch(t *testing.T) {
 // "work" is a deterministic sleep proportional to the config's declared ops,
 // so the measured gain is pure scheduling, not noise. The control arm is the
 // queue's expansion order at Parallel > 1, which no Runner field selects: the
-// test calls the unexported run. scripts/bench-json.sh runs this with -v,
-// parses the "makespan:" lines into BENCH_<pr>.json, and gates ratio >= 1.25
-// at Parallel=4.
+// test calls the unexported run. The analytic ratio is ~1.5x; the gate is
+// 1.25x at Parallel=4, and Parallel=8 is logged only.
 func TestMakespanSchedulerGain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing benchmark; skipped in -short")
@@ -294,13 +292,9 @@ func TestMakespanSchedulerGain(t *testing.T) {
 		fifo := run(parallel, true)
 		cost := run(parallel, false)
 		ratio := float64(fifo) / float64(cost)
-		// Greppable line for scripts/bench-json.sh (the makespan gate).
-		fmt.Printf("makespan: parallel=%d fifo_ms=%d cost_ms=%d ratio=%.3f\n",
+		t.Logf("makespan: parallel=%d fifo_ms=%d cost_ms=%d ratio=%.3f",
 			parallel, fifo.Milliseconds(), cost.Milliseconds(), ratio)
-		// The in-test gate is looser than the bench-json one (1.25 at P=4):
-		// this guards the scheduler working at all, the script guards the
-		// recorded artifact.
-		if parallel == 4 && ratio < 1.15 {
+		if parallel == 4 && ratio < 1.25 {
 			t.Errorf("cost-ordered dispatch gained only %.3fx over expansion order at parallel=%d", ratio, parallel)
 		}
 	}

@@ -46,17 +46,9 @@ func NewTCMalloc(cfg Config) *TCMalloc {
 	for c := range a.central {
 		// The central free lists live wherever the first toucher mapped
 		// them; spread them across sockets round-robin.
-		a.central[c].homeSocket = cfg.Cost.Socket(c * cfg.ThreadsOrOne() / NumSizeClasses)
+		a.central[c].homeSocket = cfg.Cost.Socket(c * cfg.Threads / NumSizeClasses)
 	}
 	return a
-}
-
-// ThreadsOrOne avoids a zero divisor for tiny configs.
-func (c *Config) ThreadsOrOne() int {
-	if c.Threads > 0 {
-		return c.Threads
-	}
-	return 1
 }
 
 func (a *TCMalloc) Name() string { return "tcmalloc" }
