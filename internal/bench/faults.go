@@ -350,13 +350,16 @@ func (fe *faultEngine) onBatch(st *Stack, w, tid, n int) (crashed bool) {
 // park holds tid inside an open operation — the adversarial critical
 // section. A stall releases once the rest of the population completes
 // span sim-ops (heartbeat delta), every other worker has finished, or the
-// trial stops; a wedge releases only on stop/abort.
+// trial stops; a wedge releases only on stop/abort. Only the reclaimer
+// sees the open operation: the worker holds no host node, so the set is
+// parked meanwhile and host recycling goes on without it.
 func (fe *faultEngine) park(st *Stack, tid int, ev *faultEvent) {
 	if ev.kind == faultWedge {
 		fe.wedges.Add(1)
 	} else {
 		fe.stalls.Add(1)
 	}
+	st.Set.Park(tid)
 	st.Reclaimer.BeginOp(tid)
 	target := st.heart.Load() + ev.span
 	for !st.Stopped() {
@@ -366,6 +369,7 @@ func (fe *faultEngine) park(st *Stack, tid int, ev *faultEvent) {
 		runtime.Gosched()
 	}
 	st.Reclaimer.EndOp(tid)
+	st.Set.Quiesce(tid)
 }
 
 // snapshot reports the injected-fault counts for TrialResult.

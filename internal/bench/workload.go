@@ -348,7 +348,8 @@ func OnFirstPrefillDone(f func()) { afterPrefill.Store(&f) }
 
 // prefill inserts random keys in parallel until the set holds half the key
 // range, the paper's steady-state size. Prefill batches feed the stack's
-// heartbeat so an armed watchdog covers the prefill too.
+// heartbeat so an armed watchdog covers the prefill too, and are the set's
+// grace-period edges (ds.Set.Quiesce).
 func prefill(cfg *WorkloadConfig, st *Stack) {
 	set := st.Set
 	target := cfg.KeyRange / 2
@@ -357,8 +358,10 @@ func prefill(cfg *WorkloadConfig, st *Stack) {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
+			defer set.Park(tid)
 			r := newRNG(cfg.Seed + uint64(tid)*0x517cc1b727220a95 + 11)
 			for set.Size() < target {
+				set.Quiesce(tid)
 				for i := 0; i < 64; i++ {
 					set.Insert(tid, r.intn(cfg.KeyRange))
 				}
@@ -375,8 +378,8 @@ func prefill(cfg *WorkloadConfig, st *Stack) {
 // budget is spent (budget 0: until the Duration window's Stop), a watchdog
 // abort, or a crash fault ends it. The per-op path contains only the set
 // call itself; stream draws, the stop check, the yield policy, the timeline
-// staging-ring merge, the heartbeat, and the fault hook all live on batch
-// boundaries.
+// staging-ring merge, the set's grace-period edge (ds.Set.Quiesce), the
+// heartbeat, and the fault hook all live on batch boundaries.
 //
 // w is the worker index — stable across slot recycling, equal to tid
 // while the population never shrinks — and keys the fault engine's
@@ -389,6 +392,8 @@ func runWorker(cfg *WorkloadConfig, st *Stack, w, tid int, kd KeyDist, om OpMix,
 		fe.enter(w, tid)
 		defer fe.exit()
 	}
+	set.Quiesce(tid)
+	defer set.Park(tid)
 	ae := st.arrivals
 	// An open-system worker drops any backlog that accumulated while it was
 	// not running — trial start and phase dispatch gaps both land here — so
@@ -436,11 +441,13 @@ func runWorker(cfg *WorkloadConfig, st *Stack, w, tid int, kd KeyDist, om OpMix,
 			ae.complete(w, n)
 		}
 		rec.Merge(tid)
+		set.Quiesce(tid)
 		st.heart.Add(int64(n))
 		if fe != nil && fe.onBatch(st, w, tid, n) {
 			// Crash fault: exit without Leave, stranding the slot's limbo.
 			// The staged timeline entries merged above, so the abandoned
-			// ring is empty; the trial-end reaper Leaves the slot.
+			// ring is empty; the trial-end reaper Leaves the slot. The set
+			// is parked all the same: the worker holds no node here.
 			return local
 		}
 		if sinceYield += int64(n); sinceYield >= stride {

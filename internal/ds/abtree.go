@@ -23,10 +23,13 @@ const (
 // abInternal (in points back at it, keys is nil). A node's slot in its parent
 // is guarded by the parent's lock (or the tree's rootMu for the root).
 //
-// Host nodes belong to the Go collector and are never recycled by hand: what
-// the experiment models is obj's lifecycle in the simulated allocator, and
-// the collector is what keeps a reader safe when a reclaimer frees obj
-// while the reader still holds the node.
+// What the experiment models is obj's lifecycle in the simulated allocator,
+// and the reclaimer under test never decides when a host node is reused. A
+// leaf is recycled per thread on the caller's own grace period instead
+// (Quiesce / Park, abThread); internal nodes, and every node of a caller that
+// never calls Quiesce, belong to the Go collector. TestABTreeRecycledLeaf-
+// WaitsForReaders pins the grace period, TestABTreeRecycledUpdateAllocsNothing
+// what it saves.
 type abNode struct {
 	obj  *simalloc.Object
 	in   *abInternal
@@ -90,6 +93,33 @@ func (x *abTier[R, C]) bind(route []int64, slots []atomic.Pointer[abNode]) *abIn
 	return &x.abInternal
 }
 
+// abLeafTiers is the number of leaf capacities, indexed by n>>1 for a leaf
+// of n keys; abFreeCap caps each tier's free list per thread, and a leaf
+// retired beyond it is left to the collector.
+const (
+	abLeafTiers = abLeafCap>>1 + 1
+	abFreeCap   = 64
+)
+
+// abThread is one thread's share of the host leaf recycler, a Fraser-style
+// EBR over the tree's host epoch. Quiesce announces the epoch, and while a
+// thread's announcement is e the global epoch stays e or e+1. A leaf
+// retired while the global epoch is e goes to bag e%3, and once the thread
+// sees the epoch at e+2 no caller can still hold it (each has quiesced or
+// parked since), so the bag moves to the free lists newNode pops from.
+type abThread struct {
+	ann   atomic.Uint64 // epoch announced at the last Quiesce; 0 while parked
+	_     [7]uint64
+	epoch uint64 // the global epoch at the owner's last Quiesce
+	bags  [3][]*abNode
+	free  [abLeafTiers][]*abNode
+	_     [3]uint64 // to a whole number of cache lines
+}
+
+// testHookAnnounce, when set, runs in Quiesce between reading the global
+// epoch and announcing it: the window a parked thread's read goes stale in.
+var testHookAnnounce func()
+
 // abSlot names the slot a node hangs from: children[idx] of in, or the tree's
 // root slot when in is nil.
 type abSlot struct {
@@ -109,14 +139,63 @@ type ABTree struct {
 	root   atomic.Pointer[abNode]
 	rootMu sync.Mutex // guards the root slot
 	size   *sizeCtr
+	epoch  atomic.Uint64 // the host epoch of the leaf recycler, from 1
+	th     []abThread
 }
 
 // NewABTree builds an empty tree over the allocator and reclaimer.
 func NewABTree(alloc simalloc.Allocator, rec smr.Reclaimer) *ABTree {
-	t := &ABTree{alloc: alloc, rec: rec, guards: guardsOf(rec, alloc.Threads()), size: newSizeCtr(alloc.Threads())}
+	threads := alloc.Threads()
+	t := &ABTree{alloc: alloc, rec: rec, guards: guardsOf(rec, threads), size: newSizeCtr(threads), th: make([]abThread, threads)}
+	t.epoch.Store(1)
 	t.root.Store(t.newNode(0, 0))
 	return t
 }
+
+// Quiesce implements Set. It announces the host epoch, moves the bags the
+// epoch has made safe onto tid's free lists, and advances the epoch once
+// every unparked thread has announced it.
+func (t *ABTree) Quiesce(tid int) {
+	me := &t.th[tid]
+	// A parked thread does not hold the epoch back, so the epoch it read
+	// may have moved on by the time it announces; announce until the
+	// announcement is current.
+	var e uint64
+	for {
+		e = t.epoch.Load()
+		if testHookAnnounce != nil {
+			testHookAnnounce()
+		}
+		me.ann.Store(e)
+		if t.epoch.Load() == e {
+			break
+		}
+	}
+	if e != me.epoch {
+		// The bags hold epochs me.epoch-1, me.epoch and me.epoch+1, at
+		// indices (me.epoch+2)%3, ...; those at or before e-2 are safe.
+		for i := uint64(0); i < min(e-me.epoch, 3); i++ {
+			bag := &me.bags[(me.epoch+2+i)%3]
+			for _, l := range *bag {
+				if f := &me.free[cap(l.keys)>>1]; len(*f) < abFreeCap {
+					*f = append(*f, l)
+				}
+			}
+			clear(*bag)
+			*bag = (*bag)[:0]
+		}
+		me.epoch = e
+	}
+	for i := range t.th {
+		if a := t.th[i].ann.Load(); a != 0 && a != e {
+			return
+		}
+	}
+	t.epoch.CompareAndSwap(e, e+1)
+}
+
+// Park implements Set.
+func (t *ABTree) Park(tid int) { t.th[tid].ann.Store(0) }
 
 func (t *ABTree) Name() string { return "abtree" }
 
@@ -127,7 +206,22 @@ func (t *ABTree) Size() int64 { return t.size.total() }
 // len(keys) = n for the caller to fill. The host struct is the smallest tier
 // holding n keys: capacities 1, 3, ... 15 make head + keys exactly the Go
 // size classes 48, 64, ... 160, and a full leaf takes the 176-byte class.
+// It is tid's last recycled leaf of that tier when there is one.
 func (t *ABTree) newNode(tid, n int) *abNode {
+	var l *abNode
+	if f := &t.th[tid].free[n>>1]; len(*f) > 0 {
+		l, *f = (*f)[len(*f)-1], (*f)[:len(*f)-1]
+		l.keys = l.keys[:n]
+	} else {
+		l = newLeafTier(n)
+	}
+	l.obj = t.alloc.Alloc(tid, ABTreeNodeBytes)
+	t.rec.OnAlloc(tid, l.obj)
+	return l
+}
+
+// newLeafTier allocates the host struct of a leaf of n keys.
+func newLeafTier(n int) *abNode {
 	var l *abNode
 	switch n >> 1 {
 	case 0:
@@ -158,8 +252,6 @@ func (t *ABTree) newNode(tid, n int) *abNode {
 		x := new(abLeaf[[abLeafCap]int64])
 		x.keys, l = x.arr[:n], &x.abNode
 	}
-	l.obj = t.alloc.Alloc(tid, ABTreeNodeBytes)
-	t.rec.OnAlloc(tid, l.obj)
 	return l
 }
 
@@ -261,7 +353,16 @@ func (f *abFill) pushFrom(src *abInternal, from, to int) {
 	}
 }
 
-func (t *ABTree) retire(tid int, n *abNode) { t.rec.Retire(tid, n.obj) }
+// retire hands n's simulated object to the reclaimer and, for a leaf of an
+// unparked tid, the host struct to the bag of the global epoch, read after
+// the unlink.
+func (t *ABTree) retire(tid int, n *abNode) {
+	t.rec.Retire(tid, n.obj)
+	if me := &t.th[tid]; n.in == nil && me.ann.Load() != 0 {
+		bag := &me.bags[t.epoch.Load()%3]
+		*bag = append(*bag, n)
+	}
+}
 
 // childIndex returns the child slot covering key: the first i with
 // key < route[i], else the last slot.

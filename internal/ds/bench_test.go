@@ -25,12 +25,18 @@ func newBenchTree(b *testing.B) (Set, *rand.Rand) {
 var benchSink bool
 
 // BenchmarkABTreeUpdate is the update workload's op mix: uniform keys,
-// alternating insert and delete, about half of each succeeding.
+// alternating insert and delete, about half of each succeeding, with a
+// batch edge (Set.Quiesce) every 64 ops as the harness's workers make.
 func BenchmarkABTreeUpdate(b *testing.B) {
 	set, rng := newBenchTree(b)
+	set.Quiesce(0)
+	defer set.Park(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i&63 == 63 {
+			set.Quiesce(0)
+		}
 		key := rng.Int63n(benchKeyRange)
 		if i&1 == 0 {
 			benchSink = set.Insert(0, key)

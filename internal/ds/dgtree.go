@@ -73,6 +73,11 @@ func (t *DGTree) Name() string { return "dgtree" }
 // Size returns the number of keys.
 func (t *DGTree) Size() int64 { return t.size.total() }
 
+// Quiesce and Park implement Set: the DGT tree's host nodes are the
+// collector's.
+func (t *DGTree) Quiesce(int) {}
+func (t *DGTree) Park(int)    {}
+
 func (t *DGTree) newDGNode(tid int, key int64, leaf bool) *dgNode {
 	obj := t.alloc.Alloc(tid, DGTreeNodeBytes)
 	t.rec.OnAlloc(tid, obj)

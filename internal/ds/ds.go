@@ -6,8 +6,9 @@
 //
 // All three allocate their nodes through a simulated allocator
 // (package simalloc) and retire unlinked nodes through a reclaimer
-// (package smr); Go's garbage collector provides memory safety, so the
-// reclaimer's job here is to reproduce the retire→grace-period→free
+// (package smr); memory safety comes from Go's garbage collector and, for
+// the ABtree's recycled leaves, the callers' own grace period (Set.Quiesce),
+// so the reclaimer's job here is to reproduce the retire→grace-period→free
 // lifecycle whose cost the paper studies.
 package ds
 
@@ -33,6 +34,16 @@ type Set interface {
 	// Size returns the exact number of keys. It sums per-thread deltas and
 	// is accurate whenever no operation is in flight.
 	Size() int64
+	// Quiesce says tid holds no node from any earlier call; Park says the
+	// same and that tid makes no call until its next Quiesce. They are the
+	// host's grace period, independent of the reclaimer: a set may reuse a
+	// node it unlinked once every unparked tid has quiesced twice since (the
+	// ABtree's leaves), or ignore both (the other trees). A tid that never
+	// called Quiesce counts as parked, so a caller that skips the protocol
+	// keeps the collector's path; once any tid quiesces, every tid that makes
+	// calls must make them between a Quiesce and its Park.
+	Quiesce(tid int)
+	Park(tid int)
 }
 
 // NodeSizes used by the paper's data structures.

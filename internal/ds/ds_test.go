@@ -204,7 +204,9 @@ func TestQuickProperty(t *testing.T) {
 
 // TestConcurrentStress partitions the key space among goroutines (each
 // owns a disjoint slice), so every thread can check its own operations'
-// results exactly even under full concurrency.
+// results exactly even under full concurrency. Threads quiesce every 64 ops
+// as the harness's workers do, so the ABtree recycles leaves under
+// contention (and under -race).
 func TestConcurrentStress(t *testing.T) {
 	const threads = 8
 	const opsEach = 3000
@@ -218,10 +220,15 @@ func TestConcurrentStress(t *testing.T) {
 					wg.Add(1)
 					go func(tid int) {
 						defer wg.Done()
+						set.Quiesce(tid)
+						defer set.Park(tid)
 						rng := rand.New(rand.NewSource(int64(tid)))
 						base := int64(tid * 1000)
 						local := map[int64]bool{}
 						for i := 0; i < opsEach; i++ {
+							if i%64 == 63 {
+								set.Quiesce(tid)
+							}
 							key := base + rng.Int63n(200)
 							if rng.Intn(2) == 0 {
 								want := !local[key]
@@ -264,7 +271,8 @@ func TestConcurrentStress(t *testing.T) {
 
 // TestConcurrentMixedKeys has all threads hammer the same small key range
 // (maximum contention) and validates final contents against a single
-// post-hoc sequential scan.
+// post-hoc sequential scan. Threads quiesce every 64 ops, as in
+// TestConcurrentStress.
 func TestConcurrentMixedKeys(t *testing.T) {
 	const threads = 8
 	for _, dsName := range Names() {
@@ -276,8 +284,13 @@ func TestConcurrentMixedKeys(t *testing.T) {
 				wg.Add(1)
 				go func(tid int) {
 					defer wg.Done()
+					set.Quiesce(tid)
+					defer set.Park(tid)
 					rng := rand.New(rand.NewSource(int64(100 + tid)))
 					for i := 0; i < 4000; i++ {
+						if i%64 == 63 {
+							set.Quiesce(tid)
+						}
 						key := rng.Int63n(64)
 						if rng.Intn(2) == 0 {
 							set.Insert(tid, key)
@@ -290,11 +303,13 @@ func TestConcurrentMixedKeys(t *testing.T) {
 			wg.Wait()
 			// Size must equal the number of keys Contains reports present.
 			var present int64
+			set.Quiesce(0)
 			for k := int64(0); k < 64; k++ {
 				if set.Contains(0, k) {
 					present++
 				}
 			}
+			set.Park(0)
 			if got := set.Size(); got != present {
 				t.Fatalf("Size = %d but %d keys are present", got, present)
 			}

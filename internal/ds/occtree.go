@@ -53,6 +53,11 @@ func (t *OCCTree) Name() string { return "occtree" }
 // Size returns the number of (unmarked) keys.
 func (t *OCCTree) Size() int64 { return t.size.total() }
 
+// Quiesce and Park implement Set: the OCCtree's host nodes are the
+// collector's.
+func (t *OCCTree) Quiesce(int) {}
+func (t *OCCTree) Park(int)    {}
+
 func (t *OCCTree) newOCCNode(tid int, key int64) *occNode {
 	obj := t.alloc.Alloc(tid, OCCTreeNodeBytes)
 	t.rec.OnAlloc(tid, obj)

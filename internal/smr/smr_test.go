@@ -271,6 +271,70 @@ func TestDebraDelayedThreadBlocksEpoch(t *testing.T) {
 	}
 }
 
+// TestEpochBagsOutliveReadersOfTheRetireEpoch scripts the grace period of
+// DEBRA and QSBR with two threads. B announces g; A opens an operation in
+// g+1, from which point it may reach X; B retires X. X was unlinked in
+// g+1, so it must outlive A's operation. But a retire goes to the bag of
+// the retirer's announcement (g, one behind the global epoch), so B alone
+// frees X as soon as the epoch reaches g+2, while A still reads: the test
+// skips while that holds. The fix is to tag by the global epoch at retire;
+// ROADMAP item 1 carries it.
+func TestEpochBagsOutliveReadersOfTheRetireEpoch(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		// open starts an operation that may reach anything linked from here
+		// on, and close ends it. QSBR's quiescent state is EndOp: it closes
+		// the previous operation and opens the next.
+		open, close func(Reclaimer, int)
+	}{
+		{"debra", Reclaimer.BeginOp, Reclaimer.EndOp},
+		{"qsbr", Reclaimer.EndOp, func(Reclaimer, int) {}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig(2)
+			cfg.EpochCheckOps = 1
+			r := mustNew(t, c.name, cfg)
+			const a, b = 0, 1
+			epoch := func() int64 { return r.Stats().Epochs }
+
+			c.open(r, b) // B announces g
+			g := epoch()
+			for i := 0; epoch() == g; i++ {
+				if i == 8 {
+					t.Fatalf("A alone did not advance the epoch past %d", g)
+				}
+				c.open(r, a)
+				c.close(r, a)
+			}
+			c.open(r, a) // A announces g+1 and may reach X from here
+			x := cfg.Alloc.Alloc(b, 64)
+			r.OnAlloc(b, x)
+			r.Retire(b, x)
+			c.close(r, b)
+			for i := 0; i < 16 && x.State() != simalloc.StateFree; i++ {
+				c.open(r, b)
+				c.close(r, b)
+			}
+			if x.State() == simalloc.StateFree {
+				t.Skipf("ROADMAP item 1: X, unlinked in epoch %d while A's operation from that epoch was open, was freed by epoch %d", g+1, epoch())
+			}
+			if e := epoch(); e > g+2 {
+				t.Fatalf("the epoch reached %d with A's operation from %d still open", e, g+1)
+			}
+			c.close(r, a)
+			for i := 0; i < 16 && x.State() != simalloc.StateFree; i++ {
+				c.open(r, a)
+				c.close(r, a)
+				c.open(r, b)
+				c.close(r, b)
+			}
+			if x.State() != simalloc.StateFree {
+				t.Fatal("X was never freed after A's operation closed")
+			}
+		})
+	}
+}
+
 // TestTokenRingOrder checks the token circulates the ring in order.
 func TestTokenRingOrder(t *testing.T) {
 	cfg := testConfig(3)
