@@ -41,23 +41,15 @@
 // crosses closed-loop controls with open-system configs; summaries then
 // carry pooled p99/p999 latency columns in every output format.
 //
-// Distributed sweeps split one grid across processes (or machines) under
-// time-bounded leases, converging on the same store a local sweep would:
-//
-//	epochgrid -serve :7712 -store sweep.jsonl -reclaimers debra,hp -trials 3
-//	epochgrid -worker http://host:7712        # one per machine/core
-//
-// Workers that die mid-trial lose their lease and the trial is re-issued;
-// duplicate completions dedupe by trial key; a killed coordinator restarts
-// with the same -serve flags and resumes from the store. See internal/fleet.
-//
 // Regression diff between two stores:
 //
 //	epochgrid -compare old.jsonl -with new.jsonl -tol 0.05 -lat-tol 4
 //
 // exits 1 when any configuration regressed beyond the tolerance — mean
 // throughput outside ±tol, peak limbo grown past -limbo-tol, or p999
-// latency grown past -lat-tol — which is what the CI gate keys off.
+// latency grown past -lat-tol — when the new store has a configuration
+// group the old one lacks, or when no group is in both. That is CI's
+// baseline gate.
 package main
 
 import (
@@ -98,14 +90,6 @@ func realMain(args []string) int {
 		deadline   = fs.Duration("deadline", 0, "per-trial watchdog deadline: abort a trial whose op progress stalls this long (0 = no watchdog)")
 		retries    = fs.Int("retries", 0, "re-execute a failed trial this many times before quarantining it")
 		backoff    = fs.Duration("backoff", 0, "base delay between trial retries, doubled with seeded jitter (default 50ms)")
-		serveAddr  = fs.String("serve", "", "coordinator mode: serve the sweep's trials under leases on this address (e.g. :7712); requires -store")
-		workerURL  = fs.String("worker", "", "worker mode: pull leased trials from the coordinator at this URL (e.g. http://host:7712)")
-		statusURL  = fs.String("status", "", "status mode: pretty-print the coordinator's /v1/status from this URL and exit")
-		leaseTTL   = fs.Duration("lease-ttl", 30*time.Second, "coordinator mode: how long a worker may hold a trial without renewing before it is re-issued")
-		localGrace = fs.Duration("local-grace", 5*time.Second, "coordinator mode: if no worker leases a trial within this window, drain the sweep locally in-process (0 disables)")
-		workerName = fs.String("worker-name", "", "worker mode: name journaled with claims (default host:pid)")
-		spoolPath  = fs.String("spool", "", "worker mode: local JSONL spool for records the coordinator could not receive (default: auto temp path; \"none\" disables)")
-		capacity   = fs.Int("capacity", 0, "worker mode: thread capacity advertised for cost-aware placement (default GOMAXPROCS; negative = unlimited)")
 		storePath  = fs.String("store", "", "JSONL results store: cache hits skip execution, completed trials append")
 		parallel   = fs.Int("parallel", 1, "max in-flight trials")
 		budget     = fs.Int("budget", 0, "thread-token budget shared by in-flight trials (default GOMAXPROCS)")
@@ -153,20 +137,6 @@ func realMain(args []string) int {
 		return runCompare(*compareOld, *compareNew, *tol, *limboTol, *latTol, *format, *outPath)
 	}
 
-	if *statusURL != "" {
-		return runStatus(*statusURL)
-	}
-
-	if *experiment != "" && (*serveAddr != "" || *workerURL != "") {
-		return fail(2, "-experiment runs in this process: it cannot be combined with -serve or -worker")
-	}
-	if *workerURL != "" {
-		// Worker mode ignores the sweep axes: the coordinator owns the spec,
-		// the worker just executes what it is leased.
-		return runWorker(*workerURL, *retries, *backoff, *workerName, *spoolPath,
-			*capacity, *progress)
-	}
-
 	spec, err := sweep.spec()
 	if err != nil {
 		return fail(2, "%v", err)
@@ -193,11 +163,6 @@ func realMain(args []string) int {
 		return fail(1, "%v", err)
 	}
 	defer closeOut()
-
-	if *serveAddr != "" {
-		return runServe(*serveAddr, spec, *storePath, *leaseTTL, *deadline, *localGrace,
-			*retries, *backoff, *format, out, *progress)
-	}
 
 	runner := &grid.Runner{Parallel: *parallel, Budget: *budget, Deadline: *deadline, Retries: *retries, Backoff: *backoff}
 	if *storePath != "" {
@@ -250,7 +215,17 @@ func realMain(args []string) int {
 			return fail(1, "%v", err)
 		}
 	}
-	return closeSweep(len(sums), executed+cached+quarantined, executed, cached, quarantined, t0)
+	// The machine-greppable run line: the CI cache-hit gate matches
+	// executed=0, the robustness gate quarantined=N.
+	fmt.Fprintf(os.Stderr, "grid: configs=%d trials=%d executed=%d cached=%d quarantined=%d wall=%v\n",
+		len(sums), executed+cached+quarantined, executed, cached, quarantined, time.Since(t0).Round(time.Millisecond))
+	if quarantined > 0 {
+		// The sweep completed and its results were emitted, but some trials
+		// failed permanently — a distinct exit code so CI can tell "grid
+		// survived wedges" (expected in fault sweeps) from a clean pass.
+		return 3
+	}
+	return 0
 }
 
 // planExperiments resolves -experiment's id ("all": every id, sorted) against
@@ -292,22 +267,6 @@ func runExperiments(plan []experiments.Experiment, runner *grid.Runner, out io.W
 		}
 	}
 	return all, nil
-}
-
-// closeSweep is the tail of every finished sweep, local or served, once its
-// output is written: print the machine-greppable run line (the CI cache-hit
-// gate matches executed=0, the robustness gate quarantined=N) and pick the
-// exit code.
-func closeSweep(configs, trials, executed, cached, quarantined int, t0 time.Time) int {
-	fmt.Fprintf(os.Stderr, "grid: configs=%d trials=%d executed=%d cached=%d quarantined=%d wall=%v\n",
-		configs, trials, executed, cached, quarantined, time.Since(t0).Round(time.Millisecond))
-	if quarantined > 0 {
-		// The sweep completed and its results were emitted, but some trials
-		// failed permanently — a distinct exit code so CI can tell "grid
-		// survived wedges" (expected in fault sweeps) from a clean pass.
-		return 3
-	}
-	return 0
 }
 
 func openOut(path string) (io.Writer, func(), error) {
@@ -403,10 +362,10 @@ func elapsedMsOf(s bench.Summary) float64 {
 }
 
 // hostOf renders the distinct hosts a summary's trials ran on, ';'-joined in
-// first-appearance order. Single-process sweeps yield one host; a fleet
-// sweep's summaries name every machine that contributed, so distributed
-// results are traceable without opening the store. Empty for records that
-// predate provenance stamping.
+// first-appearance order. A sweep yields one host; a store that merges
+// several machines' sweeps names every machine that contributed, so its
+// results are traceable without opening it. Empty for records that predate
+// provenance stamping.
 func hostOf(s bench.Summary) string {
 	var hosts []string
 	seen := map[string]bool{}
@@ -595,6 +554,15 @@ func runCompare(oldPath, newPath string, tol, limboTol, latTol float64, format, 
 		oldStore.Len() > 0 && newStore.Len() > 0 {
 		fmt.Fprintln(os.Stderr,
 			"epochgrid: no configuration group exists in both stores — keys changed (schema, normalization, or sweep flags); refresh the baseline")
+		return 1
+	}
+	// A group only the new store has was measured against nothing: the
+	// baseline predates the sweep's flags or was cut from fewer sweeps. Old
+	// groups the new store lacks are fine — one baseline serves several
+	// sweeps, each a subset of it.
+	if rep.OnlyNew > 0 {
+		fmt.Fprintf(os.Stderr,
+			"epochgrid: %d configuration group(s) of the new store are missing from the old one; refresh the baseline\n", rep.OnlyNew)
 		return 1
 	}
 	return 0

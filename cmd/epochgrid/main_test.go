@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/results"
 )
 
 // TestOpenStoreReportsOtherSchema: a store holding a schema-5 record beside a
@@ -49,13 +52,12 @@ func TestOpenStoreReportsOtherSchema(t *testing.T) {
 
 // TestOutOpensBeforeTheSweep: -out is created before the first trial, so an
 // unwritable path exits 1 with nothing run — the store holds no record — for
-// a plain sweep, an experiment and a served sweep alike.
+// a plain sweep and an experiment alike.
 func TestOutOpensBeforeTheSweep(t *testing.T) {
 	tiny := []string{"-threads", "2", "-at", "2", "-ops", "50", "-keyrange", "1024"}
 	for name, mode := range map[string][]string{
 		"sweep":      {"-reclaimers", "debra"},
 		"experiment": {"-experiment", "table2"},
-		"serve":      {"-serve", "127.0.0.1:0", "-local-grace", "1ms"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -78,12 +80,52 @@ func TestExperimentFlagErrors(t *testing.T) {
 		"unknown id":       {"-experiment", "fig99"},
 		"swept free axis":  {"-experiment", "exp1", "-scenarios", "paper,zipf"},
 		"fixed axis named": {"-experiment", "exp1", "-reclaimers", "debra"},
-		"with -serve":      {"-experiment", "exp1", "-serve", ":0", "-store", filepath.Join(t.TempDir(), "s.jsonl")},
-		"with -worker":     {"-experiment", "exp1", "-worker", "http://127.0.0.1:1"},
 	} {
 		if code := realMain(args); code != 2 {
 			t.Errorf("%s: exit code %d, want 2", name, code)
 		}
+	}
+}
+
+// TestCompareGate: -compare is CI's baseline gate. It fails on a regressed
+// group, on a group the baseline lacks, and on stores with no group in
+// common; a new store whose groups are a subset of the baseline's, each
+// within tolerance, passes.
+func TestCompareGate(t *testing.T) {
+	// store writes one single-trial group per reclaimer, at the given ops/s.
+	store := func(groups map[string]float64) string {
+		path := filepath.Join(t.TempDir(), "store.jsonl")
+		st, err := results.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		for reclaimer, ops := range groups {
+			cfg := bench.DefaultWorkload(2)
+			cfg.Reclaimer, cfg.Seed = reclaimer, 1
+			if err := st.Append(results.NewRecord(cfg, bench.TrialResult{Scenario: cfg.Scenario, Seed: 1, OpsPerSec: ops})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return path
+	}
+	baseline := store(map[string]float64{"debra": 100, "hp": 100, "qsbr": 100})
+	for _, tc := range []struct {
+		name   string
+		groups map[string]float64
+		want   int
+	}{
+		{"regressed", map[string]float64{"debra": 10, "hp": 100}, 1},
+		{"only-new", map[string]float64{"debra": 100, "ibr": 100}, 1},
+		{"disjoint", map[string]float64{"ibr": 100, "he": 100}, 1},
+		{"subset with only-old groups", map[string]float64{"debra": 102, "hp": 99}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "report.txt")
+			if code := realMain([]string{"-compare", baseline, "-with", store(tc.groups), "-tol", "0.5", "-out", out}); code != tc.want {
+				t.Fatalf("exit code %d, want %d", code, tc.want)
+			}
+		})
 	}
 }
 

@@ -113,14 +113,14 @@ func (s Spec) Validate() error {
 		if s.Period <= 0 {
 			return fmt.Errorf("arrival: bursty: period must be positive (got %v)", s.Period)
 		}
-		if s.Duty <= 0 || s.Duty > 1 {
+		if !(s.Duty > 0 && s.Duty <= 1) { // NaN fails too
 			return fmt.Errorf("arrival: bursty: duty must be in (0, 1] (got %v)", s.Duty)
 		}
 	case "diurnal":
 		if s.Period <= 0 {
 			return fmt.Errorf("arrival: diurnal: period must be positive (got %v)", s.Period)
 		}
-		if s.Amp < 0 || s.Amp >= 1 {
+		if !(s.Amp >= 0 && s.Amp < 1) { // NaN fails too
 			return fmt.Errorf("arrival: diurnal: amplitude must be in [0, 1) (got %v)", s.Amp)
 		}
 	}
@@ -137,6 +137,11 @@ func Parse(str string) (Spec, error) {
 	kind, rest, ok := strings.Cut(str, ":")
 	if !ok {
 		return Spec{}, fmt.Errorf("arrival: %q: want KIND:RATE[@PERIOD][~PARAM] (kinds: %s)", str, strings.Join(Names(), ", "))
+	}
+	if _, ok := kinds[kind]; !ok {
+		// Validate passes an empty kind as the closed-loop spec, which a
+		// rate after the colon contradicts.
+		return Spec{}, fmt.Errorf("arrival: %q: unknown kind %q (have %v)", str, kind, Names())
 	}
 	s := Spec{Kind: kind}
 	// The ~PARAM suffix binds rightmost, then @PERIOD.

@@ -19,22 +19,25 @@ func mustGen(t *testing.T, spec string, seed uint64) *Gen {
 	return g
 }
 
+// parseCases pins the canonical flag syntax: each input, the spec it parses
+// to and the form Format renders.
+var parseCases = []struct {
+	in   string
+	want Spec
+	out  string
+}{
+	{"", Spec{}, "none"},
+	{"none", Spec{}, "none"},
+	{"poisson:50000", Spec{Kind: "poisson", Rate: 50000}, "poisson:50000"},
+	{"bursty:20000", Spec{Kind: "bursty", Rate: 20000, Period: DefaultBurstyPeriod, Duty: DefaultBurstyDuty}, "bursty:20000@20ms~0.1"},
+	{"bursty:20000@50ms~0.25", Spec{Kind: "bursty", Rate: 20000, Period: 50 * time.Millisecond, Duty: 0.25}, "bursty:20000@50ms~0.25"},
+	{"diurnal:10000", Spec{Kind: "diurnal", Rate: 10000, Period: DefaultDiurnalPeriod, Amp: DefaultDiurnalAmp}, "diurnal:10000@100ms~0.8"},
+	{"diurnal:10000@200ms~0.5", Spec{Kind: "diurnal", Rate: 10000, Period: 200 * time.Millisecond, Amp: 0.5}, "diurnal:10000@200ms~0.5"},
+}
+
 // TestParseFormatRoundTrip pins the canonical flag syntax.
 func TestParseFormatRoundTrip(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Spec
-		out  string
-	}{
-		{"", Spec{}, "none"},
-		{"none", Spec{}, "none"},
-		{"poisson:50000", Spec{Kind: "poisson", Rate: 50000}, "poisson:50000"},
-		{"bursty:20000", Spec{Kind: "bursty", Rate: 20000, Period: DefaultBurstyPeriod, Duty: DefaultBurstyDuty}, "bursty:20000@20ms~0.1"},
-		{"bursty:20000@50ms~0.25", Spec{Kind: "bursty", Rate: 20000, Period: 50 * time.Millisecond, Duty: 0.25}, "bursty:20000@50ms~0.25"},
-		{"diurnal:10000", Spec{Kind: "diurnal", Rate: 10000, Period: DefaultDiurnalPeriod, Amp: DefaultDiurnalAmp}, "diurnal:10000@100ms~0.8"},
-		{"diurnal:10000@200ms~0.5", Spec{Kind: "diurnal", Rate: 10000, Period: 200 * time.Millisecond, Amp: 0.5}, "diurnal:10000@200ms~0.5"},
-	}
-	for _, c := range cases {
+	for _, c := range parseCases {
 		got, err := Parse(c.in)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", c.in, err)
@@ -53,17 +56,44 @@ func TestParseFormatRoundTrip(t *testing.T) {
 	}
 }
 
+// badSpecs are inputs Parse must reject.
+var badSpecs = []string{
+	"poisson", "poisson:", "poisson:-5", "poisson:0", "poisson:abc",
+	"poisson:100@10ms", "uniform:100",
+	"bursty:100~1.5", "bursty:100~0", "bursty:100@-5ms",
+	"diurnal:100~1.0", "diurnal:100~-0.2", "diurnal:100@0s",
+	":+1",           // no kind, yet a rate: not the closed-loop spec
+	"bursty:1~NaN",  // NaN fails every ordered comparison, so no range holds it
+	"diurnal:1~NaN", // likewise
+}
+
 func TestParseRejects(t *testing.T) {
-	for _, bad := range []string{
-		"poisson", "poisson:", "poisson:-5", "poisson:0", "poisson:abc",
-		"poisson:100@10ms", "uniform:100",
-		"bursty:100~1.5", "bursty:100~0", "bursty:100@-5ms",
-		"diurnal:100~1.0", "diurnal:100~-0.2", "diurnal:100@0s",
-	} {
+	for _, bad := range badSpecs {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted, want error", bad)
 		}
 	}
+}
+
+// FuzzArrivalParse: Parse never panics, and a spec it accepts is a fixed
+// point of Format — Parse(Format(Parse(s))) == Parse(s).
+func FuzzArrivalParse(f *testing.F) {
+	for _, c := range parseCases {
+		f.Add(c.in)
+	}
+	for _, bad := range badSpecs {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := Parse(in)
+		if err != nil {
+			return
+		}
+		again, err := Parse(Format(s))
+		if err != nil || again != s {
+			t.Fatalf("Parse(%q) = %+v renders as %q, which parses to %+v (err %v)", in, s, Format(s), again, err)
+		}
+	})
 }
 
 func TestGenRejectsClosedLoop(t *testing.T) {

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,17 +21,28 @@ func mustFaults(t *testing.T, plan string) []FaultSpec {
 	return fs
 }
 
+// faultPlans are -faults values in their canonical form.
+var faultPlans = []string{
+	"none",
+	"stall:w0@4096",
+	"wedge:w2@512",
+	"crash:w1@256",
+	"slowdown:w0@1024~2048x8",
+	"stall:w?@4096~8192/16384",
+	"stall:w0@1024,crash:w3@2048",
+}
+
+// badFaultPlans are -faults values the parser or the engine must reject.
+var badFaultPlans = []string{
+	"stall",          // no colon
+	"explode:w0@1",   // unknown kind (rejected at engine build)
+	"stall:x0@1",     // bad worker
+	"stall:w0@-1",    // negative trigger
+	"stall:w0@1~abc", // bad span
+}
+
 func TestParseFormatFaultsRoundTrip(t *testing.T) {
-	cases := []string{
-		"none",
-		"stall:w0@4096",
-		"wedge:w2@512",
-		"crash:w1@256",
-		"slowdown:w0@1024~2048x8",
-		"stall:w?@4096~8192/16384",
-		"stall:w0@1024,crash:w3@2048",
-	}
-	for _, want := range cases {
+	for _, want := range faultPlans {
 		fs, err := ParseFaults(want)
 		if err != nil {
 			t.Fatalf("ParseFaults(%q): %v", want, err)
@@ -41,13 +54,7 @@ func TestParseFormatFaultsRoundTrip(t *testing.T) {
 	if fs := mustFaults(t, ""); fs != nil {
 		t.Errorf("empty plan parsed to %v", fs)
 	}
-	for _, bad := range []string{
-		"stall",          // no colon
-		"explode:w0@1",   // unknown kind (rejected at engine build)
-		"stall:x0@1",     // bad worker
-		"stall:w0@-1",    // negative trigger
-		"stall:w0@1~abc", // bad span
-	} {
+	for _, bad := range badFaultPlans {
 		fs, err := ParseFaults(bad)
 		if err == nil {
 			// Kind names are validated by the engine, not the parser.
@@ -56,6 +63,24 @@ func TestParseFormatFaultsRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzParseFaults: ParseFaults never panics, and a plan it accepts is a
+// fixed point of FormatFaults — ParseFaults(FormatFaults(p)) == p.
+func FuzzParseFaults(f *testing.F) {
+	for _, plan := range append(slices.Clone(faultPlans), badFaultPlans...) {
+		f.Add(plan)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		fs, err := ParseFaults(in)
+		if err != nil {
+			return
+		}
+		again, err := ParseFaults(FormatFaults(fs))
+		if err != nil || !reflect.DeepEqual(again, fs) {
+			t.Fatalf("ParseFaults(%q) = %+v renders as %q, which parses to %+v (err %v)", in, fs, FormatFaults(fs), again, err)
+		}
+	})
 }
 
 func TestFaultWorkerOutOfRange(t *testing.T) {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -242,10 +243,15 @@ func TestPhasedScenarioDefaults(t *testing.T) {
 	}
 }
 
+// badPhases are -phases values ParsePhases must reject.
+var badPhases = []string{"4", "x", "ax5", "4x-1", "paper:zx1"}
+
+// phasesIn is a -phases value in its canonical form.
+const phasesIn = "paper:4x1000,2x500,read_mostly:0x0"
+
 // TestParseFormatPhases pins the flag syntax round trip and its errors.
 func TestParseFormatPhases(t *testing.T) {
-	in := "paper:4x1000,2x500,read_mostly:0x0"
-	ph, err := ParsePhases(in)
+	ph, err := ParsePhases(phasesIn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +268,10 @@ func TestParseFormatPhases(t *testing.T) {
 			t.Fatalf("phase %d = %+v, want %+v", i, ph[i], want[i])
 		}
 	}
-	if got := FormatPhases(ph); got != in {
-		t.Fatalf("round trip = %q, want %q", got, in)
+	if got := FormatPhases(ph); got != phasesIn {
+		t.Fatalf("round trip = %q, want %q", got, phasesIn)
 	}
-	for _, bad := range []string{"4", "x", "ax5", "4x-1", "paper:zx1"} {
+	for _, bad := range badPhases {
 		if _, err := ParsePhases(bad); err == nil {
 			t.Errorf("ParsePhases(%q) accepted", bad)
 		}
@@ -273,6 +279,24 @@ func TestParseFormatPhases(t *testing.T) {
 	if ph, err := ParsePhases("  "); err != nil || ph != nil {
 		t.Fatalf("blank schedule = %v, %v", ph, err)
 	}
+}
+
+// FuzzParsePhases: ParsePhases never panics, and a schedule it accepts is a
+// fixed point of FormatPhases — ParsePhases(FormatPhases(p)) == p.
+func FuzzParsePhases(f *testing.F) {
+	for _, in := range append([]string{phasesIn, "  "}, badPhases...) {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		ph, err := ParsePhases(in)
+		if err != nil {
+			return
+		}
+		again, err := ParsePhases(FormatPhases(ph))
+		if err != nil || !reflect.DeepEqual(again, ph) {
+			t.Fatalf("ParsePhases(%q) = %+v renders as %q, which parses to %+v (err %v)", in, ph, FormatPhases(ph), again, err)
+		}
+	})
 }
 
 // TestRunTrialRejectsBadPhases pins schedule validation.

@@ -1,11 +1,9 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -63,9 +61,8 @@ func TestChaosFleetConverges(t *testing.T) {
 		return &Worker{
 			Client: &Client{Base: srv.URL, HTTP: &http.Client{Transport: ft},
 				Timeout: 5 * time.Second, Retries: 10, RetryBase: time.Millisecond, Seed: seed},
-			Runner:    &grid.Runner{},
-			Name:      name,
-			SpoolPath: filepath.Join(t.TempDir(), name+".spool.jsonl"),
+			Runner: &grid.Runner{},
+			Name:   name,
 		}
 	}
 
@@ -109,101 +106,6 @@ func TestChaosFleetConverges(t *testing.T) {
 		t.Fatalf("accounting does not partition the sweep: %+v", st)
 	}
 	t.Logf("chaos run: %+v; survivor stats %+v", st, stats)
-}
-
-// TestChaosWorkerSpoolsThroughPartition: a worker that loses the coordinator
-// mid-chunk finishes the chunk, spools every record of it locally, and
-// replays them on reconnect in one completion — no result is lost to the
-// partition, none stored twice.
-func TestChaosWorkerSpoolsThroughPartition(t *testing.T) {
-	cfgs := tinyCfgs(1)
-	// Many poll intervals of waitFor long, so the link is severed while the
-	// chunk's first trial still runs, not after the chunk was delivered; and
-	// measured at a millisecond, so the first lease is a chunk: 4 of the 8.
-	cfgs[0].Duration = 100 * time.Millisecond
-	const trials, chunk = 8, 4
-	store := results.NewMemStore()
-	measure(t, store, cfgs[0], time.Millisecond)
-	seeded := store.Len()
-	coord, err := NewCoordinator(cfgs, trials, CoordinatorConfig{
-		Store: store, LeaseTTL: 10 * time.Second, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := startFleet(t, coord)
-
-	ft := NewFaultTransport(srv.Client().Transport, 7)
-	spool := filepath.Join(t.TempDir(), "spool.jsonl")
-	w := &Worker{
-		Client: &Client{Base: srv.URL, HTTP: &http.Client{Transport: ft},
-			Timeout: time.Second, Retries: 1, RetryBase: time.Millisecond, Seed: 7},
-		Runner:    &grid.Runner{},
-		Name:      "partitioned",
-		SpoolPath: spool,
-		Logf:      t.Logf,
-	}
-
-	// Sever the link the moment the first lease is granted: the chunk
-	// finishes against a dead coordinator.
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	var stats WorkerStats
-	var runErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		stats, runErr = w.Run(ctx)
-	}()
-	waitFor(t, 30*time.Second, "first lease", func() bool { return coord.Status().Leased > 0 })
-	ft.Sever()
-	if leased := coord.Status().Leased; leased != chunk {
-		t.Fatalf("first lease carries %d trials, want a chunk of %d", leased, chunk)
-	}
-	// The worker completes the chunk, fails to deliver, spools, and starts
-	// its reconnect loop, which leaves the spool alone while nothing gets
-	// through.
-	waitFor(t, 30*time.Second, "the chunk to hit the spool", func() bool {
-		return w.Stats().Spooled == chunk
-	})
-	data, err := os.ReadFile(spool)
-	if err != nil || bytes.Count(data, []byte("\n")) != chunk {
-		t.Fatalf("spool holds %d lines (%v), want %d", bytes.Count(data, []byte("\n")), err, chunk)
-	}
-	if store.Len() != seeded {
-		t.Fatal("severed worker somehow delivered a record")
-	}
-	ft.Heal()
-	wg.Wait()
-	if runErr != nil {
-		t.Fatalf("worker: %v", runErr)
-	}
-
-	st := coord.Status()
-	if !st.Complete || st.Executed != trials || st.Duplicates != 0 {
-		t.Fatalf("post-partition sweep incomplete: %+v", st)
-	}
-	if stats.Spooled != chunk || stats.Replayed != chunk || stats.Reconnects < 1 {
-		t.Fatalf("spool cycle not observed: %+v", stats)
-	}
-	// The replay was one completion for the chunk, not one per record: with
-	// it, and a completion for each of the four trials left (by then the
-	// model knows what they take), the coordinator served five.
-	if st.Completions > 1+trials-chunk {
-		t.Fatalf("coordinator served %d completions, want the replay to be one: %+v", st.Completions, st)
-	}
-	if _, err := os.Stat(spool); !os.IsNotExist(err) {
-		t.Fatalf("replayed spool should be removed, stat err = %v", err)
-	}
-	if store.Len() != seeded+trials {
-		t.Fatalf("store has %d records, want %d", store.Len(), seeded+trials)
-	}
-	for _, k := range store.Keys() {
-		if n := len(store.Get(k)); n != 1 {
-			t.Fatalf("key %s has %d records, want exactly 1", k, n)
-		}
-	}
 }
 
 // TestChaosWorkerDroppedMidChunk: a worker that dies after finishing three
@@ -303,15 +205,26 @@ func TestChaosRenewalCoversTheChunk(t *testing.T) {
 			}
 		}
 	}()
-	stats, err := newWorker(t, srv.URL, "steady", 3).Run(t.Context())
+	w := newWorker(t, srv.URL, "steady", 3)
+	var stats WorkerStats
+	var runErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		stats, runErr = w.Run(t.Context())
+	}()
+	// A lease's grants enter the table together and leave it with the
+	// chunk's completion, which is four 200 ms trials away.
+	waitFor(t, 30*time.Second, "first lease", func() bool { return coord.Status().Leased > 0 })
+	leased := coord.Status().Leased
+	<-done
 	close(stop)
 	poker.Wait()
-	if err != nil {
-		t.Fatal(err)
+	if runErr != nil {
+		t.Fatal(runErr)
 	}
-	claims := store.Journal()
-	if len(claims) < chunk || claims[chunk-1].LeaseUntil != claims[0].LeaseUntil {
-		t.Fatalf("first lease was not a chunk of %d: %d claims", chunk, len(claims))
+	if leased != chunk {
+		t.Fatalf("first lease carries %d trials, want a chunk of %d", leased, chunk)
 	}
 	st := coord.Status()
 	if !st.Complete || st.Executed != trials || st.Reissued != 0 || st.Duplicates != 0 || stats.Executed != trials {
@@ -322,7 +235,7 @@ func TestChaosRenewalCoversTheChunk(t *testing.T) {
 // TestChaosCoordinatorRestartMidSweep kills the coordinator after the first
 // completion and brings a new one up on the same store file and URL. The
 // worker rides out the outage (degraded mode) and the replacement resumes
-// from the journal: already-completed trials are cached, only the remainder
+// from the store: already-completed trials are cached, only the remainder
 // executes, and the final store is exactly one record per trial.
 func TestChaosCoordinatorRestartMidSweep(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
@@ -356,10 +269,9 @@ func TestChaosCoordinatorRestartMidSweep(t *testing.T) {
 	w := &Worker{
 		Client: &Client{Base: srv.URL, HTTP: srv.Client(), Timeout: time.Second,
 			Retries: 1, RetryBase: time.Millisecond, Seed: 3},
-		Runner:    &grid.Runner{},
-		Name:      "steady",
-		SpoolPath: filepath.Join(t.TempDir(), "spool.jsonl"),
-		Logf:      t.Logf,
+		Runner: &grid.Runner{},
+		Name:   "steady",
+		Logf:   t.Logf,
 	}
 	var wg sync.WaitGroup
 	var stats WorkerStats
@@ -376,8 +288,7 @@ func TestChaosCoordinatorRestartMidSweep(t *testing.T) {
 	doneAtCrash := coord1.Status().Done
 	st1.Close()
 
-	// Restart: fresh store over the same file (the journal), fresh
-	// coordinator, same URL.
+	// Restart: fresh store over the same file, fresh coordinator, same URL.
 	st2, err := results.Open(path)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -48,14 +47,12 @@ type CoordinatorConfig struct {
 // Coordinator owns one sweep's lease layer: the sweep itself — which trials
 // are pending, which runs next, what a completion does to the books — is a
 // grid.Queue, the same one a local Run drains; what is the coordinator's own
-// is the lease table with its TTL and expiry, the claim journal, the worker
-// ledger and the HTTP surface. All state transitions happen under one lock;
-// persistence goes through the store's crash-safe append log, so a
-// coordinator killed at any point restarts from the store with nothing lost
-// — completed trials are skipped, incomplete ones re-issued (their stale
-// claims are journal entries, not commitments).
+// is the lease table with its TTL and expiry and the HTTP surface. All state
+// transitions happen under one lock; completions go through the store's
+// crash-safe append log, so a coordinator killed at any point restarts from
+// the store with nothing lost — completed trials are skipped, incomplete ones
+// re-issued (a lease lives only in memory and dies with its coordinator).
 type Coordinator struct {
-	store *results.Store
 	ttl   time.Duration
 	now   func() time.Time
 	logFn func(string, ...any) // nil: logging off
@@ -66,24 +63,12 @@ type Coordinator struct {
 	leases  map[string]*lease
 	seq     int
 
-	duplicates, reissued int
-	granted, completions int
-	doneCh               chan struct{}
+	duplicates, reissued, completions int
+	doneCh                            chan struct{}
 
-	startedAt time.Time
-	// completedCost sums the model's estimate of every freshly completed
-	// trial; divided by wall time since startedAt it is the fleet's
-	// observed throughput (in estimated-cost units per nanosecond), the
-	// denominator of the status ETA.
-	completedCost float64
-	workers       map[string]*workerStats
-}
-
-// workerStats is the coordinator's per-worker completion ledger.
-type workerStats struct {
-	done      int
-	firstSeen time.Time
-	lastDone  time.Time
+	// workers is every worker name a lease request or an accepted completion
+	// came from: the fair share of a chunk divides the backlog among them.
+	workers map[string]bool
 }
 
 // leaseQuantum is the measured cost a lease is filled up to. What it buys is
@@ -115,16 +100,14 @@ func NewCoordinator(cfgs []bench.WorkloadConfig, trials int, cc CoordinatorConfi
 	}
 	eff, tasks := grid.ExpandTasks(cfgs, trials, nil, cc.Deadline)
 	c := &Coordinator{
-		store:     cc.Store,
-		ttl:       ttl,
-		now:       now,
-		logFn:     cc.Logf,
-		q:         grid.NewQueue(eff, tasks, cc.Store),
-		leaseOf:   make([]string, len(tasks)),
-		leases:    map[string]*lease{},
-		doneCh:    make(chan struct{}),
-		startedAt: now(),
-		workers:   map[string]*workerStats{},
+		ttl:     ttl,
+		now:     now,
+		logFn:   cc.Logf,
+		q:       grid.NewQueue(eff, tasks, cc.Store),
+		leaseOf: make([]string, len(tasks)),
+		leases:  map[string]*lease{},
+		doneCh:  make(chan struct{}),
+		workers: map[string]bool{},
 	}
 	if c.q.Done() == c.q.Len() {
 		close(c.doneCh)
@@ -161,66 +144,50 @@ func (c *Coordinator) reclaimExpiredLocked() {
 	}
 }
 
-// grantLocked journals the claims for the taken tasks of one lease — one
-// append for the lot — and attaches a fresh lease per task to worker. The
-// journal comes before the answer: if the append fails the store is broken
-// and granting would strand the trials' results, so every task goes back and
-// the whole lease fails.
-func (c *Coordinator) grantLocked(chunk []int, worker string) ([]Grant, error) {
+// grantLocked attaches a fresh lease per taken task of one lease to worker.
+func (c *Coordinator) grantLocked(chunk []int, worker string) []Grant {
 	now := c.now()
 	expires := now.Add(c.ttl)
-	claims := make([]results.Record, len(chunk))
-	for k, i := range chunk {
-		claims[k] = results.NewClaim(c.q.Key(i), worker, expires)
-	}
-	if _, err := c.store.AppendAllIfAbsent(claims); err != nil {
-		for _, i := range chunk {
-			c.q.Return(i)
-		}
-		return nil, fmt.Errorf("fleet: journaling claim: %w", err)
-	}
 	grants := make([]Grant, len(chunk))
 	for k, i := range chunk {
 		c.seq++
 		id := "L" + strconv.Itoa(c.seq)
+		key := c.q.Key(i)
 		c.leaseOf[i] = id
 		c.leases[id] = &lease{taskIdx: i, worker: worker, granted: now, expires: expires}
-		c.granted++
 		if c.logFn != nil {
 			c.logFn("fleet: leased %s (%s) to %s until %s",
-				c.q.Label(i), short(claims[k].Key), worker, expires.Format(time.RFC3339))
+				c.q.Label(i), short(key), worker, expires.Format(time.RFC3339))
 		}
-		grants[k] = Grant{LeaseID: id, Key: claims[k].Key, Config: c.q.Config(i), ExpiresUnixNano: expires.UnixNano()}
+		grants[k] = Grant{LeaseID: id, Key: key, Config: c.q.Config(i), ExpiresUnixNano: expires.UnixNano()}
 	}
-	return grants, nil
+	return grants
 }
 
-// Lease grants pending trials to the requesting worker, journaling each
-// claim. Which trials is the queue's decision: the primary grant is the
-// costliest pending trial that fits the worker's advertised Capacity
-// (grid.Queue.Take), and when nothing fits, the cheapest pending trial is
-// granted anyway (capacity is advisory; a slow trial beats a stalled sweep).
-// How many is this layer's (fillLocked): a request that can hold a chunk gets
-// the cheapest fitting measured trials on top, up to leaseQuantum of work.
-// When everything is leased-but-unfinished it answers StatusWait; when the
-// sweep is complete, StatusDone.
+// Lease grants pending trials to the requesting worker. Which trials is the
+// queue's decision: the primary grant is the costliest pending trial that
+// fits the worker's advertised Capacity (grid.Queue.Take), and when nothing
+// fits, the cheapest pending trial is granted anyway (capacity is advisory; a
+// slow trial beats a stalled sweep). How many is this layer's (fillLocked): a
+// request that can hold a chunk gets the cheapest fitting measured trials on
+// top, up to leaseQuantum of work. When everything is leased-but-unfinished it
+// answers StatusWait; when the sweep is complete, StatusDone. A grant writes
+// nothing, so the error is always nil.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.leaseLocked(req)
+	return c.leaseLocked(req), nil
 }
 
-func (c *Coordinator) leaseLocked(req LeaseRequest) (LeaseResponse, error) {
+func (c *Coordinator) leaseLocked(req LeaseRequest) LeaseResponse {
 	c.reclaimExpiredLocked()
-	if ws := c.workers[req.Worker]; ws == nil {
-		c.workers[req.Worker] = &workerStats{firstSeen: c.now()}
-	}
+	c.workers[req.Worker] = true
 	if c.q.Done() == c.q.Len() {
-		return LeaseResponse{Status: StatusDone}, nil
+		return LeaseResponse{Status: StatusDone}
 	}
 	pending := c.q.Pending()
 	if pending == 0 {
-		return LeaseResponse{Status: StatusWait, RetryMs: c.retryMsLocked()}, nil
+		return LeaseResponse{Status: StatusWait, RetryMs: c.retryMsLocked()}
 	}
 	var chunk []int
 	if first, fits := c.q.Take(req.Capacity); fits {
@@ -234,15 +201,12 @@ func (c *Coordinator) leaseLocked(req LeaseRequest) (LeaseResponse, error) {
 		c.logf("fleet: no pending trial fits capacity %d from %s; granting cheapest",
 			req.Capacity, req.Worker)
 	}
-	grants, err := c.grantLocked(chunk, req.Worker)
-	if err != nil {
-		return LeaseResponse{}, err
-	}
+	grants := c.grantLocked(chunk, req.Worker)
 	return LeaseResponse{
 		Status: StatusLease, LeaseID: grants[0].LeaseID, Key: grants[0].Key, Config: grants[0].Config,
 		ExpiresUnixNano: grants[0].ExpiresUnixNano, TTLMs: int(c.ttl / time.Millisecond),
 		Extra: grants[1:],
-	}, nil
+	}
 }
 
 // fillLocked sizes a lease by its work: to the primary grant first it adds
@@ -341,14 +305,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		slices.ContainsFunc(resp.More, func(a CompleteAck) bool { return !a.Accepted }) {
 		return resp, err
 	}
-	next, err := c.leaseLocked(*req.Next)
-	if err != nil {
-		// The completion is stored; failing the RPC would only have it
-		// retried into a duplicate. Leave the grant out and let the worker
-		// meet the journal error on /v1/lease.
-		c.logf("fleet: lease riding on completion from %s failed: %v", req.Worker, err)
-		return resp, nil
-	}
+	next := c.leaseLocked(*req.Next)
 	resp.Next = &next
 	return resp, nil
 }
@@ -360,15 +317,8 @@ func (c *Coordinator) completeLocked(req CompleteRequest) (CompleteResponse, err
 	for k := range req.More {
 		recs[1+k], recs[1+k].Key = req.More[k].Record, req.More[k].Key
 	}
-	// The throughput ledger takes each estimate as it stood before this
-	// completion feeds the model, so the ETA's remaining-cost sum and
-	// completed-cost accumulator never both count the same trial.
-	ests := make([]float64, len(recs))
 	for k := range recs {
 		recs[k].Worker = req.Worker
-		if idxs := c.q.Tasks(recs[k].Key); idxs != nil {
-			ests[k], _ = c.q.Estimate(idxs[0])
-		}
 	}
 	tasks, err := c.q.FinishAll(recs)
 	if err != nil {
@@ -376,7 +326,7 @@ func (c *Coordinator) completeLocked(req CompleteRequest) (CompleteResponse, err
 	}
 	acks := make([]CompleteAck, len(recs))
 	for k := range recs {
-		acks[k] = c.ackLocked(req.Worker, recs[k].Key, tasks[k], ests[k])
+		acks[k] = c.ackLocked(req.Worker, recs[k].Key, tasks[k])
 	}
 	done := c.q.Done() == c.q.Len()
 	if done {
@@ -391,7 +341,7 @@ func (c *Coordinator) completeLocked(req CompleteRequest) (CompleteResponse, err
 
 // ackLocked enters in the coordinator's own books what the queue did with one
 // record of a completion: task is the task it finished, -1 when none.
-func (c *Coordinator) ackLocked(worker, key string, task int, est float64) CompleteAck {
+func (c *Coordinator) ackLocked(worker, key string, task int) CompleteAck {
 	idxs := c.q.Tasks(key)
 	switch {
 	case idxs == nil:
@@ -402,18 +352,11 @@ func (c *Coordinator) ackLocked(worker, key string, task int, est float64) Compl
 		c.logf("fleet: duplicate completion of %s from %s (dedupe)", short(key), worker)
 		return CompleteAck{Accepted: true, Duplicate: true}
 	}
-	c.completedCost += est
-	ws := c.workers[worker]
-	if ws == nil {
-		ws = &workerStats{firstSeen: c.now()}
-		c.workers[worker] = ws
-	}
-	ws.done++
-	ws.lastDone = c.now()
+	c.workers[worker] = true
 	for _, i := range idxs {
 		// Whatever lease a task under the key is out under now — the
 		// completing worker's own, or a re-issue's while this completion
-		// arrived by spool replay or under a superseded lease — ends with the
+		// arrived late or under a superseded lease — ends with the
 		// task, so Status.Leased, Renew and the wait estimate stop counting it.
 		if id := c.leaseOf[i]; id != "" {
 			delete(c.leases, id)
@@ -430,56 +373,22 @@ func (c *Coordinator) ackLocked(worker, key string, task int, est float64) Compl
 // Done returns a channel closed when every trial is complete.
 func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 
-// Granted reports the cumulative number of leases granted over the
-// coordinator's lifetime, one per trial however many a response carried.
-// `epochgrid -serve` polls it to detect that no worker ever showed up and
-// fall back to draining locally.
-func (c *Coordinator) Granted() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.granted
-}
-
-// Status snapshots the observable state, including the cost-model ETA:
-// remaining estimated cost over observed completion throughput. Both sides
-// of that division are model-unit sums, so the units cancel and the ratio
-// is wall seconds — no calibration needed beyond what the model learned.
+// Status snapshots the observable state.
 func (c *Coordinator) Status() StatusResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	executed, cached, quarantined := c.q.Counts()
-	resp := StatusResponse{
+	return StatusResponse{
 		Total: c.q.Len(), Done: c.q.Done(),
 		Executed: executed, Cached: cached, Quarantined: quarantined,
 		Leased:     len(c.leases),
 		Duplicates: c.duplicates, Reissued: c.reissued, Completions: c.completions,
 		Complete: c.q.Done() == c.q.Len(),
 	}
-	if !resp.Complete && c.completedCost > 0 {
-		if wall := c.now().Sub(c.startedAt); wall > 0 {
-			throughput := c.completedCost / wall.Seconds() // cost units per wall second
-			resp.ETASeconds = c.q.Remaining() / throughput
-		}
-	}
-	names := make([]string, 0, len(c.workers))
-	for name := range c.workers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ws := c.workers[name]
-		w := WorkerStatus{Name: name, Done: ws.done}
-		if span := ws.lastDone.Sub(ws.firstSeen); span > 0 && ws.done > 0 {
-			w.RatePerSec = float64(ws.done) / span.Seconds()
-		}
-		resp.Workers = append(resp.Workers, w)
-	}
-	return resp
 }
 
 // Summaries returns the queue's per-config summaries — the same layout, from
-// the same code, as Runner.Run returns, so `epochgrid -serve` emits exactly
-// what the single-process sweep would.
+// the same code, as Runner.Run returns.
 func (c *Coordinator) Summaries() []bench.Summary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -491,7 +400,6 @@ func (c *Coordinator) Summaries() []bench.Summary {
 //	POST /v1/lease    LeaseRequest    -> LeaseResponse
 //	POST /v1/renew    RenewRequest    -> RenewResponse
 //	POST /v1/complete CompleteRequest -> CompleteResponse (a lease's records; with Next set, the worker's next lease)
-//	GET  /v1/status                   -> StatusResponse
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
@@ -516,9 +424,6 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		resp, err := c.Complete(req)
 		reply(w, resp, err)
-	})
-	mux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, c.Status(), nil)
 	})
 	return mux
 }
@@ -548,8 +453,8 @@ func decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
-// reply writes a JSON response, mapping coordinator-side errors
-// (store/journal failures) to 500 so clients retry.
+// reply writes a JSON response, mapping coordinator-side errors (store
+// failures) to 500 so clients retry.
 func reply(w http.ResponseWriter, resp any, err error) {
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -55,9 +58,8 @@ func newWorker(t *testing.T, base string, name string, seed uint64) *Worker {
 	return &Worker{
 		Client: &Client{Base: base, Timeout: 5 * time.Second, Retries: 2,
 			RetryBase: 2 * time.Millisecond, Seed: seed},
-		Runner:    &grid.Runner{},
-		Name:      name,
-		SpoolPath: filepath.Join(t.TempDir(), "spool.jsonl"),
+		Runner: &grid.Runner{},
+		Name:   name,
 	}
 }
 
@@ -287,16 +289,6 @@ func TestCoordinatorResumesFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	// The claims journaled by the first coordinator came back as journal
-	// records — never as cache entries.
-	if got := len(st2.Journal()); got != 2 {
-		t.Fatalf("reloaded store has %d journal records, want 2 claims", got)
-	}
-	for _, j := range st2.Journal() {
-		if j.Kind != results.KindClaim || j.Worker != "w1" || j.LeaseUntil == 0 {
-			t.Fatalf("malformed claim journal record: %+v", j)
-		}
-	}
 	if st2.Len() != 2 {
 		t.Fatalf("reloaded store has %d result records, want 2", st2.Len())
 	}
@@ -334,7 +326,7 @@ func TestCoordinatorResumesPartialSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Complete exactly one trial, then "crash" (abandon coord1 with a trial
-	// still leased — its claim is journaled but uncommitted).
+	// still leased — the lease dies with it).
 	l1, _ := coord1.Lease(LeaseRequest{Worker: "w1"})
 	coord1.Complete(CompleteRequest{LeaseID: l1.LeaseID, Worker: "w1", Key: l1.Key,
 		Record: results.NewRecord(l1.Config, fakeTrial(l1.Config))})
@@ -357,8 +349,7 @@ func TestCoordinatorResumesPartialSweep(t *testing.T) {
 	if st.Cached != 1 || st.Done != 1 || st.Complete {
 		t.Fatalf("partial resume: %+v", st)
 	}
-	// The abandoned lease's trial is pending again — stale claims are audit
-	// entries, not commitments.
+	// The abandoned lease's trial is pending again.
 	seen := map[string]bool{}
 	for {
 		l, err := coord2.Lease(LeaseRequest{Worker: "w2"})
@@ -380,6 +371,45 @@ func TestCoordinatorResumesPartialSweep(t *testing.T) {
 	}
 }
 
+// TestCoordinatorIgnoresLegacyClaims: a store an older coordinator wrote
+// holds a lease-claim line per grant beside the trial records. Over such a
+// store a coordinator resumes from the records alone: the claimed trial that
+// never finished is pending and leased, not taken for done.
+func TestCoordinatorIgnoresLegacyClaims(t *testing.T) {
+	cfgs := tinyCfgs(2)
+	_, tasks := grid.ExpandTasks(cfgs, 1, nil, 0)
+	finished, claimed := tasks[0].Cfg, tasks[1].Cfg
+	rec, err := json.Marshal(results.NewRecord(finished, fakeTrial(finished)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim := func(key string) string {
+		return fmt.Sprintf(`{"key":%q,"schema":%d,"kind":"claim","worker":"w1","lease_until":1700000000000000000}`,
+			key, results.SchemaVersion)
+	}
+	path := filepath.Join(t.TempDir(), "legacy.jsonl")
+	fixture := claim(results.KeyOf(finished)) + "\n" + string(rec) + "\n" + claim(results.KeyOf(claimed)) + "\n"
+	if err := os.WriteFile(path, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := results.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	coord, err := NewCoordinator(cfgs, 1, CoordinatorConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := coord.Status(); st.Done != 1 || st.Cached != 1 || st.Complete {
+		t.Fatalf("resume over claim lines: %+v, want the one recorded trial done", st)
+	}
+	l, err := coord.Lease(LeaseRequest{Worker: "w2"})
+	if err != nil || l.Status != StatusLease || l.Key != results.KeyOf(claimed) {
+		t.Fatalf("lease = %+v, %v; want the claimed, unrecorded trial", l, err)
+	}
+}
+
 // TestClientRetriesTransientServerErrors: the client survives a flaky
 // endpoint by retrying with backoff, and gives up with a typed rpcError when
 // the outage outlasts the budget.
@@ -397,8 +427,8 @@ func TestClientRetriesTransientServerErrors(t *testing.T) {
 	cl.HTTP.Transport = ft
 
 	ft.DropP = 0.5 // half the requests vanish; retries must absorb it
-	if _, err := cl.Status(context.Background()); err != nil {
-		t.Fatalf("status through lossy transport: %v", err)
+	if _, err := cl.Renew(context.Background(), RenewRequest{LeaseID: "nobody's", Worker: "w"}); err != nil {
+		t.Fatalf("renew through lossy transport: %v", err)
 	}
 
 	ft.Sever()
@@ -436,8 +466,9 @@ func TestFaultTransportDeterminism(t *testing.T) {
 }
 
 // TestCompletionEndsTheTasksLease: a trial finished by a completion that
-// does not name the task's live lease — a spool replay carries no lease id,
-// a slow worker names its superseded one — still ends that lease. Otherwise
+// does not name the task's live lease — one that leaves the optional lease id
+// out, or a slow worker's that names its superseded one — still ends that
+// lease. Otherwise
 // it sits in the table until TTL: counted by Status.Leased, renewable, and
 // taken for outstanding work by the wait estimate.
 func TestCompletionEndsTheTasksLease(t *testing.T) {
@@ -455,11 +486,11 @@ func TestCompletionEndsTheTasksLease(t *testing.T) {
 		}
 	}
 
-	// Spool replay: the record arrives without a lease id.
+	// No lease id: the record arrives without one.
 	l1, _ := coord.Lease(LeaseRequest{Worker: "w"})
 	complete("", l1)
 	if st := coord.Status(); st.Leased != 0 {
-		t.Fatalf("replayed completion left %d leases outstanding", st.Leased)
+		t.Fatalf("completion without a lease id left %d leases outstanding", st.Leased)
 	}
 	if r := coord.Renew(RenewRequest{LeaseID: l1.LeaseID, Worker: "w"}); r.OK {
 		t.Fatal("lease of a finished trial still renews")

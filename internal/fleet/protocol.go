@@ -1,15 +1,15 @@
-// Package fleet turns the content-addressed results store into a
-// distributed coordination substrate: a small HTTP coordinator that owns one
-// sweep (expanded trial configs + the store) and hands trials to worker
-// processes under time-bounded leases, and a worker that pulls leases, runs
-// trials through the grid runner's per-trial path, and streams completed
-// records back.
+// Package fleet is the lease layer over the content-addressed results store:
+// a coordinator that owns one sweep (expanded trial configs + the store) and
+// hands its trials out under time-bounded leases over HTTP, and a worker that
+// pulls leases, runs trials through the grid runner's per-trial path, and
+// reports completed records back. Both run in one process: the repo benchmark
+// drives them over loopback to price this dispatch layer against the local
+// runner's. The robustness model is the one the harness applies to
+// reclaimers (bench/faults):
 //
-// The robustness model is the same one the harness applies to reclaimers
-// (bench/faults): every process in the fleet is an adversary candidate.
-//
-//   - A worker that dies mid-trial (kill -9) simply stops renewing its
-//     leases; they expire and the coordinator re-issues their trials.
+//   - A worker that dies mid-trial simply stops renewing its leases; they
+//     expire and the coordinator re-issues their trials. So does a chunk
+//     whose completion could not be delivered: it is dropped, not kept.
 //   - A lease is sized by its work: the coordinator fills it with cheap
 //     trials up to a fixed quantum of measured cost, the worker runs them in
 //     grant order and reports them in one completion that carries its next
@@ -17,24 +17,20 @@
 //     small it is. A trial that fills the quantum is leased alone.
 //   - Duplicate completions from lease races resolve by content addressing:
 //     the trial key IS the result's identity, so the store's merge-dedupe
-//     (AppendIfAbsent) keeps exactly one record per key no matter how many
-//     workers report it.
+//     (AppendAllIfAbsent) keeps exactly one record per key no matter how
+//     many workers report it.
 //   - Worker↔coordinator RPCs carry context deadlines and retry with
 //     seeded-jitter exponential backoff; an injectable fault transport
 //     (drop/delay/duplicate/sever, seeded like bench/faults) makes the RPC
 //     layer itself chaos-testable in-process.
-//   - A worker that loses the coordinator degrades gracefully: it finishes
-//     its leased trials, spools their records to a local JSONL, and replays
-//     the spool when the coordinator comes back.
-//   - The coordinator journals lease claims — and persists completions —
-//     through the same crash-safe O_APPEND log as every other sweep, so a
-//     coordinator killed mid-sweep restarts with `-serve` against the same
-//     store and resumes, skipping everything already done.
+//   - The coordinator persists completions through the same crash-safe
+//     O_APPEND log as every other sweep, so a coordinator restarted over
+//     the same store resumes, skipping everything already done.
 //
-// The serial, single-process path is untouched: fleet is a layer over
-// grid.ExpandTasks and results.Store, not a change to either's semantics,
-// and a fleet sweep converges to the exact record set a single-process sweep
-// of the same spec produces.
+// The serial path is untouched: fleet is a layer over grid.ExpandTasks and
+// results.Store, not a change to either's semantics, and a fleet sweep
+// converges to the exact record set a single-process sweep of the same spec
+// produces.
 package fleet
 
 import (
@@ -64,8 +60,8 @@ const maxChunkTrials = 32
 
 // LeaseRequest asks the coordinator for work.
 type LeaseRequest struct {
-	// Worker is the requesting worker's self-chosen name, journaled with
-	// the claim for audit.
+	// Worker is the requesting worker's self-chosen name, for logs and the
+	// fair share of a chunk.
 	Worker string `json:"worker"`
 	// Capacity is the worker's advertised thread capacity (typically its
 	// GOMAXPROCS). The coordinator grants the costliest pending trial whose
@@ -85,8 +81,8 @@ type LeaseRequest struct {
 }
 
 // Grant is one trial of a lease beyond the first. It carries the same
-// fields as the primary grant and is a lease of its own — journaled,
-// renewed, expired and re-issued by its own id.
+// fields as the primary grant and is a lease of its own — renewed, expired
+// and re-issued by its own id.
 type Grant struct {
 	LeaseID         string               `json:"lease_id"`
 	Key             string               `json:"key"`
@@ -173,8 +169,7 @@ type CompleteRequest struct {
 	More []Completion `json:"more,omitempty"`
 	// Next, when set, is the worker's next lease request, served by the same
 	// policy under the same lock hold as the completion and answered in
-	// CompleteResponse.Next — one round trip per chunk instead of two. Spool
-	// replays leave it unset.
+	// CompleteResponse.Next — one round trip per chunk instead of two.
 	Next *LeaseRequest `json:"next,omitempty"`
 }
 
@@ -184,8 +179,8 @@ type CompleteAck struct {
 	// (e.g. the worker is talking to a coordinator restarted with a
 	// different sweep).
 	Accepted bool `json:"accepted"`
-	// Duplicate means the trial was already done (lease race, replayed
-	// spool); the record was discarded by key dedupe. Not an error.
+	// Duplicate means the trial was already done (lease race, retransmit);
+	// the record was discarded by key dedupe. Not an error.
 	Duplicate bool `json:"duplicate,omitempty"`
 }
 
@@ -199,14 +194,13 @@ type CompleteResponse struct {
 	// Done hints that the sweep is now complete, so the worker can exit
 	// without another lease round-trip.
 	Done bool `json:"done,omitempty"`
-	// Next answers CompleteRequest.Next; nil when none was asked, a record
-	// was rejected, or the grant could not be journaled (the worker then
-	// asks /v1/lease). A grant lost with this response is recovered by lease
-	// expiry, like a lost /v1/lease response.
+	// Next answers CompleteRequest.Next; nil when none was asked or a record
+	// was rejected (the worker then asks /v1/lease). A grant lost with this
+	// response is recovered by lease expiry, like a lost /v1/lease response.
 	Next *LeaseResponse `json:"next,omitempty"`
 }
 
-// StatusResponse is the coordinator's observable state (GET /v1/status).
+// StatusResponse is the coordinator's observable state (Coordinator.Status).
 type StatusResponse struct {
 	// Total counts expanded trials; Executed+Cached+Quarantined partition
 	// the completed ones. Cached trials were satisfied from the store at
@@ -225,23 +219,4 @@ type StatusResponse struct {
 	Completions int
 	// Complete is true when every trial is done.
 	Complete bool
-	// ETASeconds is the cost-model estimate of remaining sweep wall time:
-	// the summed estimated cost of not-yet-done trials divided by the
-	// fleet's observed completion throughput. 0 means unknown (nothing
-	// completed yet, or the sweep is already done).
-	ETASeconds float64 `json:",omitempty"`
-	// Workers reports per-worker completion activity, sorted by name.
-	Workers []WorkerStatus `json:",omitempty"`
-}
-
-// WorkerStatus is one worker's completion record as the coordinator saw it.
-type WorkerStatus struct {
-	// Name is the worker's self-chosen name from its lease requests.
-	Name string
-	// Done counts completions accepted from this worker (duplicates
-	// excluded).
-	Done int
-	// RatePerSec is Done divided by the worker's observed active span
-	// (first lease to last completion); 0 until the span is measurable.
-	RatePerSec float64 `json:",omitempty"`
 }

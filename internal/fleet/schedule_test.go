@@ -104,8 +104,8 @@ func measure(t *testing.T, store *results.Store, cfg bench.WorkloadConfig, elaps
 }
 
 // TestBatchLeaseDedupeSafety pins chunk grants: one RPC carries multiple
-// trials under distinct lease IDs and distinct keys, every claim is
-// journaled, and a duplicated completion of a batched trial dedupes exactly
+// trials under distinct lease IDs and distinct keys, every grant is in the
+// lease table, and a duplicated completion of a batched trial dedupes exactly
 // like a primary one.
 func TestBatchLeaseDedupeSafety(t *testing.T) {
 	store := results.NewMemStore()
@@ -141,15 +141,9 @@ func TestBatchLeaseDedupeSafety(t *testing.T) {
 	if grid.StaticCost(l.Config) < grid.StaticCost(l.Extra[0].Config) {
 		t.Fatalf("primary grant cheaper than batched extra")
 	}
-	// Every grant journaled its own claim.
-	claims := 0
-	for _, rec := range store.Journal() {
-		if rec.Kind == results.KindClaim {
-			claims++
-		}
-	}
-	if claims != 3 {
-		t.Fatalf("journaled %d claims, want 3", claims)
+	// Every grant is a lease of its own.
+	if leased := coord.Status().Leased; leased != 3 {
+		t.Fatalf("%d leases outstanding, want 3", leased)
 	}
 	// Complete one batched grant twice: first lands, second dedupes.
 	g := l.Extra[0]
@@ -277,65 +271,10 @@ func TestLeaseCountRule(t *testing.T) {
 					t.Fatalf("lease carries an extra trial of an unmeasured configuration (%d ops)", g.Config.FixedOps)
 				}
 			}
-			if n := len(store.Journal()) - tc.others; n != tc.want {
-				t.Fatalf("journaled %d claims for a lease of %d", n, tc.want)
+			if n := coord.Status().Leased - tc.others; n != tc.want {
+				t.Fatalf("%d leases outstanding for a lease of %d", n, tc.want)
 			}
 		})
-	}
-}
-
-// TestStatusETAAndWorkerRates pins the status surface: once completions
-// flow, the coordinator reports a cost-model ETA for the remainder and
-// per-worker completion rates under the injected clock.
-func TestStatusETAAndWorkerRates(t *testing.T) {
-	now := time.Unix(5000, 0)
-	clock := func() time.Time { return now }
-	coord, err := NewCoordinator(costedCfgs(), 1,
-		CoordinatorConfig{Store: results.NewMemStore(), Clock: clock, LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := coord.Status(); st.ETASeconds != 0 {
-		t.Fatalf("ETA before any completion = %v, want 0 (unknown)", st.ETASeconds)
-	}
-	// Two workers each complete one trial, 2 seconds apart, each trial
-	// having measured 2s of wall time.
-	for i, name := range []string{"wa", "wb"} {
-		l, err := coord.Lease(LeaseRequest{Worker: name, Capacity: -1})
-		if err != nil || l.Status != StatusLease {
-			t.Fatalf("lease %d: %v %v", i, l.Status, err)
-		}
-		now = now.Add(2 * time.Second)
-		tr := fakeTrial(l.Config)
-		tr.ElapsedNanos = int64(2 * time.Second)
-		rec := results.NewRecord(l.Config, tr)
-		if _, err := coord.Complete(CompleteRequest{
-			LeaseID: l.LeaseID, Worker: name, Key: l.Key, Record: rec,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := coord.Status()
-	if st.Done != 2 || st.Complete {
-		t.Fatalf("status = %+v, want 2 done incomplete", st)
-	}
-	if st.ETASeconds <= 0 {
-		t.Fatalf("ETA after completions = %v, want > 0", st.ETASeconds)
-	}
-	if len(st.Workers) != 2 {
-		t.Fatalf("status names %d workers, want 2", len(st.Workers))
-	}
-	for _, w := range st.Workers {
-		if w.Done != 1 {
-			t.Fatalf("worker %s done=%d, want 1", w.Name, w.Done)
-		}
-		// wa's span: leased at t, completed at t+2s → 0.5/s. wb likewise.
-		if w.RatePerSec <= 0 {
-			t.Fatalf("worker %s rate=%v, want > 0", w.Name, w.RatePerSec)
-		}
-	}
-	if st.Workers[0].Name >= st.Workers[1].Name {
-		t.Fatalf("workers not sorted by name: %v", st.Workers)
 	}
 }
 
@@ -447,12 +386,11 @@ func newSortLeaser(cfgs []bench.WorkloadConfig, trials int, store *results.Store
 	return r
 }
 
-func (r *sortLeaser) grant(i int, worker string) Grant {
+func (r *sortLeaser) grant(i int) Grant {
 	t := r.tasks[i]
 	r.seq++
 	id := fmt.Sprintf("L%d", r.seq)
 	expires := r.now().Add(r.ttl)
-	r.store.Append(results.NewClaim(t.key, worker, expires))
 	t.state, t.leaseID = refLeased, id
 	r.leases[id] = &refLease{taskIdx: i, expires: expires}
 	return Grant{LeaseID: id, Key: t.key, Config: t.cfg, ExpiresUnixNano: expires.UnixNano()}
@@ -516,7 +454,7 @@ func (r *sortLeaser) lease(req LeaseRequest) LeaseResponse {
 	}
 	var grants []Grant
 	for _, i := range chunk {
-		grants = append(grants, r.grant(i, req.Worker))
+		grants = append(grants, r.grant(i))
 	}
 	g := grants[0]
 	return LeaseResponse{Status: StatusLease, LeaseID: g.LeaseID, Key: g.Key, Config: g.Config,
@@ -567,8 +505,7 @@ func (r *sortLeaser) completeOne(worker, key string, rec results.Record) Complet
 // bare and chunk-capable lease requests, completions of one record and of
 // several feeding the model mid-sweep (some riding a lease request, some
 // late, some without a lease id), small and lease-expiring clock steps — and
-// requires every answer, the claim journal and the final store to be
-// identical.
+// requires every answer and the final store to be identical.
 func TestLeaseGrantOrderMatchesFullSort(t *testing.T) {
 	if grants, batched, expiries, st := runLeaseParityScript(t, 12); grants < 20 || batched < 10 || expiries < 3 ||
 		st.Reissued == 0 || st.Completions >= st.Executed+st.Duplicates {
@@ -639,7 +576,7 @@ func runLeaseParityScript(t *testing.T, seed int64) (grants, batched, expiries i
 		tr.ElapsedNanos = int64(time.Duration(1+rng.Intn(5000)) * time.Microsecond)
 		c := Completion{LeaseID: g.LeaseID, Key: g.Key, Record: results.NewRecord(g.Config, tr)}
 		if rng.Intn(6) == 0 {
-			c.LeaseID = "" // as a spool replay sends it
+			c.LeaseID = "" // the protocol leaves it optional
 		}
 		return c
 	}
@@ -691,9 +628,6 @@ func runLeaseParityScript(t *testing.T, seed int64) (grants, batched, expiries i
 			now = now.Add(2 * ttl)
 			expiries++
 		}
-	}
-	if got, want := coordStore.Journal(), refStore.Journal(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("seed %d: claim journals differ: %d vs %d claims", seed, len(got), len(want))
 	}
 	if got, want := coordStore.Records(), refStore.Records(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("seed %d: final stores differ: %d vs %d records", seed, len(got), len(want))
@@ -783,20 +717,14 @@ func TestLeaseCostIndependentOfBacklog(t *testing.T) {
 
 // BenchmarkCoordinatorLease times one grant against a standing backlog: each
 // iteration's lease has expired by the next, so the pending count holds and
-// the reclaim-and-requeue a real expiry costs is inside the figure. The
-// store is swapped for an empty one every 1024 grants: an in-memory claim
-// journal growing with b.N would otherwise charge the figure for its
-// reallocation, by an amount that depends on the iteration count.
+// the reclaim-and-requeue a real expiry costs is inside the figure.
 func BenchmarkCoordinatorLease(b *testing.B) {
 	for _, pending := range []int{768, 6144} {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
 			now := time.Unix(100, 0)
 			coord := backlogCoordinator(b, pending, &now)
 			b.ReportAllocs()
-			for i := 0; b.Loop(); i++ {
-				if i%1024 == 0 {
-					coord.store = results.NewMemStore()
-				}
+			for b.Loop() {
 				if l, err := coord.Lease(LeaseRequest{Worker: "w", Capacity: 1}); err != nil || l.Status != StatusLease {
 					b.Fatalf("lease: %+v, %v", l, err)
 				}

@@ -165,14 +165,6 @@ func (c *Client) Complete(ctx context.Context, req CompleteRequest) (CompleteRes
 	return resp, err
 }
 
-// Status fetches coordinator state. (Uses POST like every other endpoint so
-// the fault transport sees a uniform stream; the server accepts both.)
-func (c *Client) Status(ctx context.Context) (StatusResponse, error) {
-	var resp StatusResponse
-	err := c.do(ctx, "/v1/status", struct{}{}, &resp)
-	return resp, err
-}
-
 // FaultTransport is an http.RoundTripper that injects seeded, deterministic
 // faults into the RPC stream — the coordination layer's analogue of
 // bench/faults. Probabilities are evaluated per request from a seeded

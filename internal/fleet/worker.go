@@ -1,10 +1,7 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -24,10 +21,6 @@ type WorkerStats struct {
 	// Duplicates counts completions the coordinator discarded by dedupe
 	// (this worker lost a lease race — the work was wasted but harmless).
 	Duplicates int
-	// Spooled counts records written to the local spool because the
-	// coordinator was unreachable; Replayed counts spooled records later
-	// delivered.
-	Spooled, Replayed int
 	// Rejected counts completions the coordinator refused (unknown key —
 	// e.g. it was restarted with a different sweep).
 	Rejected int
@@ -40,13 +33,10 @@ type WorkerStats struct {
 // with cancellable jittered backoff). It is a grid.Source whose Next is an
 // HTTP lease — of a chunk of trials, sized by the coordinator, run in grant
 // order — and whose Complete holds each finished record until the chunk has
-// run and then reports them all in one HTTP completion, with a local JSONL
-// spool as the fallback: a worker that loses the coordinator finishes its
-// chunk, spools the records, and replays the spool on reconnect — losing
-// nothing — while its expired leases let the rest of the fleet make progress
-// (at worst duplicating work the dedupe then discards). A worker killed
-// mid-chunk loses the chunk's finished records with the running trial: at
-// most the coordinator's quantum of work, re-issued when the leases expire.
+// run and then reports them all in one HTTP completion. A worker that cannot
+// deliver a chunk, or is killed mid-chunk, loses the chunk's finished
+// records: at most the coordinator's quantum of work, re-issued when the
+// leases expire. A worker that loses the coordinator keeps polling for it.
 type Worker struct {
 	// Client is the RPC client; required (its Base addresses the
 	// coordinator).
@@ -55,13 +45,9 @@ type Worker struct {
 	// OnProgress). Its Store is ignored — the coordinator owns persistence.
 	// Nil means a zero Runner (no retries).
 	Runner *grid.Runner
-	// Name identifies this worker in claims and logs; "" means
-	// "host:pid".
+	// Name identifies this worker to the coordinator and in logs; ""
+	// means "host:pid".
 	Name string
-	// SpoolPath is the local JSONL file for records that could not be
-	// delivered; "" disables spooling (undeliverable records are dropped —
-	// the lease expiry will re-issue the trial elsewhere).
-	SpoolPath string
 	// RenewEvery is the lease-renewal period; <= 0 means a third of the TTL
 	// the coordinator states with its first lease.
 	RenewEvery time.Duration
@@ -104,7 +90,7 @@ func (w *Worker) name() string {
 
 // Run drains the coordinator until the sweep is done or ctx is canceled,
 // returning what this worker accomplished. Transport loss mid-sweep is not
-// an error — the worker degrades, spools, reconnects, and keeps going; only
+// an error — the worker degrades, reconnects, and keeps going; only
 // cancellation and protocol-level impossibilities end the run early.
 func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 	r := w.Runner
@@ -135,9 +121,8 @@ func (w *Worker) Stats() WorkerStats {
 type workerSource Worker
 
 // Next leases the next trial: the chunk in hand first; then the lease answer
-// that rode on the last completion; otherwise replay any spool (the
-// reconnect contract), then poll the coordinator through wait states and
-// outages until a lease, done, or cancellation.
+// that rode on the last completion; otherwise poll the coordinator through
+// wait states and outages until a lease, done, or cancellation.
 func (s *workerSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, error) {
 	w := (*Worker)(s)
 	if len(w.queued) > 0 {
@@ -160,10 +145,6 @@ func (s *workerSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, er
 		if w.next != nil {
 			resp, w.next = *w.next, nil
 		} else {
-			if w.replaySpool(ctx) {
-				// Spool fully drained (or empty): the link is healthy.
-				w.healed(reconnect)
-			}
 			var err error
 			resp, err = w.Client.Lease(ctx, *w.leaseRequest())
 			if err != nil {
@@ -174,7 +155,7 @@ func (s *workerSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, er
 					return bench.WorkloadConfig{}, false, err
 				}
 				// Coordinator unreachable: degraded mode. Keep trying — it
-				// journals its state and is built to come back.
+				// resumes from its store and is built to come back.
 				w.degrade(err)
 				if err := reconnect.Sleep(ctx); err != nil {
 					return bench.WorkloadConfig{}, false, err
@@ -235,8 +216,8 @@ func sleepRetry(ctx context.Context, ms int) error {
 
 // Complete holds the finished trial's record while the chunk still has
 // trials to run, and with the chunk's last one reports them all — one
-// completion, carrying the next lease request — spooling them on coordinator
-// loss.
+// completion, carrying the next lease request — dropping them on coordinator
+// loss, for the leases' expiry to re-issue.
 func (s *workerSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, rec results.Record) error {
 	w := (*Worker)(s)
 	if err := ctx.Err(); err != nil {
@@ -261,7 +242,11 @@ func (s *workerSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, r
 	held := w.held
 	w.held = nil
 	w.release() // finished work needs no lease: a re-issue from here on only dedupes
-	resp, err := w.Client.Complete(ctx, completeRequest(w.name(), held, w.leaseRequest()))
+	// The first record in the flat fields, the rest in More.
+	resp, err := w.Client.Complete(ctx, CompleteRequest{
+		LeaseID: held[0].LeaseID, Worker: w.name(), Key: held[0].Key, Record: held[0].Record,
+		More: held[1:], Next: w.leaseRequest(),
+	})
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -270,20 +255,12 @@ func (s *workerSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, r
 			return err
 		}
 		w.degrade(err)
-		w.spool(held)
+		w.logf("fleet-worker %s: dropping %d records from %s on (lease expiry will re-issue)",
+			w.name(), len(held), short(held[0].Key))
 		return nil
 	}
 	w.acknowledge(resp)
 	return nil
-}
-
-// completeRequest lays a chunk's records out on the wire: the first in the
-// flat fields, the rest in More.
-func completeRequest(worker string, chunk []Completion, next *LeaseRequest) CompleteRequest {
-	return CompleteRequest{
-		LeaseID: chunk[0].LeaseID, Worker: worker, Key: chunk[0].Key, Record: chunk[0].Record,
-		More: chunk[1:], Next: next,
-	}
 }
 
 // acknowledge folds a completion response into the stats and keeps the
@@ -292,7 +269,7 @@ func (w *Worker) acknowledge(resp CompleteResponse) {
 	if resp.Done {
 		w.doneHint = true
 	}
-	w.next = resp.Next // nil from a spool replay, which runs only once next is consumed
+	w.next = resp.Next
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, ack := range append([]CompleteAck{{Accepted: resp.Accepted, Duplicate: resp.Duplicate}}, resp.More...) {
@@ -311,7 +288,7 @@ func (w *Worker) degrade(err error) {
 	w.degraded = true
 	w.mu.Unlock()
 	if first {
-		w.logf("fleet-worker %s: coordinator unreachable (%v); degrading — will spool and reconnect", w.name(), err)
+		w.logf("fleet-worker %s: coordinator unreachable (%v); degrading — will reconnect", w.name(), err)
 	}
 }
 
@@ -393,107 +370,6 @@ func (w *Worker) renewLoop(ctx context.Context, every time.Duration) {
 			w.logf("fleet-worker %s: a lease of %v expired server-side; finishing anyway (dedupe)", w.name(), ids)
 		}
 	}
-}
-
-// spool appends a chunk's undeliverable records to the local JSONL spool.
-// Same crash-safety contract as the store: O_APPEND, one write, one line per
-// record.
-func (w *Worker) spool(chunk []Completion) {
-	if w.SpoolPath == "" {
-		w.logf("fleet-worker %s: no spool configured; dropping %d records from %s on (lease expiry will re-issue)",
-			w.name(), len(chunk), short(chunk[0].Key))
-		return
-	}
-	lines, err := spoolLines(chunk)
-	if err != nil {
-		w.logf("fleet-worker %s: encoding spool record: %v", w.name(), err)
-		return
-	}
-	f, err := os.OpenFile(w.SpoolPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		w.logf("fleet-worker %s: opening spool: %v", w.name(), err)
-		return
-	}
-	defer f.Close()
-	if _, err := f.Write(lines); err != nil {
-		w.logf("fleet-worker %s: writing spool: %v", w.name(), err)
-		return
-	}
-	w.mu.Lock()
-	w.stats.Spooled += len(chunk)
-	w.mu.Unlock()
-	w.logf("fleet-worker %s: spooled %d records from %s on to %s", w.name(), len(chunk), short(chunk[0].Key), w.SpoolPath)
-}
-
-// spoolLines is the spool's form of a chunk: its records, one JSON line each.
-func spoolLines(chunk []Completion) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for i := range chunk {
-		if err := enc.Encode(&chunk[i].Record); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-// replaySpool re-delivers spooled records, a protocol chunk per completion,
-// rewriting the spool with whatever still cannot be delivered. Returns true
-// when the spool is empty afterward (including the trivially-empty case).
-// Duplicate acknowledgements are normal: the trials may have been re-issued
-// and completed elsewhere while this worker was partitioned.
-func (w *Worker) replaySpool(ctx context.Context) bool {
-	if w.SpoolPath == "" {
-		return true
-	}
-	data, err := os.ReadFile(w.SpoolPath)
-	if err != nil || len(data) == 0 {
-		return true
-	}
-	var recs []Completion
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec results.Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // torn spool line (killed mid-write): the record was never acknowledged anywhere; drop
-		}
-		recs = append(recs, Completion{Key: rec.Key, Record: rec})
-	}
-	spooled := len(recs)
-	for len(recs) > 0 && ctx.Err() == nil {
-		chunk := recs[:min(len(recs), maxChunkTrials)]
-		resp, err := w.Client.Complete(ctx, completeRequest(w.name(), chunk, nil))
-		if err != nil {
-			break
-		}
-		recs = recs[len(chunk):]
-		w.acknowledge(resp)
-		w.mu.Lock()
-		w.stats.Replayed += len(chunk)
-		w.mu.Unlock()
-		w.logf("fleet-worker %s: replayed %d spooled records from %s on", w.name(), len(chunk), short(chunk[0].Key))
-	}
-	switch len(recs) {
-	case 0:
-		os.Remove(w.SpoolPath)
-		return true
-	case spooled:
-		return false // nothing got through: the spool stands as it is
-	}
-	// Rewrite the spool to only the undelivered tail. A crash between
-	// delivery and this rewrite re-replays a delivered record later — which
-	// dedupes — so the spool never loses a record, only occasionally repeats
-	// one. (Write-then-rename would be atomic but gains nothing over that
-	// guarantee here.)
-	if lines, err := spoolLines(recs); err == nil {
-		os.WriteFile(w.SpoolPath, lines, 0o644)
-	}
-	return false
 }
 
 // short truncates a key for logs.

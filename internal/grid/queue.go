@@ -244,7 +244,7 @@ func (q *Queue) take(capacity int, cheapest bool, budget float64) (int, float64,
 }
 
 // Return puts a taken task back in its place in the order: its lease
-// expired, or the claim for it could not be journaled.
+// expired.
 func (q *Queue) Return(i int) {
 	g := &q.conf[q.tasks[i].CfgIdx]
 	at, _ := slices.BinarySearch(g.pending, i)
@@ -363,7 +363,7 @@ func (q *Queue) finish(i int, rec results.Record, ran bool) {
 	s := &q.slots[i]
 	g := &q.conf[q.tasks[i].CfgIdx]
 	if s.state == taskPending {
-		// Finished without being taken (a twin ran, or a spooled record
+		// Finished without being taken (a twin ran, or a late record
 		// arrived after the lease expired): it is no longer grantable.
 		at, _ := slices.BinarySearch(g.pending, i)
 		g.pending = slices.Delete(g.pending, at, at+1)
@@ -390,19 +390,6 @@ func (q *Queue) book(s *slot, rec results.Record, ran bool) {
 	if !rec.Quarantined {
 		s.ok, s.trial = true, rec.Trial
 	}
-}
-
-// Remaining is the estimated cost of every unfinished trial, pending and
-// taken: the numerator of the status ETA.
-func (q *Queue) Remaining() float64 {
-	var sum float64
-	for gi := range q.conf {
-		if g := &q.conf[gi]; g.open > 0 {
-			est, _ := q.estimate(g)
-			sum += est * float64(g.open)
-		}
-	}
-	return sum
 }
 
 // Summaries assembles per-config summaries in input-config order with

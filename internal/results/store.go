@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -54,39 +53,15 @@ type Record struct {
 	// Error is the failure reason of a quarantined record.
 	Error string `json:"error,omitempty"`
 
-	// Kind distinguishes journal records from trial records. Empty means a
-	// trial result (the default, and the only kind that existed before the
-	// fleet). KindClaim marks a coordination-journal entry: a lease grant
-	// the fleet coordinator appends to the same crash-safe log so a
-	// mid-sweep crash leaves an auditable trail of who held what. Journal
-	// records are routed to a separate index on load and append — they never
-	// satisfy cache lookups, never enter Summaries or Compare, and adding
-	// them does not move any TrialKey (keys hash only the config), so the
-	// schema version is unchanged.
+	// Kind is set only on lines an older build appended as a coordination
+	// journal (lease claims). Such a line is no trial: load drops it, so it
+	// can never satisfy a cache lookup and make resume skip a trial that
+	// never ran. Nothing writes it any more.
 	Kind string `json:"kind,omitempty"`
-	// Worker identifies the fleet worker a journal record concerns (and,
-	// echoed on trial records completed over the fleet, which worker ran
-	// the trial — audit only; the Trial's own provenance fields are the
-	// canonical source).
+	// Worker names the fleet worker that ran a trial completed over the
+	// fleet — audit only; the Trial's own provenance fields are the
+	// canonical source.
 	Worker string `json:"worker,omitempty"`
-	// LeaseUntil is the claim's expiry, unix nanoseconds (journal records
-	// only).
-	LeaseUntil int64 `json:"lease_until,omitempty"`
-}
-
-// KindClaim is the Record.Kind of a fleet lease-grant journal entry.
-const KindClaim = "claim"
-
-// NewClaim builds the coordination-journal record for a lease grant: key
-// identifies the claimed trial, worker the holder, until the lease expiry.
-func NewClaim(key, worker string, until time.Time) Record {
-	return Record{
-		Key:        key,
-		Schema:     SchemaVersion,
-		Kind:       KindClaim,
-		Worker:     worker,
-		LeaseUntil: until.UnixNano(),
-	}
 }
 
 // NewRecord builds the Record for an executed trial. The configuration is
@@ -130,13 +105,12 @@ func NewQuarantine(cfg bench.WorkloadConfig, tr bench.TrialResult, err error) Re
 // JSONL file that every Append flushes to. All methods are safe for
 // concurrent use (the grid runner appends from worker goroutines).
 type Store struct {
-	mu      sync.Mutex
-	path    string
-	f       *os.File
-	recs    []Record
-	byKey   map[string][]int
-	journal []Record
-	batch   bytes.Buffer // AppendAllIfAbsent's lines; kept, so a chunk's 85 KB is grown to once
+	mu    sync.Mutex
+	path  string
+	f     *os.File
+	recs  []Record
+	byKey map[string][]int
+	batch bytes.Buffer // AppendAllIfAbsent's lines; kept, so a chunk's 85 KB is grown to once
 }
 
 // NewMemStore creates an unbacked in-memory store.
@@ -248,12 +222,10 @@ func decodeLines(buf []byte, ends []int, recs []Record, ok []bool) {
 	wg.Wait()
 }
 
-// add indexes a record; caller holds mu. Journal records (Kind != "") go to
-// the side journal: they must never satisfy a Get/Has cache lookup, or a
-// claim would masquerade as a completed trial.
+// add indexes a record; caller holds mu. A line with Kind set is an old
+// build's lease claim, not a trial, and is dropped.
 func (s *Store) add(rec Record) {
 	if rec.Kind != "" {
-		s.journal = append(s.journal, rec)
 		return
 	}
 	s.byKey[rec.Key] = append(s.byKey[rec.Key], len(s.recs))
@@ -291,15 +263,12 @@ func (s *Store) Append(rec Record) error {
 // merge-dedupe point: two workers racing an expired lease both complete the
 // same trial, content addressing makes their records interchangeable, and
 // the check-and-append under one lock guarantees exactly one lands in the
-// store. Journal records (Kind != "") are always appended — claims are a
-// log, not a set.
+// store.
 func (s *Store) AppendIfAbsent(rec Record) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rec.Kind == "" {
-		if _, dup := s.byKey[rec.Key]; dup {
-			return false, nil
-		}
+	if _, dup := s.byKey[rec.Key]; dup {
+		return false, nil
 	}
 	if err := s.appendLocked(rec); err != nil {
 		return false, err
@@ -308,10 +277,9 @@ func (s *Store) AppendIfAbsent(rec Record) (bool, error) {
 }
 
 // AppendAllIfAbsent is AppendIfAbsent for a batch that goes to the file as
-// one write — the k claims of a fleet lease, the k records of one completion.
-// It is still one JSONL line per record, and each record is appended only
-// when its TrialKey is neither in the store nor earlier in recs (journal
-// records always are); added[i] reports which. A process killed inside the
+// one write — the k records of one fleet completion. It is still one JSONL
+// line per record, and each record is appended only when its TrialKey is
+// neither in the store nor earlier in recs; added[i] reports which. A process killed inside the
 // write leaves whole lines and at most one torn one, which load skips like
 // any other. On an error nothing is indexed.
 func (s *Store) AppendAllIfAbsent(recs []Record) (added []bool, err error) {
@@ -323,14 +291,12 @@ func (s *Store) AppendAllIfAbsent(recs []Record) (added []bool, err error) {
 	enc := json.NewEncoder(buf) // Marshal's bytes plus the newline, without Marshal's copy
 	for i := range recs {
 		rec := &recs[i]
-		if rec.Kind == "" {
-			_, dup := s.byKey[rec.Key]
-			for j := 0; j < i && !dup; j++ {
-				dup = added[j] && recs[j].Kind == "" && recs[j].Key == rec.Key
-			}
-			if dup {
-				continue
-			}
+		_, dup := s.byKey[rec.Key]
+		for j := 0; j < i && !dup; j++ {
+			dup = added[j] && recs[j].Key == rec.Key
+		}
+		if dup {
+			continue
 		}
 		added[i] = true
 		if s.f != nil {
@@ -411,18 +377,7 @@ func (s *Store) Keys() []string {
 	return keys
 }
 
-// Journal returns a copy of the coordination-journal records (claims) in
-// append order. Trial records are not included; see Records.
-func (s *Store) Journal() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Record, len(s.journal))
-	copy(out, s.journal)
-	return out
-}
-
-// Records returns a copy of all trial records in append order. Journal
-// records (claims) are excluded; see Journal.
+// Records returns a copy of all trial records in append order.
 func (s *Store) Records() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -252,55 +251,64 @@ func TestStoreAppendIfAbsentRace(t *testing.T) {
 	}
 }
 
-// TestStoreClaimsJournalSeparately: claim records share the file but never
-// the cache index — a journaled claim must not make a trial look complete,
-// in memory or across a reload.
-func TestStoreClaimsJournalSeparately(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "claims.jsonl")
+// claimLine is a lease claim as an older fleet coordinator appended it to
+// the store: the trial's key and a kind, no config and no result.
+func claimLine(key, worker string, until int64) string {
+	return fmt.Sprintf(`{"key":%q,"group":"","schema":%d,"seed":0,"config":{},"trial":{},"kind":"claim","worker":%q,"lease_until":%d}`,
+		key, SchemaVersion, worker, until)
+}
+
+// TestLegacyClaimLinesLoadAsNothing: a store written by a build that
+// journaled lease claims loads as if the claim lines were not there — one
+// beside the record of its trial, one for a trial that never finished — in
+// memory and through Open alike. A claim that loaded as a record would make
+// resume skip a trial that never ran.
+func TestLegacyClaimLinesLoadAsNothing(t *testing.T) {
+	done, claimed := crashRec(3), crashRec(4)
+	doneLine, err := recJSON(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture := strings.Join([]string{
+		claimLine(done.Key, "w1", 1700000000000000000),
+		doneLine,
+		claimLine(claimed.Key, "w2", 1700000000000000001),
+		claimLine(claimed.Key, "w1", 1700000000000000002),
+		"",
+	}, "\n")
+	check := func(how string, st *Store) {
+		t.Helper()
+		if st.Len() != 1 || !st.Has(done.Key) || st.Has(claimed.Key) {
+			t.Fatalf("%s: len=%d has(done)=%t has(claimed)=%t, want only the trial record", how, st.Len(), st.Has(done.Key), st.Has(claimed.Key))
+		}
+		if recs := st.Records(); len(recs) != 1 || recs[0].Key != done.Key || recs[0].Kind != "" {
+			t.Fatalf("%s: Records() = %+v, want the one trial record", how, recs)
+		}
+		if keys := st.Keys(); !slices.Equal(keys, []string{done.Key}) {
+			t.Fatalf("%s: Keys() = %v, want [%s]", how, keys, done.Key)
+		}
+	}
+	mem := NewMemStore()
+	if err := mem.Load(strings.NewReader(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	check("Load", mem)
+
+	path := filepath.Join(t.TempDir(), "legacy.jsonl")
+	if err := os.WriteFile(path, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	st, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := crashRec(3)
-	if err := st.Append(NewClaim(rec.Key, "w1", time.Now().Add(time.Minute))); err != nil {
-		t.Fatal(err)
-	}
-	if st.Has(rec.Key) {
-		t.Fatal("a journaled claim must not satisfy a cache lookup")
-	}
-	if st.Len() != 0 || len(st.Journal()) != 1 {
-		t.Fatalf("claim landed in the wrong index: len=%d journal=%d", st.Len(), len(st.Journal()))
-	}
-	// Claims are a log, not a set: AppendIfAbsent never dedupes them.
-	if added, err := st.AppendIfAbsent(NewClaim(rec.Key, "w2", time.Now().Add(time.Minute))); err != nil || !added {
-		t.Fatalf("second claim for the same key must append: added=%t err=%v", added, err)
-	}
-	if err := st.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != 1 || !re.Has(rec.Key) {
-		t.Fatalf("reload lost the real record: len=%d", re.Len())
-	}
-	if got := len(re.Journal()); got != 2 {
-		t.Fatalf("reload kept %d journal records, want 2 claims", got)
-	}
-	for _, j := range re.Journal() {
-		if j.Kind != KindClaim || j.LeaseUntil == 0 {
-			t.Fatalf("reloaded claim lost its shape: %+v", j)
-		}
-	}
+	defer st.Close()
+	check("Open", st)
 }
 
 // TestStoreLoadParallelParity: load decodes batches of lines on up to
 // GOMAXPROCS goroutines, and what it builds must not depend on how many —
-// torn and blank lines skipped, claims routed to the journal, duplicates of
+// torn and blank lines skipped, an older build's claim lines dropped, duplicates of
 // one key kept in file order, Records() in file order. The reference is a
 // line-at-a-time decode. Phase slices differ per record so a decode into a
 // reused, un-reset Record would show up as one record's schedule inside
@@ -308,6 +316,7 @@ func TestStoreClaimsJournalSeparately(t *testing.T) {
 func TestStoreLoadParallelParity(t *testing.T) {
 	var file strings.Builder
 	want := NewMemStore()
+	claims := 0
 	for i := 0; i < 2000; i++ {
 		seed := uint64(i + 1)
 		if i%13 == 12 {
@@ -316,9 +325,6 @@ func TestStoreLoadParallelParity(t *testing.T) {
 		cfg := crashCfg(seed)
 		cfg.Phases = []bench.PhaseSpec{{Live: 1 + int(seed%2), Ops: 100 + int(seed)}}
 		rec := NewRecord(cfg, bench.TrialResult{Scenario: cfg.Scenario, Seed: seed, Ops: int64(i)})
-		if i%17 == 16 {
-			rec = NewClaim(rec.Key, fmt.Sprintf("w%d", i), time.Unix(int64(i), 0))
-		}
 		line, err := recJSON(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -328,6 +334,9 @@ func TestStoreLoadParallelParity(t *testing.T) {
 			line = ""
 		case i%11 == 10:
 			line = line[:len(line)/2]
+		case i%17 == 16:
+			line = claimLine(rec.Key, fmt.Sprintf("w%d", i), int64(i))
+			claims++
 		default:
 			var back Record
 			if err := json.Unmarshal([]byte(line), &back); err != nil {
@@ -338,9 +347,9 @@ func TestStoreLoadParallelParity(t *testing.T) {
 		file.WriteString(line + "\n")
 	}
 	dups := want.Len() - len(want.Keys())
-	if want.Len() < 1400 || len(want.Journal()) < 50 || dups < 50 {
-		t.Fatalf("reference store holds %d records (%d under an earlier key) and %d claims; the file is not the mix intended",
-			want.Len(), dups, len(want.Journal()))
+	if want.Len() < 1400 || claims < 50 || dups < 50 {
+		t.Fatalf("reference store holds %d records (%d under an earlier key), the file %d claims; the file is not the mix intended",
+			want.Len(), dups, claims)
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -353,9 +362,6 @@ func TestStoreLoadParallelParity(t *testing.T) {
 		if !reflect.DeepEqual(got.Records(), want.Records()) {
 			t.Errorf("GOMAXPROCS=%d: Records() differ from the serial decode", procs)
 		}
-		if !reflect.DeepEqual(got.Journal(), want.Journal()) {
-			t.Errorf("GOMAXPROCS=%d: Journal() differs from the serial decode", procs)
-		}
 		for _, key := range want.Keys() {
 			if !reflect.DeepEqual(got.Get(key), want.Get(key)) {
 				t.Errorf("GOMAXPROCS=%d: records under %s differ or changed order", procs, key)
@@ -364,10 +370,9 @@ func TestStoreLoadParallelParity(t *testing.T) {
 	}
 }
 
-// TestStoreBatchAppendTornInLastLine: AppendAllIfAbsent puts a fleet lease's
-// claims, or a completion's records, in the file with one write — one line
-// per record all the same, deduped per key against the store and within the
-// batch, claims routed to the journal. A process killed inside that write
+// TestStoreBatchAppendTornInLastLine: AppendAllIfAbsent puts a fleet
+// completion's records in the file with one write — one line per record all
+// the same, deduped per key against the store and within the batch. A process killed inside that write
 // leaves whole lines and a torn last one, and such a file loads to exactly
 // the complete lines before the tear, at any GOMAXPROCS: a batch longer than
 // load's decode batch crosses its boundary.
@@ -384,7 +389,7 @@ func TestStoreBatchAppendTornInLastLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := []Record{crashRec(1), crashRec(2), NewClaim(crashRec(2).Key, "w1", time.Unix(50, 0)), crashRec(2)}
+	batch := []Record{crashRec(1), crashRec(2), crashRec(2)}
 	for seed := uint64(3); seed < 3+loadBatch; seed++ {
 		batch = append(batch, crashRec(seed))
 	}
@@ -392,12 +397,12 @@ func TestStoreBatchAppendTornInLastLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := append([]bool{false, true, true, false}, slices.Repeat([]bool{true}, loadBatch)...)
+	want := append([]bool{false, true, false}, slices.Repeat([]bool{true}, loadBatch)...)
 	if !slices.Equal(added, want) {
-		t.Fatalf("added = %v, want the stored key and the repeat within the batch skipped, the claim kept", added)
+		t.Fatalf("added = %v, want the stored key and the repeat within the batch skipped", added)
 	}
-	if st.Len() != 2+loadBatch || len(st.Journal()) != 1 {
-		t.Fatalf("indexed %d records and %d claims, want %d and 1", st.Len(), len(st.Journal()), 2+loadBatch)
+	if st.Len() != 2+loadBatch {
+		t.Fatalf("indexed %d records, want %d", st.Len(), 2+loadBatch)
 	}
 	st.Close()
 	whole, err := os.ReadFile(path)
@@ -406,8 +411,8 @@ func TestStoreBatchAppendTornInLastLine(t *testing.T) {
 	}
 	lines := strings.SplitAfter(string(whole[len(before):]), "\n")
 	lines = lines[:len(lines)-1] // SplitAfter's empty tail
-	if len(lines) != 2+loadBatch {
-		t.Fatalf("the batch wrote %d lines, want %d", len(lines), 2+loadBatch)
+	if len(lines) != 1+loadBatch {
+		t.Fatalf("the batch wrote %d lines, want %d", len(lines), 1+loadBatch)
 	}
 	last := lines[len(lines)-1]
 
@@ -423,14 +428,14 @@ func TestStoreBatchAppendTornInLastLine(t *testing.T) {
 			if err != nil {
 				t.Fatalf("GOMAXPROCS=%d cut=%d: %v", procs, cut, err)
 			}
-			// Everything but the torn record: crashRec(1), the batch's
-			// 1+loadBatch fresh records less its last, and the claim.
-			if re.Len() != 1+loadBatch || len(re.Journal()) != 1 || re.Has(batch[len(batch)-1].Key) {
-				t.Errorf("GOMAXPROCS=%d cut=%d: loaded %d records and %d claims, want %d and 1, the torn record absent",
-					procs, cut, re.Len(), len(re.Journal()), 1+loadBatch)
+			// Everything but the torn record: crashRec(1) and the batch's
+			// 1+loadBatch fresh records less its last.
+			if re.Len() != 1+loadBatch || re.Has(batch[len(batch)-1].Key) {
+				t.Errorf("GOMAXPROCS=%d cut=%d: loaded %d records, want %d, the torn record absent",
+					procs, cut, re.Len(), 1+loadBatch)
 			}
 			for _, rec := range batch[:len(batch)-1] {
-				if rec.Kind == "" && len(re.Get(rec.Key)) != 1 {
+				if len(re.Get(rec.Key)) != 1 {
 					t.Errorf("GOMAXPROCS=%d cut=%d: key %s loaded %d times, want 1", procs, cut, rec.Key, len(re.Get(rec.Key)))
 				}
 			}
