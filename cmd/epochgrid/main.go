@@ -48,8 +48,8 @@
 // exits 1 when any configuration regressed beyond the tolerance — mean
 // throughput outside ±tol, peak limbo grown past -limbo-tol, or p999
 // latency grown past -lat-tol — when the new store has a configuration
-// group the old one lacks, or when no group is in both. That is CI's
-// baseline gate.
+// group the old one lacks, when no group is in both, or when the new store is
+// empty. That is CI's baseline gate; it prints -format table or json.
 package main
 
 import (
@@ -198,7 +198,7 @@ func realMain(args []string) int {
 	defer stopProfiles()
 
 	t0 := time.Now()
-	var sums []bench.Summary
+	var sums []results.Summary
 	if plan != nil {
 		sums, err = runExperiments(plan, runner, out, *format == "table")
 	} else {
@@ -252,8 +252,8 @@ func planExperiments(id string, flags grid.Spec, at int) ([]experiments.Experime
 // runExperiments runs the plan in order through the runner. With reports set
 // each experiment's report is written to out as it finishes; the summaries of
 // all of them come back for the formats that emit those instead.
-func runExperiments(plan []experiments.Experiment, runner *grid.Runner, out io.Writer, reports bool) ([]bench.Summary, error) {
-	var all []bench.Summary
+func runExperiments(plan []experiments.Experiment, runner *grid.Runner, out io.Writer, reports bool) ([]results.Summary, error) {
+	var all []results.Summary
 	for _, p := range plan {
 		t0 := time.Now()
 		report, sums, err := p.Run(runner)
@@ -280,130 +280,19 @@ func openOut(path string) (io.Writer, func(), error) {
 	return f, func() { f.Close() }, nil
 }
 
-// phasesOf renders the phase schedule a summary's trials ran. The trials
-// themselves record it (TrialResult.Phases), which stays accurate even
-// for store records written by a build whose scenario defaults differed;
-// re-deriving from the config is only the fallback for records that
-// predate the field. Empty means the implicit single phase. Every format
-// carries it, so stored artifacts are self-describing about thread churn.
-func phasesOf(s bench.Summary) string {
-	for _, tr := range s.Trials {
-		if tr.Phases != "" {
-			return tr.Phases
-		}
-	}
-	ph, _ := bench.EffectivePhases(s.Cfg)
-	return bench.FormatPhases(ph)
-}
-
-// faultsOf renders a summary's fault plan ("none" for healthy configs), so
-// fault sweeps are self-describing in every output format.
-func faultsOf(s bench.Summary) string {
-	return bench.FormatFaults(s.Cfg.Faults)
-}
-
-// arrivalOf renders a summary's arrival process in canonical syntax ("none"
-// for closed-loop configs), so open-system sweeps are self-describing in
-// every output format.
-func arrivalOf(s bench.Summary) string {
-	for _, tr := range s.Trials {
-		if tr.Arrival != "" {
-			return tr.Arrival
-		}
-	}
-	sp, err := arrival.Parse(s.Cfg.Arrival)
-	if err != nil {
-		return s.Cfg.Arrival
-	}
-	return arrival.Format(sp)
-}
-
-// latOf pools a summary's per-trial latency histograms and returns the p99
-// and p999 modeled latency in milliseconds — quantiles of the pooled
-// observations, not averages of per-trial quantiles, so one bad trial's
-// tail dominates. Both zero for closed-loop groups.
-func latOf(s bench.Summary) (p99ms, p999ms float64) {
-	var h arrival.Hist
-	for _, tr := range s.Trials {
-		h.Merge(tr.Latency)
-	}
-	if h.Count() == 0 {
-		return 0, 0
-	}
-	return float64(h.Quantile(0.99)) / 1e6, float64(h.Quantile(0.999)) / 1e6
-}
-
-// peakLimboOf is the mean unreclaimed-object high-water mark across a
-// summary's trials — the robustness metric a stall sweep compares between
-// hazard-family (bounded) and epoch-based (unbounded) schemes.
-func peakLimboOf(s bench.Summary) float64 {
-	if len(s.Trials) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, tr := range s.Trials {
-		sum += float64(tr.PeakLimbo)
-	}
-	return sum / float64(len(s.Trials))
-}
-
-// elapsedMsOf is the mean measured wall time of a summary's trials in
-// milliseconds — the number the grid's cost model schedules by. Zero for
-// records that predate ElapsedNanos stamping.
-func elapsedMsOf(s bench.Summary) float64 {
-	if len(s.Trials) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, tr := range s.Trials {
-		sum += float64(tr.ElapsedNanos)
-	}
-	return sum / float64(len(s.Trials)) / 1e6
-}
-
-// hostOf renders the distinct hosts a summary's trials ran on, ';'-joined in
-// first-appearance order. A sweep yields one host; a store that merges
-// several machines' sweeps names every machine that contributed, so its
-// results are traceable without opening it. Empty for records that predate
-// provenance stamping.
-func hostOf(s bench.Summary) string {
-	var hosts []string
-	seen := map[string]bool{}
-	for _, tr := range s.Trials {
-		if tr.Host == "" || seen[tr.Host] {
-			continue
-		}
-		seen[tr.Host] = true
-		hosts = append(hosts, tr.Host)
-	}
-	return strings.Join(hosts, ";")
-}
-
-// droppedOf sums recordable timeline events lost to full recorder buffers
-// across a summary's trials. Non-zero only for recorded configurations whose
-// timelines were truncated; surfaced in every format so clipped recordings
-// cannot pass for complete ones.
-func droppedOf(s bench.Summary) int64 {
-	var n int64
-	for _, tr := range s.Trials {
-		n += tr.Dropped
-	}
-	return n
-}
-
 // emit renders the per-config summaries. Every format carries the seeds a
 // summary aggregates, so stored numbers trace back to their RNG streams.
-func emit(w io.Writer, format string, sums []bench.Summary, executed, cached int) error {
+func emit(w io.Writer, format string, sums []results.Summary, executed, cached int) error {
 	switch format {
 	case "table":
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "scenario\tphases\tfaults\tarrival\tds\talloc\treclaimer\tthreads\tbatch\tseeds\tmean ops/s\tmin\tmax\tpeak MiB\tpeak limbo\telapsed ms\tlat p99 (ms)\tlat p999 (ms)\tdropped")
 		for _, s := range sums {
-			p99, p999 := latOf(s)
+			c := s.Config
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d\t%d\t%s\t%.0f\t%.0f\t%.0f\t%.1f\t%.0f\t%.1f\t%.2f\t%.2f\t%d\n",
-				s.Cfg.Scenario, phasesOf(s), faultsOf(s), arrivalOf(s), s.Cfg.DataStructure, s.Cfg.Allocator, s.Cfg.Reclaimer,
-				s.Cfg.Threads, s.Cfg.BatchSize, seedList(s),
-				s.MeanOps, s.MinOps, s.MaxOps, s.MeanPeakMiB, peakLimboOf(s), elapsedMsOf(s), p99, p999, droppedOf(s))
+				c.Scenario, s.Phases, bench.FormatFaults(c.Faults), s.Arrival, c.DataStructure, c.Allocator, c.Reclaimer,
+				c.Threads, c.BatchSize, joinSeeds(s.Seeds),
+				s.MeanOps, s.MinOps, s.MaxOps, s.MeanPeakMiB, s.MeanPeakLimbo, s.MeanElapsedMs, ms(s.LatP99Ns), ms(s.LatP999Ns), s.Dropped)
 		}
 		return tw.Flush()
 	case "csv":
@@ -416,17 +305,17 @@ func emit(w io.Writer, format string, sums []bench.Summary, executed, cached int
 			return err
 		}
 		for _, s := range sums {
-			p99, p999 := latOf(s)
+			c := s.Config
 			if err := cw.Write([]string{
-				s.Cfg.Scenario, phasesOf(s), faultsOf(s), arrivalOf(s), s.Cfg.DataStructure, s.Cfg.Allocator, s.Cfg.Reclaimer,
-				strconv.Itoa(s.Cfg.Threads), strconv.Itoa(s.Cfg.BatchSize),
-				seedList(s), strconv.Itoa(len(s.Trials)), hostOf(s),
+				c.Scenario, s.Phases, bench.FormatFaults(c.Faults), s.Arrival, c.DataStructure, c.Allocator, c.Reclaimer,
+				strconv.Itoa(c.Threads), strconv.Itoa(c.BatchSize),
+				joinSeeds(s.Seeds), strconv.Itoa(s.N), s.Host,
 				fmt.Sprintf("%.2f", s.MeanOps), fmt.Sprintf("%.2f", s.MinOps),
 				fmt.Sprintf("%.2f", s.MaxOps), fmt.Sprintf("%.3f", s.MeanPeakMiB),
-				fmt.Sprintf("%.1f", peakLimboOf(s)),
-				fmt.Sprintf("%.3f", elapsedMsOf(s)),
-				fmt.Sprintf("%.3f", p99), fmt.Sprintf("%.3f", p999),
-				strconv.FormatInt(droppedOf(s), 10),
+				fmt.Sprintf("%.1f", s.MeanPeakLimbo),
+				fmt.Sprintf("%.3f", s.MeanElapsedMs),
+				fmt.Sprintf("%.3f", ms(s.LatP99Ns)), fmt.Sprintf("%.3f", ms(s.LatP999Ns)),
+				strconv.FormatInt(s.Dropped, 10),
 			}); err != nil {
 				return err
 			}
@@ -462,33 +351,28 @@ func emit(w io.Writer, format string, sums []bench.Summary, executed, cached int
 			Cached    int           `json:"cached"`
 			Summaries []jsonSummary `json:"summaries"`
 		}{Executed: executed, Cached: cached}
+		// The closed loop and the healthy plan are the JSON's absent keys.
+		orNone := func(v string) string {
+			if v == "none" {
+				return ""
+			}
+			return v
+		}
 		for _, s := range sums {
-			faults := faultsOf(s)
-			if faults == "none" {
-				faults = ""
-			}
-			arr := arrivalOf(s)
-			if arr == "none" {
-				arr = ""
-			}
-			p99, p999 := latOf(s)
-			js := jsonSummary{
-				Scenario: s.Cfg.Scenario, Phases: phasesOf(s), Faults: faults,
-				Arrival:       arr,
-				DataStructure: s.Cfg.DataStructure,
-				Allocator:     s.Cfg.Allocator, Reclaimer: s.Cfg.Reclaimer,
-				Threads: s.Cfg.Threads, BatchSize: s.Cfg.BatchSize,
-				Trials: len(s.Trials), Host: hostOf(s),
+			c := s.Config
+			doc.Summaries = append(doc.Summaries, jsonSummary{
+				Scenario: c.Scenario, Phases: s.Phases, Faults: orNone(bench.FormatFaults(c.Faults)),
+				Arrival:       orNone(s.Arrival),
+				DataStructure: c.DataStructure,
+				Allocator:     c.Allocator, Reclaimer: c.Reclaimer,
+				Threads: c.Threads, BatchSize: c.BatchSize,
+				Seeds: s.Seeds, Trials: s.N, Host: s.Host,
 				MeanOps: s.MeanOps, MinOps: s.MinOps, MaxOps: s.MaxOps,
-				MeanPeakMiB: s.MeanPeakMiB, MeanPeakLimbo: peakLimboOf(s),
-				ElapsedMs: elapsedMsOf(s),
-				LatP99Ms:  p99, LatP999Ms: p999,
-				Dropped: droppedOf(s),
-			}
-			for _, tr := range s.Trials {
-				js.Seeds = append(js.Seeds, tr.Seed)
-			}
-			doc.Summaries = append(doc.Summaries, js)
+				MeanPeakMiB: s.MeanPeakMiB, MeanPeakLimbo: s.MeanPeakLimbo,
+				ElapsedMs: s.MeanElapsedMs,
+				LatP99Ms:  ms(s.LatP99Ns), LatP999Ms: ms(s.LatP999Ns),
+				Dropped: s.Dropped,
+			})
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -498,10 +382,14 @@ func emit(w io.Writer, format string, sums []bench.Summary, executed, cached int
 	}
 }
 
-func seedList(s bench.Summary) string {
-	parts := make([]string, len(s.Trials))
-	for i, tr := range s.Trials {
-		parts[i] = strconv.FormatUint(tr.Seed, 10)
+// ms renders a latency quantile in milliseconds.
+func ms(ns int64) float64 { return float64(ns) / 1e6 }
+
+// joinSeeds renders a summary's seeds for the table and CSV, ';'-joined.
+func joinSeeds(seeds []uint64) string {
+	parts := make([]string, len(seeds))
+	for i, seed := range seeds {
+		parts[i] = strconv.FormatUint(seed, 10)
 	}
 	return strings.Join(parts, ";")
 }
@@ -510,6 +398,10 @@ func seedList(s bench.Summary) string {
 func runCompare(oldPath, newPath string, tol, limboTol, latTol float64, format, outPath string) int {
 	if oldPath == "" || newPath == "" {
 		fmt.Fprintln(os.Stderr, "epochgrid: -compare OLD and -with NEW are both required")
+		return 2
+	}
+	if format != "table" && format != "json" {
+		fmt.Fprintf(os.Stderr, "epochgrid: -compare prints format table or json, not %q\n", format)
 		return 2
 	}
 	oldStore, err := loadStore(oldPath)
@@ -546,12 +438,17 @@ func runCompare(oldPath, newPath string, tol, limboTol, latTol float64, format, 
 			rep.Regressed, 100*rep.Tolerance)
 		return 1
 	}
+	// A sweep that stored nothing measured nothing: passing it would let a
+	// broken sweep through the gate.
+	if newStore.Len() == 0 {
+		fmt.Fprintf(os.Stderr, "epochgrid: the new store %s holds no trial; there is nothing to gate\n", newPath)
+		return 1
+	}
 	// A diff where nothing overlaps is a broken gate, not a pass: a schema
 	// bump, a Normalize change, or edited sweep flags shifts every group
 	// key, and silently reporting "0 regressed" would disable the CI
 	// baseline check forever. Fail so the baseline gets refreshed.
-	if matched := rep.Improved + rep.Regressed + rep.Unchanged; matched == 0 &&
-		oldStore.Len() > 0 && newStore.Len() > 0 {
+	if matched := rep.Improved + rep.Regressed + rep.Unchanged; matched == 0 {
 		fmt.Fprintln(os.Stderr,
 			"epochgrid: no configuration group exists in both stores — keys changed (schema, normalization, or sweep flags); refresh the baseline")
 		return 1

@@ -88,9 +88,10 @@ func TestExperimentFlagErrors(t *testing.T) {
 }
 
 // TestCompareGate: -compare is CI's baseline gate. It fails on a regressed
-// group, on a group the baseline lacks, and on stores with no group in
-// common; a new store whose groups are a subset of the baseline's, each
-// within tolerance, passes.
+// group, on a group the baseline lacks, on stores with no group in common and
+// on an empty new store; a new store whose groups are a subset of the
+// baseline's, each within tolerance, passes. A -format it cannot print is a
+// usage error.
 func TestCompareGate(t *testing.T) {
 	// store writes one single-trial group per reclaimer, at the given ops/s.
 	store := func(groups map[string]float64) string {
@@ -110,19 +111,25 @@ func TestCompareGate(t *testing.T) {
 		return path
 	}
 	baseline := store(map[string]float64{"debra": 100, "hp": 100, "qsbr": 100})
+	subset := map[string]float64{"debra": 102, "hp": 99}
 	for _, tc := range []struct {
 		name   string
 		groups map[string]float64
+		format string
 		want   int
 	}{
-		{"regressed", map[string]float64{"debra": 10, "hp": 100}, 1},
-		{"only-new", map[string]float64{"debra": 100, "ibr": 100}, 1},
-		{"disjoint", map[string]float64{"ibr": 100, "he": 100}, 1},
-		{"subset with only-old groups", map[string]float64{"debra": 102, "hp": 99}, 0},
+		{"regressed", map[string]float64{"debra": 10, "hp": 100}, "table", 1},
+		{"only-new", map[string]float64{"debra": 100, "ibr": 100}, "table", 1},
+		{"disjoint", map[string]float64{"ibr": 100, "he": 100}, "table", 1},
+		{"empty new store", nil, "table", 1},
+		{"subset with only-old groups", subset, "table", 0},
+		{"format csv", subset, "csv", 2},
+		{"unknown format", subset, "bogus", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "report.txt")
-			if code := realMain([]string{"-compare", baseline, "-with", store(tc.groups), "-tol", "0.5", "-out", out}); code != tc.want {
+			args := []string{"-compare", baseline, "-with", store(tc.groups), "-tol", "0.5", "-format", tc.format, "-out", out}
+			if code := realMain(args); code != tc.want {
 				t.Fatalf("exit code %d, want %d", code, tc.want)
 			}
 		})

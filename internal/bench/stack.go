@@ -106,7 +106,7 @@ func newStack(cfg WorkloadConfig) (*Stack, error) {
 	if cfg.Record {
 		capEach := cfg.RecorderCap
 		if capEach <= 0 {
-			capEach = 100000
+			capEach = DefaultRecorderCap
 		}
 		s.Recorder = timeline.NewRecorder(cfg.Threads, capEach)
 		// Long free calls are recorded from the allocator's own slow-path

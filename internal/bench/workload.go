@@ -134,9 +134,15 @@ type WorkloadConfig struct {
 	Arrival string `json:",omitempty"`
 }
 
+// DefaultRecorderCap is the per-thread event capacity of a recorded trial
+// whose RecorderCap is unset.
+const DefaultRecorderCap = 100000
+
 // DefaultWorkload returns the scaled-down version of the paper's
-// methodology for the given thread count.
+// methodology for the given thread count. The reclaimer knobs are
+// smr.DefaultConfig's.
 func DefaultWorkload(threads int) WorkloadConfig {
+	d := smr.DefaultConfig(nil, threads)
 	return WorkloadConfig{
 		Scenario:      "paper",
 		DataStructure: "abtree",
@@ -145,11 +151,11 @@ func DefaultWorkload(threads int) WorkloadConfig {
 		Threads:       threads,
 		KeyRange:      1 << 15,
 		Duration:      300 * time.Millisecond,
-		BatchSize:     2048,
-		DrainRate:     1,
-		TokenCheckK:   100,
+		BatchSize:     d.BatchSize,
+		DrainRate:     d.DrainRate,
+		TokenCheckK:   d.TokenCheckK,
 		Cost:          simalloc.Intel192(),
-		RecorderCap:   100000,
+		RecorderCap:   DefaultRecorderCap,
 		Seed:          1,
 	}
 }
@@ -566,16 +572,6 @@ func runTrialInner(cfg WorkloadConfig) (TrialResult, error) {
 	return res, nil
 }
 
-// Summary aggregates repeated trials of the same configuration.
-type Summary struct {
-	Cfg             WorkloadConfig
-	Trials          []TrialResult
-	MeanOps         float64 // ops/sec averaged over trials
-	MinOps, MaxOps  float64
-	MeanPeakMiB     float64
-	MinPeak, MaxMiB float64
-}
-
 // TrialSeeds returns the per-trial seed chain fed to successive trials of
 // a configuration whose base seed is base: seed_i depends on all
 // previous links, so trials of one configuration never share RNG streams.
@@ -593,33 +589,4 @@ func TrialSeeds(base uint64, n int) []uint64 {
 		seeds[i] = s
 	}
 	return seeds
-}
-
-// SummarizeTrials aggregates already-executed trials of one configuration
-// into a Summary (the paper reports the mean with min/max error bars over
-// three trials). cfg is the base configuration (pre-chaining seed); trials
-// must be non-empty.
-func SummarizeTrials(cfg WorkloadConfig, trials []TrialResult) Summary {
-	s := Summary{Cfg: cfg, Trials: trials}
-	s.MinOps, s.MaxOps = trials[0].OpsPerSec, trials[0].OpsPerSec
-	s.MinPeak, s.MaxMiB = trials[0].PeakMiB, trials[0].PeakMiB
-	for _, tr := range trials {
-		s.MeanOps += tr.OpsPerSec
-		s.MeanPeakMiB += tr.PeakMiB
-		if tr.OpsPerSec < s.MinOps {
-			s.MinOps = tr.OpsPerSec
-		}
-		if tr.OpsPerSec > s.MaxOps {
-			s.MaxOps = tr.OpsPerSec
-		}
-		if tr.PeakMiB < s.MinPeak {
-			s.MinPeak = tr.PeakMiB
-		}
-		if tr.PeakMiB > s.MaxMiB {
-			s.MaxMiB = tr.PeakMiB
-		}
-	}
-	s.MeanOps /= float64(len(trials))
-	s.MeanPeakMiB /= float64(len(trials))
-	return s
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/grid"
+	"repro/internal/results"
 	"repro/internal/simalloc"
 	"repro/internal/smr"
 )
@@ -40,7 +41,7 @@ type Experiment struct {
 	Sweeps []Sweep
 	// Report renders the figure from one summary slice per sweep, looking
 	// summaries up by configuration fields, never by position.
-	Report func(sweeps [][]bench.Summary) string
+	Report func(sweeps [][]results.Summary) string
 }
 
 // paperThreads is the paper's thread sweep, used when the caller names none;
@@ -256,8 +257,8 @@ func (s Sweep) RunTrials() int {
 // Run executes a resolved experiment's sweeps through r and renders the
 // report. The summaries also come back flat, sweep after sweep in expansion
 // order, for the formats that emit them as any sweep's.
-func (e Experiment) Run(r *grid.Runner) (string, []bench.Summary, error) {
-	per := make([][]bench.Summary, len(e.Sweeps))
+func (e Experiment) Run(r *grid.Runner) (string, []results.Summary, error) {
+	per := make([][]results.Summary, len(e.Sweeps))
 	for i, sw := range e.Sweeps {
 		var err error
 		if per[i], err = r.Run(sw.Expand(), sw.RunTrials()); err != nil {

@@ -75,16 +75,16 @@ func TestExperimentKeysMatchParent(t *testing.T) {
 // resolved sweep, its one trial's numbers a function of the position i alone
 // (ops = 100 + i), so a golden report is stable and a cell rendered from the
 // wrong summary shows.
-func fabricate(t *testing.T, e Experiment) [][]bench.Summary {
+func fabricate(t *testing.T, e Experiment) [][]results.Summary {
 	t.Helper()
 	e, err := e.Resolve(pinnedFlags(), pinnedAt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var per [][]bench.Summary
+	var per [][]results.Summary
 	i := 0
 	for _, sw := range e.Sweeps {
-		var sums []bench.Summary
+		var sums []results.Summary
 		for _, cfg := range sw.Expand() {
 			n := int64(i + 1)
 			tr := bench.TrialResult{
@@ -108,7 +108,7 @@ func fabricate(t *testing.T, e Experiment) [][]bench.Summary {
 					tr.Latency.Observe(k * 1000 * n)
 				}
 			}
-			sums = append(sums, bench.SummarizeTrials(cfg, []bench.TrialResult{tr}))
+			sums = append(sums, results.Summarize(cfg, []bench.TrialResult{tr}, 0))
 			i++
 		}
 		per = append(per, sums)
@@ -148,7 +148,7 @@ func TestReportsSurviveQuarantine(t *testing.T) {
 		per := fabricate(t, e)
 		for _, sums := range per {
 			for i := range sums {
-				sums[i] = bench.Summary{Cfg: sums[i].Cfg}
+				sums[i] = results.Summarize(sums[i].Config, nil, 1)
 			}
 		}
 		if e.Report(per) == "" {

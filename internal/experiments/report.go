@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/results"
 	"repro/internal/smr"
 	"repro/internal/timeline"
 )
@@ -24,11 +25,11 @@ func dsOf(c bench.WorkloadConfig) string        { return c.DataStructure }
 
 // distinct lists f over the summaries' configurations in order of first
 // appearance, which for one sweep is the order of the axis f reads.
-func distinct[T comparable](sums []bench.Summary, f func(bench.WorkloadConfig) T) []T {
+func distinct[T comparable](sums []results.Summary, f func(bench.WorkloadConfig) T) []T {
 	var out []T
 	seen := map[T]bool{}
 	for _, s := range sums {
-		if v := f(s.Cfg); !seen[v] {
+		if v := f(s.Config); !seen[v] {
 			seen[v] = true
 			out = append(out, v)
 		}
@@ -37,10 +38,10 @@ func distinct[T comparable](sums []bench.Summary, f func(bench.WorkloadConfig) T
 }
 
 // where keeps the summaries whose configuration satisfies keep.
-func where(sums []bench.Summary, keep func(bench.WorkloadConfig) bool) []bench.Summary {
-	var out []bench.Summary
+func where(sums []results.Summary, keep func(bench.WorkloadConfig) bool) []results.Summary {
+	var out []results.Summary
 	for _, s := range sums {
-		if keep(s.Cfg) {
+		if keep(s.Config) {
 			out = append(out, s)
 		}
 	}
@@ -49,18 +50,18 @@ func where(sums []bench.Summary, keep func(bench.WorkloadConfig) bool) []bench.S
 
 // find returns the summary at a thread count (0 = any) and reclaimer; the
 // zero Summary when the sweep holds none.
-func find(sums []bench.Summary, threads int, reclaimer string) bench.Summary {
+func find(sums []results.Summary, threads int, reclaimer string) results.Summary {
 	for _, s := range sums {
-		if (threads == 0 || s.Cfg.Threads == threads) && s.Cfg.Reclaimer == reclaimer {
+		if (threads == 0 || s.Config.Threads == threads) && s.Config.Reclaimer == reclaimer {
 			return s
 		}
 	}
-	return bench.Summary{}
+	return results.Summary{}
 }
 
 // trialOf is the one trial of a point configuration; the zero TrialResult when
 // it was quarantined.
-func trialOf(s bench.Summary) bench.TrialResult {
+func trialOf(s results.Summary) bench.TrialResult {
 	if len(s.Trials) == 0 {
 		return bench.TrialResult{}
 	}
@@ -70,7 +71,7 @@ func trialOf(s bench.Summary) bench.TrialResult {
 // pivot renders one row per thread count and one column group per value of
 // col: mean ops/s under header value+opsHdr and, when mibHdr is set, mean peak
 // MiB under value+mibHdr.
-func pivot(sums []bench.Summary, col func(bench.WorkloadConfig) string, opsHdr, mibHdr string) *table {
+func pivot(sums []results.Summary, col func(bench.WorkloadConfig) string, opsHdr, mibHdr string) *table {
 	cols := distinct(sums, col)
 	header := []string{"threads"}
 	for _, c := range cols {
@@ -84,7 +85,7 @@ func pivot(sums []bench.Summary, col func(bench.WorkloadConfig) string, opsHdr, 
 		row := []string{fmt.Sprint(n)}
 		for _, c := range cols {
 			cell := where(sums, func(cfg bench.WorkloadConfig) bool { return cfg.Threads == n && col(cfg) == c })
-			var s bench.Summary
+			var s results.Summary
 			if len(cell) > 0 {
 				s = cell[0]
 			}
@@ -98,7 +99,7 @@ func pivot(sums []bench.Summary, col func(bench.WorkloadConfig) string, opsHdr, 
 	return tb
 }
 
-func fig1Report(sw [][]bench.Summary) string {
+func fig1Report(sw [][]results.Summary) string {
 	labels := map[string]string{"debra": "Fig. 1a/1b — DEBRA", "none": "Fig. 1c/1d — leaky (none)"}
 	var sb strings.Builder
 	for _, rec := range distinct(sw[0], reclaimerOf) {
@@ -108,19 +109,19 @@ func fig1Report(sw [][]bench.Summary) string {
 	return sb.String()
 }
 
-func tokenSweepReport(title string) func([][]bench.Summary) string {
-	return func(sw [][]bench.Summary) string {
+func tokenSweepReport(title string) func([][]results.Summary) string {
+	return func(sw [][]results.Summary) string {
 		return title + "\n" + pivot(sw[0], reclaimerOf, " ops/s", " MiB").String()
 	}
 }
 
 // exp1Report is Experiment 1's table and the paper's "averaged across all
 // thread counts" comparisons.
-func exp1Report(sw [][]bench.Summary) string {
+func exp1Report(sw [][]results.Summary) string {
 	sums := sw[0]
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Experiment 1 (Fig. 11a) — %s, scenario %s, JEmalloc:\n%s",
-		sums[0].Cfg.DataStructure, sums[0].Cfg.Scenario, pivot(sums, reclaimerOf, "", ""))
+		sums[0].Config.DataStructure, sums[0].Config.Scenario, pivot(sums, reclaimerOf, "", ""))
 	mean := func(rec string) float64 {
 		var sum float64
 		of := where(sums, func(c bench.WorkloadConfig) bool { return c.Reclaimer == rec })
@@ -141,7 +142,7 @@ func exp1Report(sw [][]bench.Summary) string {
 
 // pairTable renders one ORIG-vs-AF row per Experiment 2 pair from a point
 // sweep, and counts the pairs AF improved and improved by more than half.
-func pairTable(sums []bench.Summary, header ...string) (tb *table, improved, big int) {
+func pairTable(sums []results.Summary, header ...string) (tb *table, improved, big int) {
 	tb = newTable(header...)
 	for _, pair := range smr.Experiment2Pairs() {
 		orig, af := find(sums, 0, pair[0]).MeanOps, find(sums, 0, pair[1]).MeanOps
@@ -156,9 +157,9 @@ func pairTable(sums []bench.Summary, header ...string) (tb *table, improved, big
 	return tb, improved, big
 }
 
-func exp2Report(sw [][]bench.Summary) string {
+func exp2Report(sw [][]results.Summary) string {
 	tb, improved, big := pairTable(sw[0], "reclaimer", "ORIG ops/s", "AF ops/s", "AF/ORIG")
-	cfg := sw[0][0].Cfg
+	cfg := sw[0][0].Config
 	return fmt.Sprintf(
 		"Experiment 2 (Fig. 11b) — AF vs ORIG, %d threads, batch %d:\n%s\n%d/10 improved, %d/10 by >50%%\n",
 		cfg.Threads, cfg.BatchSize, tb, improved, big)
@@ -166,8 +167,8 @@ func exp2Report(sw [][]bench.Summary) string {
 
 // origVsAFReport renders the appendix C/D panels: for each reclaimer pair,
 // ORIG vs AF throughput across the thread sweep.
-func origVsAFReport(title string) func([][]bench.Summary) string {
-	return func(sw [][]bench.Summary) string {
+func origVsAFReport(title string) func([][]results.Summary) string {
+	return func(sw [][]results.Summary) string {
 		sums := sw[0]
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "%s — ORIG vs AF across threads:\n", title)
@@ -185,9 +186,9 @@ func origVsAFReport(title string) func([][]bench.Summary) string {
 
 // machineReport is Experiment 1's headline rows across threads, then the
 // AF-vs-ORIG comparison at full load, under the sweeps' machine cost model.
-func machineReport(heading string) func([][]bench.Summary) string {
-	return func(sw [][]bench.Summary) string {
-		cfg := sw[1][0].Cfg
+func machineReport(heading string) func([][]results.Summary) string {
+	return func(sw [][]results.Summary) string {
+		cfg := sw[1][0].Config
 		pairs, _, _ := pairTable(sw[1], "reclaimer", "ORIG", "AF", "AF/ORIG")
 		return fmt.Sprintf("%s (threads/socket %d, sockets %d):\n%s\nAF vs ORIG at %d threads:\n%s",
 			heading, cfg.Cost.ThreadsPerSocket, cfg.Cost.Sockets, pivot(sw[0], reclaimerOf, "", ""), cfg.Threads, pairs)
@@ -212,14 +213,14 @@ var (
 
 // statRows renders one row per configuration of a point sweep: its label
 // under labelHdr, then the chosen stats of its trial.
-func statRows(sums []bench.Summary, labelHdr string, label func(bench.WorkloadConfig) string, stats ...stat) *table {
+func statRows(sums []results.Summary, labelHdr string, label func(bench.WorkloadConfig) string, stats ...stat) *table {
 	header := []string{labelHdr}
 	for _, st := range stats {
 		header = append(header, st.header)
 	}
 	tb := newTable(header...)
 	for _, s := range sums {
-		row := []string{label(s.Cfg)}
+		row := []string{label(s.Config)}
 		for _, st := range stats {
 			row = append(row, st.cell(trialOf(s)))
 		}
@@ -238,32 +239,32 @@ func approach(c bench.WorkloadConfig) string {
 }
 
 // amortSpeedup is debra_af over debra on one allocator of a point sweep.
-func amortSpeedup(sums []bench.Summary, alloc string) string {
+func amortSpeedup(sums []results.Summary, alloc string) string {
 	on := where(sums, func(c bench.WorkloadConfig) bool { return c.Allocator == alloc })
 	return ratio(find(on, 0, "debra_af").MeanOps, find(on, 0, "debra").MeanOps)
 }
 
-func table1Report(sw [][]bench.Summary) string {
+func table1Report(sw [][]results.Summary) string {
 	return "Table 1 — JEmalloc free overhead (DEBRA, ABtree):\n" +
 		statRows(sw[0], "threads", func(c bench.WorkloadConfig) string { return fmt.Sprint(c.Threads) },
 			statOps, statEpochs, statFree, statFlush, statLock).String()
 }
 
-func table2Report(sw [][]bench.Summary) string {
+func table2Report(sw [][]results.Summary) string {
 	return fmt.Sprintf("Table 2 — amortized vs batch free, %d threads (amort/batch speedup %s):\n%s",
-		sw[0][0].Cfg.Threads, amortSpeedup(sw[0], "jemalloc"),
+		sw[0][0].Config.Threads, amortSpeedup(sw[0], "jemalloc"),
 		statRows(sw[0], "approach", approach, statOps, statFreed, statFree, statFlush, statLock))
 }
 
-func table3Report(sw [][]bench.Summary) string {
+func table3Report(sw [][]results.Summary) string {
 	return fmt.Sprintf("Table 3 — additional allocators, %d threads (TC amort/batch %s, MI amort/batch %s):\n%s",
-		sw[0][0].Cfg.Threads, amortSpeedup(sw[0], "tcmalloc"), amortSpeedup(sw[0], "mimalloc"),
+		sw[0][0].Config.Threads, amortSpeedup(sw[0], "tcmalloc"), amortSpeedup(sw[0], "mimalloc"),
 		statRows(sw[0], "approach", approach, statOps, statFreed, statFree))
 }
 
-func table4Report(sw [][]bench.Summary) string {
+func table4Report(sw [][]results.Summary) string {
 	names := map[string]string{"token_naive": "Naive", "token_pass": "Pass-first", "token_periodic": "Periodic", "token_af": "Amortized"}
-	return fmt.Sprintf("Table 4 — Token-EBR variants, %d threads:\n%s", sw[0][0].Cfg.Threads,
+	return fmt.Sprintf("Table 4 — Token-EBR variants, %d threads:\n%s", sw[0][0].Config.Threads,
 		statRows(sw[0], "algorithm", func(c bench.WorkloadConfig) string { return names[c.Reclaimer] },
 			statOps, statFree, statFreed, statEpochs, statPeak))
 }
@@ -278,11 +279,11 @@ type panel struct {
 
 // panels renders one panel per recorded trial of a point sweep under
 // heading's line.
-func panels(sums []bench.Summary, p panel, heading func(i int, c bench.WorkloadConfig, tr bench.TrialResult) string) string {
+func panels(sums []results.Summary, p panel, heading func(i int, c bench.WorkloadConfig, tr bench.TrialResult) string) string {
 	var sb strings.Builder
 	for i, s := range sums {
 		tr := trialOf(s)
-		sb.WriteString(heading(i, s.Cfg, tr) + "\n")
+		sb.WriteString(heading(i, s.Config, tr) + "\n")
 		if p.rows > 0 {
 			sb.WriteString(timeline.RenderASCII(tr.Recorder, timeline.RenderOptions{
 				Width: 100, MaxRows: p.rows, Kinds: []timeline.EventKind{p.kind},
@@ -317,14 +318,14 @@ func batchOrAF(c bench.WorkloadConfig, batch, af string) string {
 	return batch + " — batch free (debra)"
 }
 
-func fig2Report(sw [][]bench.Summary) string {
+func fig2Report(sw [][]results.Summary) string {
 	return panels(sw[0], panel{kind: timeline.KindBatchFree, rows: 20},
 		func(_ int, c bench.WorkloadConfig, tr bench.TrialResult) string {
 			return fmt.Sprintf("Fig. 2 — DEBRA batch frees, %d threads (ops/s %s%s):", c.Threads, fmtOps(tr.OpsPerSec), fmtDropped(tr))
 		})
 }
 
-func fig3Report(sw [][]bench.Summary) string {
+func fig3Report(sw [][]results.Summary) string {
 	return panels(sw[0], panel{kind: timeline.KindFreeCall, rows: 20},
 		func(_ int, c bench.WorkloadConfig, tr bench.TrialResult) string {
 			var threshold time.Duration
@@ -336,7 +337,7 @@ func fig3Report(sw [][]bench.Summary) string {
 		})
 }
 
-func fig4Report(sw [][]bench.Summary) string {
+func fig4Report(sw [][]results.Summary) string {
 	return panels(sw[0], panel{curve: 60}, func(_ int, c bench.WorkloadConfig, _ bench.TrialResult) string {
 		return batchOrAF(c, "Fig. 4 (upper)", "Fig. 4 (lower)") + ":"
 	})
@@ -345,10 +346,10 @@ func fig4Report(sw [][]bench.Summary) string {
 // tokenTimelineReport is the combined timeline + garbage-curve panel of Figs.
 // 6-9. Fig. 9 shows individual free calls >= 0.1 ms: the AF variant has no
 // batch frees to show.
-func tokenTimelineReport(sw [][]bench.Summary) string {
+func tokenTimelineReport(sw [][]results.Summary) string {
 	fig := map[string]string{"token_naive": "Fig6", "token_pass": "Fig7", "token_periodic": "Fig8", "token_af": "Fig9"}
 	p := panel{kind: timeline.KindBatchFree, rows: 20, curve: 60}
-	if sw[0][0].Cfg.Reclaimer == "token_af" {
+	if sw[0][0].Config.Reclaimer == "token_af" {
 		p.kind = timeline.KindFreeCall
 	}
 	return panels(sw[0], p, func(_ int, c bench.WorkloadConfig, tr bench.TrialResult) string {
@@ -357,7 +358,7 @@ func tokenTimelineReport(sw [][]bench.Summary) string {
 	})
 }
 
-func fig17Report(sw [][]bench.Summary) string {
+func fig17Report(sw [][]results.Summary) string {
 	return panels(sw[0], panel{kind: timeline.KindFreeCall, rows: 20},
 		func(_ int, c bench.WorkloadConfig, tr bench.TrialResult) string {
 			return fmt.Sprintf("%s — %d visible free calls%s:", batchOrAF(c, "Fig. 17 (upper)", "Fig. 17 (lower)"),
@@ -367,7 +368,7 @@ func fig17Report(sw [][]bench.Summary) string {
 
 // appGReport numbers its panels Fig. 18 onward in expansion order: allocator
 // outer, thread count inner, as the appendix lays them out.
-func appGReport(sw [][]bench.Summary) string {
+func appGReport(sw [][]results.Summary) string {
 	return panels(sw[0], panel{kind: timeline.KindBatchFree, rows: 12, curve: 50},
 		func(i int, c bench.WorkloadConfig, tr bench.TrialResult) string {
 			return fmt.Sprintf("Fig. %d — %s, DEBRA, %d threads (ops/s %s, peak %.1f MiB):",
@@ -379,7 +380,7 @@ func appGReport(sw [][]bench.Summary) string {
 // arm's p999 blowup over the healthy one, and the stalled-arm histograms of
 // one unbounded and one bounded scheme, so the tail separation is visible as a
 // shape and not just a quantile.
-func latReport(sw [][]bench.Summary) string {
+func latReport(sw [][]results.Summary) string {
 	healthy := where(sw[0], func(c bench.WorkloadConfig) bool { return len(c.Faults) == 0 })
 	stalled := where(sw[0], func(c bench.WorkloadConfig) bool { return len(c.Faults) > 0 })
 	tb := newTable("reclaimer", "arm", "ops/s", "p50", "p99", "p999", "max", "p999 blowup")
@@ -393,7 +394,7 @@ func latReport(sw [][]bench.Summary) string {
 		row(rec, "stalled", s, ratio(float64(s.LatP999Ns), float64(h.LatP999Ns)))
 	}
 	var sb strings.Builder
-	cfg := stalled[0].Cfg
+	cfg := stalled[0].Config
 	fmt.Fprintf(&sb, "Open-system latency — %d workers, %s arrivals/worker, stall plan %s:\n%s\n",
 		cfg.Threads, cfg.Arrival, bench.FormatFaults(cfg.Faults), tb)
 	for _, rec := range []string{"debra", "ibr"} {

@@ -389,7 +389,7 @@ func (c *Coordinator) Status() StatusResponse {
 
 // Summaries returns the queue's per-config summaries — the same layout, from
 // the same code, as Runner.Run returns.
-func (c *Coordinator) Summaries() []bench.Summary {
+func (c *Coordinator) Summaries() []results.Summary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.q.Summaries()

@@ -246,8 +246,8 @@ func TestCostOrderedDispatch(t *testing.T) {
 			}
 			// Results still return in input order regardless of execution order.
 			for i, s := range sums {
-				if s.Cfg.FixedOps != tc.cfgs[i].FixedOps {
-					t.Fatalf("summary %d out of input order: ops=%d want %d", i, s.Cfg.FixedOps, tc.cfgs[i].FixedOps)
+				if s.Config.FixedOps != tc.cfgs[i].FixedOps {
+					t.Fatalf("summary %d out of input order: ops=%d want %d", i, s.Config.FixedOps, tc.cfgs[i].FixedOps)
 				}
 			}
 		})

@@ -248,7 +248,7 @@ func TestRunnerCachesAndResumes(t *testing.T) {
 		t.Fatalf("second run: executed=%d cached=%d, want 0/4", ex2, ca2)
 	}
 	for i := range sums1 {
-		if sums1[i].MeanOps != sums2[i].MeanOps || sums1[i].Cfg.Reclaimer != sums2[i].Cfg.Reclaimer {
+		if sums1[i].MeanOps != sums2[i].MeanOps || sums1[i].Config.Reclaimer != sums2[i].Config.Reclaimer {
 			t.Fatalf("cached summary %d diverged: %+v vs %+v", i, sums1[i], sums2[i])
 		}
 	}
@@ -389,11 +389,11 @@ func TestRunnerParallelPreservesOrder(t *testing.T) {
 		t.Fatalf("len(sums) = %d, want %d", len(sums), len(cfgs))
 	}
 	for i := range sums {
-		if sums[i].Cfg.Scenario != cfgs[i].Scenario ||
-			sums[i].Cfg.Threads != cfgs[i].Threads ||
-			sums[i].Cfg.Reclaimer != cfgs[i].Reclaimer {
+		if sums[i].Config.Scenario != cfgs[i].Scenario ||
+			sums[i].Config.Threads != cfgs[i].Threads ||
+			sums[i].Config.Reclaimer != cfgs[i].Reclaimer {
 			t.Fatalf("summary %d out of order: got %s/t%d/%s", i,
-				sums[i].Cfg.Scenario, sums[i].Cfg.Threads, sums[i].Cfg.Reclaimer)
+				sums[i].Config.Scenario, sums[i].Config.Threads, sums[i].Config.Reclaimer)
 		}
 	}
 }

@@ -394,22 +394,24 @@ func (q *Queue) book(s *slot, rec results.Record, ran bool) {
 
 // Summaries assembles per-config summaries in input-config order with
 // trials in seed-chain order, whatever order they ran in. Quarantined trials
-// are excluded; a config with no successful trial yields a zero summary
-// carrying the config, so output stays index-aligned with the input.
-func (q *Queue) Summaries() []bench.Summary {
+// are counted, not summarized; a config with no successful trial yields a
+// zero summary carrying the config, so output stays index-aligned with the
+// input.
+func (q *Queue) Summaries() []results.Summary {
 	per := make([][]bench.TrialResult, len(q.eff))
+	failed := make([]int, len(q.eff))
 	for i := range q.tasks {
-		if s := &q.slots[i]; s.ok {
-			per[q.tasks[i].CfgIdx] = append(per[q.tasks[i].CfgIdx], s.trial)
+		c := q.tasks[i].CfgIdx
+		switch s := &q.slots[i]; {
+		case s.ok:
+			per[c] = append(per[c], s.trial)
+		case s.state == taskDone:
+			failed[c]++
 		}
 	}
-	out := make([]bench.Summary, len(q.eff))
+	out := make([]results.Summary, len(q.eff))
 	for i, cfg := range q.eff {
-		if len(per[i]) == 0 {
-			out[i] = bench.Summary{Cfg: cfg}
-			continue
-		}
-		out[i] = bench.SummarizeTrials(cfg, per[i])
+		out[i] = results.Summarize(cfg, per[i], failed[i])
 	}
 	return out
 }

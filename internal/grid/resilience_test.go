@@ -60,10 +60,10 @@ func TestRunnerSurvivesPanickingTrial(t *testing.T) {
 	if len(failures) != 1 || !strings.Contains(failures[0].Err.Error(), "panicked") {
 		t.Fatalf("failures = %+v, want one panic-quarantine", failures)
 	}
-	if sums[0].Cfg.Reclaimer != "debra" || sums[0].Trials == nil {
+	if sums[0].Config.Reclaimer != "debra" || sums[0].Trials == nil {
 		t.Fatalf("healthy config not summarized: %+v", sums[0])
 	}
-	if sums[1].Cfg.Reclaimer != "hp" || sums[1].Trials != nil {
+	if sums[1].Config.Reclaimer != "hp" || sums[1].Trials != nil {
 		t.Fatalf("panicking config should yield a zero summary, got %+v", sums[1])
 	}
 	if r.Quarantines() != 1 {

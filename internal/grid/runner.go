@@ -201,7 +201,7 @@ func ExpandTasks(cfgs []bench.WorkloadConfig, trials int, _ []bench.FaultSpec, d
 // descending estimated cost (longest-processing-time-first, estimates read
 // from the live model at every start) with budget-aware backfill, which
 // minimizes sweep makespan on heterogeneous grids.
-func (r *Runner) Run(cfgs []bench.WorkloadConfig, trials int) ([]bench.Summary, error) {
+func (r *Runner) Run(cfgs []bench.WorkloadConfig, trials int) ([]results.Summary, error) {
 	return r.run(cfgs, trials, r.Parallel <= 1)
 }
 
@@ -209,7 +209,7 @@ func (r *Runner) Run(cfgs []bench.WorkloadConfig, trials int) ([]bench.Summary, 
 // order is the code's choice, not the user's (see Run); it is a parameter
 // only so the makespan test can run its control arm — expansion order at
 // Parallel > 1.
-func (r *Runner) run(cfgs []bench.WorkloadConfig, trials int, expansionOrder bool) ([]bench.Summary, error) {
+func (r *Runner) run(cfgs []bench.WorkloadConfig, trials int, expansionOrder bool) ([]results.Summary, error) {
 	// The runner's default deadline applies inside ExpandTasks; it is
 	// normalized out of keys.
 	eff, tasks := ExpandTasks(cfgs, trials, nil, r.Deadline)
@@ -477,7 +477,7 @@ func (r *Runner) report(t *tally, key string, cfg bench.WorkloadConfig, fromCach
 // RunSpec expands and validates a spec, then runs it. Spec.Trials <= 0 is
 // normalized to 1 here (with the TrialSeeds chain, matching the Spec
 // doc); the verbatim-seed trials<=0 convention belongs to Run only.
-func (r *Runner) RunSpec(s Spec) ([]bench.Summary, error) {
+func (r *Runner) RunSpec(s Spec) ([]results.Summary, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

@@ -145,15 +145,13 @@ func classify(oldMean, newMean, tol float64) (rel float64, class Class) {
 // only. Deltas are sorted by label for deterministic reports.
 func Compare(oldStore, newStore *Store, tol Tolerances) Report {
 	rep := Report{Tolerance: tol.relOps(), LimboTolerance: tol.limboFactor(), LatencyTolerance: tol.latencyFactor()}
-	for _, s := range newStore.Summaries() {
-		rep.Quarantined += s.Quarantined
-	}
 	oldSums := map[string]Summary{}
 	for _, s := range oldStore.Summaries() {
 		oldSums[s.Group] = s
 	}
 	newSums := map[string]Summary{}
 	for _, s := range newStore.Summaries() {
+		rep.Quarantined += s.Quarantined
 		newSums[s.Group] = s
 	}
 	for group, o := range oldSums {

@@ -23,6 +23,7 @@ import (
 	"repro/internal/arrival"
 	"repro/internal/bench"
 	"repro/internal/simalloc"
+	"repro/internal/smr"
 )
 
 // SchemaVersion identifies the record layout and the key-normalization
@@ -69,7 +70,9 @@ const SchemaVersion = 6
 
 // Normalize fills the configuration defaults that the harness would apply
 // at run time (RunTrial, NewStack, smr.Config.fillDefaults), so that a
-// zero-valued knob and its explicit default hash to the same key. The
+// zero-valued knob and its explicit default hash to the same key. It reads
+// the tables the run reads (smr.DefaultConfig, simalloc.DefaultConfig,
+// bench.DefaultRecorderCap), so a changed default cannot mis-share keys. The
 // normalization is deliberately conservative: knobs whose defaults depend
 // on scenario-internal logic keep their zero values, which can only
 // under-share the cache, never mis-share it.
@@ -80,17 +83,18 @@ func Normalize(cfg bench.WorkloadConfig) bench.WorkloadConfig {
 	if cfg.Cost.ThreadsPerSocket == 0 {
 		cfg.Cost = simalloc.Intel192()
 	}
+	d := smr.DefaultConfig(nil, cfg.Threads)
 	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 2048
+		cfg.BatchSize = d.BatchSize
 	}
 	if cfg.DrainRate <= 0 {
-		cfg.DrainRate = 1
+		cfg.DrainRate = d.DrainRate
 	}
 	if cfg.TokenCheckK <= 0 {
-		cfg.TokenCheckK = 100
+		cfg.TokenCheckK = d.TokenCheckK
 	}
 	if cfg.EraFreq <= 0 {
-		cfg.EraFreq = 64
+		cfg.EraFreq = d.EraFreq
 	}
 	// Phases hashes as-is: materializing a scenario's default schedule here
 	// would couple every key to scenario internals (the conservative policy
@@ -139,7 +143,7 @@ func Normalize(cfg bench.WorkloadConfig) bench.WorkloadConfig {
 	if !cfg.Record {
 		cfg.RecorderCap = 0
 	} else if cfg.RecorderCap <= 0 {
-		cfg.RecorderCap = 100000
+		cfg.RecorderCap = bench.DefaultRecorderCap
 	}
 	return cfg
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 )
@@ -270,6 +271,34 @@ func TestSummariesStatistics(t *testing.T) {
 	}
 	if s.Config.Seed != 0 {
 		t.Fatalf("representative config keeps a seed: %d", s.Config.Seed)
+	}
+}
+
+// TestRunTrialsAggregation summarizes real trials run down the seed chain, as
+// a sweep does: every trial is kept in order and the mean lies between the
+// extremes.
+func TestRunTrialsAggregation(t *testing.T) {
+	cfg := testConfig(2, 1)
+	cfg.KeyRange = 1 << 10
+	cfg.Duration = 25 * time.Millisecond
+	cfg.BatchSize = 128
+	seeds := bench.TrialSeeds(cfg.Seed, 2)
+	var trials []bench.TrialResult
+	for _, seed := range seeds {
+		c := cfg
+		c.Seed = seed
+		tr, err := bench.RunTrial(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trials = append(trials, tr)
+	}
+	s := Summarize(cfg, trials, 0)
+	if s.N != 2 || len(s.Trials) != 2 || !slices.Equal(s.Seeds, seeds) {
+		t.Fatalf("n = %d, trials = %d, seeds = %v (want %v)", s.N, len(s.Trials), s.Seeds, seeds)
+	}
+	if s.MinOps > s.MeanOps || s.MeanOps > s.MaxOps {
+		t.Fatalf("mean %v outside [min %v, max %v]", s.MeanOps, s.MinOps, s.MaxOps)
 	}
 }
 

@@ -120,7 +120,8 @@ func NewMemStore() *Store {
 
 // Open loads the JSONL store at path (which may not exist yet) and keeps it
 // open for appending. Unparsable lines — e.g. a final line torn by an
-// interrupted run — are skipped, so a store is always resumable. The file
+// interrupted run — and lines that carry no key are skipped, so a store is
+// always resumable. The file
 // is opened O_APPEND so each record's single write lands atomically at the
 // true end even when two processes share the store.
 func Open(path string) (*Store, error) {
@@ -139,7 +140,7 @@ func Open(path string) (*Store, error) {
 }
 
 // Load reads JSONL records from r into the store (in addition to whatever
-// it already holds). Unparsable lines are skipped.
+// it already holds). Unparsable and keyless lines are skipped.
 func (s *Store) Load(r io.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -192,8 +193,8 @@ func (s *Store) load(r io.Reader) error {
 
 // decodeLines unmarshals line i of buf into recs[i] on up to GOMAXPROCS
 // goroutines, each taking a contiguous share. ok[i] is false for a line that
-// does not parse — torn or foreign — which the caller skips, so resume
-// always works.
+// does not parse, or parses to no TrialKey — torn or foreign — which the
+// caller skips, so resume always works.
 func decodeLines(buf []byte, ends []int, recs []Record, ok []bool) {
 	decode := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -202,7 +203,7 @@ func decodeLines(buf []byte, ends []int, recs []Record, ok []bool) {
 				start = ends[i-1]
 			}
 			recs[i] = Record{} // Unmarshal merges into what is already there
-			ok[i] = json.Unmarshal(buf[start:ends[i]], &recs[i]) == nil
+			ok[i] = json.Unmarshal(buf[start:ends[i]], &recs[i]) == nil && recs[i].Key != ""
 		}
 	}
 	n := len(ends)
