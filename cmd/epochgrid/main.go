@@ -70,6 +70,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/grid"
 	"repro/internal/results"
+	"repro/internal/simalloc"
 	"repro/internal/smr"
 )
 
@@ -123,7 +124,7 @@ func realMain(args []string) int {
 		}
 		fmt.Printf("scenarios:       %s\n", strings.Join(bench.Scenarios(), ", "))
 		fmt.Printf("data structures: %s\n", strings.Join(ds.Names(), ", "))
-		fmt.Printf("allocators:      %s\n", strings.Join(grid.Allocators(), ", "))
+		fmt.Printf("allocators:      %s\n", strings.Join(simalloc.AllocatorNames(), ", "))
 		fmt.Printf("reclaimers:      %s\n", strings.Join(smr.Names(), ", "))
 		syntaxes := make([]string, 0, len(arrival.Names()))
 		for _, k := range arrival.Names() {

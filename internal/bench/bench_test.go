@@ -59,23 +59,30 @@ func TestRunTrialAllStructuresAndAllocators(t *testing.T) {
 }
 
 func TestRunTrialValidation(t *testing.T) {
-	if _, err := RunTrial(WorkloadConfig{}); err == nil {
-		t.Fatal("zero config accepted")
-	}
-	cfg := tinyWorkload(2)
-	cfg.Reclaimer = "bogus"
-	if _, err := RunTrial(cfg); err == nil {
-		t.Fatal("unknown reclaimer accepted")
-	}
-	cfg = tinyWorkload(2)
-	cfg.Allocator = "bogus"
-	if _, err := RunTrial(cfg); err == nil {
-		t.Fatal("unknown allocator accepted")
-	}
-	cfg = tinyWorkload(2)
-	cfg.DataStructure = "bogus"
-	if _, err := RunTrial(cfg); err == nil {
-		t.Fatal("unknown data structure accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*WorkloadConfig)
+	}{
+		{"zero config", func(cfg *WorkloadConfig) { *cfg = WorkloadConfig{} }},
+		{"unknown reclaimer", func(cfg *WorkloadConfig) { cfg.Reclaimer = "bogus" }},
+		{"unknown allocator", func(cfg *WorkloadConfig) { cfg.Allocator = "bogus" }},
+		{"unknown data structure", func(cfg *WorkloadConfig) { cfg.DataStructure = "bogus" }},
+		// An allocator knob out of range is an error, not a panic: a
+		// config from a JSON spec must fail its trial, not crash it.
+		{"FlushFraction 2", func(cfg *WorkloadConfig) { cfg.FlushFraction = 2 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("RunTrial panicked: %v", r)
+				}
+			}()
+			cfg := tinyWorkload(2)
+			c.edit(&cfg)
+			if _, err := RunTrial(cfg); err == nil {
+				t.Fatal("accepted")
+			}
+		})
 	}
 }
 

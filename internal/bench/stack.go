@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -72,11 +71,6 @@ func NewStack(cfg WorkloadConfig) (*Stack, error) {
 // ownership, cache contents, Stats — is what the costed table would have
 // produced. openWindow puts the configured table in force.
 func newStack(cfg WorkloadConfig) (*Stack, error) {
-	if cfg.Threads <= 0 {
-		// Guard before the substrate constructors, whose own validation
-		// would otherwise panic (simalloc) rather than error.
-		return nil, fmt.Errorf("bench: Threads must be positive (got %d)", cfg.Threads)
-	}
 	s := &Stack{cfg: cfg}
 
 	acfg := simalloc.DefaultConfig(cfg.Threads)
@@ -247,7 +241,7 @@ func (s *Stack) Snapshot(ops int64, wall time.Duration) TrialResult {
 	res.OpsPerSec = float64(ops) / wall.Seconds()
 	res.Alloc = s.Alloc.Stats()
 	res.SMR = s.Reclaimer.Stats()
-	res.PeakBytes = s.Alloc.PeakBytes()
+	res.PeakBytes = res.Alloc.PeakBytes
 	res.PeakMiB = float64(res.PeakBytes) / (1 << 20)
 	// The shares are of window thread-time, so their numerators are the
 	// window's too; res.Alloc itself stays cumulative, like its counts.

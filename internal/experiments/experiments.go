@@ -135,7 +135,7 @@ var All = []Experiment{
 	{"fig17", "Fig. 17 (App. F): visible (>= 0.1 ms) free calls, batch vs amortized free",
 		point(grid.Spec{Base: recorded, Reclaimers: batchAndAF}), fig17Report},
 	{"appg", "Figs. 18-29 (App. G): DEBRA timelines for JE/TC/MI at 48/96/192/240 threads",
-		point(grid.Spec{Base: recorded, Allocators: grid.Allocators(), Threads: []int{48, 96, 192, 240}, Reclaimers: []string{"debra"}}), appGReport},
+		point(grid.Spec{Base: recorded, Allocators: simalloc.AllocatorNames(), Threads: []int{48, 96, 192, 240}, Reclaimers: []string{"debra"}}), appGReport},
 
 	// Open-system extension: the paper's robustness story told in tail
 	// latency. A closed loop turns an SMR stall into a throughput dip, an open

@@ -15,12 +15,9 @@ import (
 	"repro/internal/arrival"
 	"repro/internal/bench"
 	"repro/internal/ds"
+	"repro/internal/simalloc"
 	"repro/internal/smr"
 )
-
-// Allocators lists the simalloc model names, mirroring ds.Names() and
-// smr.Names() for axis validation.
-func Allocators() []string { return []string{"jemalloc", "tcmalloc", "mimalloc"} }
 
 // Spec declares a parameter sweep as data: the cartesian product of its
 // axes expands to explicit configurations (the PRRS24 config-object idiom —
@@ -144,7 +141,7 @@ func (s Spec) Validate() error {
 	if err := validateNames("data structure", s.DataStructures, ds.Names()); err != nil {
 		return err
 	}
-	if err := validateNames("allocator", s.Allocators, Allocators()); err != nil {
+	if err := validateNames("allocator", s.Allocators, simalloc.AllocatorNames()); err != nil {
 		return err
 	}
 	for _, r := range s.Reclaimers {

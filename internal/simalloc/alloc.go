@@ -1,6 +1,9 @@
 package simalloc
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // FreeObserver receives the stamps an allocator already took around a Free
 // call's slow path (tcache flush, central spill, remote push) for its own
@@ -31,22 +34,17 @@ type Allocator interface {
 	// slot starts with a cold cache and re-primes it through the ordinary
 	// refill path.
 	FlushThreadCache(tid int)
-	// FlushThreadCaches returns every cached object to the shared pools
-	// without charging modeled cost, as if all threads exited. Used
-	// between benchmark trials.
-	FlushThreadCaches()
 	// SetFreeObserver installs fn to observe every Free call that takes a
 	// clock-stamped slow path, passing the stamps the allocator already
 	// took; nil removes the observer. Install before the workload starts:
 	// the hook is read without synchronization on the free path.
 	SetFreeObserver(fn FreeObserver)
-	// Stats returns an aggregated snapshot of allocator activity.
+	// Stats returns an aggregated snapshot of allocator activity;
+	// Stats().PeakBytes is the simulated analogue of the paper's "peak
+	// memory usage (MiB)".
 	Stats() Stats
 	// LiveBytes returns bytes currently in the allocated state.
 	LiveBytes() int64
-	// PeakBytes returns the high-water mark of mapped bytes — the
-	// simulated analogue of the paper's "peak memory usage (MiB)".
-	PeakBytes() int64
 }
 
 // Config carries the knobs shared by the allocator models. The zero value is
@@ -86,36 +84,107 @@ func DefaultConfig(threads int) Config {
 	}
 }
 
-func (c *Config) validate() {
-	if c.Threads <= 0 {
-		panic("simalloc: Config.Threads must be positive")
+// Validate reports the first knob out of range. A zero ArenasPerThread is
+// not an error: the constructors take DefaultConfig's.
+func (c Config) Validate() error {
+	switch {
+	case c.Threads <= 0:
+		return fmt.Errorf("simalloc: Config.Threads must be positive (got %d)", c.Threads)
+	case c.TCacheCap <= 0 || c.FillCount <= 0 || c.PageRunObjects <= 0:
+		return fmt.Errorf("simalloc: cache sizing knobs must be positive (TCacheCap %d, FillCount %d, PageRunObjects %d)",
+			c.TCacheCap, c.FillCount, c.PageRunObjects)
+	case !(c.FlushFraction > 0 && c.FlushFraction <= 1):
+		return fmt.Errorf("simalloc: FlushFraction %v out of (0,1]", c.FlushFraction)
+	case c.ArenasPerThread < 0:
+		return fmt.Errorf("simalloc: ArenasPerThread %d is negative", c.ArenasPerThread)
 	}
-	if c.TCacheCap <= 0 || c.FillCount <= 0 || c.PageRunObjects <= 0 {
-		panic("simalloc: cache sizing knobs must be positive")
-	}
-	if c.FlushFraction <= 0 || c.FlushFraction > 1 {
-		panic(fmt.Sprintf("simalloc: FlushFraction %v out of (0,1]", c.FlushFraction))
-	}
-	if c.ArenasPerThread <= 0 {
-		c.ArenasPerThread = 4
-	}
+	return nil
 }
 
-// New constructs an allocator model by name. Recognised names are
-// "jemalloc", "tcmalloc" and "mimalloc".
+// models is the one list of allocator models, in the order the paper
+// introduces them; New and AllocatorNames both read it.
+var models = []struct {
+	name string
+	new  func(Config) Allocator
+}{
+	{"jemalloc", func(cfg Config) Allocator { return NewJEMalloc(cfg) }},
+	{"tcmalloc", func(cfg Config) Allocator { return NewTCMalloc(cfg) }},
+	{"mimalloc", func(cfg Config) Allocator { return NewMIMalloc(cfg) }},
+}
+
+// New constructs an allocator model by name, one of AllocatorNames. An
+// unknown name or a configuration Validate rejects is an error.
 func New(name string, cfg Config) (Allocator, error) {
-	switch name {
-	case "jemalloc":
-		return NewJEMalloc(cfg), nil
-	case "tcmalloc":
-		return NewTCMalloc(cfg), nil
-	case "mimalloc":
-		return NewMIMalloc(cfg), nil
-	default:
-		return nil, fmt.Errorf("simalloc: unknown allocator %q", name)
+	for _, m := range models {
+		if m.name == name {
+			if err := cfg.Validate(); err != nil {
+				return nil, err
+			}
+			return m.new(cfg), nil
+		}
 	}
+	return nil, fmt.Errorf("simalloc: unknown allocator %q", name)
 }
 
 // AllocatorNames lists the available models in the order the paper
 // introduces them.
-func AllocatorNames() []string { return []string{"jemalloc", "tcmalloc", "mimalloc"} }
+func AllocatorNames() []string {
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.name
+	}
+	return names
+}
+
+// model is what every allocator model holds: its configuration, its
+// statistics, its object-ID counter and the free-path observer.
+type model struct {
+	cfg     Config
+	stats   *statsArena
+	nextID  atomic.Uint64
+	freeObs FreeObserver
+}
+
+// init validates cfg, panicking on a bad one (New returns the error
+// instead), and fills a zero ArenasPerThread from DefaultConfig.
+func (m *model) init(cfg Config) {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
+	if cfg.ArenasPerThread == 0 {
+		cfg.ArenasPerThread = DefaultConfig(cfg.Threads).ArenasPerThread
+	}
+	m.cfg = cfg
+	m.stats = newStatsArena(cfg.Threads)
+}
+
+// Threads returns the number of simulated threads.
+func (m *model) Threads() int { return m.cfg.Threads }
+
+// SetFreeObserver installs fn on the Free slow path.
+func (m *model) SetFreeObserver(fn FreeObserver) { m.freeObs = fn }
+
+// SwapCost implements CostSwapper; every model keeps the table in force in
+// its Config.
+func (m *model) SwapCost(cm CostModel) CostModel {
+	old := m.cfg.Cost
+	if cm.ThreadsPerSocket != old.ThreadsPerSocket || cm.Sockets != old.Sockets {
+		panic("simalloc: SwapCost must keep the topology the allocator was built with")
+	}
+	m.cfg.Cost = cm
+	return old
+}
+
+// Stats returns an aggregated snapshot.
+func (m *model) Stats() Stats { return m.stats.snapshot() }
+
+// LiveBytes sums the per-thread byte deltas to the bytes currently held by
+// the application.
+func (m *model) LiveBytes() int64 {
+	var live int64
+	for i := range m.stats.perThread {
+		t := &m.stats.perThread[i]
+		live += atomic.LoadInt64(&t.allocBytes) - atomic.LoadInt64(&t.freeBytes)
+	}
+	return live
+}

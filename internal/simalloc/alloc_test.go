@@ -85,15 +85,15 @@ func TestReuseAfterFree(t *testing.T) {
 			for i := range objs {
 				objs[i] = a.Alloc(0, 64)
 			}
-			grown := a.PeakBytes()
+			grown := a.Stats().PeakBytes
 			for _, o := range objs {
 				a.Free(0, o)
 			}
 			for i := range objs {
 				objs[i] = a.Alloc(0, 64)
 			}
-			if a.PeakBytes() != grown {
-				t.Fatalf("peak grew from %d to %d despite reuse", grown, a.PeakBytes())
+			if a.Stats().PeakBytes != grown {
+				t.Fatalf("peak grew from %d to %d despite reuse", grown, a.Stats().PeakBytes)
 			}
 			for _, o := range objs {
 				a.Free(0, o)
@@ -127,12 +127,12 @@ func TestLeakGrowsMapped(t *testing.T) {
 	// naive Token-EBR memory explosion (Fig. 5b).
 	for _, a := range allAllocators(t, 1) {
 		t.Run(a.Name(), func(t *testing.T) {
-			before := a.PeakBytes()
+			before := a.Stats().PeakBytes
 			for i := 0; i < 1000; i++ {
 				a.Alloc(0, 64)
 			}
-			if a.PeakBytes() < before+1000*64 {
-				t.Fatalf("peak %d did not grow by leaked bytes", a.PeakBytes())
+			if a.Stats().PeakBytes < before+1000*64 {
+				t.Fatalf("peak %d did not grow by leaked bytes", a.Stats().PeakBytes)
 			}
 		})
 	}
@@ -317,34 +317,6 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
-func TestFlushThreadCaches(t *testing.T) {
-	for _, a := range allAllocators(t, 2) {
-		t.Run(a.Name(), func(t *testing.T) {
-			var objs []*Object
-			for i := 0; i < 40; i++ {
-				objs = append(objs, a.Alloc(0, 64))
-			}
-			for _, o := range objs {
-				a.Free(0, o)
-			}
-			a.FlushThreadCaches()
-			// After a flush the other thread must be able to allocate the
-			// recycled objects without growing the footprint (mimalloc keeps
-			// page ownership, so only check je/tc where caches are shared
-			// through bins).
-			if a.Name() == "mimalloc" {
-				return
-			}
-			peak := a.PeakBytes()
-			got := a.Alloc(0, 64)
-			if a.PeakBytes() != peak {
-				t.Fatalf("alloc after flush grew peak")
-			}
-			a.Free(0, got)
-		})
-	}
-}
-
 func TestRemoteFreeCounted(t *testing.T) {
 	cfg := smallConfig(2)
 	cfg.TCacheCap = 2 // force immediate flushes
@@ -419,20 +391,40 @@ func TestCostModelSocketAndTouch(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
+	good := smallConfig(1)
 	bad := []Config{
 		{},
 		{Threads: 1},
 		{Threads: 1, TCacheCap: 4, FillCount: 4, PageRunObjects: 4, FlushFraction: 1.5},
+		{Threads: 1, TCacheCap: 4, FillCount: 4, PageRunObjects: 4, FlushFraction: 2},
+		{Threads: 1, TCacheCap: 4, FillCount: 4, PageRunObjects: 4, FlushFraction: 0.5, ArenasPerThread: -1},
 	}
 	for i, cfg := range bad {
+		if cfg.Validate() == nil {
+			t.Errorf("config %d: Validate accepted %+v", i, cfg)
+		}
+		// New reports the error; the constructors keep the panic.
+		for _, name := range AllocatorNames() {
+			if a, err := New(name, cfg); err == nil {
+				t.Errorf("config %d: New(%q) returned %v and no error", i, name, a)
+			}
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("config %d did not panic", i)
+					t.Errorf("config %d: NewJEMalloc did not panic", i)
 				}
 			}()
-			cfg.validate()
+			NewJEMalloc(cfg)
 		}()
+	}
+	// A zero ArenasPerThread takes DefaultConfig's multiplier.
+	good.ArenasPerThread = 0
+	if err := good.Validate(); err != nil {
+		t.Fatalf("zero ArenasPerThread rejected: %v", err)
+	}
+	if got, want := len(NewJEMalloc(good).arenas), DefaultConfig(1).ArenasPerThread; got != want {
+		t.Errorf("zero ArenasPerThread built %d arenas, want %d", got, want)
 	}
 }
 

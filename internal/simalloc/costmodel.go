@@ -118,17 +118,6 @@ type CostSwapper interface {
 	SwapCost(cm CostModel) (old CostModel)
 }
 
-// swapCost is SwapCost for the models, which all keep the table in force in
-// their Config.
-func (c *Config) swapCost(cm CostModel) CostModel {
-	old := c.Cost
-	if cm.ThreadsPerSocket != old.ThreadsPerSocket || cm.Sockets != old.Sockets {
-		panic("simalloc: SwapCost must keep the topology the allocator was built with")
-	}
-	c.Cost = cm
-	return old
-}
-
 // Socket returns the socket a simulated thread is pinned to, following the
 // paper's pinning policy (fill a socket before spilling to the next).
 func (cm *CostModel) Socket(tid int) int {

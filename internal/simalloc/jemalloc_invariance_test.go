@@ -18,18 +18,18 @@ import (
 // flushScanPerRound is the original O(batch²) flush: per round, rescan the
 // whole batch for the first unreturned object and return its arena's
 // objects.
-func flushScanPerRound(a *JEMalloc, tid int, class uint8, tc *jeTCacheBin, scratch []*Object) []*Object {
+func flushScanPerRound(a *JEMalloc, tid int, class uint8, tc *objList, scratch []*Object) []*Object {
 	f0 := time.Now()
 	ts := &a.stats.perThread[tid]
 	ts.flushes++
 
 	n := int(float64(a.cfg.TCacheCap) * a.cfg.FlushFraction)
-	if n > tc.list.len() {
-		n = tc.list.len()
+	if n > tc.len() {
+		n = tc.len()
 	}
 	batch := scratch[:0]
 	for i := 0; i < n; i++ {
-		batch = append(batch, tc.list.pop())
+		batch = append(batch, tc.pop())
 	}
 
 	myArena := a.homeArena(tid)
@@ -91,10 +91,10 @@ func freeViaReference(a *JEMalloc, tid int, o *Object, scratch []*Object) []*Obj
 	ts := &a.stats.perThread[tid]
 	o.markFree()
 	tc := &a.caches[tid].bins[o.Class]
-	tc.list.push(o)
+	tc.push(o)
 	ts.frees++
 	ts.freeBytes += int64(o.Size)
-	if tc.list.len() > a.cfg.TCacheCap {
+	if tc.len() > a.cfg.TCacheCap {
 		scratch = flushScanPerRound(a, tid, o.Class, tc, scratch)
 	}
 	ts.freeNanos += time.Since(t0).Nanoseconds()

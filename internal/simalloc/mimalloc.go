@@ -28,14 +28,8 @@ type Page struct {
 
 // MIMalloc models mimalloc's free-list-sharding design (appendix B).
 type MIMalloc struct {
-	cfg    Config
-	stats  *statsArena
-	heaps  []miHeap
-	nextID atomic.Uint64
-
-	// freeObs, when non-nil, receives the Free slow path's existing stamps
-	// (see FreeObserver).
-	freeObs FreeObserver
+	model
+	heaps []miHeap
 }
 
 type miHeap struct {
@@ -48,18 +42,13 @@ type miHeap struct {
 
 // NewMIMalloc constructs the mimalloc model for cfg.
 func NewMIMalloc(cfg Config) *MIMalloc {
-	cfg.validate()
-	return &MIMalloc{
-		cfg:   cfg,
-		stats: newStatsArena(cfg.Threads),
-		heaps: make([]miHeap, cfg.Threads),
-	}
+	a := &MIMalloc{}
+	a.init(cfg)
+	a.heaps = make([]miHeap, a.cfg.Threads)
+	return a
 }
 
 func (a *MIMalloc) Name() string { return "mimalloc" }
-
-// Threads returns the number of simulated threads.
-func (a *MIMalloc) Threads() int { return a.cfg.Threads }
 
 // Alloc pops from the current page's allocation list, collecting the local
 // and cross-thread free lists on miss, rotating through owned pages, and
@@ -164,27 +153,8 @@ func (a *MIMalloc) Free(tid int, o *Object) {
 	}
 }
 
-// SetFreeObserver installs fn on the Free slow path (the remote push).
-func (a *MIMalloc) SetFreeObserver(fn FreeObserver) { a.freeObs = fn }
-
 // FlushThreadCache is a no-op: mimalloc has no thread cache separate from
 // its pages. A departing thread's pages stay attached to the slot — the
 // model's analogue of mimalloc's abandoned-segment list, which the next
 // thread recycled onto the slot adopts wholesale.
 func (a *MIMalloc) FlushThreadCache(int) {}
-
-// FlushThreadCaches is a no-op: mimalloc has no thread caches separate from
-// pages, and pages already hold their free objects.
-func (a *MIMalloc) FlushThreadCaches() {}
-
-// SwapCost implements CostSwapper.
-func (a *MIMalloc) SwapCost(cm CostModel) CostModel { return a.cfg.swapCost(cm) }
-
-// Stats returns an aggregated snapshot.
-func (a *MIMalloc) Stats() Stats { return a.stats.snapshot() }
-
-// LiveBytes reports bytes currently held by the application.
-func (a *MIMalloc) LiveBytes() int64 { return liveBytes(a.stats) }
-
-// PeakBytes reports the high-water mark of mapped bytes.
-func (a *MIMalloc) PeakBytes() int64 { return a.stats.peak.Load() }

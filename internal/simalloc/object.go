@@ -4,9 +4,11 @@
 //
 // The allocators do not manage real memory. They hand out *Object handles
 // and account for the bytes a real allocator would have mapped. What they
-// model faithfully is the locking discipline of the free path: per-thread
-// caches that overflow into remote arena bins (jemalloc), a central free
-// list (tcmalloc), or per-page sharded free lists (mimalloc). Batch frees
+// model faithfully is the locking discipline of the free path. jemalloc and
+// tcmalloc share one bounded per-thread cache (tcache.go); each is only a
+// backend saying where a miss refills from and where an overflow flush goes
+// (arena bins grouped by owner, or one central list per class). mimalloc
+// has no such cache: frees go to per-page sharded free lists. Batch frees
 // overflow thread caches and trigger remote batch frees (the paper's RBF
 // problem) with real mutex contention between goroutines.
 package simalloc

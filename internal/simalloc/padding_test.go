@@ -15,9 +15,9 @@ func TestPaddedTypesFillCacheLines(t *testing.T) {
 	}{
 		{"threadStats", unsafe.Sizeof(threadStats{})},
 		{"jeBin", unsafe.Sizeof(jeBin{})},
-		{"jeTCache", unsafe.Sizeof(jeTCache{})},
+		{"tcache", unsafe.Sizeof(tcache{})},
+		{"jeFlushScratch", unsafe.Sizeof(jeFlushScratch{})},
 		{"tcCentral", unsafe.Sizeof(tcCentral{})},
-		{"tcThreadCache", unsafe.Sizeof(tcThreadCache{})},
 		{"miHeap", unsafe.Sizeof(miHeap{})},
 	} {
 		if c.size == 0 || c.size%64 != 0 {

@@ -29,16 +29,6 @@ type threadStats struct {
 	_ [4]int64 // pad to reduce false sharing between adjacent threads
 }
 
-// liveBytes sums per-thread byte deltas to the application's live footprint.
-func liveBytes(s *statsArena) int64 {
-	var live int64
-	for i := range s.perThread {
-		t := &s.perThread[i]
-		live += atomic.LoadInt64(&t.allocBytes) - atomic.LoadInt64(&t.freeBytes)
-	}
-	return live
-}
-
 // Stats is an aggregated snapshot of allocator activity across all threads.
 type Stats struct {
 	FreeNanos   int64
@@ -77,8 +67,8 @@ func PctOf(nanos int64, wall time.Duration, threads int) float64 {
 	return 100 * float64(nanos) / total
 }
 
-// statsArena owns per-thread stats plus byte accounting; it is embedded in
-// each allocator model.
+// statsArena owns per-thread stats plus byte accounting; every allocator
+// model holds one.
 type statsArena struct {
 	perThread []threadStats
 	mapped    atomic.Int64

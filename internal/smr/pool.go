@@ -98,20 +98,6 @@ func (p *PoolAllocator) FlushThreadCache(tid int) {
 	p.base.FlushThreadCache(tid)
 }
 
-// FlushThreadCaches returns every pooled object to the base allocator and
-// flushes the base's own caches.
-func (p *PoolAllocator) FlushThreadCaches() {
-	for tid := range p.th {
-		for c := range p.th[tid].bins {
-			for _, o := range p.th[tid].bins[c] {
-				p.base.Free(tid, o)
-			}
-			p.th[tid].bins[c] = nil
-		}
-	}
-	p.base.FlushThreadCaches()
-}
-
 // SetFreeObserver installs fn on the base allocator: a pool-absorbed free
 // has no slow path to observe, and a pool overflow's base.Free stamps are
 // exactly what the observer wants.
@@ -139,8 +125,5 @@ func (p *PoolAllocator) PoolHits() (allocs, frees int64) {
 // LiveBytes includes pooled objects, which are live from the base
 // allocator's perspective.
 func (p *PoolAllocator) LiveBytes() int64 { return p.base.LiveBytes() }
-
-// PeakBytes reports the base allocator's mapped high-water mark.
-func (p *PoolAllocator) PeakBytes() int64 { return p.base.PeakBytes() }
 
 var _ simalloc.Allocator = (*PoolAllocator)(nil)

@@ -53,7 +53,7 @@ func TestPoolAllocatorFlush(t *testing.T) {
 	p := NewPoolAllocator(base, 8)
 	o := p.Alloc(0, 64)
 	p.Free(0, o)
-	p.FlushThreadCaches()
+	p.FlushThreadCache(0)
 	if o.State() != simalloc.StateFree {
 		t.Fatal("flush did not return pooled object to base")
 	}
