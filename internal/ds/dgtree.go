@@ -95,7 +95,8 @@ func (n *dgNode) child(right bool) *atomic.Pointer[dgNode] {
 func dgGoRight(n *dgNode, key int64) bool { return key >= n.key }
 
 // seek descends to the leaf covering key, returning the grandparent,
-// parent, directions taken, and the leaf.
+// parent, directions taken, and the leaf, every real node on the path
+// published through the guard.
 func (t *DGTree) seek(tid int, key int64) (gp *dgNode, gpRight bool, p *dgNode, pRight bool, leaf *dgNode) {
 	g := t.guards[tid]
 	gp = nil
@@ -112,6 +113,11 @@ func (t *DGTree) seek(tid int, key int64) (gp *dgNode, gpRight bool, p *dgNode, 
 		p = cur
 		pRight = dgGoRight(p, key)
 		cur = p.child(pRight).Load()
+	}
+	// The leaf is visited too: the caller reads its key, and an update
+	// locks its parent against it.
+	if g != nil && cur.obj != nil {
+		g.Protect(depth%3, cur.obj)
 	}
 	return gp, gpRight, p, pRight, cur
 }

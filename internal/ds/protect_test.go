@@ -47,3 +47,29 @@ func TestTreesProtectThroughGuardsOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestDGTreeSeekProtectsItsLeaf pins that seek publishes the leaf it returns,
+// not only the internal nodes above it: with tid 1's op open on that leaf,
+// tid 0 retires the leaf's object and enough fillers to scan, and the scan
+// must find it held.
+func TestDGTreeSeekProtectsItsLeaf(t *testing.T) {
+	set, alloc, rec := newTestSet(t, "dgtree", "hp", 2)
+	tree := set.(*DGTree)
+	for k := int64(0); k < 16; k++ {
+		set.Insert(0, k)
+	}
+	rec.BeginOp(1)
+	_, _, _, _, leaf := tree.seek(1, 7)
+	if leaf.key != 7 || leaf.obj == nil {
+		t.Fatalf("seek(7) returned leaf %d (obj %v), want the real leaf 7", leaf.key, leaf.obj)
+	}
+	before := rec.Stats().Freed
+	rec.Retire(0, leaf.obj)
+	for rec.Stats().Freed == before {
+		rec.Retire(0, alloc.Alloc(0, DGTreeNodeBytes))
+	}
+	if leaf.obj.State() != simalloc.StateAllocated {
+		t.Fatalf("a scan freed the leaf tid 1's seek returned (state %v)", leaf.obj.State())
+	}
+	rec.EndOp(1)
+}

@@ -1,6 +1,10 @@
 package smr
 
-import "repro/internal/simalloc"
+import (
+	"unsafe"
+
+	"repro/internal/simalloc"
+)
 
 // The Guard fast path.
 //
@@ -9,9 +13,12 @@ import "repro/internal/simalloc"
 // protections per operation, each through an interface dispatch the compiler
 // cannot devirtualize or inline. A Guard is the concrete, per-(reclaimer,
 // tid) protection handle that removes that boundary: it carries direct
-// pointers into the reclaimer's padded announcement state plus a mode tag,
-// so publishing a protection is a predictable branch and a padded atomic
-// store — no interface call, no tid-indexed address arithmetic.
+// pointers into the reclaimer's padded announcement state plus a mode tag.
+// For HP, Protect inlines at the visit site into one bounds check and one
+// XCHG of the object's address into the slot (Michael's per-node cost, no
+// call, no write barrier, no slot division); TestGuardProtectInlines pins
+// that. Every other mode, and an HP slot at or beyond the window, takes the
+// out-of-line protect: a switch on the mode, then its stores.
 //
 // Trees resolve guards once at construction (see internal/ds) and publish
 // through nothing else: reclaimers whose Protect is a real publication (HP,
@@ -32,7 +39,7 @@ const (
 	// schemes). Their Guard(tid) returns nil, so trees never see this mode
 	// on a live guard; it exists for completeness and tests.
 	GuardNoop GuardMode = iota
-	// GuardPtr stores the visited node's object pointer into the tid's
+	// GuardPtr stores the visited node's object address into the tid's
 	// hazard-slot window (HP).
 	GuardPtr
 	// GuardEra stores the current global era into the tid's era-slot window
@@ -50,10 +57,11 @@ const (
 // hand them out via their Guard(tid) method. A Guard must only be used by
 // the goroutine driving its tid, exactly like the tid itself.
 type Guard struct {
-	mode   GuardMode
-	nSlots int
+	mode GuardMode
 
-	// ptrs is the tid's hazard-pointer window (GuardPtr).
+	// ptrs is the tid's hazard-pointer window (GuardPtr); it is empty in
+	// every other mode, which is what lets Protect's fast path skip a mode
+	// test. A window's length is its slot count.
 	ptrs []padPtr
 	// eras is the tid's era-slot window (GuardEra).
 	eras []pad64
@@ -73,14 +81,26 @@ type Guard struct {
 func (g *Guard) Mode() GuardMode { return g.mode }
 
 // Protect publishes protection for o in the given slot, exactly as the
-// owning reclaimer's Protect(tid, slot, o) would.
+// owning reclaimer's Protect(tid, slot, o) would. It must stay within the
+// inlining budget (TestGuardProtectInlines): only inlined is the HP path
+// one bounds check and one XCHG at the visit site.
 func (g *Guard) Protect(slot int, o *simalloc.Object) {
+	if slot < len(g.ptrs) {
+		g.ptrs[slot].p.Store(uintptr(unsafe.Pointer(o)))
+	} else {
+		g.protect(slot, o)
+	}
+}
+
+// protect is Protect's slow path: an HP slot at or beyond the window, and
+// every mode that is not GuardPtr.
+func (g *Guard) protect(slot int, o *simalloc.Object) {
 	switch g.mode {
 	case GuardPtr:
-		g.ptrs[slot%g.nSlots].p.Store(o)
+		g.ptrs[slot%len(g.ptrs)].p.Store(uintptr(unsafe.Pointer(o)))
 	case GuardEra:
 		e := g.era.v.Load()
-		s := &g.eras[slot%g.nSlots]
+		s := &g.eras[slot%len(g.eras)]
 		s.v.Store(e)
 		for i := 0; i < g.extraStores; i++ {
 			s.v.Store(e)

@@ -1,6 +1,9 @@
 package smr
 
 import (
+	"fmt"
+	"os/exec"
+	"regexp"
 	"testing"
 
 	"repro/internal/simalloc"
@@ -57,9 +60,7 @@ func TestGuardProtectMatchesInterface(t *testing.T) {
 		case *HP:
 			out := make([]int64, len(v.slots))
 			for i := range v.slots {
-				if o := v.slots[i].p.Load(); o != nil {
-					out[i] = int64(o.ID) + 1
-				}
+				out[i] = int64(v.slots[i].p.Load())
 			}
 			return out
 		case *HE:
@@ -86,10 +87,24 @@ func TestGuardProtectMatchesInterface(t *testing.T) {
 		}
 	}
 
-	for _, name := range []string{"hp", "he", "wfe", "ibr", "nbr", "nbrplus"} {
-		t.Run(name, func(t *testing.T) {
+	// hazardSlots 0 keeps the default window; hp with one slot sends every
+	// slot but 0 down the guard's out-of-line path.
+	for _, tc := range []struct {
+		name        string
+		hazardSlots int
+	}{{"hp", 0}, {"hp", 1}, {"he", 0}, {"wfe", 0}, {"ibr", 0}, {"nbr", 0}, {"nbrplus", 0}} {
+		name := tc.name
+		sub := name
+		if tc.hazardSlots != 0 {
+			sub = fmt.Sprintf("%s_slots=%d", name, tc.hazardSlots)
+		}
+		t.Run(sub, func(t *testing.T) {
 			build := func() Reclaimer {
-				r, err := New(name, testConfig(threads))
+				cfg := testConfig(threads)
+				if tc.hazardSlots != 0 {
+					cfg.HazardSlots = tc.hazardSlots
+				}
+				r, err := New(name, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,5 +155,29 @@ func TestGuardProtectMatchesInterface(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGuardProtectInlines pins that Guard.Protect stays within the
+// compiler's inlining budget and inlines at each tree's visit site: the HP
+// fast path is a bounds check and one XCHG only while it is inlined, and the
+// cost sits one below the budget, so a single added node loses it silently.
+func TestGuardProtectInlines(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("go tool not found: %v", err)
+	}
+	out, err := exec.Command(goBin, "build", "-gcflags=-m", "repro/internal/smr", "repro/internal/ds").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	want := []string{`can inline \(\*Guard\)\.Protect`}
+	for _, file := range []string{"abtree.go", "occtree.go", "dgtree.go"} {
+		want = append(want, file+`:\d+:\d+: inlining call to smr\.\(\*Guard\)\.Protect`)
+	}
+	for _, re := range want {
+		if !regexp.MustCompile(re).Match(out) {
+			t.Errorf("compiler output has no match for %q", re)
+		}
 	}
 }

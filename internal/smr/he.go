@@ -48,7 +48,7 @@ func newEraScheme(name string, cfg Config, af bool, extraStores int) *HE {
 	h.guards = make([]Guard, h.e.cfg.Threads)
 	for tid := range h.guards {
 		h.guards[tid] = Guard{
-			mode: GuardEra, nSlots: hs,
+			mode: GuardEra,
 			eras: h.slots[tid*hs : (tid+1)*hs], era: &h.clock.era,
 			extraStores: extraStores,
 		}

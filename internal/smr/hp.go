@@ -1,6 +1,10 @@
 package smr
 
-import "repro/internal/simalloc"
+import (
+	"unsafe"
+
+	"repro/internal/simalloc"
+)
 
 // HP is Michael's hazard pointers (TPDS '04). Each thread owns a small
 // window of hazard slots it publishes visited nodes into; a thread whose
@@ -19,8 +23,9 @@ type HP struct {
 
 type hpThread struct {
 	scanList
-	// scratch is the scan's hazard snapshot, reused like the lists.
-	scratch map[*simalloc.Object]struct{}
+	// scratch is the scan's hazard snapshot (published addresses), reused
+	// like the lists.
+	scratch map[uintptr]struct{}
 	_       [1]int64
 }
 
@@ -30,23 +35,23 @@ func newHP(name string, cfg Config, af bool) Reclaimer {
 	h.slots = make([]padPtr, h.e.cfg.Threads*hs)
 	h.guards = make([]Guard, h.e.cfg.Threads)
 	for tid := range h.guards {
-		h.guards[tid] = Guard{mode: GuardPtr, nSlots: hs, ptrs: h.slots[tid*hs : (tid+1)*hs]}
+		h.guards[tid] = Guard{mode: GuardPtr, ptrs: h.slots[tid*hs : (tid+1)*hs]}
 	}
 	h.th = make([]hpThread, h.e.cfg.Threads)
 	for i := range h.th {
-		h.th[i].scratch = make(map[*simalloc.Object]struct{}, h.e.cfg.Threads*hs)
+		h.th[i].scratch = make(map[uintptr]struct{}, h.e.cfg.Threads*hs)
 	}
 	return h
 }
 
-// Guard returns tid's zero-dispatch protection handle: a direct pointer
+// Guard returns tid's zero-dispatch protection handle: an inlined address
 // store into the tid's hazard window.
 func (h *HP) Guard(tid int) *Guard { return &h.guards[tid] }
 
-// clearHazards nils a thread's hazard slots.
+// clearHazards zeroes a thread's hazard slots.
 func clearHazards(w []padPtr) {
 	for i := range w {
-		w[i].p.Store(nil)
+		w[i].p.Store(0)
 	}
 }
 
@@ -60,7 +65,7 @@ func (h *HP) EndOp(tid int) {
 // Protect publishes o in tid's hazard slot. The sequentially-consistent
 // store is the algorithm's per-step cost.
 func (h *HP) Protect(tid int, slot int, o *simalloc.Object) {
-	h.slots[tid*h.e.cfg.HazardSlots+slot%h.e.cfg.HazardSlots].p.Store(o)
+	h.slots[tid*h.e.cfg.HazardSlots+slot%h.e.cfg.HazardSlots].p.Store(uintptr(unsafe.Pointer(o)))
 }
 
 // Retire appends o to the retire list, scanning when it reaches BatchSize.
@@ -83,12 +88,12 @@ func (h *HP) scan(tid int) {
 	me.retired = h.adopt(me.retired)
 	clear(me.scratch)
 	for i := range h.slots {
-		if o := h.slots[i].p.Load(); o != nil {
-			me.scratch[o] = struct{}{}
+		if a := h.slots[i].p.Load(); a != 0 {
+			me.scratch[a] = struct{}{}
 		}
 	}
 	h.sweep(tid, &me.scanList, func(o *simalloc.Object) bool {
-		_, hazard := me.scratch[o]
+		_, hazard := me.scratch[uintptr(unsafe.Pointer(o))]
 		return hazard
 	})
 }

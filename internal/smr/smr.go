@@ -390,8 +390,19 @@ type isolated64 struct {
 	_ [7]int64
 }
 
-// padPtr is a cache-line padded atomic object pointer for hazard slots.
+// padPtr is a cache-line padded hazard slot. It holds the published
+// object's address, uintptr(unsafe.Pointer(o)), or 0 for none: storing a
+// uintptr is an intrinsic XCHG with the same sequentially consistent order
+// as an atomic.Pointer store, without the runtime call and write barrier
+// Go wraps around a pointer store. Nothing turns the address back into a
+// pointer; HP's scan only compares addresses.
+//
+// A slot therefore does not keep its object alive, and need not: during a
+// trial every Object stays reachable, from a tree node or a retire list or
+// else from its allocator's free lists, since no simalloc model ever drops
+// one; and Go's heap does not move objects. So while the reclaimer lives a
+// published address cannot come to name another Object.
 type padPtr struct {
-	p atomic.Pointer[simalloc.Object]
+	p atomic.Uintptr
 	_ [7]int64
 }

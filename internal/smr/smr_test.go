@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -420,6 +421,41 @@ func TestHPProtectedObjectSurvivesScan(t *testing.T) {
 		t.Fatal("protected object was freed by scan")
 	}
 	// Thread 1 finishes its op: protection cleared.
+	h.EndOp(1)
+	for _, o := range fillers[10:] {
+		h.Retire(0, o)
+	}
+	if victim.State() != simalloc.StateFree {
+		t.Fatal("object not freed after protection cleared")
+	}
+}
+
+// TestHPGuardProtectedObjectSurvivesScan is the Guard-path twin of
+// TestHPProtectedObjectSurvivesScan: the victim is published through the
+// inlined fast path, whose slot holds only an address, and two collections
+// run before the scans that must still find it held.
+func TestHPGuardProtectedObjectSurvivesScan(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.BatchSize = 4
+	h := mustNew(t, "hp", cfg)
+	alloc := cfg.Alloc
+
+	victim := alloc.Alloc(1, 64)
+	fillers := make([]*simalloc.Object, 20)
+	for i := range fillers {
+		fillers[i] = alloc.Alloc(0, 64)
+	}
+	h.Guard(1).Protect(0, victim)
+	runtime.GC()
+	runtime.GC()
+
+	h.Retire(0, victim)
+	for _, o := range fillers[:10] {
+		h.Retire(0, o)
+	}
+	if victim.State() != simalloc.StateAllocated {
+		t.Fatal("object protected through the guard was freed by scan")
+	}
 	h.EndOp(1)
 	for _, o := range fillers[10:] {
 		h.Retire(0, o)
