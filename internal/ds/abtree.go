@@ -391,27 +391,41 @@ func leafFind(n *abNode, key int64) (i int, found bool) {
 	return len(n.keys), false
 }
 
-// descend walks from the root to the leaf covering key, publishing
-// protection for each visited node. It returns the leaf, the slot the leaf
-// hangs from and the slot its parent hangs from: the two levels an update
-// may lock. Protection goes through the guard (a concrete call the compiler
-// can see through) and is skipped entirely for epoch-based reclaimers, whose
-// guard is nil.
+// descend walks from the root to the leaf covering key. It returns the
+// leaf, the slot the leaf hangs from and the slot its parent hangs from: the
+// two levels an update may lock. Each level is one visit: load the slot,
+// publish the child through the guard, then re-read the slot and the
+// parent's retired flag (the root slot has no parent) and restart from the
+// root if either moved, since a node published after it was unlinked may
+// already be freed (Michael's validation). Epoch-based reclaimers have a nil
+// guard and skip both.
 func (t *ABTree) descend(tid int, key int64) (leaf *abNode, at, above abSlot) {
 	g := t.guards[tid]
-	cur := t.root.Load()
-	if g != nil {
-		g.Protect(0, cur.obj)
-	}
-	for depth := 1; cur.in != nil; depth++ {
-		above = at
-		at = abSlot{cur.in, childIndex(cur.in, key)}
-		cur = at.in.children[at.idx].Load()
-		if g != nil {
-			g.Protect(depth%3, cur.obj)
+retry:
+	for {
+		slot := &t.root
+		at, above = abSlot{}, abSlot{}
+		for depth := 0; ; depth++ {
+			cur := slot.Load()
+			if testHookLoaded != nil {
+				testHookLoaded()
+			}
+			if g != nil {
+				g.Protect(depth%smr.HazardSlots, cur.obj)
+				if slot.Load() != cur || at.in != nil && at.in.lock.retired.Load() {
+					continue retry
+				}
+			}
+			if testHookVisit != nil {
+				testHookVisit(cur.obj)
+			}
+			if cur.in == nil {
+				return cur, at, above
+			}
+			above, at = at, abSlot{cur.in, childIndex(cur.in, key)}
+			slot = &cur.in.children[at.idx]
 		}
 	}
-	return cur, at, above
 }
 
 // Contains reports whether key is present. The traversal is lock-free.

@@ -95,31 +95,39 @@ func (n *dgNode) child(right bool) *atomic.Pointer[dgNode] {
 func dgGoRight(n *dgNode, key int64) bool { return key >= n.key }
 
 // seek descends to the leaf covering key, returning the grandparent,
-// parent, directions taken, and the leaf, every real node on the path
-// published through the guard.
+// parent, directions taken, and the leaf. Each level, the leaf included, is
+// one visit: load the parent's child slot, publish the child through the
+// guard, then re-read the slot and the parent's retired flag and restart
+// from the root if either moved. Sentinels have no object and are never
+// retired, so they are neither published nor validated; epoch-based
+// reclaimers have a nil guard and skip both.
 func (t *DGTree) seek(tid int, key int64) (gp *dgNode, gpRight bool, p *dgNode, pRight bool, leaf *dgNode) {
 	g := t.guards[tid]
-	gp = nil
-	p = t.root
-	pRight = dgGoRight(p, key)
-	cur := p.child(pRight).Load()
-	depth := 0
-	for !cur.leaf {
-		if g != nil && cur.obj != nil {
-			g.Protect(depth%3, cur.obj)
-		}
-		depth++
-		gp, gpRight = p, pRight
-		p = cur
+retry:
+	for {
+		gp, p = nil, t.root
 		pRight = dgGoRight(p, key)
-		cur = p.child(pRight).Load()
+		for depth := 0; ; depth++ {
+			cur := p.child(pRight).Load()
+			if testHookLoaded != nil {
+				testHookLoaded()
+			}
+			if g != nil && cur.obj != nil {
+				g.Protect(depth%smr.HazardSlots, cur.obj)
+				if p.child(pRight).Load() != cur || p.retired.Load() {
+					continue retry
+				}
+			}
+			if testHookVisit != nil {
+				testHookVisit(cur.obj)
+			}
+			if cur.leaf {
+				return gp, gpRight, p, pRight, cur
+			}
+			gp, gpRight = p, pRight
+			p, pRight = cur, dgGoRight(cur, key)
+		}
 	}
-	// The leaf is visited too: the caller reads its key, and an update
-	// locks its parent against it.
-	if g != nil && cur.obj != nil {
-		g.Protect(depth%3, cur.obj)
-	}
-	return gp, gpRight, p, pRight, cur
 }
 
 // Contains reports whether key is present.

@@ -88,6 +88,16 @@ func guardsOf(rec smr.Reclaimer, threads int) []*smr.Guard {
 	return guards
 }
 
+// testHookLoaded and testHookVisit, when set, run at each tree's one visit
+// site, for every reclaimer: testHookLoaded between loading a child slot and
+// publishing what it read (the window an unlink, retire and free can fall
+// into), testHookVisit once the visit is validated, with the visited node's
+// object (nil for a sentinel).
+var (
+	testHookLoaded func()
+	testHookVisit  func(*simalloc.Object)
+)
+
 // sizeCtr tracks the set's cardinality with per-thread padded deltas so hot
 // paths never share a counter cache line.
 type sizeCtr struct {

@@ -74,25 +74,38 @@ func (n *occNode) child(right bool) *atomic.Pointer[occNode] {
 
 // seek descends optimistically to the node holding key, or to the parent
 // under which key would attach. It returns (parent, dirRight, node) where
-// node is nil when key is absent.
+// node is nil when key is absent. Each level is one visit: load the parent's
+// child slot, publish the child through the guard, then re-read the slot
+// and the parent's retired flag and restart from the head if either moved.
+// Epoch-based reclaimers have a nil guard and skip both.
 func (t *OCCTree) seek(tid int, key int64) (p *occNode, right bool, n *occNode) {
 	g := t.guards[tid]
-	p, right = t.head, true
-	n = t.head.right.Load()
-	depth := 0
-	for n != nil {
-		if g != nil && n.obj != nil {
-			g.Protect(depth%3, n.obj)
+retry:
+	for {
+		p, right = t.head, true
+		for depth := 0; ; depth++ {
+			n = p.child(right).Load()
+			if n == nil {
+				return p, right, nil
+			}
+			if testHookLoaded != nil {
+				testHookLoaded()
+			}
+			if g != nil {
+				g.Protect(depth%smr.HazardSlots, n.obj)
+				if p.child(right).Load() != n || p.retired.Load() {
+					continue retry
+				}
+			}
+			if testHookVisit != nil {
+				testHookVisit(n.obj)
+			}
+			if key == n.key {
+				return p, right, n
+			}
+			p, right = n, key > n.key
 		}
-		depth++
-		if key == n.key {
-			return p, right, n
-		}
-		p = n
-		right = key > n.key
-		n = n.child(right).Load()
 	}
-	return p, right, nil
 }
 
 // Contains reports whether key is present (found and not marked).

@@ -79,10 +79,14 @@ func (d *DEBRA) BeginOp(tid int) {
 	}
 }
 
-// Retire places o in the current-epoch limbo bag.
+// Retire places o in the limbo bag of the global epoch read now, not of the
+// thread's announcement: the global epoch may be one ahead of it, and a
+// reader that opened its operation there can still reach o, so o must wait
+// two epochs from the later of the two.
 func (d *DEBRA) Retire(tid int, o *simalloc.Object) {
 	me := &d.th[tid]
-	me.bags[me.cur] = append(me.bags[me.cur], o)
+	bag := &me.bags[d.e.epochs.Load()%3]
+	*bag = append(*bag, o)
 	d.e.noteRetire(tid)
 }
 

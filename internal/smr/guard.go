@@ -31,6 +31,13 @@ import (
 // was built for. The per-reclaimer tests in guard_test.go pin this equality
 // for every registered reclaimer.
 
+// HazardSlots is the per-thread protection window of the slotted schemes
+// (HP, HE, WFE): a traversal publishes the node at depth d in slot
+// d%HazardSlots, so the node it visits, its parent and its grandparent are
+// held at once — what a tree's descent needs to validate a visit against
+// the parent and for an update to lock two levels.
+const HazardSlots = 3
+
 // GuardMode tags how a Guard publishes per-node protection.
 type GuardMode uint8
 

@@ -40,8 +40,7 @@ func newWFE(name string, cfg Config, af bool) Reclaimer { return newEraScheme(na
 func newEraScheme(name string, cfg Config, af bool, extraStores int) *HE {
 	h := &HE{core: newCore(name, cfg, af), extraStores: extraStores}
 	h.clock.init(h.e.cfg.EraFreq)
-	hs := h.e.cfg.HazardSlots
-	h.slots = make([]pad64, h.e.cfg.Threads*hs)
+	h.slots = make([]pad64, h.e.cfg.Threads*HazardSlots)
 	for i := range h.slots {
 		h.slots[i].v.Store(-1) // -1 = no reservation
 	}
@@ -49,7 +48,7 @@ func newEraScheme(name string, cfg Config, af bool, extraStores int) *HE {
 	for tid := range h.guards {
 		h.guards[tid] = Guard{
 			mode: GuardEra,
-			eras: h.slots[tid*hs : (tid+1)*hs], era: &h.clock.era,
+			eras: h.slots[tid*HazardSlots : (tid+1)*HazardSlots], era: &h.clock.era,
 			extraStores: extraStores,
 		}
 	}
@@ -70,7 +69,7 @@ func (h *HE) BeginOp(tid int) {
 
 func (h *HE) publish(tid, slot int) {
 	e := h.clock.era.v.Load()
-	idx := tid*h.e.cfg.HazardSlots + slot%h.e.cfg.HazardSlots
+	idx := tid*HazardSlots + slot%HazardSlots
 	h.slots[idx].v.Store(e)
 	for i := 0; i < h.extraStores; i++ {
 		// WFE's helping protocol performs additional announcement work per
@@ -81,8 +80,8 @@ func (h *HE) publish(tid, slot int) {
 
 // clearWindow drops tid's reservations.
 func (h *HE) clearWindow(tid int) {
-	base := tid * h.e.cfg.HazardSlots
-	for i := 0; i < h.e.cfg.HazardSlots; i++ {
+	base := tid * HazardSlots
+	for i := 0; i < HazardSlots; i++ {
 		h.slots[base+i].v.Store(-1)
 	}
 }

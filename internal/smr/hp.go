@@ -31,15 +31,14 @@ type hpThread struct {
 
 func newHP(name string, cfg Config, af bool) Reclaimer {
 	h := &HP{core: newCore(name, cfg, af)}
-	hs := h.e.cfg.HazardSlots
-	h.slots = make([]padPtr, h.e.cfg.Threads*hs)
+	h.slots = make([]padPtr, h.e.cfg.Threads*HazardSlots)
 	h.guards = make([]Guard, h.e.cfg.Threads)
 	for tid := range h.guards {
-		h.guards[tid] = Guard{mode: GuardPtr, ptrs: h.slots[tid*hs : (tid+1)*hs]}
+		h.guards[tid] = Guard{mode: GuardPtr, ptrs: h.slots[tid*HazardSlots : (tid+1)*HazardSlots]}
 	}
 	h.th = make([]hpThread, h.e.cfg.Threads)
 	for i := range h.th {
-		h.th[i].scratch = make(map[uintptr]struct{}, h.e.cfg.Threads*hs)
+		h.th[i].scratch = make(map[uintptr]struct{}, len(h.slots))
 	}
 	return h
 }
@@ -65,7 +64,7 @@ func (h *HP) EndOp(tid int) {
 // Protect publishes o in tid's hazard slot. The sequentially-consistent
 // store is the algorithm's per-step cost.
 func (h *HP) Protect(tid int, slot int, o *simalloc.Object) {
-	h.slots[tid*h.e.cfg.HazardSlots+slot%h.e.cfg.HazardSlots].p.Store(uintptr(unsafe.Pointer(o)))
+	h.slots[tid*HazardSlots+slot%HazardSlots].p.Store(uintptr(unsafe.Pointer(o)))
 }
 
 // Retire appends o to the retire list, scanning when it reaches BatchSize.

@@ -20,10 +20,12 @@ import (
 // coordination round per bag, then a large batch free — exactly the shape
 // that triggers the RBF problem.
 //
-// NBR+ adds signal elision: if some other thread completed a neutralization
-// round after this thread's bag started filling, that round already proves
-// the bag's objects are unreachable, so the bag is freed without a new
-// round.
+// NBR+ adds signal elision: a neutralization round that began after an
+// object was retired and has since completed proves the object unreachable.
+// Each retire reads the round; the objects retired before the latest round
+// the bag saw begin are safe once that round is done, so a full bag frees
+// that prefix without a new round (the original's low-watermark prefix),
+// and neutralizes only when no such prefix is proven.
 type NBR struct {
 	core
 	plus bool
@@ -37,14 +39,17 @@ type NBR struct {
 
 type nbrThread struct {
 	bag []*simalloc.Object
-	// bagStartDone is the value of done when the bag was last empty.
-	bagStartDone int64
+	// seen is the round the latest retire read, and safe the bag length
+	// when a retire first read it: bag[:safe] was retired before round
+	// seen began, so it is free to reclaim once done reaches seen.
+	seen int64
+	safe int
 	// active is 1 while the thread is inside an operation. An idle thread
 	// holds no references, so a neutralizer treats it as implicitly
 	// acknowledged — mirroring the original, where signals reach idle
 	// threads immediately.
 	active pad64
-	_      [4]int64
+	_      [3]int64
 }
 
 // newNBR returns the registry constructor of NBR (plus=false) or NBR+.
@@ -91,17 +96,19 @@ func (n *NBR) EndOp(tid int) {
 // Protect is a neutralization checkpoint.
 func (n *NBR) Protect(tid int, _ int, _ *simalloc.Object) { n.ack(tid) }
 
-// Retire appends to the bag; a full bag triggers neutralization (or elides
-// it, for NBR+) and then frees the whole bag.
+// Retire appends to the bag; a full bag frees its proven prefix without a
+// round (NBR+), or else neutralizes and frees the whole bag.
 func (n *NBR) Retire(tid int, o *simalloc.Object) {
 	me := &n.th[tid]
+	if r := n.round.v.Load(); r != me.seen {
+		me.seen, me.safe = r, len(me.bag)
+	}
 	if len(me.bag) == 0 {
-		me.bagStartDone = n.done.v.Load()
-		// Adoption point: orphans enter at bag start, so they are covered
-		// by exactly the argument that covers the bag — everything in it
-		// was unlinked before bagStartDone was sampled, and a completed
-		// round after that point (run or elided) proves no reader holds a
-		// reference. Adopting mid-bag would break NBR+'s elision proof.
+		// Adoption point: orphans enter an empty bag, whose proven prefix
+		// is empty, so they wait beside o for a round that begins after this
+		// retire read the round: all that is known of them is that they
+		// were unlinked before it, as o was.
+		me.safe = 0
 		me.bag = n.adopt(me.bag)
 	}
 	me.bag = append(me.bag, o)
@@ -109,9 +116,14 @@ func (n *NBR) Retire(tid int, o *simalloc.Object) {
 	if len(me.bag) < n.e.cfg.BatchSize {
 		return
 	}
-	if !(n.plus && n.done.v.Load() > me.bagStartDone) {
-		n.neutralize(tid)
+	if n.plus && me.safe > 0 && n.done.v.Load() >= me.seen {
+		n.freeBatch(tid, me.bag[:me.safe])
+		rest := copy(me.bag, me.bag[me.safe:])
+		clear(me.bag[rest:])
+		me.bag, me.safe = me.bag[:rest], 0
+		return
 	}
+	n.neutralize(tid)
 	n.freeBatch(tid, me.bag)
 	me.bag = me.bag[:0]
 }

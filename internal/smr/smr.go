@@ -142,8 +142,6 @@ type Config struct {
 	EpochCheckOps int
 	// TokenCheckK is Periodic Token-EBR's token-check period (paper: 100).
 	TokenCheckK int
-	// HazardSlots is the per-thread hazard window (HP/HE/IBR/WFE).
-	HazardSlots int
 	// EraFreq advances the era clock every EraFreq retires (HE/IBR/WFE).
 	EraFreq int
 	// Recorder, when non-nil, receives timeline events (batch frees, long
@@ -167,7 +165,6 @@ func DefaultConfig(alloc simalloc.Allocator, threads int) Config {
 		DrainRate:     1,
 		EpochCheckOps: 4,
 		TokenCheckK:   100,
-		HazardSlots:   3,
 		EraFreq:       64,
 	}
 }
@@ -198,7 +195,7 @@ func (c *Config) fillDefaults() {
 	}{
 		{&c.BatchSize, d.BatchSize}, {&c.DrainRate, d.DrainRate},
 		{&c.EpochCheckOps, d.EpochCheckOps}, {&c.TokenCheckK, d.TokenCheckK},
-		{&c.HazardSlots, d.HazardSlots}, {&c.EraFreq, d.EraFreq},
+		{&c.EraFreq, d.EraFreq},
 	} {
 		if *f.v <= 0 {
 			*f.v = f.def

@@ -275,11 +275,10 @@ func TestDebraDelayedThreadBlocksEpoch(t *testing.T) {
 // TestEpochBagsOutliveReadersOfTheRetireEpoch scripts the grace period of
 // DEBRA and QSBR with two threads. B announces g; A opens an operation in
 // g+1, from which point it may reach X; B retires X. X was unlinked in
-// g+1, so it must outlive A's operation. But a retire goes to the bag of
-// the retirer's announcement (g, one behind the global epoch), so B alone
-// frees X as soon as the epoch reaches g+2, while A still reads: the test
-// skips while that holds. The fix is to tag by the global epoch at retire;
-// ROADMAP item 1 carries it.
+// g+1, so it must outlive A's operation, although B's announcement (g) is
+// one behind the global epoch: a retire tagged by the retirer's
+// announcement is freed as soon as the epoch reaches g+2, while A still
+// reads.
 func TestEpochBagsOutliveReadersOfTheRetireEpoch(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -317,7 +316,7 @@ func TestEpochBagsOutliveReadersOfTheRetireEpoch(t *testing.T) {
 				c.close(r, b)
 			}
 			if x.State() == simalloc.StateFree {
-				t.Skipf("ROADMAP item 1: X, unlinked in epoch %d while A's operation from that epoch was open, was freed by epoch %d", g+1, epoch())
+				t.Fatalf("X, unlinked in epoch %d while A's operation from that epoch was open, was freed by epoch %d", g+1, epoch())
 			}
 			if e := epoch(); e > g+2 {
 				t.Fatalf("the epoch reached %d with A's operation from %d still open", e, g+1)
@@ -606,6 +605,48 @@ func TestNBRPlusElidesRounds(t *testing.T) {
 	}
 }
 
+// TestNBRPlusElisionSparesLaterRetires scripts NBR+'s elision with three
+// threads. B starts a bag, then C's bag fills and its round completes with
+// A and B idle. A opens an operation and may reach X from there on; B
+// retires X, which fills its bag. The completed round began before X was
+// retired, so it proves B's earlier retires unreachable and not X: the full
+// bag frees its prefix without a new round and keeps X while A's operation
+// is open.
+func TestNBRPlusElisionSparesLaterRetires(t *testing.T) {
+	cfg := testConfig(3)
+	cfg.BatchSize = 4
+	n := mustNew(t, "nbrplus", cfg)
+	alloc := cfg.Alloc
+	const a, b, c = 0, 1, 2
+	retire := func(tid int) { n.Retire(tid, alloc.Alloc(tid, 64)) }
+
+	for i := 0; i < 3; i++ {
+		retire(b)
+	}
+	for i := 0; i < 4; i++ {
+		retire(c)
+	}
+	if got := n.Stats().Epochs; got != 1 {
+		t.Fatalf("rounds after C's bag = %d, want 1", got)
+	}
+	n.BeginOp(a)
+	x := alloc.Alloc(b, 64)
+	n.Retire(b, x)
+	if x.State() == simalloc.StateFree {
+		t.Fatal("X, retired after the only round completed, was freed while A's operation was open")
+	}
+	if st := n.Stats(); st.Epochs != 1 || st.Freed != 4+3 {
+		t.Fatalf("after B's bag filled: rounds %d, freed %d; want 1 and 7 (C's bag and B's prefix, elided)", st.Epochs, st.Freed)
+	}
+	n.EndOp(a)
+	for i := 0; i < 4 && x.State() != simalloc.StateFree; i++ {
+		retire(b)
+	}
+	if x.State() != simalloc.StateFree {
+		t.Fatal("X was never freed after A's operation closed")
+	}
+}
+
 // TestAFQueuesAndPumps verifies the amortized freer queues batches and
 // drains DrainRate objects per operation.
 func TestAFQueuesAndPumps(t *testing.T) {
@@ -722,8 +763,8 @@ func TestConfigDefaultsFilled(t *testing.T) {
 	cfg := Config{Alloc: testAlloc(1), Threads: 1}
 	got := newCore("test", cfg, false).e.cfg
 	want := DefaultConfig(cfg.Alloc, 1)
-	knobs := func(c Config) [6]int {
-		return [6]int{c.BatchSize, c.DrainRate, c.EpochCheckOps, c.TokenCheckK, c.HazardSlots, c.EraFreq}
+	knobs := func(c Config) [5]int {
+		return [5]int{c.BatchSize, c.DrainRate, c.EpochCheckOps, c.TokenCheckK, c.EraFreq}
 	}
 	if knobs(got) != knobs(want) {
 		t.Fatalf("a hand-built Config runs with %v; want DefaultConfig's %v", knobs(got), knobs(want))
