@@ -76,8 +76,9 @@ func Names() []string { return []string{"abtree", "occtree", "dgtree"} }
 // guardsOf resolves rec's per-thread protection handles once, at tree
 // construction, so traversal loops pay no interface dispatch per visited
 // node. A non-nil guards[tid] publishes through the concrete smr.Guard
-// (HP/HE/IBR/NBR/WFE); a nil one means the reclaimer needs no per-node
-// protection (epoch-based schemes) and the traversal branches away entirely.
+// (HP/HE/IBR/WFE); a nil one means the reclaimer needs no per-node
+// protection (epoch-based schemes, NBR) and the traversal branches away
+// entirely.
 // There is no other protection route: the trees never call
 // Reclaimer.Protect (TestTreesProtectThroughGuardsOnly).
 func guardsOf(rec smr.Reclaimer, threads int) []*smr.Guard {

@@ -25,7 +25,7 @@ func (c *countingReclaimer) Protect(tid, slot int, o *simalloc.Object) {
 // sees a Protect call through the interface.
 func TestTreesProtectThroughGuardsOnly(t *testing.T) {
 	for _, dsName := range Names() {
-		for _, smrName := range []string{"hp", "he", "ibr", "nbr"} {
+		for _, smrName := range []string{"hp", "he", "ibr", "wfe"} {
 			t.Run(dsName+"/"+smrName, func(t *testing.T) {
 				_, alloc, rec := newTestSet(t, dsName, smrName, 1)
 				counted := &countingReclaimer{Reclaimer: rec}

@@ -9,9 +9,10 @@ import "repro/internal/simalloc"
 //     array with one slot per thread.
 //   - Threads announce the epoch at the start of each operation and rotate
 //     three limbo bags on epoch change, freeing the bag from two epochs ago.
-//   - The scan of other threads' announcements is amortized: each operation
-//     inspects one other thread, round-robin; the first thread to observe
-//     that all threads announced the current epoch advances it.
+//   - The scan of other threads' announcements is amortized: every
+//     epochCheckOps-th operation inspects one other thread, round-robin; the
+//     first thread to observe that all threads announced the current epoch
+//     advances it.
 //
 // Doubling the thread count therefore doubles the expected epoch length and
 // the limbo-bag size — the mechanism behind the paper's Table 1.
@@ -28,6 +29,10 @@ type debraThread struct {
 	opCount   int
 	_         [4]int64
 }
+
+// epochCheckOps is the scan's amortization: an operation inspects one other
+// thread's announcement every epochCheckOps operations.
+const epochCheckOps = 4
 
 func makeDEBRA(name string, cfg Config, af bool) DEBRA {
 	return DEBRA{core: newCore(name, cfg, af), th: make([]debraThread, cfg.Threads)}
@@ -62,7 +67,7 @@ func (d *DEBRA) BeginOp(tid int) {
 	}
 
 	me.opCount++
-	if me.opCount%d.e.cfg.EpochCheckOps != 0 {
+	if me.opCount%epochCheckOps != 0 {
 		return
 	}
 	// Amortized scan: check one other thread per operation. Vacated slots

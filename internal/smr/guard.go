@@ -22,9 +22,13 @@ import (
 //
 // Trees resolve guards once at construction (see internal/ds) and publish
 // through nothing else: reclaimers whose Protect is a real publication (HP,
-// HE/WFE, IBR, NBR/NBR+) hand out a Guard per tid; epoch-based reclaimers
-// (DEBRA, QSBR, RCU, Token-EBR, none), whose Protect is a no-op, return nil
-// so the trees skip per-node publication entirely.
+// HE/WFE, IBR) hand out a Guard per tid; the rest, whose Protect is a no-op,
+// return nil so the trees skip per-node publication entirely. Those are the
+// epoch-based reclaimers (DEBRA, QSBR, RCU, Token-EBR, none) and NBR/NBR+,
+// which acknowledge a neutralization round only at an operation boundary
+// (nbr.go): an acknowledgement at a visited node would let a round free what
+// the reader loaded before it, which the original's neutralized reader drops
+// by restarting.
 //
 // Semantics contract: Guard.Protect(slot, o) must be observably identical to
 // Reclaimer.Protect(tid, slot, o), its specification, for the tid the guard
@@ -43,7 +47,7 @@ type GuardMode uint8
 
 const (
 	// GuardNoop marks reclaimers whose Protect is a no-op (epoch-based
-	// schemes). Their Guard(tid) returns nil, so trees never see this mode
+	// schemes, NBR). Their Guard(tid) returns nil, so trees never see this mode
 	// on a live guard; it exists for completeness and tests.
 	GuardNoop GuardMode = iota
 	// GuardPtr stores the visited node's object address into the tid's
@@ -55,8 +59,6 @@ const (
 	// GuardInterval extends the tid's reservation upper bound to the current
 	// global epoch (IBR).
 	GuardInterval
-	// GuardAck acknowledges any pending neutralization round (NBR, NBR+).
-	GuardAck
 )
 
 // Guard is one (reclaimer, tid) pair's zero-dispatch protection handle. The
@@ -76,10 +78,6 @@ type Guard struct {
 	era *pad64
 	// upper is the tid's reservation upper bound (GuardInterval).
 	upper *pad64
-	// round and ack are the global round and the tid's acknowledgement slot
-	// (GuardAck).
-	round *pad64
-	ack   *pad64
 	// extraStores models WFE's helping traffic (see newEraScheme).
 	extraStores int
 }
@@ -116,11 +114,6 @@ func (g *Guard) protect(slot int, o *simalloc.Object) {
 		e := g.era.v.Load()
 		if g.upper.v.Load() < e {
 			g.upper.v.Store(e)
-		}
-	case GuardAck:
-		r := g.round.v.Load()
-		if g.ack.v.Load() != r {
-			g.ack.v.Store(r)
 		}
 	}
 }

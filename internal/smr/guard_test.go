@@ -9,16 +9,14 @@ import (
 )
 
 // TestGuardModesPerReclaimer pins which registry names expose a live guard
-// and in which mode, and that epoch-based schemes return nil (the trees'
-// branch-away contract).
+// and in which mode, and that epoch-based schemes and NBR return nil (the
+// trees' branch-away contract).
 func TestGuardModesPerReclaimer(t *testing.T) {
 	wantMode := map[string]GuardMode{
 		"hp": GuardPtr, "hp_af": GuardPtr,
 		"he": GuardEra, "he_af": GuardEra,
 		"wfe": GuardEra, "wfe_af": GuardEra,
 		"ibr": GuardInterval, "ibr_af": GuardInterval,
-		"nbr": GuardAck, "nbr_af": GuardAck,
-		"nbrplus": GuardAck, "nbrplus_af": GuardAck,
 	}
 	for _, name := range Names() {
 		r, err := New(name, testConfig(2))
@@ -29,7 +27,7 @@ func TestGuardModesPerReclaimer(t *testing.T) {
 		mode, live := wantMode[name]
 		if !live {
 			if g != nil {
-				t.Errorf("%s: epoch-based reclaimer returned a live guard", name)
+				t.Errorf("%s: a reclaimer without per-node protection returned a live guard", name)
 			}
 			continue
 		}
@@ -74,12 +72,6 @@ func TestGuardProtectMatchesInterface(t *testing.T) {
 				out = append(out, v.lower[tid].v.Load(), v.upper[tid].v.Load())
 			}
 			return out
-		case *NBR:
-			out := make([]int64, 0, threads)
-			for tid := 0; tid < threads; tid++ {
-				out = append(out, v.acks[tid].v.Load())
-			}
-			return out
 		default:
 			t.Fatalf("unexpected reclaimer type %T", r)
 			return nil
@@ -87,7 +79,7 @@ func TestGuardProtectMatchesInterface(t *testing.T) {
 	}
 
 	// Slots run past HazardSlots, so HP's out-of-line path is driven too.
-	for _, name := range []string{"hp", "he", "wfe", "ibr", "nbr", "nbrplus"} {
+	for _, name := range []string{"hp", "he", "wfe", "ibr"} {
 		t.Run(name, func(t *testing.T) {
 			build := func() Reclaimer {
 				r, err := New(name, testConfig(threads))
@@ -116,8 +108,6 @@ func TestGuardProtectMatchesInterface(t *testing.T) {
 							v.clock.era.v.Add(1)
 						case *IBR:
 							v.clock.era.v.Add(1)
-						case *NBR:
-							v.round.v.Add(1)
 						}
 					}
 				}

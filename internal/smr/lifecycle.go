@@ -21,8 +21,8 @@ import (
 //   - Grace periods never wait on a vacated slot. Each scheme's detection
 //     loop consults the live flags (DEBRA/QSBR announcement scans, the
 //     Token-EBR ring) or an equivalent per-slot quiescence signal it
-//     already had (RCU counter parity, NBR active flags, cleared hazard/
-//     era/interval reservations).
+//     already had (RCU counter parity, NBR's idle announcement, cleared
+//     hazard/era/interval reservations).
 //
 //   - A departing participant's unreclaimed objects are never freed
 //     immediately — other threads may still hold references from ops in

@@ -150,7 +150,6 @@ func TestEpochSchemesAdvancePastDepartedSlots(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			alloc := testAlloc(2)
 			cfg := DefaultConfig(alloc, 2)
-			cfg.EpochCheckOps = 1
 			r, err := New(name, cfg)
 			if err != nil {
 				t.Fatal(err)

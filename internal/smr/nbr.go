@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"math"
 	"runtime"
 
 	"repro/internal/clock"
@@ -10,15 +11,20 @@ import (
 // NBR is neutralization-based reclamation (Singh, Brown & Mashtizadeh,
 // PPoPP '21). In the original, a thread whose limbo bag fills sends POSIX
 // signals to all other threads; the handlers longjmp readers out of their
-// read-side sections, after which the whole bag is free to reclaim. Go has
-// no safe analogue of interrupting a goroutine, so neutralization is
-// modelled as a round-acknowledgement protocol: the reclaimer publishes a
-// new neutralization round, readers acknowledge it at their next operation
-// boundary or Protect checkpoint (where the original would take the
-// signal), and the reclaimer waits for all acknowledgements before freeing
-// the bag in one batch. The cost profile is preserved: one global
-// coordination round per bag, then a large batch free — exactly the shape
-// that triggers the RBF problem.
+// read-side sections, dropping every pointer they loaded, after which the
+// whole bag is free to reclaim. Go has no safe analogue of interrupting a
+// goroutine, so neutralization is modelled as a round-acknowledgement
+// protocol: the reclaimer publishes a new neutralization round and waits
+// until every thread has acknowledged it, then frees the bag in one batch.
+// A thread acknowledges only at an operation boundary, the one point where
+// it holds no pointer, as the original's restarted reader holds none; a
+// thread that acknowledged mid-operation and carried on would keep
+// pointers into the bag it let go. So a reader never restarts, the trees
+// publish nothing per node (Guard is nil), and what NBR pays is the wait,
+// counted in StallNanos and StallWaits. What separates it from RCU is the
+// global round, which also lets NBR+ elide rounds. The cost profile is
+// preserved: one global coordination round per bag, then a large batch
+// free — exactly the shape that triggers the RBF problem.
 //
 // NBR+ adds signal elision: a neutralization round that began after an
 // object was retired and has since completed proves the object unreachable.
@@ -30,12 +36,17 @@ type NBR struct {
 	core
 	plus bool
 
-	round  pad64   // current neutralization round
-	acks   []pad64 // per-thread acknowledged round
-	done   pad64   // rounds fully acknowledged (for elision)
-	guards []Guard
-	th     []nbrThread
+	round pad64 // current neutralization round
+	// acks holds each thread's announcement: the round its open operation
+	// began in, or idle outside an operation.
+	acks []pad64
+	done pad64 // rounds fully acknowledged (for elision)
+	th   []nbrThread
 }
+
+// idle is the announcement of a thread outside any operation: it holds no
+// reference, so it acknowledges every round.
+const idle = math.MaxInt64
 
 type nbrThread struct {
 	bag []*simalloc.Object
@@ -44,12 +55,7 @@ type nbrThread struct {
 	// seen began, so it is free to reclaim once done reaches seen.
 	seen int64
 	safe int
-	// active is 1 while the thread is inside an operation. An idle thread
-	// holds no references, so a neutralizer treats it as implicitly
-	// acknowledged — mirroring the original, where signals reach idle
-	// threads immediately.
-	active pad64
-	_      [3]int64
+	_    [3]int64
 }
 
 // newNBR returns the registry constructor of NBR (plus=false) or NBR+.
@@ -57,44 +63,28 @@ func newNBR(plus bool) func(string, Config, bool) Reclaimer {
 	return func(name string, cfg Config, af bool) Reclaimer {
 		n := &NBR{core: newCore(name, cfg, af), plus: plus}
 		n.acks = make([]pad64, cfg.Threads)
-		n.guards = make([]Guard, cfg.Threads)
-		for tid := range n.guards {
-			n.guards[tid] = Guard{mode: GuardAck, round: &n.round, ack: &n.acks[tid]}
+		for t := range n.acks {
+			n.acks[t].v.Store(idle)
 		}
 		n.th = make([]nbrThread, cfg.Threads)
 		return n
 	}
 }
 
-// Guard returns tid's zero-dispatch protection handle: a direct
-// neutralization-round acknowledgement checkpoint.
-func (n *NBR) Guard(tid int) *Guard { return &n.guards[tid] }
+// BeginOp announces the round the operation begins in. It loads the round
+// before it stores the announcement, and a neutralizer adds to the round
+// before it loads the announcements, so either the neutralizer sees this
+// announcement below its round and waits for EndOp, or every load of this
+// operation follows the round's increment, and with it every unlink in the
+// bag that round frees.
+func (n *NBR) BeginOp(tid int) { n.acks[tid].v.Store(n.round.v.Load()) }
 
-// ack acknowledges any pending neutralization round; this is where the
-// original algorithm's signal handler would run.
-func (n *NBR) ack(tid int) {
-	r := n.round.v.Load()
-	if n.acks[tid].v.Load() != r {
-		n.acks[tid].v.Store(r)
-	}
-}
-
-// BeginOp marks the thread active and acknowledges pending rounds.
-func (n *NBR) BeginOp(tid int) {
-	n.th[tid].active.v.Store(1)
-	n.ack(tid)
-}
-
-// EndOp acknowledges pending rounds, marks the thread idle, and pumps the
-// freer.
+// EndOp announces the thread idle, which acknowledges every round, and
+// pumps the freer.
 func (n *NBR) EndOp(tid int) {
-	n.ack(tid)
-	n.th[tid].active.v.Store(0)
+	n.acks[tid].v.Store(idle)
 	n.pump(tid)
 }
-
-// Protect is a neutralization checkpoint.
-func (n *NBR) Protect(tid int, _ int, _ *simalloc.Object) { n.ack(tid) }
 
 // Retire appends to the bag; a full bag frees its proven prefix without a
 // round (NBR+), or else neutralizes and frees the whole bag.
@@ -134,9 +124,16 @@ func (n *NBR) neutralize(tid int) {
 	// acknowledgement wait is NBR's blocking grace period.
 	defer n.e.noteStallWait(clock.Now())
 	r := n.round.v.Add(1)
-	n.acks[tid].v.Store(r)
+	// A thread inside an operation retires last, after its final
+	// dereference, so it acknowledges its own round: left at the round its
+	// operation began in, two neutralizers would wait on each other. An
+	// idle thread (a retire outside any operation) stays idle, or the next
+	// round would wait on it for good.
+	if n.acks[tid].v.Load() != idle {
+		n.acks[tid].v.Store(r)
+	}
 	for t := 0; t < n.e.cfg.Threads; t++ {
-		for n.acks[t].v.Load() < r && n.th[t].active.v.Load() == 1 {
+		for n.acks[t].v.Load() < r {
 			if n.e.stopped() {
 				return
 			}
@@ -148,25 +145,12 @@ func (n *NBR) neutralize(tid int) {
 	n.e.sampleGarbage(tid)
 }
 
-// Join occupies a vacated slot and primes its acknowledgement at the
-// current round, so an in-flight neutralization never waits on the joiner
-// for a round that predates it.
-func (n *NBR) Join() (int, error) {
-	slot, err := n.e.reg.join()
-	if err != nil {
-		return -1, err
-	}
-	n.acks[slot].v.Store(n.round.v.Load())
-	return slot, nil
-}
-
-// Leave marks the slot idle (neutralizers treat idle threads as implicitly
-// acknowledged, so no round ever waits on it) and hands its bag to the
-// orphan queue.
+// Leave announces the slot idle, so no round waits on it (and a joiner
+// starts idle, with nothing to re-prime), and hands its bag to the orphan
+// queue.
 func (n *NBR) Leave(tid int) {
-	me := &n.th[tid]
-	me.active.v.Store(0)
-	n.depart(tid, &me.bag)
+	n.acks[tid].v.Store(idle)
+	n.depart(tid, &n.th[tid].bag)
 }
 
 // Drain frees everything pending — including orphans — unconditionally.

@@ -137,9 +137,6 @@ type Config struct {
 	// DrainRate is how many queued objects an amortized freer releases per
 	// operation. The paper uses 1 for the ABtree (≤1 free/op on average).
 	DrainRate int
-	// EpochCheckOps is DEBRA's per-operation amortization: each operation
-	// checks one other thread's announcement every EpochCheckOps ops.
-	EpochCheckOps int
 	// TokenCheckK is Periodic Token-EBR's token-check period (paper: 100).
 	TokenCheckK int
 	// EraFreq advances the era clock every EraFreq retires (HE/IBR/WFE).
@@ -159,13 +156,12 @@ type Config struct {
 // negative) fields filled from these same values at construction.
 func DefaultConfig(alloc simalloc.Allocator, threads int) Config {
 	return Config{
-		Alloc:         alloc,
-		Threads:       threads,
-		BatchSize:     2048,
-		DrainRate:     1,
-		EpochCheckOps: 4,
-		TokenCheckK:   100,
-		EraFreq:       64,
+		Alloc:       alloc,
+		Threads:     threads,
+		BatchSize:   2048,
+		DrainRate:   1,
+		TokenCheckK: 100,
+		EraFreq:     64,
 	}
 }
 
@@ -194,8 +190,7 @@ func (c *Config) fillDefaults() {
 		def int
 	}{
 		{&c.BatchSize, d.BatchSize}, {&c.DrainRate, d.DrainRate},
-		{&c.EpochCheckOps, d.EpochCheckOps}, {&c.TokenCheckK, d.TokenCheckK},
-		{&c.EraFreq, d.EraFreq},
+		{&c.TokenCheckK, d.TokenCheckK}, {&c.EraFreq, d.EraFreq},
 	} {
 		if *f.v <= 0 {
 			*f.v = f.def

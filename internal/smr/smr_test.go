@@ -292,7 +292,6 @@ func TestEpochBagsOutliveReadersOfTheRetireEpoch(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := testConfig(2)
-			cfg.EpochCheckOps = 1
 			r := mustNew(t, c.name, cfg)
 			const a, b = 0, 1
 			epoch := func() int64 { return r.Stats().Epochs }
@@ -647,6 +646,63 @@ func TestNBRPlusElisionSparesLaterRetires(t *testing.T) {
 	}
 }
 
+// TestNBROpenOperationHoldsItsLoads pins that NBR acknowledges a round only
+// at an operation boundary. tid 1 opens an operation and holds X; tid 0
+// retires X and fills its bag, so it neutralizes, then runs empty operations
+// to pump an AF queue. However many nodes tid 1 visits meanwhile, through
+// its guard or the interface, X must outlive the operation that loaded it,
+// and be freed once that operation closes.
+func TestNBROpenOperationHoldsItsLoads(t *testing.T) {
+	for _, name := range []string{"nbr", "nbrplus", "nbr_af", "nbrplus_af"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig(2)
+			cfg.BatchSize = 4
+			r := mustNew(t, name, cfg)
+			alloc := cfg.Alloc
+			r.BeginOp(1)
+			x, other := alloc.Alloc(1, 64), alloc.Alloc(1, 64)
+			started, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				close(started)
+				r.Retire(0, x)
+				for i := 0; i < 3; i++ {
+					r.Retire(0, alloc.Alloc(0, 64))
+				}
+				for i := 0; i < 8; i++ {
+					r.BeginOp(0)
+					r.EndOp(0)
+				}
+			}()
+			g := r.Guard(1)
+			freedAt := -1
+			// At least 2000 visits over at least 10 ms from tid 0's start, so
+			// a neutralizer descheduled on a loaded host still gets to act.
+			<-started
+			start := time.Now()
+			for i := 0; (i < 2000 || time.Since(start) < 10*time.Millisecond) && freedAt < 0; i++ {
+				if g != nil {
+					g.Protect(i%HazardSlots, other)
+				} else {
+					r.Protect(1, i%HazardSlots, other)
+				}
+				runtime.Gosched()
+				if x.State() == simalloc.StateFree {
+					freedAt = i
+				}
+			}
+			r.EndOp(1)
+			<-done
+			if freedAt >= 0 {
+				t.Fatalf("X was freed at visit %d while the operation that loaded it was open", freedAt)
+			}
+			if x.State() != simalloc.StateFree {
+				t.Fatal("X was not freed after the operation closed")
+			}
+		})
+	}
+}
+
 // TestAFQueuesAndPumps verifies the amortized freer queues batches and
 // drains DrainRate objects per operation.
 func TestAFQueuesAndPumps(t *testing.T) {
@@ -763,8 +819,8 @@ func TestConfigDefaultsFilled(t *testing.T) {
 	cfg := Config{Alloc: testAlloc(1), Threads: 1}
 	got := newCore("test", cfg, false).e.cfg
 	want := DefaultConfig(cfg.Alloc, 1)
-	knobs := func(c Config) [5]int {
-		return [5]int{c.BatchSize, c.DrainRate, c.EpochCheckOps, c.TokenCheckK, c.EraFreq}
+	knobs := func(c Config) [4]int {
+		return [4]int{c.BatchSize, c.DrainRate, c.TokenCheckK, c.EraFreq}
 	}
 	if knobs(got) != knobs(want) {
 		t.Fatalf("a hand-built Config runs with %v; want DefaultConfig's %v", knobs(got), knobs(want))
