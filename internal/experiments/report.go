@@ -300,7 +300,7 @@ func panels(sums []results.Summary, p panel, heading func(i int, c bench.Workloa
 // freeCalls counts the recorded (at or over the visibility threshold) free calls.
 func freeCalls(tr bench.TrialResult) (n int) {
 	for tid := 0; tid < tr.Recorder.Threads(); tid++ {
-		for _, e := range tr.Recorder.Events(tid) {
+		for e := range tr.Recorder.Events(tid) {
 			if e.Kind == timeline.KindFreeCall {
 				n++
 			}

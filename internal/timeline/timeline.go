@@ -29,6 +29,7 @@ package timeline
 import (
 	"fmt"
 	"io"
+	"iter"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -117,21 +118,88 @@ type stage struct {
 	// threads' cache flushes) free through the allocator but never produced
 	// timeline events, so their observer callbacks are silenced.
 	muted bool
-	_     [8]int64 // avoid false sharing between adjacent threads' rings
+	_     [2]int64 // one 64-byte line, so adjacent threads' rings share none
 }
 
+// chunkSize is the event capacity of a committed chunk, and firstChunk the
+// capacity a thread's first chunk starts at before it doubles up to
+// chunkSize. A full chunk is never copied: the next event opens a new one.
+const (
+	chunkSize  = 1024
+	firstChunk = 8
+)
+
+// threadBuf is one thread's committed events: the full chunks in commit
+// order, then the tail chunk being filled. Only the first chunk is ever
+// regrown, so a thread allocates its events once, plus that doubling. The
+// fields fill exactly one 64-byte line, so adjacent threads' headers share
+// none.
 type threadBuf struct {
-	events []Event
+	full [][]Event
+	// tail is never empty once the thread has committed an event.
+	tail []Event
+	// n is the number of committed events across full and tail.
+	n int
 	// dropped counts recordable events discarded because the committed
 	// buffer was full. Atomic so Dropped may be read while other threads
 	// are still merging; the increment sits on the cold buffer-full path.
 	dropped atomic.Int64
-	_       [3]int64 // avoid false sharing between adjacent threads' slices
 }
 
-// Recorder collects events into per-thread buffers that grow on demand up to
-// a fixed logical capacity (growth happens only at merge edges, never on the
-// staging path, so constructing a recorder costs no large zeroed allocation).
+// commit appends one rebased event, or counts it dropped once the thread
+// holds capEach events. Merge and Record both commit through it. Only a full
+// tail reaches grow, and no tail is given more free slots than capEach
+// leaves, so a store into the tail needs no capacity check of its own.
+func (b *threadBuf) commit(e Event, capEach int) {
+	k := len(b.tail)
+	if k == cap(b.tail) {
+		if !b.grow(capEach) {
+			return
+		}
+		k = len(b.tail)
+	}
+	b.tail = b.tail[:k+1]
+	b.tail[k] = e
+	b.n++
+}
+
+// grow opens room for one more event in a full tail, or counts the event
+// dropped and reports false once the thread holds capEach events. The first
+// chunk doubles from firstChunk up to chunkSize; after that a full tail joins
+// full and a new tail holds chunkSize events. No chunk outgrows capEach.
+func (b *threadBuf) grow(capEach int) bool {
+	room := capEach - b.n
+	if room <= 0 {
+		b.dropped.Add(1)
+		return false
+	}
+	if c := b.tail; len(b.full) == 0 && cap(c) < chunkSize {
+		b.tail = append(make([]Event, 0, min(max(2*cap(c), firstChunk), chunkSize, len(c)+room)), c...)
+	} else {
+		b.full = append(b.full, c)
+		b.tail = make([]Event, 0, min(chunkSize, room))
+	}
+	return true
+}
+
+// clampMark bounds a mark's stamp: never before the origin, never before the
+// start of the thread's last committed event, which is the tail's last even
+// when the tail has just filled a chunk.
+func (b *threadBuf) clampMark(stampNs, origin int64) int64 {
+	now := max(stampNs, origin)
+	if k := len(b.tail); k > 0 {
+		now = max(now, b.tail[k-1].Start+origin)
+	}
+	return now
+}
+
+// Recorder collects events into per-thread lists of fixed-size chunks, up to
+// a fixed logical capacity per thread. A thread's first chunk doubles from 8
+// events up to chunkSize (1024); every later chunk is allocated once at
+// chunkSize, so a trial allocates about what it keeps (pinned by
+// TestRecorderAllocatesWhatItKeeps). Chunks are allocated only at merge
+// edges, never on the staging path, and constructing a recorder costs no
+// large zeroed allocation.
 // Each thread ID must be used by one goroutine at a time. The staged path (ObserveFree,
 // StageBatchFree, StageMark) is the production pipeline: wait-free, no
 // branching beyond a mask and a fill check, post-processed only at Merge.
@@ -156,7 +224,8 @@ type Recorder struct {
 }
 
 // NewRecorder creates a recorder for the given number of threads with a
-// fixed logical per-thread event capacity (buffers grow lazily toward it).
+// fixed logical per-thread event capacity (chunks are allocated as events
+// are committed, never beyond it).
 // A nil *Recorder is valid everywhere and records nothing.
 func NewRecorder(threads, capPerThread int) *Recorder {
 	clock.EnsureCoarse() // mark stamps use the coarse clock
@@ -293,27 +362,15 @@ func (r *Recorder) Merge(tid int) {
 		case KindEpochAdvance, KindGarbageSample:
 			// MarkAt's clamp: a coarse stamp may lag the origin or the
 			// thread's previous event; bound the displacement.
-			now := e.Start
-			if now < r.origin {
-				now = r.origin
-			}
-			if n := len(buf.events); n > 0 {
-				if last := buf.events[n-1].Start + r.origin; now < last {
-					now = last
-				}
-			}
+			now := buf.clampMark(e.Start, r.origin)
 			e.Start, e.End = now, now
 		}
-		if len(buf.events) >= r.capEach {
-			buf.dropped.Add(1)
-			continue
-		}
-		buf.events = append(buf.events, Event{
+		buf.commit(Event{
 			Start: e.Start - r.origin,
 			End:   e.End - r.origin,
 			Kind:  e.Kind,
 			Value: e.Value,
-		})
+		}, r.capEach)
 	}
 	s.n = 0
 }
@@ -368,17 +425,12 @@ func (r *Recorder) Record(tid int, kind EventKind, startNs, endNs, value int64) 
 	if kind == KindFreeCall && endNs-startNs < int64(r.FreeCallThreshold) {
 		return
 	}
-	buf := &r.perThread[tid]
-	if len(buf.events) >= r.capEach {
-		buf.dropped.Add(1)
-		return
-	}
-	buf.events = append(buf.events, Event{
+	r.perThread[tid].commit(Event{
 		Start: startNs - r.origin,
 		End:   endNs - r.origin,
 		Kind:  kind,
 		Value: value,
-	})
+	}, r.capEach)
 }
 
 // MarkAt commits an instantaneous event (epoch advance, garbage sample)
@@ -390,16 +442,7 @@ func (r *Recorder) MarkAt(tid int, kind EventKind, stampNs, value int64) {
 	if r == nil {
 		return
 	}
-	now := stampNs
-	if now < r.origin {
-		now = r.origin
-	}
-	buf := &r.perThread[tid]
-	if n := len(buf.events); n > 0 {
-		if last := buf.events[n-1].Start + r.origin; now < last {
-			now = last
-		}
-	}
+	now := r.perThread[tid].clampMark(stampNs, r.origin)
 	r.Record(tid, kind, now, now, value)
 }
 
@@ -429,15 +472,29 @@ func (r *Recorder) Threads() int {
 	return len(r.perThread)
 }
 
-// Events returns tid's recorded events, merging the thread's staged entries
-// first. The slice aliases the recorder's buffer; do not record concurrently
-// with reading.
-func (r *Recorder) Events(tid int) []Event {
-	if r == nil {
-		return nil
+// Events returns tid's recorded events in commit order, merging the thread's
+// staged entries first. The sequence reads the recorder's chunks in place;
+// do not record concurrently with ranging over it.
+func (r *Recorder) Events(tid int) iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		if r == nil {
+			return
+		}
+		r.Merge(tid)
+		b := &r.perThread[tid]
+		for _, c := range b.full {
+			for _, e := range c {
+				if !yield(e) {
+					return
+				}
+			}
+		}
+		for _, e := range b.tail {
+			if !yield(e) {
+				return
+			}
+		}
 	}
-	r.Merge(tid)
-	return r.perThread[tid].events
 }
 
 // TotalEvents counts events across all threads (staged entries included).
@@ -448,7 +505,7 @@ func (r *Recorder) TotalEvents() int {
 	r.MergeAll()
 	n := 0
 	for i := range r.perThread {
-		n += len(r.perThread[i].events)
+		n += r.perThread[i].n
 	}
 	return n
 }
@@ -470,7 +527,7 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 		return err
 	}
 	for tid := range r.perThread {
-		for _, e := range r.perThread[tid].events {
+		for e := range r.Events(tid) {
 			if _, err := fmt.Fprintf(w, "%d,%s,%d,%d,%d\n", tid, e.Kind, e.Start, e.End, e.Value); err != nil {
 				return err
 			}
@@ -492,8 +549,8 @@ type RenderOptions struct {
 
 // RenderASCII draws the timeline as text. Each row is a thread; a column is
 // shaded when the thread spent a significant fraction of that time bucket
-// inside a selected event ('█' ≥ 75%, '▓' ≥ 50%, '▒' ≥ 25%, '░' > 0). The
-// footer row projects epoch advances as '•', mirroring the paper's blue
+// inside a selected event ('X' ≥ 75%, 'x' ≥ 50%, '+' ≥ 25%, '.' > 0). The
+// footer row projects epoch advances as '*', mirroring the paper's blue
 // dots.
 func RenderASCII(r *Recorder, opt RenderOptions) string {
 	if r == nil || r.Threads() == 0 {
@@ -518,7 +575,7 @@ func RenderASCII(r *Recorder, opt RenderOptions) string {
 
 	var tmin, tmax int64 = 1<<62 - 1, 0
 	for tid := 0; tid < r.Threads(); tid++ {
-		for _, e := range r.Events(tid) {
+		for e := range r.Events(tid) {
 			if e.Start < tmin {
 				tmin = e.Start
 			}
@@ -565,7 +622,7 @@ func RenderASCII(r *Recorder, opt RenderOptions) string {
 	epochCols := make([]bool, opt.Width)
 	for tid := 0; tid < rows; tid++ {
 		fill := make([]int64, opt.Width)
-		for _, e := range r.Events(tid) {
+		for e := range r.Events(tid) {
 			if e.Kind == KindEpochAdvance {
 				c := int((e.Start - tmin) / bucket)
 				if c >= 0 && c < opt.Width {
@@ -602,7 +659,7 @@ func RenderASCII(r *Recorder, opt RenderOptions) string {
 	}
 	// Epoch projections from threads beyond the shown rows too.
 	for tid := rows; tid < r.Threads(); tid++ {
-		for _, e := range r.Events(tid) {
+		for e := range r.Events(tid) {
 			if e.Kind == KindEpochAdvance {
 				c := int((e.Start - tmin) / bucket)
 				if c >= 0 && c < opt.Width {
@@ -633,7 +690,7 @@ func GarbageCurve(r *Recorder) (times []int64, garbage []int64) {
 	type pt struct{ t, g int64 }
 	var pts []pt
 	for tid := 0; tid < r.Threads(); tid++ {
-		for _, e := range r.Events(tid) {
+		for e := range r.Events(tid) {
 			if e.Kind == KindGarbageSample {
 				pts = append(pts, pt{e.Start, e.Value})
 			}

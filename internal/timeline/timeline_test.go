@@ -1,9 +1,12 @@
 package timeline
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 )
@@ -18,7 +21,7 @@ func TestRecordAndRead(t *testing.T) {
 	if got := r.TotalEvents(); got != 2 {
 		t.Fatalf("TotalEvents = %d, want 2", got)
 	}
-	ev := r.Events(0)[0]
+	ev := slices.Collect(r.Events(0))[0]
 	if ev.Value != 42 || ev.Kind != KindBatchFree {
 		t.Fatalf("event = %+v", ev)
 	}
@@ -50,7 +53,7 @@ func TestCapacityBoundAndDropped(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Record(0, KindBatchFree, now, now+ms, int64(i))
 	}
-	if got := len(r.Events(0)); got != 3 {
+	if got := len(slices.Collect(r.Events(0))); got != 3 {
 		t.Fatalf("events = %d, want capacity 3", got)
 	}
 	if got := r.Dropped(); got != 7 {
@@ -188,7 +191,7 @@ func TestMarkNeverBeforeOrigin(t *testing.T) {
 	// StageMark uses the coarse clock, which may lag the origin stamp taken
 	// at construction; events must still never start before the origin.
 	r.StageMark(0, KindEpochAdvance, 1)
-	if ev := r.Events(0)[0]; ev.Start < 0 {
+	if ev := slices.Collect(r.Events(0))[0]; ev.Start < 0 {
 		t.Fatalf("StageMark produced pre-origin event: %+v", ev)
 	}
 }
@@ -214,24 +217,83 @@ func TestEventKindStrings(t *testing.T) {
 // ASCII output — threshold filtering, mark clamping, capacity drops and
 // origin rebasing all included.
 func TestStagedPipelineMatchesLegacy(t *testing.T) {
-	const capEach = 8 // small enough that the stream overflows it
-	r := NewRecorder(2, capEach)
-	ref := NewRecorderAt(r.Origin(), 2, capEach)
-	r.SetRawTee(func(tid int, e Entry) { ref.ReplayEntry(tid, e) })
+	t.Run("capacity", func(t *testing.T) {
+		const capEach = 8 // small enough that the stream overflows it
+		stagedParity(t, 2, capEach, func(r *Recorder) {
+			origin := r.Origin()
+			for tid := 0; tid < 2; tid++ {
+				base := origin + int64(tid)*ms
+				for i := int64(0); i < 12; i++ {
+					// Sub-threshold free call: filtered by both paths.
+					r.ObserveFree(tid, base+i*ms, base+i*ms+int64(time.Microsecond))
+					// Long free call: recorded (or dropped at capacity) by both.
+					r.ObserveFree(tid, base+i*ms, base+i*ms+ms/2)
+					r.StageBatchFree(tid, base+i*ms, base+(i+1)*ms, 64)
+					r.StageMark(tid, KindEpochAdvance, i)
+					r.StageMark(tid, KindGarbageSample, 100*i)
+				}
+			}
+		})
+	})
 
-	origin := r.Origin()
-	for tid := 0; tid < 2; tid++ {
-		base := origin + int64(tid)*ms
-		for i := int64(0); i < 12; i++ {
-			// Sub-threshold free call: filtered by both paths.
-			r.ObserveFree(tid, base+i*ms, base+i*ms+int64(time.Microsecond))
-			// Long free call: recorded (or dropped at capacity) by both.
-			r.ObserveFree(tid, base+i*ms, base+i*ms+ms/2)
-			r.StageBatchFree(tid, base+i*ms, base+(i+1)*ms, 64)
-			r.StageMark(tid, KindEpochAdvance, i)
-			r.StageMark(tid, KindGarbageSample, 100*i)
+	// Each thread commits across four chunk seams, puts a mark first in
+	// every chunk, merges at edges that do not line up with the seams, and
+	// overflows a capacity that ends mid-chunk. The events before each mark
+	// start seconds ahead of its coarse stamp, so the clamp must carry the
+	// previous chunk's last start across the seam.
+	t.Run("chunk seams", func(t *testing.T) {
+		const (
+			capEach = 5*chunkSize - 100
+			commits = capEach + 50
+		)
+		r := stagedParity(t, 2, capEach, func(r *Recorder) {
+			ahead := r.Origin() + 10*int64(time.Second)
+			for tid := 0; tid < 2; tid++ {
+				for k := int64(0); k < commits; k++ {
+					start := ahead + k*int64(time.Microsecond)
+					switch {
+					case k%chunkSize == 0:
+						r.StageMark(tid, KindEpochAdvance, k)
+					case k%3 == 0:
+						r.ObserveFree(tid, start, start+ms/2)
+					default:
+						r.StageBatchFree(tid, start, start+ms, k)
+					}
+					if k%5 == 0 {
+						r.ObserveFree(tid, start, start+1) // filtered, commits nothing
+					}
+					if k%61 == 0 {
+						r.Merge(tid)
+					}
+				}
+			}
+		})
+		for tid := 0; tid < 2; tid++ {
+			evs := slices.Collect(r.Events(tid))
+			if len(evs) != capEach {
+				t.Fatalf("tid %d committed %d events, want %d", tid, len(evs), capEach)
+			}
+			for k := chunkSize; k < len(evs); k += chunkSize {
+				if e := evs[k]; e.Kind != KindEpochAdvance || e.Start != evs[k-1].Start {
+					t.Fatalf("tid %d event %d = %+v, want a mark clamped to the previous start %d", tid, k, e, evs[k-1].Start)
+				}
+			}
 		}
-	}
+		if got, want := r.Dropped(), int64(2*(commits-capEach)); got != want {
+			t.Fatalf("Dropped = %d, want %d", got, want)
+		}
+	})
+}
+
+// stagedParity builds a staged recorder and a same-origin reference recorder
+// fed by its raw tee, runs drive against the staged one, and fails unless
+// the two agree on CSV, ASCII and Dropped. It returns the staged recorder.
+func stagedParity(t *testing.T, threads, capEach int, drive func(r *Recorder)) *Recorder {
+	t.Helper()
+	r := NewRecorder(threads, capEach)
+	ref := NewRecorderAt(r.Origin(), threads, capEach)
+	r.SetRawTee(func(tid int, e Entry) { ref.ReplayEntry(tid, e) })
+	drive(r)
 	r.MergeAll()
 
 	var got, want strings.Builder
@@ -250,6 +312,50 @@ func TestStagedPipelineMatchesLegacy(t *testing.T) {
 	}
 	if g, w := r.Dropped(), ref.Dropped(); g != w {
 		t.Fatalf("Dropped diverged: staged %d, reference %d", g, w)
+	}
+	return r
+}
+
+// TestRecorderAllocatesWhatItKeeps pins the chunked commit: a thread that
+// commits many events allocates them once (one chunk of slack covers its
+// first chunk's doubling and the chunk list), and threads that commit a few
+// events each allocate a small first chunk, not a whole one.
+func TestRecorderAllocatesWhatItKeeps(t *testing.T) {
+	eventBytes := uint64(unsafe.Sizeof(Event{}))
+	chunkBytes := chunkSize * eventBytes
+	for _, c := range []struct {
+		name               string
+		threads, perThread int
+		limit              uint64
+	}{
+		{"dense", 1, 40 * chunkSize, chunkBytes + 40*chunkSize*eventBytes*11/10},
+		{"sparse", 8, 3, chunkBytes},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// The least of three runs, so a background allocation cannot fail it.
+			least := ^uint64(0)
+			for range 3 {
+				r := NewRecorder(c.threads, 100000)
+				now := r.Origin()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for tid := 0; tid < c.threads; tid++ {
+					for i := 0; i < c.perThread; i++ {
+						r.StageBatchFree(tid, now, now+ms, 1)
+					}
+				}
+				r.MergeAll()
+				runtime.ReadMemStats(&after)
+				if got := r.TotalEvents(); got != c.threads*c.perThread {
+					t.Fatalf("TotalEvents = %d, want %d", got, c.threads*c.perThread)
+				}
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			if least > c.limit {
+				t.Fatalf("%d threads × %d events allocated %d bytes, want at most %d (%d kept)",
+					c.threads, c.perThread, least, c.limit, uint64(c.threads*c.perThread)*eventBytes)
+			}
+		})
 	}
 }
 
@@ -343,8 +449,10 @@ func BenchmarkRecordBatchFree(b *testing.B) {
 	now := r.Origin()
 	for i := 0; i < b.N; i++ {
 		r.Record(0, KindBatchFree, now, now+ms, 1)
-		if i&0xffff == 0xffff {
-			r.perThread[0].events = r.perThread[0].events[:0]
+		if i%chunkSize == chunkSize-1 {
+			// Empty the one full chunk in place: commit cost, not allocation.
+			tb := &r.perThread[0]
+			tb.tail, tb.n = tb.tail[:0], 0
 		}
 	}
 }
