@@ -121,64 +121,54 @@ type stage struct {
 	_     [2]int64 // one 64-byte line, so adjacent threads' rings share none
 }
 
-// chunkSize is the event capacity of a committed chunk, and firstChunk the
-// capacity a thread's first chunk starts at before it doubles up to
-// chunkSize. A full chunk is never copied: the next event opens a new one.
-const (
-	chunkSize  = 1024
-	firstChunk = 8
-)
+// chunkSize is the event capacity of a committed chunk. A full chunk is never
+// copied: the next event opens a new one.
+const chunkSize = 1024
 
 // threadBuf is one thread's committed events: the full chunks in commit
-// order, then the tail chunk being filled. Only the first chunk is ever
-// regrown, so a thread allocates its events once, plus that doubling. The
-// fields fill exactly one 64-byte line, so adjacent threads' headers share
-// none.
+// order, then the tail chunk being filled. Every chunk in full holds
+// chunkSize events, so the thread holds len(full)*chunkSize + len(tail) and
+// allocates each event once. The fields fill exactly one 64-byte line, so
+// adjacent threads' headers share none.
 type threadBuf struct {
 	full [][]Event
 	// tail is never empty once the thread has committed an event.
 	tail []Event
-	// n is the number of committed events across full and tail.
-	n int
 	// dropped counts recordable events discarded because the committed
 	// buffer was full. Atomic so Dropped may be read while other threads
 	// are still merging; the increment sits on the cold buffer-full path.
 	dropped atomic.Int64
+	_       int64
 }
+
+// count returns the number of committed events across full and tail.
+func (b *threadBuf) count() int { return len(b.full)*chunkSize + len(b.tail) }
 
 // commit appends one rebased event, or counts it dropped once the thread
 // holds capEach events. Merge and Record both commit through it. Only a full
 // tail reaches grow, and no tail is given more free slots than capEach
-// leaves, so a store into the tail needs no capacity check of its own.
+// leaves, so the append never reallocates a chunk.
 func (b *threadBuf) commit(e Event, capEach int) {
-	k := len(b.tail)
-	if k == cap(b.tail) {
-		if !b.grow(capEach) {
-			return
-		}
-		k = len(b.tail)
+	if len(b.tail) == cap(b.tail) && !b.grow(capEach) {
+		return
 	}
-	b.tail = b.tail[:k+1]
-	b.tail[k] = e
-	b.n++
+	b.tail = append(b.tail, e)
 }
 
-// grow opens room for one more event in a full tail, or counts the event
-// dropped and reports false once the thread holds capEach events. The first
-// chunk doubles from firstChunk up to chunkSize; after that a full tail joins
-// full and a new tail holds chunkSize events. No chunk outgrows capEach.
+// grow opens a new tail of chunkSize events, or of what capEach leaves if
+// that is less, behind a full one; it counts the event dropped and reports
+// false once the thread holds capEach events. A tail capped below chunkSize
+// is therefore the thread's last chunk and never joins full.
 func (b *threadBuf) grow(capEach int) bool {
-	room := capEach - b.n
+	room := capEach - b.count()
 	if room <= 0 {
 		b.dropped.Add(1)
 		return false
 	}
-	if c := b.tail; len(b.full) == 0 && cap(c) < chunkSize {
-		b.tail = append(make([]Event, 0, min(max(2*cap(c), firstChunk), chunkSize, len(c)+room)), c...)
-	} else {
-		b.full = append(b.full, c)
-		b.tail = make([]Event, 0, min(chunkSize, room))
+	if b.tail != nil {
+		b.full = append(b.full, b.tail)
 	}
+	b.tail = make([]Event, 0, min(chunkSize, room))
 	return true
 }
 
@@ -194,9 +184,9 @@ func (b *threadBuf) clampMark(stampNs, origin int64) int64 {
 }
 
 // Recorder collects events into per-thread lists of fixed-size chunks, up to
-// a fixed logical capacity per thread. A thread's first chunk doubles from 8
-// events up to chunkSize (1024); every later chunk is allocated once at
-// chunkSize, so a trial allocates about what it keeps (pinned by
+// a fixed logical capacity per thread. Each chunk is allocated once at
+// chunkSize (1024) events, or at what the capacity leaves if that is less,
+// and never copied, so a trial allocates about what it keeps (pinned by
 // TestRecorderAllocatesWhatItKeeps). Chunks are allocated only at merge
 // edges, never on the staging path, and constructing a recorder costs no
 // large zeroed allocation.
@@ -505,7 +495,7 @@ func (r *Recorder) TotalEvents() int {
 	r.MergeAll()
 	n := 0
 	for i := range r.perThread {
-		n += r.perThread[i].n
+		n += r.perThread[i].count()
 	}
 	return n
 }

@@ -317,45 +317,31 @@ func stagedParity(t *testing.T, threads, capEach int, drive func(r *Recorder)) *
 }
 
 // TestRecorderAllocatesWhatItKeeps pins the chunked commit: a thread that
-// commits many events allocates them once (one chunk of slack covers its
-// first chunk's doubling and the chunk list), and threads that commit a few
-// events each allocate a small first chunk, not a whole one.
+// commits many events allocates them once, with one chunk of slack for the
+// chunk list.
 func TestRecorderAllocatesWhatItKeeps(t *testing.T) {
+	const n = 40 * chunkSize
 	eventBytes := uint64(unsafe.Sizeof(Event{}))
-	chunkBytes := chunkSize * eventBytes
-	for _, c := range []struct {
-		name               string
-		threads, perThread int
-		limit              uint64
-	}{
-		{"dense", 1, 40 * chunkSize, chunkBytes + 40*chunkSize*eventBytes*11/10},
-		{"sparse", 8, 3, chunkBytes},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			// The least of three runs, so a background allocation cannot fail it.
-			least := ^uint64(0)
-			for range 3 {
-				r := NewRecorder(c.threads, 100000)
-				now := r.Origin()
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				for tid := 0; tid < c.threads; tid++ {
-					for i := 0; i < c.perThread; i++ {
-						r.StageBatchFree(tid, now, now+ms, 1)
-					}
-				}
-				r.MergeAll()
-				runtime.ReadMemStats(&after)
-				if got := r.TotalEvents(); got != c.threads*c.perThread {
-					t.Fatalf("TotalEvents = %d, want %d", got, c.threads*c.perThread)
-				}
-				least = min(least, after.TotalAlloc-before.TotalAlloc)
-			}
-			if least > c.limit {
-				t.Fatalf("%d threads × %d events allocated %d bytes, want at most %d (%d kept)",
-					c.threads, c.perThread, least, c.limit, uint64(c.threads*c.perThread)*eventBytes)
-			}
-		})
+	limit := chunkSize*eventBytes + n*eventBytes*11/10
+	// The least of three runs, so a background allocation cannot fail it.
+	least := ^uint64(0)
+	for range 3 {
+		r := NewRecorder(1, 100000)
+		now := r.Origin()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			r.StageBatchFree(0, now, now+ms, 1)
+		}
+		r.MergeAll()
+		runtime.ReadMemStats(&after)
+		if got := r.TotalEvents(); got != n {
+			t.Fatalf("TotalEvents = %d, want %d", got, n)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > limit {
+		t.Fatalf("%d events allocated %d bytes, want at most %d (%d kept)", n, least, limit, n*eventBytes)
 	}
 }
 
@@ -451,8 +437,7 @@ func BenchmarkRecordBatchFree(b *testing.B) {
 		r.Record(0, KindBatchFree, now, now+ms, 1)
 		if i%chunkSize == chunkSize-1 {
 			// Empty the one full chunk in place: commit cost, not allocation.
-			tb := &r.perThread[0]
-			tb.tail, tb.n = tb.tail[:0], 0
+			r.perThread[0].tail = r.perThread[0].tail[:0]
 		}
 	}
 }
