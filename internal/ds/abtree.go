@@ -24,11 +24,12 @@ const (
 // is guarded by the parent's lock (or the tree's rootMu for the root).
 //
 // What the experiment models is obj's lifecycle in the simulated allocator,
-// and the reclaimer under test never decides when a host node is reused. A
-// leaf is recycled per thread on the caller's own grace period instead
-// (Quiesce / Park, abThread); internal nodes, and every node of a caller that
-// never calls Quiesce, belong to the Go collector. TestABTreeRecycledLeaf-
-// WaitsForReaders pins the grace period, TestABTreeRecycledUpdateAllocsNothing
+// and the reclaimer under test never decides when a host node is reused:
+// like every tree's, a leaf or internal node goes back to the tree's
+// recycler and is reused only after the callers' own grace period
+// (Set.Quiesce). TestABTreeRecycledLeafWaitsForReaders and
+// TestRecycledNodeWaitsForReaders pin the grace period,
+// TestABTreeRecycledUpdateAllocsNothing and TestABTreeRecycledSplitAllocsNothing
 // what it saves.
 type abNode struct {
 	obj  *simalloc.Object
@@ -93,32 +94,45 @@ func (x *abTier[R, C]) bind(route []int64, slots []atomic.Pointer[abNode]) *abIn
 	return &x.abInternal
 }
 
-// abLeafTiers is the number of leaf capacities, indexed by n>>1 for a leaf
-// of n keys; abFreeCap caps each tier's free list per thread, and a leaf
-// retired beyond it is left to the collector.
+// The recycler's tiers: the leaf capacities, indexed by n>>1 for a leaf of n
+// keys, then the internal capacities of 16, 32 and 64 children. An internal
+// node is 416 to 1,280 bytes, so its free lists are capped well below a
+// leaf's (recCap): each holds at most abInternalFreeCap nodes per thread.
 const (
-	abLeafTiers = abLeafCap>>1 + 1
-	abFreeCap   = 64
+	abLeafTiers       = abLeafCap>>1 + 1
+	abInternalTiers   = 3
+	abInternalFreeCap = 8
 )
 
-// abThread is one thread's share of the host leaf recycler, a Fraser-style
-// EBR over the tree's host epoch. Quiesce announces the epoch, and while a
-// thread's announcement is e the global epoch stays e or e+1. A leaf
-// retired while the global epoch is e goes to bag e%3, and once the thread
-// sees the epoch at e+2 no caller can still hold it (each has quiesced or
-// parked since), so the bag moves to the free lists newNode pops from.
-type abThread struct {
-	ann   atomic.Uint64 // epoch announced at the last Quiesce; 0 while parked
-	_     [7]uint64
-	epoch uint64 // the global epoch at the owner's last Quiesce
-	bags  [3][]*abNode
-	free  [abLeafTiers][]*abNode
-	_     [3]uint64 // to a whole number of cache lines
+// tier implements hostNode.
+func (n *abNode) tier() int {
+	if n.in == nil {
+		return cap(n.keys) >> 1
+	}
+	return abLeafTiers + abInternalTier(cap(n.in.children))
 }
 
-// testHookAnnounce, when set, runs in Quiesce between reading the global
-// epoch and announcing it: the window a parked thread's read goes stale in.
-var testHookAnnounce func()
+// abInternalTier is the internal tier that holds c children.
+func abInternalTier(c int) int {
+	switch {
+	case c <= 16:
+		return 0
+	case c <= 32:
+		return 1
+	}
+	return 2
+}
+
+// reset implements hostNode: an internal node drops its children and its
+// retired flag; a leaf holds no pointer but its simulated object, which its
+// next use replaces.
+func (n *abNode) reset() {
+	if in := n.in; in != nil {
+		clear(in.children)
+		in.route, in.children = in.route[:0], in.children[:0]
+		in.lock.retired.Store(false)
+	}
+}
 
 // abSlot names the slot a node hangs from: children[idx] of in, or the tree's
 // root slot when in is nil.
@@ -139,63 +153,19 @@ type ABTree struct {
 	root   atomic.Pointer[abNode]
 	rootMu sync.Mutex // guards the root slot
 	size   *sizeCtr
-	epoch  atomic.Uint64 // the host epoch of the leaf recycler, from 1
-	th     []abThread
+	// Quiesce and Park: unlinked leaves and internal nodes are reused after
+	// the callers' grace period.
+	recycler[*abNode]
 }
 
 // NewABTree builds an empty tree over the allocator and reclaimer.
 func NewABTree(alloc simalloc.Allocator, rec smr.Reclaimer) *ABTree {
 	threads := alloc.Threads()
-	t := &ABTree{alloc: alloc, rec: rec, guards: guardsOf(rec, threads), size: newSizeCtr(threads), th: make([]abThread, threads)}
-	t.epoch.Store(1)
+	t := &ABTree{alloc: alloc, rec: rec, guards: guardsOf(rec, threads), size: newSizeCtr(threads)}
+	t.setup(threads)
 	t.root.Store(t.newNode(0, 0))
 	return t
 }
-
-// Quiesce implements Set. It announces the host epoch, moves the bags the
-// epoch has made safe onto tid's free lists, and advances the epoch once
-// every unparked thread has announced it.
-func (t *ABTree) Quiesce(tid int) {
-	me := &t.th[tid]
-	// A parked thread does not hold the epoch back, so the epoch it read
-	// may have moved on by the time it announces; announce until the
-	// announcement is current.
-	var e uint64
-	for {
-		e = t.epoch.Load()
-		if testHookAnnounce != nil {
-			testHookAnnounce()
-		}
-		me.ann.Store(e)
-		if t.epoch.Load() == e {
-			break
-		}
-	}
-	if e != me.epoch {
-		// The bags hold epochs me.epoch-1, me.epoch and me.epoch+1, at
-		// indices (me.epoch+2)%3, ...; those at or before e-2 are safe.
-		for i := uint64(0); i < min(e-me.epoch, 3); i++ {
-			bag := &me.bags[(me.epoch+2+i)%3]
-			for _, l := range *bag {
-				if f := &me.free[cap(l.keys)>>1]; len(*f) < abFreeCap {
-					*f = append(*f, l)
-				}
-			}
-			clear(*bag)
-			*bag = (*bag)[:0]
-		}
-		me.epoch = e
-	}
-	for i := range t.th {
-		if a := t.th[i].ann.Load(); a != 0 && a != e {
-			return
-		}
-	}
-	t.epoch.CompareAndSwap(e, e+1)
-}
-
-// Park implements Set.
-func (t *ABTree) Park(tid int) { t.th[tid].ann.Store(0) }
 
 func (t *ABTree) Name() string { return "abtree" }
 
@@ -208,9 +178,8 @@ func (t *ABTree) Size() int64 { return t.size.total() }
 // size classes 48, 64, ... 160, and a full leaf takes the 176-byte class.
 // It is tid's last recycled leaf of that tier when there is one.
 func (t *ABTree) newNode(tid, n int) *abNode {
-	var l *abNode
-	if f := &t.th[tid].free[n>>1]; len(*f) > 0 {
-		l, *f = (*f)[len(*f)-1], (*f)[:len(*f)-1]
+	l := t.reuse(tid, n>>1)
+	if l != nil {
 		l.keys = l.keys[:n]
 	} else {
 		l = newLeafTier(n)
@@ -287,18 +256,24 @@ func (t *ABTree) leafWithout(tid int, old *abNode, i int) *abNode {
 
 // newInternal allocates an internal node with room for the given number of
 // children and none yet; the caller fills it with push before publishing it.
+// It is tid's last recycled node of that tier when there is one.
 func (t *ABTree) newInternal(tid, children int) *abInternal {
 	var in *abInternal
-	switch {
-	case children <= 16:
-		x := new(abTier[[15]int64, [16]atomic.Pointer[abNode]])
-		in = x.bind(x.routeArr[:], x.slotArr[:])
-	case children <= 32:
-		x := new(abTier[[31]int64, [32]atomic.Pointer[abNode]])
-		in = x.bind(x.routeArr[:], x.slotArr[:])
-	default:
-		x := new(abTier[[abInternalCap - 1]int64, [abInternalCap]atomic.Pointer[abNode]])
-		in = x.bind(x.routeArr[:], x.slotArr[:])
+	k := abInternalTier(children)
+	if n := t.reuse(tid, abLeafTiers+k); n != nil {
+		in = n.in
+	} else {
+		switch k {
+		case 0:
+			x := new(abTier[[15]int64, [16]atomic.Pointer[abNode]])
+			in = x.bind(x.routeArr[:], x.slotArr[:])
+		case 1:
+			x := new(abTier[[31]int64, [32]atomic.Pointer[abNode]])
+			in = x.bind(x.routeArr[:], x.slotArr[:])
+		default:
+			x := new(abTier[[abInternalCap - 1]int64, [abInternalCap]atomic.Pointer[abNode]])
+			in = x.bind(x.routeArr[:], x.slotArr[:])
+		}
 	}
 	in.obj = t.alloc.Alloc(tid, ABTreeNodeBytes)
 	t.rec.OnAlloc(tid, in.obj)
@@ -353,15 +328,11 @@ func (f *abFill) pushFrom(src *abInternal, from, to int) {
 	}
 }
 
-// retire hands n's simulated object to the reclaimer and, for a leaf of an
-// unparked tid, the host struct to the bag of the global epoch, read after
-// the unlink.
+// retire hands n's simulated object to the reclaimer and its host struct to
+// the recycler.
 func (t *ABTree) retire(tid int, n *abNode) {
 	t.rec.Retire(tid, n.obj)
-	if me := &t.th[tid]; n.in == nil && me.ann.Load() != 0 {
-		bag := &me.bags[t.epoch.Load()%3]
-		*bag = append(*bag, n)
-	}
+	t.recycle(tid, n)
 }
 
 // childIndex returns the child slot covering key: the first i with

@@ -21,6 +21,9 @@ type DGTree struct {
 	guards []*smr.Guard
 	root   *dgNode // sentinel internal; never retired
 	size   *sizeCtr
+	// Quiesce and Park: unlinked nodes are reused after the callers' grace
+	// period (TestRecycledNodeWaitsForReaders).
+	recycler[*dgNode]
 }
 
 type dgNode struct {
@@ -49,9 +52,6 @@ func (l *ticketLock) Lock() {
 // Unlock releases the lock to the next ticket holder.
 func (l *ticketLock) Unlock() { l.owner.Add(1) }
 
-// TryAcquired reports whether the lock is currently held (for tests).
-func (l *ticketLock) TryAcquired() bool { return l.owner.Load() != l.next.Load() }
-
 const dgInf = math.MaxInt64
 
 // NewDGTree builds an empty tree. Two nested sentinel internals guarantee
@@ -65,6 +65,7 @@ func NewDGTree(alloc simalloc.Allocator, rec smr.Reclaimer) *DGTree {
 	t.root = &dgNode{key: dgInf}
 	t.root.left.Store(inner)
 	t.root.right.Store(&dgNode{key: dgInf, leaf: true})
+	t.setup(alloc.Threads())
 	return t
 }
 
@@ -73,15 +74,27 @@ func (t *DGTree) Name() string { return "dgtree" }
 // Size returns the number of keys.
 func (t *DGTree) Size() int64 { return t.size.total() }
 
-// Quiesce and Park implement Set: the DGT tree's host nodes are the
-// collector's.
-func (t *DGTree) Quiesce(int) {}
-func (t *DGTree) Park(int)    {}
+// tier implements hostNode: leaves and internal nodes have one size.
+func (n *dgNode) tier() int { return 0 }
 
+// reset implements hostNode.
+func (n *dgNode) reset() {
+	n.left.Store(nil)
+	n.right.Store(nil)
+	n.retired.Store(false)
+}
+
+// newDGNode allocates a node's simulated object and its host struct, tid's
+// last recycled node when there is one.
 func (t *DGTree) newDGNode(tid int, key int64, leaf bool) *dgNode {
 	obj := t.alloc.Alloc(tid, DGTreeNodeBytes)
 	t.rec.OnAlloc(tid, obj)
-	return &dgNode{obj: obj, key: key, leaf: leaf}
+	n := t.reuse(tid, 0)
+	if n == nil {
+		n = new(dgNode)
+	}
+	n.obj, n.key, n.leaf = obj, key, leaf
+	return n
 }
 
 func (n *dgNode) child(right bool) *atomic.Pointer[dgNode] {
@@ -202,6 +215,8 @@ func (t *DGTree) Delete(tid int, key int64) bool {
 		gp.lk.Unlock()
 		t.rec.Retire(tid, p.obj)
 		t.rec.Retire(tid, leaf.obj)
+		t.recycle(tid, p)
+		t.recycle(tid, leaf)
 		t.size.add(tid, -1)
 		return true
 	}

@@ -6,9 +6,11 @@
 //
 // All three allocate their nodes through a simulated allocator
 // (package simalloc) and retire unlinked nodes through a reclaimer
-// (package smr); memory safety comes from Go's garbage collector and, for
-// the ABtree's recycled leaves, the callers' own grace period (Set.Quiesce),
-// so the reclaimer's job here is to reproduce the retire→grace-period→free
+// (package smr). Memory safety does not rest on the reclaimer: every tree
+// reuses an unlinked host node only after the callers' own grace period
+// (Set.Quiesce), and leaves it to Go's garbage collector otherwise
+// (TestABTreeRecycledLeafWaitsForReaders, TestRecycledNodeWaitsForReaders).
+// So the reclaimer's job here is to reproduce the retire→grace-period→free
 // lifecycle whose cost the paper studies.
 package ds
 
@@ -36,12 +38,11 @@ type Set interface {
 	Size() int64
 	// Quiesce says tid holds no node from any earlier call; Park says the
 	// same and that tid makes no call until its next Quiesce. They are the
-	// host's grace period, independent of the reclaimer: a set may reuse a
-	// node it unlinked once every unparked tid has quiesced twice since (the
-	// ABtree's leaves), or ignore both (the other trees). A tid that never
-	// called Quiesce counts as parked, so a caller that skips the protocol
-	// keeps the collector's path; once any tid quiesces, every tid that makes
-	// calls must make them between a Quiesce and its Park.
+	// host's grace period, independent of the reclaimer: a set reuses a node
+	// it unlinked only once every unparked tid has quiesced twice since. A
+	// tid that never called Quiesce counts as parked, so a caller that skips
+	// the protocol keeps the collector's path; once any tid quiesces, every
+	// tid that makes calls must make them between a Quiesce and its Park.
 	Quiesce(tid int)
 	Park(tid int)
 }

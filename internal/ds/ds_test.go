@@ -477,7 +477,7 @@ func TestTicketLockFIFO(t *testing.T) {
 	if counter != 8000 {
 		t.Fatalf("counter = %d, want 8000 (lost updates)", counter)
 	}
-	if l.TryAcquired() {
+	if l.owner.Load() != l.next.Load() {
 		t.Fatal("lock still held after all unlocks")
 	}
 }

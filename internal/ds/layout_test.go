@@ -143,3 +143,23 @@ func TestHotFieldsDoNotShareLines(t *testing.T) {
 		}
 	}
 }
+
+// TestPaddedTypesFillCacheLines is smr's test of the same name for this
+// package. sizeDelta is one line exactly. recThread, one thread's share of
+// the host-node recycler, is a whole number of lines with the announcement
+// other threads scan alone on the first, so thread i's bags and free lists
+// never share a line with thread i+1's announcement; its layout is the same
+// for every tree's node type.
+func TestPaddedTypesFillCacheLines(t *testing.T) {
+	const line = 64
+	if size := unsafe.Sizeof(sizeDelta{}); size != line {
+		t.Errorf("sizeDelta is %d bytes; want exactly %d", size, line)
+	}
+	var x recThread[*abNode]
+	if size := unsafe.Sizeof(x); size == 0 || size%line != 0 {
+		t.Errorf("recThread is %d bytes; want a multiple of %d", size, line)
+	}
+	if off := unsafe.Offsetof(x.epoch); off != line {
+		t.Errorf("recThread's owner fields start at byte %d; want %d, after the announcement's line", off, line)
+	}
+}

@@ -30,6 +30,9 @@ type OCCTree struct {
 	// head is an unretirable sentinel whose right child is the tree.
 	head *occNode
 	size *sizeCtr
+	// Quiesce and Park: an unlinked node is reused after the callers'
+	// grace period (TestRecycledNodeWaitsForReaders).
+	recycler[*occNode]
 }
 
 type occNode struct {
@@ -45,6 +48,7 @@ type occNode struct {
 func NewOCCTree(alloc simalloc.Allocator, rec smr.Reclaimer) *OCCTree {
 	t := &OCCTree{alloc: alloc, rec: rec, guards: guardsOf(rec, alloc.Threads()), size: newSizeCtr(alloc.Threads())}
 	t.head = &occNode{key: math.MinInt64}
+	t.setup(alloc.Threads())
 	return t
 }
 
@@ -53,15 +57,28 @@ func (t *OCCTree) Name() string { return "occtree" }
 // Size returns the number of (unmarked) keys.
 func (t *OCCTree) Size() int64 { return t.size.total() }
 
-// Quiesce and Park implement Set: the OCCtree's host nodes are the
-// collector's.
-func (t *OCCTree) Quiesce(int) {}
-func (t *OCCTree) Park(int)    {}
+// tier implements hostNode: the OCCtree's nodes have one size.
+func (n *occNode) tier() int { return 0 }
 
+// reset implements hostNode.
+func (n *occNode) reset() {
+	n.left.Store(nil)
+	n.right.Store(nil)
+	n.marked.Store(false)
+	n.retired.Store(false)
+}
+
+// newOCCNode allocates a node's simulated object and its host struct, tid's
+// last recycled node when there is one.
 func (t *OCCTree) newOCCNode(tid int, key int64) *occNode {
 	obj := t.alloc.Alloc(tid, OCCTreeNodeBytes)
 	t.rec.OnAlloc(tid, obj)
-	return &occNode{obj: obj, key: key}
+	n := t.reuse(tid, 0)
+	if n == nil {
+		n = new(occNode)
+	}
+	n.obj, n.key = obj, key
+	return n
 }
 
 // child returns the atomic slot for the given direction.
@@ -196,6 +213,7 @@ func (t *OCCTree) Delete(tid int, key int64) bool {
 			// next quiescent point — retire-under-lock deadlocks the pair.
 			// abtree and dgtree already retire after their unlocks.
 			t.rec.Retire(tid, n.obj)
+			t.recycle(tid, n)
 		}
 		t.size.add(tid, -1)
 		return true
